@@ -17,7 +17,7 @@ reports, svg) and frame_count.
 Subcommands:
   run    integrate, classify, write timeseries CSV / frames JSONL /
          optional SVG frames / inequality reports CSV, print the verdict
-  sweep  one run per axis value, concurrent, summary CSV
+  sweep  one run per axis value, run serially, summary CSV
   check  inequality suite on the initial curve only
 """
 
@@ -26,8 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +34,14 @@ import numpy as np
 from . import diagnostics
 from .flows import NonlocalTerm, evaluate_h, flow_state, format_flow_term, parse_flow_term
 from .integrate import (
+    MAX_SAMPLES,
     IntegratorControls,
     Trajectory,
     describe_outcome,
     integrate,
     outcome_record,
     state_record,
+    summary_record,
 )
 from .support import (
     CONVEXITY_EPS,
@@ -89,16 +90,7 @@ class RunConfig:
     frame_count: int = 16
 
 
-_CONTROL_KEYS = (
-    "rel_tol",
-    "abs_tol",
-    "t_max",
-    "length_blowup",
-    "length_vanish",
-    "area_vanish",
-    "singularity_eps",
-    "sample_interval",
-)
+_CONTROL_KEYS = tuple(f.name for f in fields(IntegratorControls))
 _PATH_KEYS = ("timeseries", "frames", "reports", "svg")
 _SOURCE_KEYS = ("coeffs_file", "samples_file", "polygon_file")
 
@@ -117,6 +109,20 @@ def _parse_float_list(value: str, key: str, lineno: int) -> tuple[float, ...]:
     if not body.strip():
         return ()
     return tuple(_parse_float(part.strip(), key, lineno) for part in body.split(","))
+
+
+def _parse_count(raw: dict, key: str, default: int, maximum: float = np.inf) -> int:
+    if key not in raw:
+        return default
+    value, lineno = raw[key]
+    number = _parse_float(value, key, lineno)
+    if not number.is_integer():
+        raise ConfigError(f"line {lineno}: field {key!r} needs an integer, got {value!r}")
+    if number < 2:
+        raise ConfigError(f"line {lineno}: {key} must be at least 2")
+    if number > maximum:
+        raise ConfigError(f"line {lineno}: {key} must be at most {maximum}")
+    return int(number)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -152,13 +158,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"line {flow_line}: {exc}") from None
 
-    truncation = 64
-    if "truncation" in raw:
-        value, lineno = raw["truncation"]
-        truncation = int(_parse_float(value, "truncation", lineno))
-        if truncation < 2:
-            raise ConfigError(f"line {lineno}: truncation must be at least 2")
-
+    truncation = _parse_count(raw, "truncation", 64)
     sources = [k for k in _SOURCE_KEYS if k in raw]
     inline = "mean" in raw
     if inline + len(sources) != 1:
@@ -204,12 +204,8 @@ def parse_config(text: str) -> RunConfig:
         svg=raw["svg"][0] if "svg" in raw else None,
     )
 
-    frame_count = 16
-    if "frame_count" in raw:
-        value, lineno = raw["frame_count"]
-        frame_count = int(_parse_float(value, "frame_count", lineno))
-        if frame_count < 2:
-            raise ConfigError(f"line {lineno}: frame_count must be at least 2")
+    # Frames are drawn from the recorded states, which are capped.
+    frame_count = _parse_count(raw, "frame_count", 16, MAX_SAMPLES)
 
     return RunConfig(
         initial=initial, flow=flow, controls=controls, outputs=outputs, frame_count=frame_count
@@ -267,7 +263,6 @@ def load_initial(initial: InitialCurve, base_dir: Path) -> SupportSpectrum:
     if not path.is_absolute():
         path = base_dir / path
     if initial.kind == "coeffs-file":
-        record = {"mean": 0.0, "cos": [], "sin": []}
         rows = _read_rows(path, 3, "coeffs_file")
         top = max(int(r[0]) for r in rows)
         cos = [0.0] * max(top, 2)
@@ -282,8 +277,7 @@ def load_initial(initial: InitialCurve, base_dir: Path) -> SupportSpectrum:
                 sin[n - 1] = b_val
             else:
                 raise ConfigError(f"coeffs_file: negative mode index {n}")
-        record.update(mean=mean, cos=cos, sin=sin)
-        return spectrum_from_dict(record)
+        return spectrum_from_dict({"mean": mean, "cos": cos, "sin": sin})
     if initial.kind == "samples-file":
         values = [row[0] for row in _read_rows(path, 1, "samples_file")]
         return project_from_samples(values, initial.truncation)
@@ -330,11 +324,7 @@ def _write_frames(path: Path, traj: Trajectory, frame_count: int) -> list:
         rec["x"] = [float(p[0]) for p in samples.points]
         rec["y"] = [float(p[1]) for p in samples.points]
         lines.append(json.dumps(rec))
-    summary = {
-        "event": {"kind": traj.event.kind, "t": traj.event.t, "theta": traj.event.theta},
-        "outcome": outcome_record(traj.outcome),
-    }
-    lines.append(json.dumps(summary))
+    lines.append(json.dumps(summary_record(traj)))
     path.write_text("\n".join(lines) + "\n")
     return frames
 
@@ -389,18 +379,26 @@ def _tagged(report: diagnostics.InequalityReport, label: str) -> diagnostics.Ine
     return replace(report, name=f"{report.name}@{label}")
 
 
-def run(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
-    """Integrate one configured flow and write all artifacts."""
+def _load_convex(config: RunConfig, base_dir: Path) -> SupportSpectrum | None:
+    """The configured initial spectrum, or None after printing why it is unusable."""
     try:
         spec0 = load_initial(config.initial, base_dir)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return None
     except OSError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+        return None
     if validate_convexity(spec0) <= CONVEXITY_EPS:
         print("error: initial curve fails convexity validation", file=sys.stderr)
+        return None
+    return spec0
+
+
+def run(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
+    """Integrate one configured flow and write all artifacts."""
+    spec0 = _load_convex(config, base_dir)
+    if spec0 is None:
         return 2
     try:
         traj = integrate(spec0, config.flow, config.controls)
@@ -425,16 +423,8 @@ def run(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
 
 def check(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
     """Inequality suite on the initial curve only."""
-    try:
-        spec0 = load_initial(config.initial, base_dir)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if validate_convexity(spec0) <= CONVEXITY_EPS:
-        print("error: initial curve fails convexity validation", file=sys.stderr)
+    spec0 = _load_convex(config, base_dir)
+    if spec0 is None:
         return 2
     state = flow_state(spec0, 0.0, curve_length(spec0))
     go2_report, equality = diagnostics.go2(state)
@@ -466,6 +456,12 @@ def _parse_axis(axis: str) -> tuple[str, list]:
     raise ConfigError(f"unknown axis kind {head!r}")
 
 
+_SWEEP_COLUMNS = (
+    "axis", "outcome", "event", "event_t", "final_t", "final_L",
+    "final_A", "final_ipr", "ipd_ratio_max", "ipr_monotone", "error",
+)
+
+
 def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: NonlocalTerm) -> dict:
     row = {"axis": label}
     try:
@@ -484,18 +480,8 @@ def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: Nonl
             error="",
         )
     except Exception as exc:  # per-row failure; the sweep continues
-        row.update(
-            outcome="", event="", event_t="", final_t="", final_L="",
-            final_A="", final_ipr="", ipd_ratio_max="", ipr_monotone="",
-            error=str(exc).replace(",", ";"),
-        )
+        row.update({c: "" for c in _SWEEP_COLUMNS[1:]}, error=str(exc).replace(",", ";"))
     return row
-
-
-_SWEEP_COLUMNS = (
-    "axis", "outcome", "event", "event_t", "final_t", "final_L",
-    "final_A", "final_ipr", "ipd_ratio_max", "ipr_monotone", "error",
-)
 
 
 def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = None) -> int:
@@ -519,10 +505,7 @@ def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = N
                 sin_coeffs=spec0.sin_coeffs * value,
             )
             jobs.append((repr(value), scaled, config.flow))
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        rows = list(
-            pool.map(lambda job: _sweep_one(job[1], config, job[0], job[2]), jobs)
-        )
+    rows = [_sweep_one(spec, config, label, term) for label, spec, term in jobs]
     lines = [",".join(_SWEEP_COLUMNS)]
     lines.extend(",".join(str(row[c]) for c in _SWEEP_COLUMNS) for row in rows)
     text = "\n".join(lines) + "\n"

@@ -28,8 +28,9 @@ from .integrate import Trajectory
 from .support import (
     CONVEXITY_EPS,
     ConvexityError,
-    GeometricSummary,
     SupportSpectrum,
+    isoperimetric_deficit,
+    limit_circle,
     radius_extrema,
     sq_curvature_integral,
     theta_grid,
@@ -54,31 +55,6 @@ def build_report(name: str, lhs: float, rhs: float) -> InequalityReport:
     slack = lhs - rhs
     tol = INEQ_TOL * max(1.0, abs(lhs), abs(rhs))
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, slack=slack, satisfied=slack >= -tol)
-
-
-def summarize(state: FlowState) -> GeometricSummary:
-    """All scalar geometry of one state; curvature fields are NaN for
-    non-convex spectra, the rest is still reported."""
-    length, area = state.L, state.A
-    ipd = length**2 - 4.0 * np.pi * area
-    ipr = length**2 / (4.0 * np.pi * area) if area > 0.0 else float("inf")
-    rho_min, rho_max = radius_extrema(state.spectrum)
-    if rho_min > CONVEXITY_EPS:
-        k_min = 1.0 / rho_max
-        k_max = 1.0 / rho_min
-        sq_curv = sq_curvature_integral(state.spectrum)
-    else:
-        k_min = k_max = sq_curv = float("nan")
-    return GeometricSummary(
-        length=length,
-        area=area,
-        ipd=ipd,
-        ipr=ipr,
-        k_min=k_min,
-        k_max=k_max,
-        inv_curv_integral=total_inverse_curvature(state.spectrum),
-        sq_curv_integral=sq_curv,
-    )
 
 
 def isoperimetric(state: FlowState) -> InequalityReport:
@@ -126,12 +102,12 @@ def ipd_decay_ratio(traj: Trajectory) -> float:
     flow. Circle input (IPD(0) = 0) is the exact-zero special case and
     reports 0."""
     first = traj.states[0]
-    ipd0 = first.L**2 - 4.0 * np.pi * first.A
+    ipd0 = isoperimetric_deficit(first.spectrum)
     if ipd0 <= 0.0:
         return 0.0
     worst = 0.0
     for s in traj.states:
-        ipd_t = s.L**2 - 4.0 * np.pi * s.A
+        ipd_t = isoperimetric_deficit(s.spectrum)
         worst = max(worst, float(ipd_t / (ipd0 * np.exp(-2.0 * (s.t - first.t)))))
     return worst
 
@@ -153,12 +129,6 @@ def ipr_monotone(traj: Trajectory, term: NonlocalTerm) -> bool:
     del term  # the guarantee class is queried separately
     iprs = [s.L**2 / (4.0 * np.pi * s.A) for s in traj.states]
     return all(b <= a + IPR_MONOTONE_SLACK for a, b in zip(iprs, iprs[1:]))
-
-
-def limit_circle(spec0: SupportSpectrum) -> tuple[float, float]:
-    """Center of the limiting circle: the first-harmonic pair (a_1, b_1),
-    invariant along the flow."""
-    return float(spec0.cos_coeffs[0]), float(spec0.sin_coeffs[0])
 
 
 def convergence_residual(state: FlowState, spec0: SupportSpectrum, grid_size: int = 1024) -> float:

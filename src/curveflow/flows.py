@@ -106,12 +106,9 @@ def parse_flow_term(text: str) -> NonlocalTerm:
 
 
 def format_flow_term(term: NonlocalTerm) -> str:
-    if isinstance(term, PanYang):
-        return "pan-yang"
-    if isinstance(term, LinTsai):
-        return "lin-tsai"
-    if isinstance(term, MaCheng):
-        return "ma-cheng"
+    for tag, cls in _NAMED_TERMS.items():
+        if isinstance(term, cls):
+            return tag
     if isinstance(term, Constant):
         return f"const:{term.c!r}"
     if isinstance(term, PowerSum):
@@ -143,52 +140,67 @@ class FlowState:
 
 def area_along_flow(spec0: SupportSpectrum, length: float, t: float) -> float:
     """A(t) = L^2/(4*pi) + E(t); identical to the enclosed area of the
-    propagated spectrum with mean L/(2*pi).
-
-    Written as pi*(L/2pi)^2 + E so the circular part is exact whenever
-    L/(2*pi) is."""
+    propagated spectrum with mean L/(2*pi)."""
     _, e_val = heat.known_scalars(spec0, t)
+    return _area(length, e_val)
+
+
+def _area(length: float, e_val: float) -> float:
+    # Written as pi*(L/2pi)^2 + E so the circular part is exact whenever
+    # L/(2*pi) is.
     mean = length / TWO_PI
     return float(np.pi * mean * mean + e_val)
 
 
 def flow_state(spec0: SupportSpectrum, t: float, length: float) -> FlowState:
     """Reconstitute the full state at (t, L) from the initial spectrum."""
-    dev = heat.propagate(heat.deviation_of(spec0), t)
-    spectrum = heat.with_mean(dev, length / TWO_PI)
+    spectrum = heat.with_mean(heat.propagate(spec0, t), length / TWO_PI)
     return FlowState(t=t, L=length, spectrum=spectrum, A=area_along_flow(spec0, length, t))
 
 
 def _power(base: float, exponent: float) -> float:
-    if base > 0.0:
-        return base**exponent
-    if exponent == int(exponent):
-        if base == 0.0 and exponent < 0.0:
-            raise HDomainError("zero base with negative exponent")
-        return float(base ** int(exponent))
+    try:
+        if base > 0.0:
+            return base**exponent
+        if exponent == int(exponent):
+            if base == 0.0 and exponent < 0.0:
+                raise HDomainError("zero base with negative exponent")
+            return float(base ** int(exponent))
+    except OverflowError:
+        raise HDomainError(f"H overflow: {base:.3e} ** {exponent!r}") from None
     raise HDomainError(
         f"fractional power {exponent} of non-positive base {base:.3e}"
     )
 
 
-def evaluate_h(term: NonlocalTerm, state: FlowState) -> float:
-    """Value of the nonlocal speed offset H at the given state."""
+def _h(term: NonlocalTerm, length: float, area, inverse_curvature) -> float:
+    """H from the scalars it reads. ``area`` and ``inverse_curvature``
+    (the integral of 1/k ds) are callables, so each term computes only
+    what it needs."""
     if isinstance(term, Constant):
         return term.c
     if isinstance(term, PanYang):
-        return state.L / TWO_PI
+        return length / TWO_PI
     if isinstance(term, LinTsai):
-        return 2.0 * state.A / state.L
+        return 2.0 * area() / length
     if isinstance(term, MaCheng):
-        return total_inverse_curvature(state.spectrum) / state.L
+        return inverse_curvature() / length
     if isinstance(term, PowerSum):
+        a_val = area()
         total = 0.0
         for c, p, q in term.terms:
-            total += c * _power(state.L, p) * _power(state.A, q)
+            total += c * _power(length, p) * _power(a_val, q)
         if not np.isfinite(total):
-            raise HDomainError(f"H overflow at L={state.L:.3e}, A={state.A:.3e}")
+            raise HDomainError(f"H overflow at L={length:.3e}, A={a_val:.3e}")
         return total
     raise TypeError(f"not a nonlocal term: {term!r}")
+
+
+def evaluate_h(term: NonlocalTerm, state: FlowState) -> float:
+    """Value of the nonlocal speed offset H at the given state."""
+    return _h(
+        term, state.L, lambda: state.A, lambda: total_inverse_curvature(state.spectrum)
+    )
 
 
 def length_rate(term: NonlocalTerm, state: FlowState) -> float:

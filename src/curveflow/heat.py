@@ -24,8 +24,6 @@ initial data alone: the deviation mean D(t) is identically zero, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .support import (
@@ -43,44 +41,14 @@ KERNEL_WINDOW = 16.0
 KERNEL_PANELS = 8192
 
 
-@dataclass(frozen=True)
-class DeviationSpectrum:
-    """Zero-mean Fourier deviation; the mean is absent by construction."""
+class DeviationSpectrum(SupportSpectrum):
+    """Zero-mean support spectrum: the deviation from the circular mean."""
 
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
-
-    def __post_init__(self):
-        cos_arr = _coeff_array(self.cos_coeffs, "cos_coeffs")
-        sin_arr = _coeff_array(self.sin_coeffs, "sin_coeffs")
-        if len(cos_arr) != len(sin_arr):
-            raise ValueError("cos_coeffs and sin_coeffs must have equal length")
-        if len(cos_arr) < 2:
-            raise ValueError("truncation must be at least 2")
-        cos_arr.flags.writeable = False
-        sin_arr.flags.writeable = False
-        object.__setattr__(self, "cos_coeffs", cos_arr)
-        object.__setattr__(self, "sin_coeffs", sin_arr)
-
-    @property
-    def truncation(self) -> int:
-        return len(self.cos_coeffs)
+    def __init__(self, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> None:
+        super().__init__(mean=0.0, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
 
     def evaluate(self, theta):
-        th = np.asarray(theta, dtype=float)
-        ang = np.multiply.outer(th, np.arange(1, self.truncation + 1))
-        vals = np.cos(ang) @ self.cos_coeffs + np.sin(ang) @ self.sin_coeffs
-        return float(vals) if np.ndim(theta) == 0 else vals
-
-    def __eq__(self, other):
-        if not isinstance(other, DeviationSpectrum):
-            return NotImplemented
-        return np.array_equal(self.cos_coeffs, other.cos_coeffs) and np.array_equal(
-            self.sin_coeffs, other.sin_coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.cos_coeffs.tobytes(), self.sin_coeffs.tobytes()))
+        return evaluate_support(self, theta)
 
 
 def deviation_of(spec: SupportSpectrum) -> DeviationSpectrum:
@@ -146,12 +114,8 @@ def kernel_oracle(
 
 def e1(spec0: SupportSpectrum, t: float) -> float:
     """The quadratic propagated-support integral driving the length ODE."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    n = np.arange(1, spec0.truncation + 1, dtype=float)
-    power = spec0.cos_coeffs**2 + spec0.sin_coeffs**2
-    tail = np.sum((1.0 - n**2) * np.exp(2.0 * (1.0 - n**2) * t) * power)
-    return float(np.pi * spec0.mean**2 * np.exp(2.0 * t) + (np.pi / 2.0) * tail)
+    _, e_val = known_scalars(spec0, t)
+    return float(np.pi * spec0.mean**2 * np.exp(2.0 * t) + e_val)
 
 
 def known_scalars(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
@@ -163,9 +127,13 @@ def known_scalars(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
     if t < 0.0:
         raise ValueError("t must be non-negative")
     n = np.arange(1, spec0.truncation + 1, dtype=float)
-    power = spec0.cos_coeffs**2 + spec0.sin_coeffs**2
-    e_val = -(np.pi / 2.0) * np.sum((n**2 - 1.0) * np.exp(2.0 * (1.0 - n**2) * t) * power)
-    return 0.0, float(e_val)
+    return 0.0, _e_value(1.0 - n**2, spec0.cos_coeffs**2 + spec0.sin_coeffs**2, t)
+
+
+def _e_value(decay: np.ndarray, power: np.ndarray, t: float) -> float:
+    # E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} p_n from decay = 1 - n^2
+    # and the initial mode power p_n, precomputable once per run.
+    return float(-(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * t) * power))
 
 
 def deviation_sup_norm(dev0: DeviationSpectrum, t: float, grid_size: int | None = None) -> float:

@@ -3,8 +3,9 @@
 The length ODE dL/dt = L - 2*pi*H is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
 quartic dense-output interpolant, which event location bisects to a
-time tolerance of 1e-10. At every sampled instant the full curve state
-is reconstituted from the propagated initial deviation.
+time tolerance of 1e-10. The right-hand side reads H from (t, L) through
+mode arrays computed once per run; only at sampled instants is the full
+curve state reconstituted from the propagated initial deviation.
 
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish); the analytic maximal existence
@@ -18,29 +19,37 @@ scenarios.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
 
-from . import heat
 from .flows import (
     FlowState,
     HDomainError,
     NonlocalTerm,
+    _area,
+    _h,
     area_along_flow,
     flow_state,
     length_rate,
 )
+from .heat import _e_value
 from .support import (
     CONVEXITY_EPS,
     TWO_PI,
     ConvexityError,
+    GeometricSummary,
     SupportSpectrum,
+    _inverse_curvature,
     curve_length,
     default_validation_grid,
+    isoperimetric_deficit,
+    limit_circle,
     radius_extrema,
+    sq_curvature_integral,
     theta_grid,
+    total_inverse_curvature,
     validate_convexity,
 )
 
@@ -58,6 +67,8 @@ EVENT_TIME_TOL = 1e-10
 # least this finely even when the controller wants huge steps.
 MAX_STEP = 0.25
 MIN_STEP = 1e-14
+# Cap on recorded states, t_max / sample_interval, so every run is bounded.
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -72,20 +83,17 @@ class IntegratorControls:
     sample_interval: float = 0.05
 
     def __post_init__(self):
-        for name in (
-            "rel_tol",
-            "abs_tol",
-            "t_max",
-            "length_blowup",
-            "length_vanish",
-            "area_vanish",
-            "singularity_eps",
-            "sample_interval",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            if not 0.0 < getattr(self, field.name) < np.inf:
+                raise ValueError(f"{field.name} must be positive and finite")
         if self.rel_tol >= 1.0:
             raise ValueError("rel_tol must be below 1")
+        if self.length_blowup <= self.length_vanish:
+            raise ValueError("length_blowup must exceed length_vanish")
+        if self.t_max / self.sample_interval > MAX_SAMPLES:
+            raise ValueError(
+                f"sample_interval too small: t_max / sample_interval exceeds {MAX_SAMPLES} states"
+            )
 
 
 @dataclass(frozen=True)
@@ -225,27 +233,41 @@ def _dopri_step(f, t, y, h, k1):
     return y5, err, k7, dense
 
 
-class _RhoGrid:
-    """Grid values of the radius-of-curvature deviation through time.
+class _Modes:
+    """Mode arrays of the initial spectrum, computed once per run.
 
-    rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics, where
-    d_n(t) are the propagated deviation coefficients. The harmonic
-    matrices are weighted once; each time query is a matrix-vector
-    product against the mode decay factors.
+    Mode n of the deviation carries the factor exp((1 - n^2) t), so every
+    scalar the length solve reads at (t, L) is a short sum over the decay
+    rates 1 - n^2, the coefficients a_n, b_n and their power p_n. The
+    radius of curvature on the validation grid,
+
+        rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
+
+    is a matrix-vector product of harmonic matrices, weighted once,
+    against the decay factors.
     """
 
     def __init__(self, spec0: SupportSpectrum, grid_size: int | None = None):
-        dev0 = heat.deviation_of(spec0)
         if grid_size is None:
-            grid_size = default_validation_grid(dev0.truncation)
-        n = np.arange(1, dev0.truncation + 1, dtype=float)
+            grid_size = default_validation_grid(spec0.truncation)
+        n = np.arange(1, spec0.truncation + 1, dtype=float)
         self.decay = 1.0 - n**2
+        self._a0 = spec0.cos_coeffs
+        self._b0 = spec0.sin_coeffs
+        self._power = self._a0**2 + self._b0**2
         self.thetas = theta_grid(grid_size)
         ang = np.outer(self.thetas, n)
         self._cos = np.cos(ang) * self.decay
         self._sin = np.sin(ang) * self.decay
-        self._a0 = dev0.cos_coeffs
-        self._b0 = dev0.sin_coeffs
+
+    def area(self, t: float, length: float) -> float:
+        """area_along_flow(spec0, length, t), bit for bit."""
+        return _area(length, _e_value(self.decay, self._power, t))
+
+    def inverse_curvature(self, t: float, length: float) -> float:
+        """total_inverse_curvature of flow_state(spec0, t, length), bit for bit."""
+        factors = np.exp(self.decay * t)
+        return _inverse_curvature(length / TWO_PI, self._a0 * factors, self._b0 * factors)
 
     def deviation(self, t: float) -> np.ndarray:
         factors = np.exp(self.decay * t)
@@ -272,17 +294,21 @@ class _Problem:
         self.spec0 = spec0
         self.term = term
         self.controls = controls
-        self.rho_grid = _RhoGrid(spec0)
-
-    def state(self, t: float, length: float) -> FlowState:
-        return flow_state(self.spec0, t, length)
+        self.modes = _Modes(spec0)
 
     def rhs(self, t: float, length: float) -> float:
         # H lives on (0, inf) x (0, inf); trial stages poking L <= 0 are
         # domain exits, which the step controller treats as rejections.
         if length <= 0.0:
             raise HDomainError(f"nonpositive length {length:.3e}")
-        return length_rate(self.term, self.state(t, length))
+        modes = self.modes
+        h_val = _h(
+            self.term,
+            length,
+            lambda: modes.area(t, length),
+            lambda: modes.inverse_curvature(t, length),
+        )
+        return length - TWO_PI * h_val
 
     def event_values(self, t: float, length: float) -> dict[str, float]:
         # No FlowState here: event bisection may probe lengths at or
@@ -290,7 +316,7 @@ class _Problem:
         c = self.controls
         return {
             EVENT_SINGULARITY: length / TWO_PI
-            + self.rho_grid.min_deviation(t)
+            + self.modes.min_deviation(t)
             - c.singularity_eps,
             EVENT_AREA_VANISH: area_along_flow(self.spec0, length, t) - c.area_vanish,
             EVENT_LENGTH_VANISH: length - c.length_vanish,
@@ -309,28 +335,40 @@ def _bisect_event(g: Callable[[float], float], lo: float, hi: float) -> tuple[fl
     return lo, hi
 
 
-def _limit_center(spec0: SupportSpectrum) -> tuple[float, float]:
-    # First-harmonic coefficients; invariant under the propagation.
-    return float(spec0.cos_coeffs[0]), float(spec0.sin_coeffs[0])
+# One row per event kind: the outcome it yields, that outcome's record
+# kind and verdict text (formatted from its fields), and, for undetermined
+# outcomes, the diagnostic.
+_OUTCOMES = (
+    (EVENT_HORIZON, ConvergesToCircle, "converges-to-circle",
+     "center=({center[0]:.6g}, {center[1]:.6g}) limit_L={limit_length:.6g}", None),
+    (EVENT_SINGULARITY, CurvatureSingularity, "curvature-singularity",
+     "t*={t_star:.6g} theta*={theta_star:.6g}", None),
+    (EVENT_LENGTH_BLOWUP, LengthBlowupRescaledCircle, "length-blowup-rescaled-circle",
+     "T_max={t_max:.6g}", None),
+    (EVENT_LENGTH_VANISH, LengthVanishesSingularityForced, "length-vanishes-singularity-forced",
+     "T_max={t_max:.6g}", None),
+    (EVENT_AREA_VANISH, AreaVanishesCurvatureBlowup, "area-vanishes-curvature-blowup",
+     "T_max={t_max:.6g} limit_L={limit_length:.6g}", None),
+    (EVENT_H_DOMAIN_EXIT, Undetermined, "undetermined", "({diagnostic})", "H left its domain"),
+    (EVENT_STEP_COLLAPSE, Undetermined, "undetermined", "({diagnostic})", "step size collapsed"),
+)
+_BY_EVENT = {row[0]: row for row in _OUTCOMES}
+_BY_OUTCOME = {row[1]: row for row in _OUTCOMES}
 
 
 def _classify(states: tuple[FlowState, ...], event: TerminationEvent) -> Outcome:
-    spec0 = states[0].spectrum
-    if event.kind == EVENT_HORIZON:
-        return ConvergesToCircle(center=_limit_center(spec0), limit_length=states[-1].L)
-    if event.kind == EVENT_SINGULARITY:
-        return CurvatureSingularity(t_star=event.t, theta_star=event.theta)
-    if event.kind == EVENT_LENGTH_BLOWUP:
-        return LengthBlowupRescaledCircle(t_max=event.t)
-    if event.kind == EVENT_LENGTH_VANISH:
-        return LengthVanishesSingularityForced(t_max=event.t)
-    if event.kind == EVENT_AREA_VANISH:
-        return AreaVanishesCurvatureBlowup(t_max=event.t, limit_length=states[-1].L)
-    if event.kind == EVENT_H_DOMAIN_EXIT:
-        return Undetermined(diagnostic=f"H left its domain near t={event.t:.6g}")
-    if event.kind == EVENT_STEP_COLLAPSE:
-        return Undetermined(diagnostic=f"step size collapsed near t={event.t:.6g}")
-    raise ValueError(f"unknown event kind {event.kind!r}")
+    if event.kind not in _BY_EVENT:
+        raise ValueError(f"unknown event kind {event.kind!r}")
+    _, cls, _, _, diagnostic = _BY_EVENT[event.kind]
+    values = {
+        "center": limit_circle(states[0].spectrum),
+        "limit_length": states[-1].L,
+        "t_star": event.t,
+        "theta_star": event.theta,
+        "t_max": event.t,
+        "diagnostic": f"{diagnostic} near t={event.t:.6g}",
+    }
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def classify(traj: Trajectory) -> Outcome:
@@ -359,7 +397,7 @@ def integrate(
     problem = _Problem(spec0, term, controls)
     t = 0.0
     length = curve_length(spec0)
-    states = [problem.state(t, length)]
+    states = [flow_state(spec0, t, length)]
 
     def finish(event: TerminationEvent) -> Trajectory:
         return Trajectory(states=tuple(states), event=event, outcome=_classify(tuple(states), event))
@@ -368,10 +406,10 @@ def integrate(
     immediate = [k for k in _EVENT_PRIORITY if g0[k] <= 0.0]
     if immediate:
         kind = immediate[0]
-        theta = problem.rho_grid.argmin_theta(0.0) if kind == EVENT_SINGULARITY else None
+        theta = problem.modes.argmin_theta(0.0) if kind == EVENT_SINGULARITY else None
         return finish(TerminationEvent(kind=kind, t=0.0, theta=theta))
 
-    k1 = problem.rhs(t, length)
+    k1 = length_rate(term, states[0])
     h = min(1e-3, controls.t_max)
     sample_idx = 1
 
@@ -429,16 +467,16 @@ def integrate(
                 located.sort()
                 t_event, _, kind, t_before = located[0]
                 if t_before > states[-1].t + 1e-12:
-                    states.append(problem.state(t_before, dense(t_before)))
+                    states.append(flow_state(spec0, t_before, dense(t_before)))
                 theta = (
-                    problem.rho_grid.argmin_theta(t_event)
+                    problem.modes.argmin_theta(t_event)
                     if kind == EVENT_SINGULARITY
                     else None
                 )
                 event_hit = TerminationEvent(kind=kind, t=t_event, theta=theta)
                 break
             if is_sample:
-                states.append(problem.state(tc, lc))
+                states.append(flow_state(spec0, tc, lc))
             prev_t = tc
         if event_hit is not None:
             return finish(event_hit)
@@ -450,7 +488,7 @@ def integrate(
             h *= min(5.0, max(0.2, 0.9 * err_norm**-0.2))
 
     if states[-1].t < controls.t_max - 1e-12:
-        states.append(problem.state(controls.t_max, length))
+        states.append(flow_state(spec0, controls.t_max, length))
     return finish(TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max))
 
 
@@ -469,18 +507,18 @@ def detect_singularity(
     or closed-form length). The scan uses ``time_samples`` uniform times
     refined by bisection; returns (t*, theta*) or None.
     """
-    rho_grid = _RhoGrid(spec0, grid_size)
+    modes = _Modes(spec0, grid_size)
 
     def g(tau: float) -> float:
-        return length_path(tau) / TWO_PI + rho_grid.min_deviation(tau) - singularity_eps
+        return length_path(tau) / TWO_PI + modes.min_deviation(tau) - singularity_eps
 
     ts = np.linspace(0.0, horizon, time_samples + 1)
     if g(0.0) <= 0.0:
-        return 0.0, rho_grid.argmin_theta(0.0)
+        return 0.0, modes.argmin_theta(0.0)
     for i in range(1, len(ts)):
         if g(float(ts[i])) <= 0.0:
             _, hi = _bisect_event(g, float(ts[i - 1]), float(ts[i]))
-            return hi, rho_grid.argmin_theta(hi)
+            return hi, modes.argmin_theta(hi)
     return None
 
 
@@ -500,13 +538,19 @@ def _json_num(x: float):
     return float(x) if np.isfinite(x) else None
 
 
+def _shape(state: FlowState) -> tuple[float, float, float, float]:
+    # (ipd, ipr, k_min, k_max); ipr is inf at non-positive area and the
+    # curvatures are NaN unless the state is strictly convex.
+    ipr = state.L**2 / (4.0 * np.pi * state.A) if state.A > 0.0 else float("inf")
+    rho_min, rho_max = radius_extrema(state.spectrum)
+    if rho_min <= CONVEXITY_EPS:
+        rho_min = rho_max = float("nan")
+    return isoperimetric_deficit(state.spectrum), ipr, 1.0 / rho_max, 1.0 / rho_min
+
+
 def state_record(state: FlowState) -> dict:
     """Scalar record of one state, used for JSONL export and the CLI."""
-    ipd = state.L**2 - 4.0 * np.pi * state.A
-    ipr = state.L**2 / (4.0 * np.pi * state.A) if state.A > 0 else float("inf")
-    rho_min, rho_max = radius_extrema(state.spectrum)
-    k_min = 1.0 / rho_max if rho_max > 0.0 else float("nan")
-    k_max = 1.0 / rho_min if rho_min > 0.0 else float("nan")
+    ipd, ipr, k_min, k_max = _shape(state)
     return {
         "t": state.t,
         "L": state.L,
@@ -518,65 +562,54 @@ def state_record(state: FlowState) -> dict:
     }
 
 
+def summarize(state: FlowState) -> GeometricSummary:
+    """All scalar geometry of one state; curvature fields are NaN for
+    non-convex spectra, the rest is still reported."""
+    ipd, ipr, k_min, k_max = _shape(state)
+    return GeometricSummary(
+        length=state.L,
+        area=state.A,
+        ipd=ipd,
+        ipr=ipr,
+        k_min=k_min,
+        k_max=k_max,
+        inv_curv_integral=total_inverse_curvature(state.spectrum),
+        sq_curv_integral=(
+            float("nan") if np.isnan(k_max) else sq_curvature_integral(state.spectrum)
+        ),
+    )
+
+
+def _outcome_row(outcome: Outcome) -> tuple:
+    if type(outcome) not in _BY_OUTCOME:
+        raise TypeError(f"not an outcome: {outcome!r}")
+    return _BY_OUTCOME[type(outcome)]
+
+
 def outcome_record(outcome: Outcome) -> dict:
-    if isinstance(outcome, ConvergesToCircle):
-        return {
-            "kind": "converges-to-circle",
-            "center": list(outcome.center),
-            "limit_length": outcome.limit_length,
-        }
-    if isinstance(outcome, CurvatureSingularity):
-        return {
-            "kind": "curvature-singularity",
-            "t_star": outcome.t_star,
-            "theta_star": outcome.theta_star,
-        }
-    if isinstance(outcome, LengthBlowupRescaledCircle):
-        return {"kind": "length-blowup-rescaled-circle", "t_max": outcome.t_max}
-    if isinstance(outcome, LengthVanishesSingularityForced):
-        return {"kind": "length-vanishes-singularity-forced", "t_max": outcome.t_max}
-    if isinstance(outcome, AreaVanishesCurvatureBlowup):
-        return {
-            "kind": "area-vanishes-curvature-blowup",
-            "t_max": outcome.t_max,
-            "limit_length": outcome.limit_length,
-        }
-    if isinstance(outcome, Undetermined):
-        return {"kind": "undetermined", "diagnostic": outcome.diagnostic}
-    raise TypeError(f"not an outcome: {outcome!r}")
+    record = {"kind": _outcome_row(outcome)[2]}
+    record.update((f.name, getattr(outcome, f.name)) for f in fields(outcome))
+    return record
 
 
 def describe_outcome(outcome: Outcome) -> str:
-    if isinstance(outcome, ConvergesToCircle):
-        cx, cy = outcome.center
-        return (
-            f"ConvergesToCircle center=({cx:.6g}, {cy:.6g}) "
-            f"limit_L={outcome.limit_length:.6g}"
-        )
-    if isinstance(outcome, CurvatureSingularity):
-        return f"CurvatureSingularity t*={outcome.t_star:.6g} theta*={outcome.theta_star:.6g}"
-    if isinstance(outcome, LengthBlowupRescaledCircle):
-        return f"LengthBlowupRescaledCircle T_max={outcome.t_max:.6g}"
-    if isinstance(outcome, LengthVanishesSingularityForced):
-        return f"LengthVanishesSingularityForced T_max={outcome.t_max:.6g}"
-    if isinstance(outcome, AreaVanishesCurvatureBlowup):
-        return (
-            f"AreaVanishesCurvatureBlowup T_max={outcome.t_max:.6g} "
-            f"limit_L={outcome.limit_length:.6g}"
-        )
-    if isinstance(outcome, Undetermined):
-        return f"Undetermined ({outcome.diagnostic})"
-    raise TypeError(f"not an outcome: {outcome!r}")
+    verdict = _outcome_row(outcome)[3].format(**vars(outcome))
+    return f"{type(outcome).__name__} {verdict}"
+
+
+def summary_record(traj: Trajectory) -> dict:
+    """The trailing summary line of trajectory and frame exports."""
+    event = traj.event
+    return {
+        "event": {"kind": event.kind, "t": event.t, "theta": event.theta},
+        "outcome": outcome_record(traj.outcome),
+    }
 
 
 def trajectory_lines(traj: Trajectory) -> list[str]:
     """JSONL lines: one scalar record per state plus a trailing summary."""
     lines = [json.dumps(state_record(s)) for s in traj.states]
-    summary = {
-        "event": {"kind": traj.event.kind, "t": traj.event.t, "theta": traj.event.theta},
-        "outcome": outcome_record(traj.outcome),
-    }
-    lines.append(json.dumps(summary))
+    lines.append(json.dumps(summary_record(traj)))
     return lines
 
 

@@ -172,14 +172,14 @@ def default_validation_grid(truncation: int) -> int:
 def validate_convexity(spec: SupportSpectrum, grid_size: int | None = None) -> float:
     """Minimum of u'' + u over a uniform grid; positive means convex.
 
-    The grid must have at least 4N points so a band-limited minimum
-    cannot hide between nodes.
+    The grid must have at least 4N points. This is the minimum over the
+    nodes, not the exact one: the true minimum can fall between nodes and
+    lie below it. Rotating an ellipse by 0.006 rad off the grid moves its
+    detected pinch time under H = L by 3.2e-5.
     """
-    if grid_size is None:
-        grid_size = default_validation_grid(spec.truncation)
-    elif grid_size < 4 * spec.truncation:
+    if grid_size is not None and grid_size < 4 * spec.truncation:
         raise ValueError("grid_size must be at least 4 * truncation")
-    return float(np.min(radius_of_curvature(spec, theta_grid(grid_size))))
+    return radius_extrema(spec, grid_size)[0]
 
 
 def radius_extrema(spec: SupportSpectrum, grid_size: int | None = None) -> tuple[float, float]:
@@ -215,15 +215,37 @@ def enclosed_area(spec: SupportSpectrum) -> float:
     return float(np.pi * spec.mean**2 - (np.pi / 2.0) * np.sum((n**2 - 1.0) * power))
 
 
+def isoperimetric_deficit(spec: SupportSpectrum) -> float:
+    """L^2 - 4*pi*A in closed form, 2*pi^2 * sum (n^2 - 1)(a_n^2 + b_n^2).
+
+    Exact where the difference L^2 - 4*pi*A cancels catastrophically
+    (large L, near-circular curves).
+    """
+    n = np.arange(1, spec.truncation + 1).astype(float)
+    power = spec.cos_coeffs**2 + spec.sin_coeffs**2
+    return float(2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power))
+
+
 def total_inverse_curvature(spec: SupportSpectrum) -> float:
     """integral (1/k) ds = integral (u'' + u)^2 dtheta.
 
     Closed form L^2/(2*pi) + pi * sum (n^2 - 1)^2 (a_n^2 + b_n^2).
     """
-    n = np.arange(1, spec.truncation + 1).astype(float)
-    power = spec.cos_coeffs**2 + spec.sin_coeffs**2
-    length = curve_length(spec)
+    return _inverse_curvature(spec.mean, spec.cos_coeffs, spec.sin_coeffs)
+
+
+def _inverse_curvature(mean: float, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> float:
+    # Raw-array form of total_inverse_curvature, for the length solve.
+    n = np.arange(1, len(cos_coeffs) + 1).astype(float)
+    power = cos_coeffs**2 + sin_coeffs**2
+    length = TWO_PI * mean
     return float(length**2 / TWO_PI + np.pi * np.sum((n**2 - 1.0) ** 2 * power))
+
+
+def limit_circle(spec0: SupportSpectrum) -> tuple[float, float]:
+    """Center of the limiting circle: the first-harmonic pair (a_1, b_1),
+    invariant along the flow."""
+    return float(spec0.cos_coeffs[0]), float(spec0.sin_coeffs[0])
 
 
 def sq_curvature_integral(spec: SupportSpectrum, grid_size: int = 2048) -> float:

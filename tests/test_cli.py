@@ -333,3 +333,57 @@ class TestMain:
             sub, "flow = pan-yang\nsamples_file = samples.csv\ntruncation = 8\nt_max = 1\n"
         )
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+
+GALLERY = "mean = 1.0\ncos = 0.1, 0.2\nsin = 0.0, 0.05\n"
+
+
+class TestRejectedControls:
+    """Each bad control exits 2 with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("t_max = inf", "t_max"),
+            ("length_blowup = 1e-30", "length_blowup"),
+            ("sample_interval = 1e-300", "sample_interval"),
+            ("truncation = 2.7", "truncation"),
+            ("frame_count = 2.7", "frame_count"),
+            ("frame_count = 1e7", "frame_count"),
+        ],
+    )
+    def test_exit_two_names_field(self, tmp_path, capsys, line, field):
+        cfg_path = write_config(tmp_path, MINIMAL + line + "\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_accepted(self):
+        assert parse_config(MINIMAL + "frame_count = 4.0\n").frame_count == 4
+
+
+class TestRunErrors:
+    def test_powersum_overflow_reported(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "flow = powersum:-1,400,0\n" + GALLERY)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+
+
+class TestConstMinusOneRun:
+    def test_ipd_decay_row_satisfied_and_ipd_exact(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "flow = const:-1\nt_max = 10\n" + GALLERY)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        reports = (tmp_path / "o" / "reports.csv").read_text().splitlines()
+        row = next(r for r in reports if r.startswith("ipd_decay_max_ratio,"))
+        assert row.endswith(",true")
+        n = np.array([1.0, 2.0])
+        power = np.array([0.1, 0.2]) ** 2 + np.array([0.0, 0.05]) ** 2
+        rows = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[1]) > 1e5
+        for line in rows:
+            cols = line.split(",")
+            t, ipd = float(cols[0]), float(cols[3])
+            exact = 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power * np.exp(2.0 * (1.0 - n**2) * t))
+            assert ipd == pytest.approx(exact, rel=1e-12)

@@ -23,6 +23,7 @@ from curveflow import (
     ipr_guaranteed_monotone,
     ipr_monotone,
     isoperimetric,
+    isoperimetric_deficit,
     limit_circle,
     reports_to_csv,
     summarize,
@@ -262,3 +263,25 @@ class TestReportPlumbing:
         assert lines[0] == "name,lhs,rhs,slack,satisfied"
         assert len(lines) == 3
         assert lines[1].startswith("go1,") and lines[1].endswith(",true")
+
+
+class TestClosedFormDeficit:
+    def test_matches_difference_on_moderate_curves(self):
+        for spec in (ELLIPSEISH, MODE3, CIRCLE):
+            state = state_of(spec)
+            assert isoperimetric_deficit(spec) == pytest.approx(
+                state.L**2 - 4.0 * np.pi * state.A, abs=1e-12
+            )
+
+    def test_const_minus_one_ipd_exact_at_large_length(self):
+        # L grows like e^t, so L^2 - 4*pi*A cancels to noise by t = 10;
+        # the closed form follows every mode's e^{2(1-n^2)t} decay.
+        spec0 = SupportSpectrum(mean=1.0, cos_coeffs=[0.1, 0.2], sin_coeffs=[0.0, 0.05])
+        traj = integrate(spec0, Constant(c=-1.0), IntegratorControls(t_max=10.0))
+        assert traj.states[-1].L > 1e5
+        n = np.arange(1, 3, dtype=float)
+        power = spec0.cos_coeffs**2 + spec0.sin_coeffs**2
+        for s in traj.states:
+            exact = 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power * np.exp(2.0 * (1.0 - n**2) * s.t))
+            assert summarize(s).ipd == pytest.approx(exact, rel=1e-12)
+        assert ipd_decay_ratio(traj) <= 1.0

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -26,6 +27,7 @@ from curveflow import (
     flow_state,
     gage,
     integrate,
+    length_rate,
     rescaled_support,
     state_record,
     trajectory_lines,
@@ -53,6 +55,20 @@ class TestControls:
     def test_rel_tol_below_one(self):
         with pytest.raises(ValueError):
             IntegratorControls(rel_tol=1.5)
+
+    @pytest.mark.parametrize("field", ["t_max", "length_blowup", "sample_interval"])
+    def test_finite(self, field):
+        with pytest.raises(ValueError, match=field):
+            IntegratorControls(**{field: float("inf")})
+
+    def test_blowup_above_vanish(self):
+        with pytest.raises(ValueError, match="length_blowup"):
+            IntegratorControls(length_blowup=1e-30)
+
+    def test_recorded_states_bounded(self):
+        with pytest.raises(ValueError, match="sample_interval"):
+            IntegratorControls(sample_interval=1e-300)
+        IntegratorControls(t_max=1e4, sample_interval=1e-2)  # 1e6 states is allowed
 
 
 class TestPanYangRuns:
@@ -369,3 +385,56 @@ class TestExport:
         for term in (PanYang(), H_EQUALS_L):
             traj = integrate(ELLIPSEISH, term, IntegratorControls(t_max=2.0))
             assert classify(traj) == traj.outcome
+
+
+GALLERY_ELLIPSE = SupportSpectrum(mean=1.0, cos_coeffs=[0.1, 0.2], sin_coeffs=[0.0, 0.05])
+
+
+class TestLeanPath:
+    """The length solve reads scalars only; full states exist only where recorded."""
+
+    @pytest.mark.parametrize(
+        "term", [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), H_EQUALS_L]
+    )
+    def test_flow_state_built_only_for_recorded_states(self, term, monkeypatch):
+        module = importlib.import_module("curveflow.integrate")
+        calls = []
+        real = module.flow_state
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "flow_state", counting)
+        traj = integrate(GALLERY_ELLIPSE, term, IntegratorControls(t_max=2.0))
+        assert len(calls) == len(traj.states)
+
+    def test_scalar_rhs_is_length_rate_bit_for_bit(self):
+        from curveflow.integrate import _Problem
+
+        spec0 = SupportSpectrum(
+            mean=1.3, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0]
+        )
+        terms = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), H_EQUALS_L,
+                 PowerSum(terms=((0.3, 0.5, 0.25), (2.0, -1.0, 1.0)))]
+        for term in terms:
+            problem = _Problem(spec0, term, IntegratorControls())
+            for t, length in [(0.0, TWO_PI * 1.3), (0.37, 7.1), (2.5, 123.456), (9.0, 1e5)]:
+                reference = length_rate(term, flow_state(spec0, t, length))
+                assert problem.rhs(t, length) == reference
+
+    @pytest.mark.parametrize("c", [-1.0, 0.5, 2.0])
+    def test_powersum_constant_is_const_bit_for_bit(self, c):
+        controls = IntegratorControls(t_max=3.0)
+        a = integrate(GALLERY_ELLIPSE, PowerSum(terms=((c, 0.0, 0.0),)), controls)
+        b = integrate(GALLERY_ELLIPSE, Constant(c=c), controls)
+        assert [(s.t, s.L, s.A) for s in a.states] == [(s.t, s.L, s.A) for s in b.states]
+        assert a.event == b.event
+
+    def test_powersum_two_a_over_l_matches_lin_tsai(self):
+        controls = IntegratorControls(t_max=5.0)
+        a = integrate(GALLERY_ELLIPSE, PowerSum(terms=((2.0, -1.0, 1.0),)), controls)
+        b = integrate(GALLERY_ELLIPSE, LinTsai(), controls)
+        assert [s.t for s in a.states] == [s.t for s in b.states]
+        for sa, sb in zip(a.states, b.states):
+            assert sa.L == pytest.approx(sb.L, rel=1e-10)
