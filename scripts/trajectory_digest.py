@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Fingerprint a fixed matrix of integrations, to check that a refactor
+changed nothing.
+
+Runs every initial spectrum under every flow and every control set
+below. The matrix reaches all five threshold outcomes (horizon, length
+blow-up, area vanish, length vanish, singularity) and runs where two
+thresholds are crossed inside one step. For each run it prints the
+sha256 of the run's event (kind, t, theta) and of every recorded state's
+(t, L, A), written with repr so any bit change shows; then the counts by
+event kind and one sha256 over all runs. Run it on two checkouts on the
+same machine and compare the output.
+
+Usage:
+    python scripts/trajectory_digest.py [--quiet]
+"""
+
+import argparse
+import hashlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow_term  # noqa: E402
+
+SPECTRA = {
+    "circle": SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.0], sin_coeffs=[0.0, 0.0]),
+    "ellipse": SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.2], sin_coeffs=[0.0, 0.0]),
+    "gallery": SupportSpectrum(mean=1.0, cos_coeffs=[0.1, 0.2], sin_coeffs=[0.0, 0.05]),
+    "offcenter": SupportSpectrum(mean=1.0, cos_coeffs=[0.3, 0.2], sin_coeffs=[-0.2, 0.0]),
+    "three-mode": SupportSpectrum(
+        mean=1.3, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0]
+    ),
+    "triangle": SupportSpectrum(mean=2.0, cos_coeffs=[0.0, 0.0, 0.2], sin_coeffs=[0.0, 0.0, 0.0]),
+    "small": SupportSpectrum(mean=0.05, cos_coeffs=[0.0, 0.01], sin_coeffs=[0.0, 0.005]),
+}
+FLOWS = (
+    "pan-yang",
+    "lin-tsai",
+    "ma-cheng",
+    "const:-1",
+    "const:0.5",
+    "const:2",
+    "powersum:1,1,0",
+    "powersum:0.5,1,0",
+    "powersum:2,-1,1",
+    "powersum:0.3,0.5,0.25;2,-1,1",
+    "powersum:1.2,0,0",
+)
+CONTROLS = {
+    "default": IntegratorControls(t_max=10.0),
+    "tight": IntegratorControls(t_max=10.0, length_blowup=100.0, area_vanish=1e-3),
+    "vanish": IntegratorControls(
+        t_max=10.0, length_vanish=1e-3, area_vanish=1e-30, singularity_eps=1e-16
+    ),
+    # Area and length vanish cross inside the same step for a shrinking circle.
+    "tie": IntegratorControls(t_max=10.0, length_vanish=3.5e-6),
+}
+
+
+def digest(spec: SupportSpectrum, flow: str, controls: IntegratorControls) -> tuple[str, str]:
+    """(event kind or error type, sha256 of the event and the states)."""
+    try:
+        traj = integrate(spec, parse_flow_term(flow), controls)
+    except ValueError as exc:
+        kind = f"error:{type(exc).__name__}"
+        return kind, hashlib.sha256(f"{kind} {exc}".encode()).hexdigest()
+    event = traj.event
+    lines = [f"{event.kind} {event.t!r} {event.theta!r}"]
+    lines.extend(f"{s.t!r} {s.L!r} {s.A!r}" for s in traj.states)
+    return event.kind, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--quiet", action="store_true", help="print only the counts and the total")
+    args = parser.parse_args()
+
+    counts: Counter[str] = Counter()
+    total = hashlib.sha256()
+    for spec_name, spec in SPECTRA.items():
+        for flow in FLOWS:
+            for controls_name, controls in CONTROLS.items():
+                kind, sha = digest(spec, flow, controls)
+                counts[kind] += 1
+                total.update(sha.encode())
+                if not args.quiet:
+                    print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
+    for kind, count in sorted(counts.items()):
+        print(f"count {kind} {count}")
+    print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

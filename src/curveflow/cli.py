@@ -49,6 +49,7 @@ from .support import (
     SupportSpectrum,
     curve_length,
     curve_position,
+    isoperimetric_ratio,
     spectrum_from_dict,
     spectrum_from_polygon,
     project_from_samples,
@@ -295,10 +296,9 @@ def _resolve_out(path_text: str, out_dir: Path | None) -> Path:
     return path
 
 
-def _write_timeseries(path: Path, traj: Trajectory, term: NonlocalTerm) -> None:
+def _write_timeseries(path: Path, traj: Trajectory, records: list, term: NonlocalTerm) -> None:
     lines = ["t,L,A,ipd,ipr,k_min,k_max,H"]
-    for state in traj.states:
-        rec = state_record(state)
+    for state, rec in zip(traj.states, records):
         h_val = evaluate_h(term, state)
         lines.append(
             f"{rec['t']!r},{rec['L']!r},{rec['A']!r},{rec['ipd']!r},"
@@ -307,22 +307,20 @@ def _write_timeseries(path: Path, traj: Trajectory, term: NonlocalTerm) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _frame_states(traj: Trajectory, frame_count: int):
-    idx = np.unique(np.round(np.linspace(0, len(traj.states) - 1, frame_count)).astype(int))
-    return [traj.states[i] for i in idx]
-
-
-def _write_frames(path: Path, traj: Trajectory, frame_count: int) -> list:
+def _write_frames(path: Path, traj: Trajectory, records: list, frame_count: int) -> list:
     frames = []
     lines = []
     thetas = theta_grid(FRAME_GRID)
-    for state in _frame_states(traj, frame_count):
-        samples = curve_position(state.spectrum, thetas)
+    last = len(traj.states) - 1
+    for i in np.unique(np.round(np.linspace(0, last, frame_count)).astype(int)):
+        samples = curve_position(traj.states[i].spectrum, thetas)
         frames.append(samples)
-        rec = state_record(state)
-        rec["theta"] = [float(v) for v in samples.thetas]
-        rec["x"] = [float(p[0]) for p in samples.points]
-        rec["y"] = [float(p[1]) for p in samples.points]
+        rec = dict(
+            records[i],
+            theta=[float(v) for v in samples.thetas],
+            x=[float(p[0]) for p in samples.points],
+            y=[float(p[1]) for p in samples.points],
+        )
         lines.append(json.dumps(rec))
     lines.append(json.dumps(summary_record(traj)))
     path.write_text("\n".join(lines) + "\n")
@@ -406,14 +404,15 @@ def run(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_timeseries(_resolve_out(config.outputs.timeseries, out_dir), traj, config.flow)
-        frames = _write_frames(_resolve_out(config.outputs.frames, out_dir), traj, config.frame_count)
-        if config.outputs.svg is not None:
-            _write_svg_frames(_resolve_out(config.outputs.svg, out_dir), frames)
+        records = [state_record(s) for s in traj.states]
+        paths = config.outputs
+        _write_timeseries(_resolve_out(paths.timeseries, out_dir), traj, records, config.flow)
+        frames_path = _resolve_out(paths.frames, out_dir)
+        frames = _write_frames(frames_path, traj, records, config.frame_count)
+        if paths.svg is not None:
+            _write_svg_frames(_resolve_out(paths.svg, out_dir), frames)
         reports = _inequality_rows(traj, config.flow)
-        _resolve_out(config.outputs.reports, out_dir).write_text(
-            diagnostics.reports_to_csv(reports)
-        )
+        _resolve_out(paths.reports, out_dir).write_text(diagnostics.reports_to_csv(reports))
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -474,7 +473,7 @@ def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: Nonl
             final_t=repr(final.t),
             final_L=repr(final.L),
             final_A=repr(final.A),
-            final_ipr=repr(final.L**2 / (4.0 * np.pi * final.A)),
+            final_ipr=repr(isoperimetric_ratio(final.L, final.A)),
             ipd_ratio_max=repr(diagnostics.ipd_decay_ratio(traj)),
             ipr_monotone=str(diagnostics.ipr_monotone(traj, term)).lower(),
             error="",

@@ -30,6 +30,7 @@ from .support import (
     ConvexityError,
     SupportSpectrum,
     isoperimetric_deficit,
+    isoperimetric_ratio,
     limit_circle,
     radius_extrema,
     sq_curvature_integral,
@@ -127,7 +128,7 @@ def ipr_monotone(traj: Trajectory, term: NonlocalTerm) -> bool:
     for other terms this is a report, not an assertion.
     """
     del term  # the guarantee class is queried separately
-    iprs = [s.L**2 / (4.0 * np.pi * s.A) for s in traj.states]
+    iprs = [isoperimetric_ratio(s.L, s.A) for s in traj.states]
     return all(b <= a + IPR_MONOTONE_SLACK for a, b in zip(iprs, iprs[1:]))
 
 

@@ -2,15 +2,18 @@
 
 The length ODE dL/dt = L - 2*pi*H is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
-quartic dense-output interpolant, which event location bisects to a
-time tolerance of 1e-10. The right-hand side reads H from (t, L) through
-mode arrays computed once per run; only at sampled instants is the full
-curve state reconstituted from the propagated initial deviation.
+quartic dense-output interpolant. The right-hand side reads H from
+(t, L) through mode arrays computed once per run; only at sampled
+instants is the full curve state reconstituted from the propagated
+initial deviation.
 
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish); the analytic maximal existence
 time is replaced by the first crossing of the configured thresholds,
-with the thresholds recorded in the controls. Outcomes classify how a
+with the thresholds recorded in the controls. One locator serves t = 0,
+every accepted step and ``detect_singularity``: one bisection, to 1e-10
+in time, on the earliest crossing of any threshold, with ties broken
+singularity > area vanish > length vanish > length blow-up. Outcomes classify how a
 finished trajectory behaved: convergence to a circle (with its limit
 center), a curvature singularity, or one of the degenerate length/area
 scenarios.
@@ -45,6 +48,7 @@ from .support import (
     curve_length,
     default_validation_grid,
     isoperimetric_deficit,
+    isoperimetric_ratio,
     limit_circle,
     radius_extrema,
     sq_curvature_integral,
@@ -273,20 +277,13 @@ class _Modes:
         factors = np.exp(self.decay * t)
         return self._cos @ (self._a0 * factors) + self._sin @ (self._b0 * factors)
 
-    def min_deviation(self, t: float) -> float:
-        return float(np.min(self.deviation(t)))
+    def min_radius(self, t: float, length: float) -> float:
+        """Grid minimum of the radius of curvature at (t, L)."""
+        return length / TWO_PI + float(np.min(self.deviation(t)))
 
     def argmin_theta(self, t: float) -> float:
         vals = self.deviation(t)
         return float(self.thetas[int(np.argmin(vals))] % TWO_PI)
-
-
-_EVENT_PRIORITY = (
-    EVENT_SINGULARITY,
-    EVENT_AREA_VANISH,
-    EVENT_LENGTH_VANISH,
-    EVENT_LENGTH_BLOWUP,
-)
 
 
 class _Problem:
@@ -310,29 +307,51 @@ class _Problem:
         )
         return length - TWO_PI * h_val
 
-    def event_values(self, t: float, length: float) -> dict[str, float]:
+    def crossed(self, t: float, length: float) -> list[str]:
+        """Event kinds whose thresholds are crossed at (t, L)."""
         # No FlowState here: event bisection may probe lengths at or
         # below the vanish threshold where states are unconstructible.
         c = self.controls
-        return {
-            EVENT_SINGULARITY: length / TWO_PI
-            + self.modes.min_deviation(t)
-            - c.singularity_eps,
-            EVENT_AREA_VANISH: area_along_flow(self.spec0, length, t) - c.area_vanish,
-            EVENT_LENGTH_VANISH: length - c.length_vanish,
-            EVENT_LENGTH_BLOWUP: c.length_blowup - length,
-        }
+        values = (
+            (EVENT_SINGULARITY, self.modes.min_radius(t, length) - c.singularity_eps),
+            (EVENT_AREA_VANISH, area_along_flow(self.spec0, length, t) - c.area_vanish),
+            (EVENT_LENGTH_VANISH, length - c.length_vanish),
+            (EVENT_LENGTH_BLOWUP, c.length_blowup - length),
+        )
+        return [kind for kind, value in values if value <= 0.0]
 
 
-def _bisect_event(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Shrink [lo, hi] with g(lo) > 0 >= g(hi) to EVENT_TIME_TOL width."""
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+# Kinds crossed at the same instant resolve to the first listed.
+_EVENT_PRIORITY = (EVENT_SINGULARITY, EVENT_AREA_VANISH, EVENT_LENGTH_VANISH, EVENT_LENGTH_BLOWUP)
+
+
+def _locate(
+    modes: _Modes, crossed: Callable, path: Callable, t_prev: float, check_times
+) -> tuple[float, TerminationEvent] | None:
+    """Earliest crossing along L = path(t): (t_before, event) or None.
+
+    ``crossed(t, L)`` lists the kinds crossed at (t, L). At the first check
+    time (they follow ``t_prev``) where any is, one bisection on "nothing
+    crossed yet" shrinks [previous check time, it] to EVENT_TIME_TOL; the
+    event is the first kind in _EVENT_PRIORITY crossed at the upper end.
+    """
+    lo = t_prev
+    for tc in check_times:
+        fired = crossed(tc, path(tc))
+        if fired:
+            hi = tc
+            while hi - lo > EVENT_TIME_TOL:
+                mid = 0.5 * (lo + hi)
+                fired_mid = crossed(mid, path(mid))
+                if fired_mid:
+                    hi, fired = mid, fired_mid
+                else:
+                    lo = mid
+            kind = next(k for k in _EVENT_PRIORITY if k in fired)
+            theta = modes.argmin_theta(hi) if kind == EVENT_SINGULARITY else None
+            return lo, TerminationEvent(kind=kind, t=hi, theta=theta)
+        lo = tc
+    return None
 
 
 # One row per event kind: the outcome it yields, that outcome's record
@@ -402,12 +421,9 @@ def integrate(
     def finish(event: TerminationEvent) -> Trajectory:
         return Trajectory(states=tuple(states), event=event, outcome=_classify(tuple(states), event))
 
-    g0 = problem.event_values(t, length)
-    immediate = [k for k in _EVENT_PRIORITY if g0[k] <= 0.0]
-    if immediate:
-        kind = immediate[0]
-        theta = problem.modes.argmin_theta(0.0) if kind == EVENT_SINGULARITY else None
-        return finish(TerminationEvent(kind=kind, t=0.0, theta=theta))
+    found = _locate(problem.modes, problem.crossed, lambda tau: length, t, [t])
+    if found is not None:
+        return finish(found[1])
 
     k1 = length_rate(term, states[0])
     h = min(1e-3, controls.t_max)
@@ -440,46 +456,25 @@ def integrate(
             t1 = controls.t_max
 
         # Check points: sample times inside the step, then the endpoint.
-        check_points: list[tuple[float, bool]] = []
-        while True:
-            s = sample_idx * controls.sample_interval
-            if s > t1 - 1e-12:
-                break
-            check_points.append((s, True))
+        samples = []
+        while sample_idx * controls.sample_interval <= t1 - 1e-12:
+            samples.append(sample_idx * controls.sample_interval)
             sample_idx += 1
-        endpoint_is_sample = abs(sample_idx * controls.sample_interval - t1) <= 1e-12
-        if endpoint_is_sample:
+        check_points = samples + [t1]
+        if abs(sample_idx * controls.sample_interval - t1) <= 1e-12:
+            samples.append(t1)
             sample_idx += 1
-        check_points.append((t1, endpoint_is_sample))
 
-        prev_t = t
-        event_hit = None
-        for tc, is_sample in check_points:
-            lc = y5 if tc == t1 else dense(tc)
-            g_now = problem.event_values(tc, lc)
-            fired = [k for k in _EVENT_PRIORITY if g_now[k] <= 0.0]
-            if fired:
-                located = []
-                for kind in fired:
-                    g_fn = lambda tau, kind=kind: problem.event_values(tau, dense(tau))[kind]
-                    lo, hi = _bisect_event(g_fn, prev_t, tc)
-                    located.append((hi, _EVENT_PRIORITY.index(kind), kind, lo))
-                located.sort()
-                t_event, _, kind, t_before = located[0]
-                if t_before > states[-1].t + 1e-12:
-                    states.append(flow_state(spec0, t_before, dense(t_before)))
-                theta = (
-                    problem.modes.argmin_theta(t_event)
-                    if kind == EVENT_SINGULARITY
-                    else None
-                )
-                event_hit = TerminationEvent(kind=kind, t=t_event, theta=theta)
-                break
-            if is_sample:
-                states.append(flow_state(spec0, tc, lc))
-            prev_t = tc
-        if event_hit is not None:
-            return finish(event_hit)
+        def path(tau: float) -> float:
+            return y5 if tau == t1 else dense(tau)
+
+        found = _locate(problem.modes, problem.crossed, path, t, check_points)
+        t_stop = t1 if found is None else found[0]
+        states.extend(flow_state(spec0, s, path(s)) for s in samples if s <= t_stop)
+        if found is not None:
+            if t_stop > states[-1].t + 1e-12:
+                states.append(flow_state(spec0, t_stop, dense(t_stop)))
+            return finish(found[1])
 
         t, length, k1 = t1, y5, k7
         if err_norm == 0.0:
@@ -509,17 +504,13 @@ def detect_singularity(
     """
     modes = _Modes(spec0, grid_size)
 
-    def g(tau: float) -> float:
-        return length_path(tau) / TWO_PI + modes.min_deviation(tau) - singularity_eps
+    def crossed(tau: float, length: float) -> list[str]:
+        pinched = modes.min_radius(tau, length) - singularity_eps <= 0.0
+        return [EVENT_SINGULARITY] if pinched else []
 
-    ts = np.linspace(0.0, horizon, time_samples + 1)
-    if g(0.0) <= 0.0:
-        return 0.0, modes.argmin_theta(0.0)
-    for i in range(1, len(ts)):
-        if g(float(ts[i])) <= 0.0:
-            _, hi = _bisect_event(g, float(ts[i - 1]), float(ts[i]))
-            return hi, modes.argmin_theta(hi)
-    return None
+    times = np.linspace(0.0, horizon, time_samples + 1).tolist()
+    found = _locate(modes, crossed, length_path, 0.0, times)
+    return None if found is None else (found[1].t, found[1].theta)
 
 
 def rescaled_support(state: FlowState) -> SupportSpectrum:
@@ -541,7 +532,7 @@ def _json_num(x: float):
 def _shape(state: FlowState) -> tuple[float, float, float, float]:
     # (ipd, ipr, k_min, k_max); ipr is inf at non-positive area and the
     # curvatures are NaN unless the state is strictly convex.
-    ipr = state.L**2 / (4.0 * np.pi * state.A) if state.A > 0.0 else float("inf")
+    ipr = isoperimetric_ratio(state.L, state.A)
     rho_min, rho_max = radius_extrema(state.spectrum)
     if rho_min <= CONVEXITY_EPS:
         rho_min = rho_max = float("nan")

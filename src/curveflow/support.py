@@ -226,6 +226,11 @@ def isoperimetric_deficit(spec: SupportSpectrum) -> float:
     return float(2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power))
 
 
+def isoperimetric_ratio(length: float, area: float) -> float:
+    """L^2 / (4*pi*A), at least 1 with equality at circles; inf at non-positive area."""
+    return length**2 / (4.0 * np.pi * area) if area > 0.0 else float("inf")
+
+
 def total_inverse_curvature(spec: SupportSpectrum) -> float:
     """integral (1/k) ds = integral (u'' + u)^2 dtheta.
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveflow import (
     AreaVanishesCurvatureBlowup,
@@ -438,3 +439,122 @@ class TestLeanPath:
         assert [s.t for s in a.states] == [s.t for s in b.states]
         for sa, sb in zip(a.states, b.states):
             assert sa.L == pytest.approx(sb.L, rel=1e-10)
+
+
+class TestEventLocation:
+    """One locator: a scan over check times, one bisection, priority on ties."""
+
+    def record_probes(self, monkeypatch):
+        from curveflow.integrate import _Problem
+
+        probes = []
+        real = _Problem.crossed
+
+        def recording(self, t, length):
+            fired = real(self, t, length)
+            probes.append((t, fired))
+            return fired
+
+        monkeypatch.setattr(_Problem, "crossed", recording)
+        return probes
+
+    def test_two_thresholds_at_one_check_point_take_one_bisection(self, monkeypatch):
+        from curveflow.integrate import EVENT_TIME_TOL
+
+        probes = self.record_probes(monkeypatch)
+        traj = integrate(CIRCLE, H_EQUALS_L, IntegratorControls(t_max=10.0, length_vanish=3.5e-6))
+        assert traj.event.kind == "area-vanish"
+        assert traj.event.t == pytest.approx(2.723333504579317, abs=1e-9)
+        first = next(i for i, (_, fired) in enumerate(probes) if fired)
+        assert set(probes[first][1]) == {"area-vanish", "length-vanish"}
+        lo, hi = probes[first - 1][0], probes[first][0]
+        bisection = probes[first + 1:]
+        assert all(lo < t < hi for t, _ in bisection)
+        # One bisection halves [lo, hi] down to the tolerance; a second
+        # one for the other kind would double the probe count.
+        assert len(bisection) <= np.ceil(np.log2((hi - lo) / EVENT_TIME_TOL)) + 1
+        assert traj.event.t - traj.states[-1].t <= EVENT_TIME_TOL
+
+    @pytest.mark.parametrize(
+        "overrides, kind",
+        [
+            (dict(singularity_eps=0.5, area_vanish=10.0, length_vanish=7.0), "singularity"),
+            (dict(area_vanish=10.0, length_vanish=7.0), "area-vanish"),
+            (dict(area_vanish=10.0, length_blowup=1.0, length_vanish=0.5), "area-vanish"),
+            (dict(length_blowup=1.0, length_vanish=0.5, singularity_eps=0.5), "singularity"),
+        ],
+    )
+    def test_tie_at_t_zero_goes_by_priority(self, overrides, kind):
+        traj = integrate(ELLIPSEISH, PanYang(), IntegratorControls(**overrides))
+        assert traj.event.kind == kind
+        assert traj.event.t == 0.0
+        assert len(traj.states) == 1
+
+    def test_tie_inside_a_bracket_goes_by_priority(self):
+        from curveflow.integrate import EVENT_TIME_TOL, _locate, _Modes
+
+        def crossed(t, length):
+            # Listed lowest priority first: the order of the list must not matter.
+            return ["length-blowup", "length-vanish", "area-vanish"] if t >= 0.3 else []
+
+        found = _locate(_Modes(ELLIPSEISH), crossed, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75])
+        t_before, event = found
+        assert event.kind == "area-vanish" and event.theta is None
+        assert t_before < 0.3 <= event.t <= t_before + EVENT_TIME_TOL
+
+    def test_nothing_crossed(self):
+        from curveflow.integrate import _locate, _Modes
+
+        never = lambda t, length: []  # noqa: E731
+        assert _locate(_Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0]) is None
+
+    def test_detect_singularity_agrees_with_integrate(self):
+        traj = integrate(ELLIPSEISH, H_EQUALS_L, IntegratorControls(t_max=5.0))
+        found = detect_singularity(
+            ELLIPSEISH, lambda t: TWO_PI * np.exp((1.0 - TWO_PI) * t), 5.0
+        )
+        assert traj.event.kind == "singularity"
+        assert abs(found[0] - traj.event.t) <= 1e-9
+        assert found[1] == traj.event.theta
+
+
+def _rotated_ellipse(phi: float) -> SupportSpectrum:
+    # u(theta - phi) for u = 1 + 0.2 cos(2 theta).
+    return SupportSpectrum(
+        mean=1.0,
+        cos_coeffs=[0.0, 0.2 * np.cos(2.0 * phi)],
+        sin_coeffs=[0.0, 0.2 * np.sin(2.0 * phi)],
+    )
+
+
+class TestSymmetries:
+    """Rotating the input shifts theta* and keeps t*; translating it keeps
+    the pinch and moves the limit center."""
+
+    CONTROLS = IntegratorControls(t_max=1.0)
+
+    @given(k=st.integers(min_value=0, max_value=511))
+    @settings(max_examples=12, deadline=None)
+    def test_rotation_by_grid_step(self, k):
+        phi = k * TWO_PI / 512
+        base = integrate(ELLIPSEISH, H_EQUALS_L, self.CONTROLS).event
+        rotated = integrate(_rotated_ellipse(phi), H_EQUALS_L, self.CONTROLS).event
+        assert rotated.kind == base.kind == "singularity"
+        assert abs(rotated.t - base.t) <= 1e-9
+        shift = (rotated.theta - base.theta - phi) % np.pi
+        assert min(shift, np.pi - shift) <= 1e-12
+
+    @given(
+        a1=st.floats(min_value=-5.0, max_value=5.0),
+        b1=st.floats(min_value=-5.0, max_value=5.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_translation(self, a1, b1):
+        moved = SupportSpectrum(mean=1.0, cos_coeffs=[a1, 0.2], sin_coeffs=[b1, 0.0])
+        base = integrate(ELLIPSEISH, H_EQUALS_L, self.CONTROLS).event
+        event = integrate(moved, H_EQUALS_L, self.CONTROLS).event
+        assert event.kind == "singularity"
+        assert abs(event.t - base.t) <= 1e-9
+        assert event.theta == base.theta
+        limit = integrate(moved, PanYang(), IntegratorControls(t_max=2.0)).outcome
+        assert limit.center == (a1, b1)
