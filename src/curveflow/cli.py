@@ -45,6 +45,7 @@ from .integrate import (
 )
 from .support import (
     CONVEXITY_EPS,
+    MAX_TRUNCATION,
     ConvexityError,
     SupportSpectrum,
     curve_length,
@@ -159,7 +160,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"line {flow_line}: {exc}") from None
 
-    truncation = _parse_count(raw, "truncation", 64)
+    truncation = _parse_count(raw, "truncation", 64, MAX_TRUNCATION)
     sources = [k for k in _SOURCE_KEYS if k in raw]
     inline = "mean" in raw
     if inline + len(sources) != 1:
@@ -174,6 +175,11 @@ def parse_config(text: str) -> RunConfig:
         mean_text, mean_line = raw["mean"]
         cos = _parse_float_list(raw["cos"][0], "cos", raw["cos"][1]) if "cos" in raw else ()
         sin = _parse_float_list(raw["sin"][0], "sin", raw["sin"][1]) if "sin" in raw else ()
+        for key, coeffs in (("cos", cos), ("sin", sin)):
+            if len(coeffs) > MAX_TRUNCATION:
+                raise ConfigError(
+                    f"line {raw[key][1]}: {key} holds more than {MAX_TRUNCATION} coefficients"
+                )
         initial = InitialCurve(
             kind="coeffs",
             mean=_parse_float(mean_text, "mean", mean_line),
@@ -265,6 +271,11 @@ def load_initial(initial: InitialCurve, base_dir: Path) -> SupportSpectrum:
         path = base_dir / path
     if initial.kind == "coeffs-file":
         rows = _read_rows(path, 3, "coeffs_file")
+        for n_val, _, _ in rows:
+            if not (n_val.is_integer() and 0 <= n_val <= MAX_TRUNCATION):
+                raise ConfigError(
+                    f"coeffs_file: mode index {n_val} must be an integer in 0..{MAX_TRUNCATION}"
+                )
         top = max(int(r[0]) for r in rows)
         cos = [0.0] * max(top, 2)
         sin = [0.0] * max(top, 2)
@@ -273,11 +284,9 @@ def load_initial(initial: InitialCurve, base_dir: Path) -> SupportSpectrum:
             n = int(n_val)
             if n == 0:
                 mean = a_val
-            elif n >= 1:
+            else:
                 cos[n - 1] = a_val
                 sin[n - 1] = b_val
-            else:
-                raise ConfigError(f"coeffs_file: negative mode index {n}")
         return spectrum_from_dict({"mean": mean, "cos": cos, "sin": sin})
     if initial.kind == "samples-file":
         values = [row[0] for row in _read_rows(path, 1, "samples_file")]

@@ -87,10 +87,11 @@ def kernel_oracle(
     """Deviation at (theta, t) from the literal Gaussian representation.
 
     ``u0`` is either a callable returning support values for an array of
-    angles, or uniform-grid samples (a local trig interpolant is built
-    from them). The heat kernel on the line is integrated by composite
-    Simpson over |xi - theta| <= window*sqrt(t); undefined at t = 0
-    where the kernel degenerates to a delta.
+    angles, or uniform-grid samples (a trig interpolant of truncation
+    len // 2 - 1, at most MAX_TRUNCATION, is built from them). The heat
+    kernel on the line is integrated by composite Simpson over
+    |xi - theta| <= window*sqrt(t); undefined at t = 0 where the kernel
+    degenerates to a delta.
     """
     if t <= 0.0:
         raise ValueError("kernel quadrature requires t > 0")

@@ -44,15 +44,15 @@ from .support import (
     ConvexityError,
     GeometricSummary,
     SupportSpectrum,
+    _grid_deviation,
     _inverse_curvature,
+    _radius_table,
     curve_length,
-    default_validation_grid,
     isoperimetric_deficit,
     isoperimetric_ratio,
     limit_circle,
     radius_extrema,
     sq_curvature_integral,
-    theta_grid,
     total_inverse_curvature,
     validate_convexity,
 )
@@ -247,22 +247,17 @@ class _Modes:
 
         rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
 
-    is a matrix-vector product of harmonic matrices, weighted once,
-    against the decay factors.
+    goes through the shared table of ``support._grid_deviation``, so
+    ``min_radius`` is ``radius_extrema`` of the recorded state, bit for bit.
     """
 
-    def __init__(self, spec0: SupportSpectrum, grid_size: int | None = None):
-        if grid_size is None:
-            grid_size = default_validation_grid(spec0.truncation)
+    def __init__(self, spec0: SupportSpectrum):
         n = np.arange(1, spec0.truncation + 1, dtype=float)
         self.decay = 1.0 - n**2
         self._a0 = spec0.cos_coeffs
         self._b0 = spec0.sin_coeffs
         self._power = self._a0**2 + self._b0**2
-        self.thetas = theta_grid(grid_size)
-        ang = np.outer(self.thetas, n)
-        self._cos = np.cos(ang) * self.decay
-        self._sin = np.sin(ang) * self.decay
+        self.thetas = _radius_table(spec0.truncation)[0]
 
     def area(self, t: float, length: float) -> float:
         """area_along_flow(spec0, length, t), bit for bit."""
@@ -275,15 +270,14 @@ class _Modes:
 
     def deviation(self, t: float) -> np.ndarray:
         factors = np.exp(self.decay * t)
-        return self._cos @ (self._a0 * factors) + self._sin @ (self._b0 * factors)
+        return _grid_deviation(self._a0 * factors, self._b0 * factors)
 
     def min_radius(self, t: float, length: float) -> float:
-        """Grid minimum of the radius of curvature at (t, L)."""
+        """radius_extrema(flow_state(spec0, t, L).spectrum)[0], bit for bit."""
         return length / TWO_PI + float(np.min(self.deviation(t)))
 
     def argmin_theta(self, t: float) -> float:
-        vals = self.deviation(t)
-        return float(self.thetas[int(np.argmin(vals))] % TWO_PI)
+        return float(self.thetas[int(np.argmin(self.deviation(t)))])
 
 
 class _Problem:
@@ -493,22 +487,21 @@ def detect_singularity(
     horizon: float,
     *,
     singularity_eps: float = 1e-9,
-    grid_size: int | None = None,
-    time_samples: int = 4096,
 ) -> tuple[float, float] | None:
     """First time the grid-min radius of curvature drops to the threshold.
 
     ``length_path`` supplies L(t) on [0, horizon] (for example a solved
-    or closed-form length). The scan uses ``time_samples`` uniform times
-    refined by bisection; returns (t*, theta*) or None.
+    or closed-form length). The minimum is taken on the validation grid
+    of ``radius_extrema`` over 4096 uniform time steps, and the first
+    crossing is refined by bisection; returns (t*, theta*) or None.
     """
-    modes = _Modes(spec0, grid_size)
+    modes = _Modes(spec0)
 
     def crossed(tau: float, length: float) -> list[str]:
         pinched = modes.min_radius(tau, length) - singularity_eps <= 0.0
         return [EVENT_SINGULARITY] if pinched else []
 
-    times = np.linspace(0.0, horizon, time_samples + 1).tolist()
+    times = np.linspace(0.0, horizon, 4096 + 1).tolist()
     found = _locate(modes, crossed, length_path, 0.0, times)
     return None if found is None else (found[1].t, found[1].theta)
 

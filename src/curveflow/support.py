@@ -15,6 +15,7 @@ Angles are normalized to [0, 2*pi); uniform grids use theta_j = 2*pi*j/M.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ TWO_PI = 2.0 * np.pi
 
 # Strict positivity threshold for min(u'' + u) on the validation grid.
 CONVEXITY_EPS = 1e-9
+# Largest truncation N; bounds every per-N array, the validation tables
+# included. Polygon sources reach at most 511 on their 1024-point grid.
+MAX_TRUNCATION = 512
 
 
 class ConvexityError(ValueError):
@@ -45,8 +49,9 @@ class SupportSpectrum:
 
     ``cos_coeffs`` and ``sin_coeffs`` hold a_1..a_N and b_1..b_N; the
     truncation N must be at least 2 so that the mean, translation and
-    lowest elliptic modes are all representable. Convexity is *not*
-    implied by construction; run :func:`validate_convexity`.
+    lowest elliptic modes are all representable, and at most
+    MAX_TRUNCATION. Convexity is *not* implied by construction; run
+    :func:`validate_convexity`.
     """
 
     mean: float
@@ -60,6 +65,8 @@ class SupportSpectrum:
             raise ValueError("cos_coeffs and sin_coeffs must have equal length")
         if len(cos_arr) < 2:
             raise ValueError("truncation must be at least 2")
+        if len(cos_arr) > MAX_TRUNCATION:
+            raise ValueError(f"truncation must be at most {MAX_TRUNCATION}")
         if not np.isfinite(self.mean):
             raise ValueError("mean must be finite")
         cos_arr.flags.writeable = False
@@ -169,29 +176,45 @@ def default_validation_grid(truncation: int) -> int:
     return max(4 * truncation, 512)
 
 
-def validate_convexity(spec: SupportSpectrum, grid_size: int | None = None) -> float:
-    """Minimum of u'' + u over a uniform grid; positive means convex.
+@functools.lru_cache(maxsize=8)
+def _radius_table(truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (theta_j, (1 - n^2) cos(n theta_j), (1 - n^2) sin(n theta_j)) on the
+    # validation grid; built once per truncation and shared read-only.
+    thetas = theta_grid(default_validation_grid(truncation))
+    n = np.arange(1, truncation + 1, dtype=float)
+    ang = np.outer(thetas, n)
+    table = (thetas, np.cos(ang) * (1.0 - n**2), np.sin(ang) * (1.0 - n**2))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
-    The grid must have at least 4N points. This is the minimum over the
-    nodes, not the exact one: the true minimum can fall between nodes and
-    lie below it. Rotating an ellipse by 0.006 rad off the grid moves its
-    detected pinch time under H = L by 3.2e-5.
+
+def _grid_deviation(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
+    """rho - mean = sum (1 - n^2)(a_n cos n theta + b_n sin n theta) on the validation grid."""
+    _, cos_table, sin_table = _radius_table(len(cos_coeffs))
+    return cos_table @ cos_coeffs + sin_table @ sin_coeffs
+
+
+def validate_convexity(spec: SupportSpectrum) -> float:
+    """Minimum of u'' + u over the validation grid; positive means convex.
+
+    This is the minimum over the nodes, not the exact one: the true
+    minimum can fall between nodes and lie below it. Rotating an ellipse
+    by 0.006 rad off the grid moves its detected pinch time under H = L
+    by 3.2e-5.
     """
-    if grid_size is not None and grid_size < 4 * spec.truncation:
-        raise ValueError("grid_size must be at least 4 * truncation")
-    return radius_extrema(spec, grid_size)[0]
+    return radius_extrema(spec)[0]
 
 
-def radius_extrema(spec: SupportSpectrum, grid_size: int | None = None) -> tuple[float, float]:
-    """(min, max) of the radius of curvature over the validation grid."""
-    if grid_size is None:
-        grid_size = default_validation_grid(spec.truncation)
-    rho = radius_of_curvature(spec, theta_grid(grid_size))
-    return float(np.min(rho)), float(np.max(rho))
+def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
+    """(min, max) of the radius of curvature on the validation grid. The mean is
+    added after the extremum, as the singularity event does, so the two agree bit for bit."""
+    dev = _grid_deviation(spec.cos_coeffs, spec.sin_coeffs)
+    return spec.mean + float(np.min(dev)), spec.mean + float(np.max(dev))
 
 
-def require_convex(spec: SupportSpectrum, grid_size: int | None = None) -> float:
-    rho_min = validate_convexity(spec, grid_size)
+def require_convex(spec: SupportSpectrum) -> float:
+    rho_min = validate_convexity(spec)
     if rho_min <= CONVEXITY_EPS:
         raise ConvexityError(
             f"spectrum fails strict convexity: min radius of curvature {rho_min:.3e}"

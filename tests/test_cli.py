@@ -24,6 +24,7 @@ from curveflow.cli import (
     run,
     sweep,
 )
+from curveflow.support import MAX_TRUNCATION
 
 MINIMAL = "flow = pan-yang\nmean = 1.0\ncos = 0.0, 0.2\n"
 
@@ -348,6 +349,7 @@ class TestRejectedControls:
             ("length_blowup = 1e-30", "length_blowup"),
             ("sample_interval = 1e-300", "sample_interval"),
             ("truncation = 2.7", "truncation"),
+            (f"truncation = {MAX_TRUNCATION + 1}", "truncation"),
             ("frame_count = 2.7", "frame_count"),
             ("frame_count = 1e7", "frame_count"),
         ],
@@ -357,6 +359,22 @@ class TestRejectedControls:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_bad_mode_index_or_coefficient_count(self, tmp_path, capsys):
+        zeros = ", ".join(["0"] * (MAX_TRUNCATION + 1))
+        cases = [
+            ("coeffs_file", "flow = pan-yang\ncoeffs_file = coeffs.csv\n", f"{MAX_TRUNCATION + 1}"),
+            ("coeffs_file", "flow = pan-yang\ncoeffs_file = coeffs.csv\n", "inf"),
+            ("coeffs_file", "flow = pan-yang\ncoeffs_file = coeffs.csv\n", "2.7"),
+            ("cos", f"flow = pan-yang\nmean = 1.0\ncos = {zeros}\n", None),
+            ("sin", f"flow = pan-yang\nmean = 1.0\nsin = {zeros}\n", None),
+        ]
+        for field, text, mode in cases:
+            (tmp_path / "coeffs.csv").write_text(f"0,1.0,0\n{mode},0,0\n")
+            cfg_path = write_config(tmp_path, text)
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+            assert field in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_integral_float_accepted(self):
         assert parse_config(MINIMAL + "frame_count = 4.0\n").frame_count == 4

@@ -508,6 +508,27 @@ class TestEventLocation:
         never = lambda t, length: []  # noqa: E731
         assert _locate(_Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0]) is None
 
+    @given(
+        n=st.integers(min_value=2, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        t=st.floats(min_value=0.0, max_value=5.0),
+        length=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_event_min_radius_is_state_min_radius(self, n, seed, t, length):
+        from curveflow import radius_extrema
+        from curveflow.integrate import _Modes
+
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.01, 1.0) / np.arange(1, n + 1) ** 2
+        spec0 = SupportSpectrum(
+            mean=rng.uniform(0.5, 2.0),
+            cos_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
+            sin_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
+        )
+        state = flow_state(spec0, t, length)
+        assert radius_extrema(state.spectrum)[0] == _Modes(spec0).min_radius(t, length)
+
     def test_detect_singularity_agrees_with_integrate(self):
         traj = integrate(ELLIPSEISH, H_EQUALS_L, IntegratorControls(t_max=5.0))
         found = detect_singularity(

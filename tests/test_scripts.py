@@ -1,0 +1,41 @@
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def artifact_diff(dir_a, dir_b):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "artifact_diff.py"), str(dir_a), str(dir_b)],
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestArtifactDiff:
+    def test_identical_directories(self, tmp_path):
+        for side in ("a", "b"):
+            (tmp_path / side / "sub").mkdir(parents=True)
+            (tmp_path / side / "sub" / "t.csv").write_text("t,L\n0.0,1.0\n")
+        done = artifact_diff(tmp_path / "a", tmp_path / "b")
+        assert done.returncode == 0
+        assert done.stdout.splitlines() == ["identical: 1 files", "  sub/t.csv"]
+
+    def test_per_column_and_per_key_differences(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        (a / "t.csv").write_text("t,k,ok\n0.0,2.0,true\n1.0,4.0,true\n")
+        (b / "t.csv").write_text("t,k,ok\n0.0,2.0,true\n1.0,5.0,false\n")
+        (a / "f.jsonl").write_text('{"x": [1.0, 2.0], "event": {"t": null}}\n')
+        (b / "f.jsonl").write_text('{"x": [1.0, 2.5], "event": {"t": null}}\n')
+        (a / "only.svg").write_text("<svg/>")
+        done = artifact_diff(a, b)
+        assert done.returncode == 1
+        lines = done.stdout.splitlines()
+        assert "only in DIR_A: only.svg" in lines
+        assert "  k: max_abs 1  max_rel 0.2  mismatches 0" in lines
+        assert "  ok: max_abs 0  max_rel 0  mismatches 1" in lines
+        assert "  x: max_abs 0.5  max_rel 0.2  mismatches 0" in lines
+        assert not any(line.startswith(("  t:", "  event.t:")) for line in lines)

@@ -57,6 +57,13 @@ class TestSupportSpectrum:
         with pytest.raises(ValueError):
             SupportSpectrum(mean=1.0, cos_coeffs=[0.1], sin_coeffs=[0.0])
 
+    def test_truncation_maximum(self):
+        from curveflow.support import MAX_TRUNCATION
+
+        zeros = np.zeros(MAX_TRUNCATION + 1)
+        with pytest.raises(ValueError, match="at most"):
+            SupportSpectrum(mean=1.0, cos_coeffs=zeros, sin_coeffs=zeros)
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             SupportSpectrum(mean=1.0, cos_coeffs=[0.1, 0.0], sin_coeffs=[0.0])
@@ -118,14 +125,28 @@ class TestValidateConvexity:
     def test_rejected_value(self):
         assert validate_convexity(spec(1.0, cos=[0.0, 0.5])) == pytest.approx(-0.5, abs=1e-14)
 
-    def test_grid_too_small(self):
-        with pytest.raises(ValueError):
-            validate_convexity(ELLIPSEISH, grid_size=4)
-
     def test_extrema(self):
         lo, hi = radius_extrema(ELLIPSEISH)
         assert lo == pytest.approx(0.4, abs=1e-14)
         assert hi == pytest.approx(1.6, abs=1e-14)
+
+    def test_one_read_only_table_per_truncation(self):
+        from curveflow.integrate import _Modes
+        from curveflow.support import _radius_table
+
+        n = 7
+        first = spec(1.0, cos=[0.0, 0.1], n=n)
+        misses = _radius_table.cache_info().misses
+        radius_extrema(first)
+        table = _radius_table(n)
+        radius_extrema(spec(2.0, sin=[0.3, 0.0, 0.05], n=n))
+        _Modes(first).min_radius(0.5, TWO_PI)
+        assert _radius_table.cache_info().misses <= misses + 1
+        assert all(a is b for a, b in zip(table, _radius_table(n)))
+        assert len(table[0]) == 512 and table[1].shape == table[2].shape == (512, n)
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestIntegralQuantities:
