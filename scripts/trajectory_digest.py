@@ -11,12 +11,20 @@ sha256 of the run's event (kind, t, theta) and of every recorded state's
 event kind and one sha256 over all runs. Run it on two checkouts on the
 same machine and compare the output.
 
+With ``--out DIR`` it also writes each run to DIR/<spectrum>__<flow>__<controls>.jsonl:
+one {"t", "L", "A"} line per recorded state, then an {"event": {"kind",
+"t", "theta"}} line (or {"error": ...} for a rejected run), so that
+``scripts/artifact_diff.py`` can measure how far two checkouts' numbers
+lie apart, which the hashes cannot.
+
 Usage:
-    python scripts/trajectory_digest.py [--quiet]
+    python scripts/trajectory_digest.py [--quiet] [--out DIR]
 """
 
 import argparse
 import hashlib
+import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -60,30 +68,40 @@ CONTROLS = {
 }
 
 
-def digest(spec: SupportSpectrum, flow: str, controls: IntegratorControls) -> tuple[str, str]:
-    """(event kind or error type, sha256 of the event and the states)."""
+def digest(spec: SupportSpectrum, flow: str, controls: IntegratorControls) -> tuple[str, str, list]:
+    """(event kind or error type, sha256 of the event and the states,
+    the run's JSONL records)."""
     try:
         traj = integrate(spec, parse_flow_term(flow), controls)
     except ValueError as exc:
         kind = f"error:{type(exc).__name__}"
-        return kind, hashlib.sha256(f"{kind} {exc}".encode()).hexdigest()
+        return kind, hashlib.sha256(f"{kind} {exc}".encode()).hexdigest(), [{"error": f"{kind} {exc}"}]
     event = traj.event
     lines = [f"{event.kind} {event.t!r} {event.theta!r}"]
     lines.extend(f"{s.t!r} {s.L!r} {s.A!r}" for s in traj.states)
-    return event.kind, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    records = [{"t": s.t, "L": s.L, "A": s.A} for s in traj.states]
+    records.append({"event": {"kind": event.kind, "t": event.t, "theta": event.theta}})
+    return event.kind, hashlib.sha256("\n".join(lines).encode()).hexdigest(), records
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="print only the counts and the total")
+    parser.add_argument("--out", type=Path, help="directory for one JSONL file per run")
     args = parser.parse_args()
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
 
     counts: Counter[str] = Counter()
     total = hashlib.sha256()
     for spec_name, spec in SPECTRA.items():
         for flow in FLOWS:
             for controls_name, controls in CONTROLS.items():
-                kind, sha = digest(spec, flow, controls)
+                kind, sha, records = digest(spec, flow, controls)
+                if args.out is not None:
+                    name = re.sub(r"[^A-Za-z0-9.+-]", "_", f"{spec_name}__{flow}__{controls_name}")
+                    lines = "".join(json.dumps(rec) + "\n" for rec in records)
+                    (args.out / f"{name}.jsonl").write_text(lines)
                 counts[kind] += 1
                 total.update(sha.encode())
                 if not args.quiet:

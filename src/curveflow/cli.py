@@ -54,11 +54,8 @@ from .support import (
     spectrum_from_dict,
     spectrum_from_polygon,
     project_from_samples,
-    theta_grid,
     validate_convexity,
 )
-
-FRAME_GRID = 256
 
 
 class ConfigError(ValueError):
@@ -319,10 +316,9 @@ def _write_timeseries(path: Path, traj: Trajectory, records: list, term: Nonloca
 def _write_frames(path: Path, traj: Trajectory, records: list, frame_count: int) -> list:
     frames = []
     lines = []
-    thetas = theta_grid(FRAME_GRID)
     last = len(traj.states) - 1
     for i in np.unique(np.round(np.linspace(0, last, frame_count)).astype(int)):
-        samples = curve_position(traj.states[i].spectrum, thetas)
+        samples = curve_position(traj.states[i].spectrum)
         frames.append(samples)
         rec = dict(
             records[i],

@@ -18,6 +18,22 @@ Named terms:
 ma-cheng is the one variant that reads the propagated spectrum rather
 than (L, A) alone; its extra integral is still a known function of time,
 which keeps the ODE self-contained.
+
+Where that ODE is linear, :func:`closed_length` solves it by hand. The
+choice goes by the algebra of H, not by the name of the term. With
+p_n = a_n^2 + b_n^2, lambda_n = 2(1 - n^2) and q_n = 2 pi^2 (n^2 - 1) p_n:
+
+  (i)   H = alpha L + c (every term has (p, q) in {(0, 0), (1, 0)}):
+        L = L* + (L0 - L*) e^{kappa t},  kappa = 1 - 2 pi alpha,
+        L* = 2 pi c / kappa, and L = L0 - 2 pi c t at kappa = 0.
+  (ii)  H = alpha L + beta A/L (every term has (p, q) in {(1, 0), (-1, 1)}):
+        L^2 = e^{kappa t} L0^2
+              + beta sum q_n e^{kappa t} expm1((lambda_n - kappa) t) / (lambda_n - kappa),
+        kappa = 2 - 4 pi alpha - beta.
+  (iii) ma-cheng: L^2 = L0^2 - 2 pi^2 sum (n^2 - 1) p_n (1 - e^{lambda_n t}).
+
+pan-yang and const:c fall under (i), lin-tsai under (ii). Every other
+powersum goes to the ODE solver in ``integrate``.
 """
 
 from __future__ import annotations
@@ -153,8 +169,16 @@ def _area(length: float, e_val: float) -> float:
 
 
 def flow_state(spec0: SupportSpectrum, t: float, length: float) -> FlowState:
-    """Reconstitute the full state at (t, L) from the initial spectrum."""
-    spectrum = heat.with_mean(heat.propagate(spec0, t), length / TWO_PI)
+    """Reconstitute the full state at (t, L) from the initial spectrum:
+    mode n scaled by exp((1 - n^2) t), mean L/(2*pi)."""
+    if t < 0.0:
+        raise ValueError("propagation time must be non-negative")
+    factors = heat.mode_factors(spec0.truncation, t)
+    spectrum = SupportSpectrum(
+        mean=length / TWO_PI,
+        cos_coeffs=spec0.cos_coeffs * factors,
+        sin_coeffs=spec0.sin_coeffs * factors,
+    )
     return FlowState(t=t, L=length, spectrum=spectrum, A=area_along_flow(spec0, length, t))
 
 
@@ -186,12 +210,14 @@ def _h(term: NonlocalTerm, length: float, area, inverse_curvature) -> float:
     if isinstance(term, MaCheng):
         return inverse_curvature() / length
     if isinstance(term, PowerSum):
-        a_val = area()
+        # A is read only when some term uses it; A^0 would be 1.0 anyway.
+        a_val = area() if any(q != 0.0 for _, _, q in term.terms) else None
         total = 0.0
         for c, p, q in term.terms:
-            total += c * _power(length, p) * _power(a_val, q)
+            total += c * _power(length, p) * (_power(a_val, q) if q != 0.0 else 1.0)
         if not np.isfinite(total):
-            raise HDomainError(f"H overflow at L={length:.3e}, A={a_val:.3e}")
+            at_area = "" if a_val is None else f", A={a_val:.3e}"
+            raise HDomainError(f"H overflow at L={length:.3e}{at_area}")
         return total
     raise TypeError(f"not a nonlocal term: {term!r}")
 
@@ -206,3 +232,77 @@ def evaluate_h(term: NonlocalTerm, state: FlowState) -> float:
 def length_rate(term: NonlocalTerm, state: FlowState) -> float:
     """dL/dt = L - 2*pi*H at the given state."""
     return state.L - TWO_PI * evaluate_h(term, state)
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedLength:
+    """L(t) where z = L^power solves z' = kappa z + sum_j s_j e^{rate_j t}.
+
+    Stored relative to z0 = L0^power: ``weights`` holds s_j / z0. Every
+    rate is <= 0. The solution is written as
+
+        z/z0 = e^{kappa t} + sum_j w_j e^{max(kappa, rate_j) t} psi(|rate_j - kappa|, t),
+        psi(g, t) = (1 - e^{-g t}) / g,   psi(0, t) = t,
+
+    which is finite as rate_j -> kappa, cannot overflow for kappa < 0, and
+    has z/z0 == 1.0 exactly at t = 0, so L(0) is L0 bit for bit. For
+    power 2, L = L0 sign(z) sqrt(|z/z0|): a length through zero shows as
+    a negative L, which the vanish threshold sees.
+    """
+
+    l0: float
+    power: int
+    kappa: float
+    rates: np.ndarray
+    weights: np.ndarray
+
+    def __call__(self, t):
+        """L at a time or an array of times; a float for a scalar time."""
+        tt = np.asarray(t, dtype=float)
+        col = tt[..., None]
+        gap = np.abs(self.rates - self.kappa)
+        # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
+        top = max(self.kappa, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            psi = np.where(gap > 0.0, -np.expm1(-gap * col) / gap, col)
+            lead = np.exp((np.maximum(self.rates, self.kappa) - top) * col)
+            ratio = np.exp(top * tt) * (np.exp((self.kappa - top) * tt) + (lead * psi) @ self.weights)
+            length = self.l0 * (ratio if self.power == 1 else np.sign(ratio) * np.sqrt(np.abs(ratio)))
+        return float(length) if length.ndim == 0 else length
+
+
+def _as_power_terms(term: NonlocalTerm) -> tuple[tuple[float, float, float], ...]:
+    # H as (coeff, p, q) terms; ma-cheng has no such form.
+    if isinstance(term, PowerSum):
+        return term.terms
+    if isinstance(term, Constant):
+        return ((term.c, 0.0, 0.0),)
+    if isinstance(term, PanYang):
+        return ((1.0 / TWO_PI, 1.0, 0.0),)  # kappa = 1 - 2*pi/(2*pi) is exactly 0.0
+    if isinstance(term, LinTsai):
+        return ((2.0, -1.0, 1.0),)
+    raise TypeError(f"no power-sum form for {term!r}")
+
+
+def closed_length(spec0: SupportSpectrum, term: NonlocalTerm) -> ClosedLength | None:
+    """The closed-form L(t) of ``term`` from ``spec0``, or None where the
+    length ODE is not linear (see the module docstring for the three forms)."""
+    l0 = TWO_PI * spec0.mean
+    n = np.arange(1, spec0.truncation + 1, dtype=float)
+    rates = 2.0 * (1.0 - n**2)
+    q_n = 2.0 * np.pi**2 * (n**2 - 1.0) * (spec0.cos_coeffs**2 + spec0.sin_coeffs**2)
+    if isinstance(term, MaCheng):
+        # (L^2)' = sum lambda_n q_n e^{lambda_n t}.
+        return ClosedLength(l0, 2, 0.0, rates, rates * q_n / l0**2)
+    terms = _as_power_terms(term)
+    kinds = {(p, q) for _, p, q in terms}
+    alpha = sum(c for c, p, q in terms if (p, q) == (1.0, 0.0))
+    if kinds <= {(0.0, 0.0), (1.0, 0.0)}:
+        # L' = kappa L - 2 pi c.
+        c0 = sum(c for c, p, q in terms if (p, q) == (0.0, 0.0))
+        return ClosedLength(l0, 1, 1.0 - TWO_PI * alpha, np.zeros(1), np.array([-TWO_PI * c0 / l0]))
+    if kinds <= {(1.0, 0.0), (-1.0, 1.0)}:
+        # (L^2)' = kappa L^2 + beta sum q_n e^{lambda_n t}.
+        beta = sum(c for c, p, q in terms if (p, q) == (-1.0, 1.0))
+        return ClosedLength(l0, 2, 2.0 - 2.0 * TWO_PI * alpha - beta, rates, beta * q_n / l0**2)
+    return None

@@ -137,15 +137,13 @@ def _e_value(decay: np.ndarray, power: np.ndarray, t: float) -> float:
     return float(-(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * t) * power))
 
 
-def deviation_sup_norm(dev0: DeviationSpectrum, t: float, grid_size: int | None = None) -> float:
-    """Grid sup-norm of the propagated deviation.
+def deviation_sup_norm(dev0: DeviationSpectrum, t: float) -> float:
+    """Sup-norm of the propagated deviation on the validation grid.
 
     Bounded by e^t * sum(|a_n| + |b_n|) of the initial deviation; in
     fact each surviving mode decays except the translation mode.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    if grid_size is None:
-        grid_size = default_validation_grid(dev0.truncation)
     moved = propagate(dev0, t)
-    return float(np.max(np.abs(moved.evaluate(theta_grid(grid_size)))))
+    return float(np.max(np.abs(moved.evaluate(theta_grid(default_validation_grid(dev0.truncation))))))

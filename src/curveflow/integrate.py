@@ -1,22 +1,32 @@
-"""Adaptive integration of the length dynamics, events and outcomes.
+"""Length of the curve along the flow, events and outcomes.
 
-The length ODE dL/dt = L - 2*pi*H is solved with an embedded
+Mode n of the deviation carries the exact factor exp((1 - n^2) t), so
+only the length L(t) is left to find. Where the length ODE
+dL/dt = L - 2*pi*H is linear, ``flows.closed_length`` gives L(t) in
+closed form and no ODE is solved: pan-yang, const:c, lin-tsai, ma-cheng
+and every powersum of the forms H = alpha L + c or H = alpha L + beta A/L.
+For every other powersum the ODE is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
-quartic dense-output interpolant. The right-hand side reads H from
-(t, L) through mode arrays computed once per run; only at sampled
-instants is the full curve state reconstituted from the propagated
-initial deviation.
+quartic dense-output interpolant, and ``rel_tol``/``abs_tol`` govern
+that path only. The right-hand side reads H from (t, L) through mode
+arrays computed once per run; only at sampled instants is the full
+curve state reconstituted from the propagated initial deviation.
 
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish); the analytic maximal existence
 time is replaced by the first crossing of the configured thresholds,
-with the thresholds recorded in the controls. One locator serves t = 0,
-every accepted step and ``detect_singularity``: one bisection, to 1e-10
-in time, on the earliest crossing of any threshold, with ties broken
-singularity > area vanish > length vanish > length blow-up. Outcomes classify how a
-finished trajectory behaved: convergence to a circle (with its limit
-center), a curvature singularity, or one of the degenerate length/area
-scenarios.
+with the thresholds recorded in the controls. Check times are the
+sample times plus t_max on the closed path, and the sample times inside
+each step plus the step's end on the ODE path. One locator serves both
+paths, t = 0 and ``detect_singularity``: a block pre-scan evaluates the
+check times SCAN_CHUNK at a time (one (grid x N)(N x chunk) product for
+the curvature minimum), the scalar test confirms the bracket around the
+first flagged one, and one bisection, to 1e-10 in time, finds the
+earliest crossing of any threshold, with ties broken
+singularity > area vanish > length vanish > length blow-up. Outcomes
+classify how a finished trajectory behaved: convergence to a circle
+(with its limit center), a curvature singularity, or one of the
+degenerate length/area scenarios.
 """
 
 from __future__ import annotations
@@ -28,12 +38,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .flows import (
+    ClosedLength,
     FlowState,
     HDomainError,
     NonlocalTerm,
     _area,
     _h,
     area_along_flow,
+    closed_length,
     flow_state,
     length_rate,
 )
@@ -73,6 +85,13 @@ MAX_STEP = 0.25
 MIN_STEP = 1e-14
 # Cap on recorded states, t_max / sample_interval, so every run is bounded.
 MAX_SAMPLES = 10**6
+# Check times the event pre-scan evaluates at once; its arrays are
+# (grid x SCAN_CHUNK) whatever the number of check times.
+SCAN_CHUNK = 32
+# The pre-scan sums in another order than the scalar test, so it flags a
+# check time once a margin is within this share of the margin's size;
+# the scalar test decides. Rounding differs by less than 1e-12 of that size.
+PRESCAN_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -249,6 +268,7 @@ class _Modes:
 
     goes through the shared table of ``support._grid_deviation``, so
     ``min_radius`` is ``radius_extrema`` of the recorded state, bit for bit.
+    ``scan`` evaluates a block of times with one product against that table.
     """
 
     def __init__(self, spec0: SupportSpectrum):
@@ -257,6 +277,7 @@ class _Modes:
         self._a0 = spec0.cos_coeffs
         self._b0 = spec0.sin_coeffs
         self._power = self._a0**2 + self._b0**2
+        self._rho_size = np.abs(self.decay) * (np.abs(self._a0) + np.abs(self._b0))
         self.thetas = _radius_table(spec0.truncation)[0]
 
     def area(self, t: float, length: float) -> float:
@@ -279,13 +300,47 @@ class _Modes:
     def argmin_theta(self, t: float) -> float:
         return float(self.thetas[int(np.argmin(self.deviation(t)))])
 
+    def scan(self, times: np.ndarray, lengths: np.ndarray):
+        """(min radius, area) at each time, each with the size its rounding
+        scales with: the mean plus the sum of |terms| of the grid sum, and
+        the circular part plus |E|."""
+        factors = np.exp(np.multiply.outer(self.decay, times))
+        mean = lengths / TWO_PI
+        rho_min = mean + _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors).min(axis=0)
+        e_val = (np.pi / 2.0) * ((self.decay * self._power) @ (factors * factors))
+        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
+            circle = np.pi * mean * mean
+        return rho_min, np.abs(mean) + self._rho_size @ factors, circle + e_val, circle - e_val
+
+
+# Kinds crossed at the same instant resolve to the first listed.
+_EVENT_PRIORITY = (EVENT_SINGULARITY, EVENT_AREA_VANISH, EVENT_LENGTH_VANISH, EVENT_LENGTH_BLOWUP)
+
+
+def _margins(limits: tuple, rho_min, area, length) -> tuple:
+    """Signed distance to each threshold, in _EVENT_PRIORITY order; <= 0
+    means crossed. ``limits`` is (singularity_eps, area_vanish,
+    length_vanish, length_blowup); scalars and arrays alike."""
+    eps, area_vanish, length_vanish, length_blowup = limits
+    return (rho_min - eps, area - area_vanish, length - length_vanish, length_blowup - length)
+
 
 class _Problem:
-    def __init__(self, spec0: SupportSpectrum, term: NonlocalTerm, controls: IntegratorControls):
+    def __init__(
+        self,
+        spec0: SupportSpectrum,
+        term: NonlocalTerm | None,
+        controls: IntegratorControls | None,
+        limits: tuple | None = None,
+    ):
         self.spec0 = spec0
         self.term = term
         self.controls = controls
         self.modes = _Modes(spec0)
+        if limits is None:
+            c = controls
+            limits = (c.singularity_eps, c.area_vanish, c.length_vanish, c.length_blowup)
+        self.limits = limits
 
     def rhs(self, t: float, length: float) -> float:
         # H lives on (0, inf) x (0, inf); trial stages poking L <= 0 are
@@ -305,47 +360,88 @@ class _Problem:
         """Event kinds whose thresholds are crossed at (t, L)."""
         # No FlowState here: event bisection may probe lengths at or
         # below the vanish threshold where states are unconstructible.
-        c = self.controls
-        values = (
-            (EVENT_SINGULARITY, self.modes.min_radius(t, length) - c.singularity_eps),
-            (EVENT_AREA_VANISH, area_along_flow(self.spec0, length, t) - c.area_vanish),
-            (EVENT_LENGTH_VANISH, length - c.length_vanish),
-            (EVENT_LENGTH_BLOWUP, c.length_blowup - length),
+        margins = _margins(
+            self.limits,
+            self.modes.min_radius(t, length),
+            area_along_flow(self.spec0, length, t),
+            length,
         )
-        return [kind for kind, value in values if value <= 0.0]
+        return [kind for kind, margin in zip(_EVENT_PRIORITY, margins) if margin <= 0.0]
+
+    def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Check times where some threshold may be crossed: every one that
+        ``crossed`` lists, and possibly a few within PRESCAN_SLACK of one."""
+        rho_min, rho_size, area, area_size = self.modes.scan(times, lengths)
+        sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
+        flagged = np.zeros(len(times), dtype=bool)
+        for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes):
+            flagged |= margin <= PRESCAN_SLACK * size
+        return flagged
+
+    def locate(self, path: Callable, t_prev: float, check_times: np.ndarray):
+        return _locate(self.modes, self.crossed, path, t_prev, check_times, self.flags)
 
 
-# Kinds crossed at the same instant resolve to the first listed.
-_EVENT_PRIORITY = (EVENT_SINGULARITY, EVENT_AREA_VANISH, EVENT_LENGTH_VANISH, EVENT_LENGTH_BLOWUP)
+def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> int | None:
+    """Index of the first check time from ``start`` on that ``flags`` marks,
+    evaluated SCAN_CHUNK times at a time; None when there is none."""
+    for lo in range(start, len(times), SCAN_CHUNK):
+        chunk = times[lo : lo + SCAN_CHUNK]
+        hits = np.flatnonzero(flags(chunk, np.broadcast_to(path(chunk), chunk.shape)))
+        if hits.size:
+            return lo + int(hits[0])
+    return None
 
 
 def _locate(
-    modes: _Modes, crossed: Callable, path: Callable, t_prev: float, check_times
+    modes: _Modes,
+    crossed: Callable,
+    path: Callable,
+    t_prev: float,
+    check_times,
+    flags: Callable | None = None,
 ) -> tuple[float, TerminationEvent] | None:
     """Earliest crossing along L = path(t): (t_before, event) or None.
 
-    ``crossed(t, L)`` lists the kinds crossed at (t, L). At the first check
-    time (they follow ``t_prev``) where any is, one bisection on "nothing
-    crossed yet" shrinks [previous check time, it] to EVENT_TIME_TOL; the
-    event is the first kind in _EVENT_PRIORITY crossed at the upper end.
+    ``crossed(t, L)`` lists the kinds crossed at (t, L). The check times
+    follow ``t_prev``. With ``flags`` (a block test, see ``_prescan``) the
+    scalar test runs only on the first flagged check time and the one
+    before it; without, on every check time in turn. At the first check
+    time where any kind is crossed, one bisection on "nothing crossed yet"
+    shrinks [previous check time, it] to EVENT_TIME_TOL; the event is the
+    first kind in _EVENT_PRIORITY crossed at the upper end.
     """
-    lo = t_prev
-    for tc in check_times:
-        fired = crossed(tc, path(tc))
-        if fired:
-            hi = tc
-            while hi - lo > EVENT_TIME_TOL:
-                mid = 0.5 * (lo + hi)
-                fired_mid = crossed(mid, path(mid))
-                if fired_mid:
-                    hi, fired = mid, fired_mid
-                else:
-                    lo = mid
-            kind = next(k for k in _EVENT_PRIORITY if k in fired)
-            theta = modes.argmin_theta(hi) if kind == EVENT_SINGULARITY else None
-            return lo, TerminationEvent(kind=kind, t=hi, theta=theta)
-        lo = tc
+    start = 0
+    while start < len(check_times):
+        if flags is None:
+            window = range(start, len(check_times))
+        else:
+            first = _prescan(flags, path, check_times, start)
+            if first is None:
+                return None
+            window = range(max(first - 1, start), first + 1)
+        lo = t_prev if window[0] == 0 else float(check_times[window[0] - 1])
+        for i in window:
+            hi = float(check_times[i])
+            fired = crossed(hi, path(hi))
+            if fired:
+                return _bisect(modes, crossed, path, lo, hi, fired)
+            lo = hi
+        start = window[-1] + 1
     return None
+
+
+def _bisect(modes: _Modes, crossed: Callable, path: Callable, lo: float, hi: float, fired: list):
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        fired_mid = crossed(mid, path(mid))
+        if fired_mid:
+            hi, fired = mid, fired_mid
+        else:
+            lo = mid
+    kind = next(k for k in _EVENT_PRIORITY if k in fired)
+    theta = modes.argmin_theta(hi) if kind == EVENT_SINGULARITY else None
+    return lo, TerminationEvent(kind=kind, t=hi, theta=theta)
 
 
 # One row per event kind: the outcome it yields, that outcome's record
@@ -398,6 +494,8 @@ def integrate(
 
     The initial spectrum must pass convexity validation. Sampled states
     land on multiples of ``sample_interval`` plus the final event time.
+    L(t) comes from ``flows.closed_length`` where the length ODE is
+    linear, and from the DOPRI5 solve otherwise.
     """
     if controls is None:
         controls = IntegratorControls()
@@ -406,22 +504,64 @@ def integrate(
         raise ConvexityError(
             f"initial curve fails convexity validation: min radius {rho0:.3e}"
         )
-
     problem = _Problem(spec0, term, controls)
+    law = closed_length(spec0, term)
+    return _ode_trajectory(problem) if law is None else _closed_trajectory(problem, law)
+
+
+def _sample_times(controls: IntegratorControls) -> np.ndarray:
+    """Times of the recorded states after t = 0: every k * sample_interval
+    (k >= 1) below t_max - 1e-12, then t_max."""
+    k = np.arange(1, int(controls.t_max / controls.sample_interval) + 2)
+    grid = k * controls.sample_interval
+    return np.append(grid[grid <= controls.t_max - 1e-12], controls.t_max)
+
+
+def _finish(states: list[FlowState], event: TerminationEvent) -> Trajectory:
+    return Trajectory(states=tuple(states), event=event, outcome=_classify(tuple(states), event))
+
+
+def _closed_trajectory(problem: _Problem, law: ClosedLength) -> Trajectory:
+    """States and event along the closed-form length; the check times are
+    t = 0 and the sample times.
+
+    Past L ~ 1e155 the area overflows, where the ODE path's H overflows
+    too: the run then ends as an H domain exit at the last state whose
+    area is finite."""
+    spec0, t_max = problem.spec0, problem.controls.t_max
+    times = np.concatenate(([0.0], _sample_times(problem.controls)))
+    found = problem.locate(law, 0.0, times)
+    t_stop = t_max if found is None else found[0]
+    kept = times[times <= t_stop].tolist()
+    # In chunks, so that no (times x modes) array grows with t_max.
+    lengths = [L for lo in range(0, len(kept), SCAN_CHUNK) for L in law(kept[lo : lo + SCAN_CHUNK]).tolist()]
+    if found is not None and t_stop > kept[-1] + 1e-12:
+        kept.append(t_stop)
+        lengths.append(law(t_stop))
+    states = []
+    for t, length in zip(kept, lengths):
+        if states and not np.isfinite(np.pi * (length / TWO_PI) * (length / TWO_PI)):
+            return _finish(states, TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=states[-1].t))
+        states.append(flow_state(spec0, t, length))
+    event = TerminationEvent(kind=EVENT_HORIZON, t=t_max) if found is None else found[1]
+    return _finish(states, event)
+
+
+def _ode_trajectory(problem: _Problem) -> Trajectory:
+    """States and event along the DOPRI5 solution of the length ODE; the
+    check times are the sample times inside each step and its end."""
+    spec0, term, controls = problem.spec0, problem.term, problem.controls
     t = 0.0
     length = curve_length(spec0)
     states = [flow_state(spec0, t, length)]
-
-    def finish(event: TerminationEvent) -> Trajectory:
-        return Trajectory(states=tuple(states), event=event, outcome=_classify(tuple(states), event))
-
-    found = _locate(problem.modes, problem.crossed, lambda tau: length, t, [t])
+    found = problem.locate(lambda tau: length, t, np.array([t]))
     if found is not None:
-        return finish(found[1])
+        return _finish(states, found[1])
 
+    grid = _sample_times(controls).tolist()
     k1 = length_rate(term, states[0])
     h = min(1e-3, controls.t_max)
-    sample_idx = 1
+    sample_idx = 0
 
     while t < controls.t_max - 1e-13:
         h = min(h, MAX_STEP, controls.t_max - t)
@@ -435,40 +575,43 @@ def integrate(
             h *= 0.25
             if h < MIN_STEP:
                 kind = EVENT_H_DOMAIN_EXIT if domain_fail else EVENT_STEP_COLLAPSE
-                return finish(TerminationEvent(kind=kind, t=t))
+                return _finish(states, TerminationEvent(kind=kind, t=t))
             continue
         scale = controls.abs_tol + controls.rel_tol * max(abs(length), abs(y5))
         err_norm = abs(err) / scale
         if not err_norm <= 1.0:  # rejects NaN estimates too
             h = max(h * max(0.2, 0.9 * err_norm**-0.2), MIN_STEP * 0.5)
             if h < MIN_STEP:
-                return finish(TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t))
+                return _finish(states, TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t))
             continue
 
         t1 = t + h
         if controls.t_max - t1 < 1e-13:
             t1 = controls.t_max
 
-        # Check points: sample times inside the step, then the endpoint.
+        # Check points: sample times inside the step, then the endpoint,
+        # which is recorded when it sits on the next sample time (t_max does).
         samples = []
-        while sample_idx * controls.sample_interval <= t1 - 1e-12:
-            samples.append(sample_idx * controls.sample_interval)
+        while grid[sample_idx] <= t1 - 1e-12:
+            samples.append(grid[sample_idx])
             sample_idx += 1
         check_points = samples + [t1]
-        if abs(sample_idx * controls.sample_interval - t1) <= 1e-12:
+        if abs(grid[sample_idx] - t1) <= 1e-12:
             samples.append(t1)
             sample_idx += 1
 
-        def path(tau: float) -> float:
+        def path(tau):
+            if isinstance(tau, np.ndarray):
+                return np.where(tau == t1, y5, dense(tau))
             return y5 if tau == t1 else dense(tau)
 
-        found = _locate(problem.modes, problem.crossed, path, t, check_points)
+        found = problem.locate(path, t, np.array(check_points))
         t_stop = t1 if found is None else found[0]
         states.extend(flow_state(spec0, s, path(s)) for s in samples if s <= t_stop)
         if found is not None:
             if t_stop > states[-1].t + 1e-12:
                 states.append(flow_state(spec0, t_stop, dense(t_stop)))
-            return finish(found[1])
+            return _finish(states, found[1])
 
         t, length, k1 = t1, y5, k7
         if err_norm == 0.0:
@@ -476,9 +619,7 @@ def integrate(
         else:
             h *= min(5.0, max(0.2, 0.9 * err_norm**-0.2))
 
-    if states[-1].t < controls.t_max - 1e-12:
-        states.append(flow_state(spec0, controls.t_max, length))
-    return finish(TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max))
+    return _finish(states, TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max))
 
 
 def detect_singularity(
@@ -492,17 +633,17 @@ def detect_singularity(
 
     ``length_path`` supplies L(t) on [0, horizon] (for example a solved
     or closed-form length). The minimum is taken on the validation grid
-    of ``radius_extrema`` over 4096 uniform time steps, and the first
-    crossing is refined by bisection; returns (t*, theta*) or None.
+    of ``radius_extrema`` at 4096 uniform time steps, through the same
+    pre-scan and bisection as ``integrate``; returns (t*, theta*) or None.
     """
-    modes = _Modes(spec0)
+    problem = _Problem(spec0, None, None, limits=(singularity_eps, -np.inf, -np.inf, np.inf))
 
-    def crossed(tau: float, length: float) -> list[str]:
-        pinched = modes.min_radius(tau, length) - singularity_eps <= 0.0
-        return [EVENT_SINGULARITY] if pinched else []
+    def path(tau):
+        if isinstance(tau, np.ndarray):
+            return np.array([length_path(x) for x in tau.tolist()], dtype=float)
+        return length_path(tau)
 
-    times = np.linspace(0.0, horizon, 4096 + 1).tolist()
-    found = _locate(modes, crossed, length_path, 0.0, times)
+    found = problem.locate(path, 0.0, np.linspace(0.0, horizon, 4096 + 1))
     return None if found is None else (found[1].t, found[1].theta)
 
 

@@ -28,6 +28,8 @@ CONVEXITY_EPS = 1e-9
 # Largest truncation N; bounds every per-N array, the validation tables
 # included. Polygon sources reach at most 511 on their 1024-point grid.
 MAX_TRUNCATION = 512
+# Points per frame: curve_position's default uniform grid.
+FRAME_GRID = 256
 
 
 class ConvexityError(ValueError):
@@ -287,11 +289,36 @@ def sq_curvature_integral(spec: SupportSpectrum, grid_size: int = 2048) -> float
     return float(np.mean(1.0 / rho) * TWO_PI)
 
 
-def curve_position(spec: SupportSpectrum, thetas) -> CurveSamples:
-    """Reconstruct curve points P = u*(cos, sin) + u'*(-sin, cos)."""
-    th = np.asarray(thetas, dtype=float)
-    u = evaluate_support(spec, th)
-    du = support_derivative(spec, th, order=1)
+@functools.lru_cache(maxsize=8)
+def _frame_table(truncation: int) -> tuple[np.ndarray, ...]:
+    # (theta_j, cos n theta_j, sin n theta_j, cos(n theta_j + pi/2),
+    # sin(n theta_j + pi/2)) on the FRAME_GRID-point grid: the tables
+    # evaluate_support and support_derivative build there, once per
+    # truncation and shared read-only.
+    thetas = theta_grid(FRAME_GRID)
+    ang = _mode_angles(thetas, truncation)
+    table = (thetas, np.cos(ang), np.sin(ang), np.cos(ang + np.pi / 2.0), np.sin(ang + np.pi / 2.0))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def curve_position(spec: SupportSpectrum, thetas=None) -> CurveSamples:
+    """Reconstruct curve points P = u*(cos, sin) + u'*(-sin, cos).
+
+    ``thetas`` defaults to the FRAME_GRID-point uniform grid, whose
+    tables are cached per truncation; the points are the same, bit for
+    bit, as for ``theta_grid(FRAME_GRID)`` passed explicitly.
+    """
+    if thetas is None:
+        th, cos_t, sin_t, dcos_t, dsin_t = _frame_table(spec.truncation)
+        n = np.arange(1, spec.truncation + 1).astype(float)
+        u = spec.mean + cos_t @ spec.cos_coeffs + sin_t @ spec.sin_coeffs
+        du = dcos_t @ (n * spec.cos_coeffs) + dsin_t @ (n * spec.sin_coeffs)
+    else:
+        th = np.asarray(thetas, dtype=float)
+        u = evaluate_support(spec, th)
+        du = support_derivative(spec, th, order=1)
     x = u * np.cos(th) - du * np.sin(th)
     y = u * np.sin(th) + du * np.cos(th)
     return CurveSamples(thetas=th, points=np.column_stack([x, y]))

@@ -252,3 +252,48 @@ class TestFlowState:
         assert st_.spectrum.mean == pytest.approx(5.0 / TWO_PI, rel=1e-15)
         assert st_.spectrum.cos_coeffs[1] == pytest.approx(0.2 * np.exp(-2.1), rel=1e-14)
         assert st_.A == pytest.approx(area_along_flow(ELLIPSEISH, 5.0, 0.7), abs=1e-15)
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 2.5, 9.0])
+    def test_spectrum_is_the_propagated_deviation_bit_for_bit(self, t):
+        spec0 = SupportSpectrum(
+            mean=1.3, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0]
+        )
+        length = 7.1
+        want = with_mean(propagate(deviation_of(spec0), t), length / TWO_PI)
+        got = flow_state(spec0, t, length).spectrum
+        assert got.mean == want.mean
+        assert np.array_equal(got.cos_coeffs, want.cos_coeffs)
+        assert np.array_equal(got.sin_coeffs, want.sin_coeffs)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            flow_state(ELLIPSEISH, -0.1, TWO_PI)
+
+
+class TestAreaReads:
+    """H reads A only when some powersum term has q != 0."""
+
+    @pytest.mark.parametrize(
+        "terms, reads",
+        [
+            (((1.0, 1.0, 0.0),), 0),
+            (((0.5, 0.0, 0.0), (0.2, 1.0, -0.0)), 0),
+            (((2.0, -1.0, 1.0),), 1),
+            (((0.3, 0.5, 0.25), (2.0, -1.0, 1.0)), 1),
+        ],
+    )
+    def test_area_called_only_when_used(self, terms, reads):
+        from curveflow.flows import _h
+
+        calls = []
+
+        def area():
+            calls.append(1)
+            return 0.8
+
+        term = PowerSum(terms=terms)
+        value = _h(term, 5.0, area, lambda: 0.0)
+        assert len(calls) == reads
+        state = flow_state(ELLIPSEISH, 0.3, 5.0)
+        assert evaluate_h(term, state) == sum(c * 5.0**p * state.A**q for c, p, q in term.terms)
+        assert value == sum(c * 5.0**p * 0.8**q for c, p, q in term.terms)

@@ -464,7 +464,9 @@ class TestEventLocation:
         probes = self.record_probes(monkeypatch)
         traj = integrate(CIRCLE, H_EQUALS_L, IntegratorControls(t_max=10.0, length_vanish=3.5e-6))
         assert traj.event.kind == "area-vanish"
-        assert traj.event.t == pytest.approx(2.723333504579317, abs=1e-9)
+        # A = L^2/(4 pi) with L = 2 pi e^{(1 - 2 pi) t} reaches area_vanish = 1e-12 here.
+        want = np.log(np.sqrt(4.0 * np.pi * 1e-12) / TWO_PI) / (1.0 - TWO_PI)
+        assert traj.event.t == pytest.approx(want, abs=1e-9)
         first = next(i for i, (_, fired) in enumerate(probes) if fired)
         assert set(probes[first][1]) == {"area-vanish", "length-vanish"}
         lo, hi = probes[first - 1][0], probes[first][0]
@@ -579,3 +581,208 @@ class TestSymmetries:
         assert event.theta == base.theta
         limit = integrate(moved, PanYang(), IntegratorControls(t_max=2.0)).outcome
         assert limit.center == (a1, b1)
+
+
+def _random_convex(rng, n: int) -> SupportSpectrum:
+    from curveflow import radius_extrema
+
+    while True:
+        scale = rng.uniform(0.05, 0.4) / np.arange(1, n + 1) ** 4
+        spec = SupportSpectrum(
+            mean=rng.uniform(0.5, 2.0),
+            cos_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
+            sin_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
+        )
+        if radius_extrema(spec)[0] > 0.05:
+            return spec
+
+
+def _family(rng):
+    """One term of each closed form with random alpha, beta, c, plus the
+    near-resonant cases: kappa ~ 0 in (i) and kappa ~ lambda_2 = -6 in (ii)."""
+    alpha, beta, c = rng.uniform(-0.3, 0.3), rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 1.0)
+    return [
+        PowerSum(terms=((c, 0.0, 0.0), (alpha, 1.0, 0.0))),
+        PowerSum(terms=((beta, -1.0, 1.0), (alpha, 1.0, 0.0))),
+        MaCheng(),
+        PowerSum(terms=((c, 0.0, 0.0), ((1.0 + 1e-9) / TWO_PI, 1.0, 0.0))),
+        PowerSum(terms=((2.0, -1.0, 1.0), (6.0 / (4.0 * np.pi) * (1.0 + 1e-12), 1.0, 0.0))),
+    ]
+
+
+class TestClosedLength:
+    """The closed forms of flows.closed_length against the DOPRI5 solve."""
+
+    # Tight ODE tolerances: the ODE is the reference here.
+    CONTROLS = IntegratorControls(t_max=5.0, length_vanish=1e-3, rel_tol=1e-11, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_ode_on_the_same_term(self, seed):
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _closed_trajectory, _ode_trajectory, _Problem
+
+        rng = np.random.default_rng(seed)
+        for term in _family(rng):
+            spec0 = _random_convex(rng, int(rng.integers(2, 8)))
+            problem = _Problem(spec0, term, self.CONTROLS)
+            law = closed_length(spec0, term)
+            assert law is not None
+            ode = _ode_trajectory(problem)
+            closed = _closed_trajectory(problem, law)
+            assert closed.event.kind == ode.event.kind
+            assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
+            at = {s.t: s.L for s in ode.states}
+            common = [s for s in closed.states if s.t in at]
+            assert len(common) >= len(closed.states) - 1
+            for s in common:
+                assert s.L == pytest.approx(at[s.t], rel=1e-8)
+
+    def test_vanishing_length(self):
+        # H = 2: L = 4 pi - 2 pi e^t reaches zero at t = ln 2.
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _closed_trajectory, _ode_trajectory, _Problem
+
+        controls = IntegratorControls(
+            t_max=5.0, length_vanish=1e-3, area_vanish=1e-30, singularity_eps=1e-16,
+            rel_tol=1e-11, abs_tol=1e-14,
+        )
+        problem = _Problem(CIRCLE, Constant(c=2.0), controls)
+        law = closed_length(CIRCLE, Constant(c=2.0))
+        ode = _ode_trajectory(problem)
+        closed = _closed_trajectory(problem, law)
+        assert closed.event.kind == ode.event.kind == "length-vanish"
+        want = np.log(2.0 - 1e-3 / TWO_PI)
+        assert closed.event.t == pytest.approx(want, abs=1e-9)
+        assert ode.event.t == pytest.approx(want, abs=1e-8)
+        assert law(np.log(2.0) + 0.1) < 0.0  # a length through zero stays visible
+
+    def test_area_overflow_is_a_domain_exit_on_both_paths(self):
+        # kappa = 16 pi: L reaches 1e155, where A = L^2/(4 pi) overflows, long
+        # before the blow-up threshold 1e300; the ODE's H = 2A/L - 4L overflows there.
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _closed_trajectory, _ode_trajectory, _Problem
+
+        term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
+        controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
+        problem = _Problem(ELLIPSEISH, term, controls)
+        closed = _closed_trajectory(problem, closed_length(ELLIPSEISH, term))
+        ode = _ode_trajectory(problem)
+        assert closed.event.kind == ode.event.kind == "h-domain-exit"
+        assert np.isfinite(closed.states[-1].A) and closed.states[-1].L > 1e150
+        assert abs(closed.event.t - ode.event.t) <= controls.sample_interval
+        # H = -1 reads no area; its run ends the same way rather than failing.
+        long_run = IntegratorControls(t_max=400.0, length_blowup=1e300, sample_interval=0.5)
+        assert isinstance(integrate(ELLIPSEISH, Constant(c=-1.0), long_run).outcome, Undetermined)
+
+    def test_squared_forms_go_negative(self):
+        # (ii) with beta < 0 and kappa < 0 drives L^2 through zero.
+        from curveflow.flows import closed_length
+
+        law = closed_length(ELLIPSEISH, PowerSum(terms=((-3.0, -1.0, 1.0), (1.0, 1.0, 0.0))))
+        assert law.power == 2 and law.kappa < 0.0
+        lengths = law(np.linspace(0.0, 5.0, 51))
+        assert lengths[0] == TWO_PI and lengths[-1] < 0.0
+
+    def test_which_terms_take_the_closed_form(self):
+        from curveflow.flows import closed_length
+
+        closed = ["pan-yang", "lin-tsai", "ma-cheng", "const:-1", "powersum:1,1,0",
+                  "powersum:1.2,0,0", "powersum:2,-1,1", "powersum:0.5,1,0;-1,-1,1;2,0,0"]
+        ode = ["powersum:0.3,0.5,0.25;2,-1,1", "powersum:1,0,1", "powersum:1,0,0;1,-1,1"]
+        from curveflow import parse_flow_term
+
+        for text in closed[:-1]:
+            assert closed_length(ELLIPSEISH, parse_flow_term(text)) is not None, text
+        # (0,0) with (-1,1) is neither form.
+        for text in ode + closed[-1:]:
+            assert closed_length(ELLIPSEISH, parse_flow_term(text)) is None, text
+
+    def test_exact_at_zero_and_for_pan_yang(self):
+        from curveflow.flows import closed_length
+
+        spec0 = SupportSpectrum(mean=1.3, cos_coeffs=[0.2, 0.05, -0.01], sin_coeffs=[-0.1, 0.03, 0.02])
+        for term in (PanYang(), LinTsai(), MaCheng(), Constant(c=0.7), H_EQUALS_L):
+            law = closed_length(spec0, term)
+            assert law(0.0) == TWO_PI * 1.3
+        assert closed_length(spec0, PanYang()).kappa == 0.0
+        assert set(closed_length(spec0, PanYang())(np.linspace(0.0, 50.0, 11))) == {TWO_PI * 1.3}
+
+    def test_scalar_and_array_forms_agree(self):
+        from curveflow.flows import closed_length
+
+        law = closed_length(GALLERY_ELLIPSE, LinTsai())
+        times = np.linspace(0.0, 5.0, 9)
+        assert isinstance(law(0.5), float)
+        assert law(times) == pytest.approx([law(t) for t in times], rel=1e-15)
+
+
+class TestPrescan:
+    """The block pre-scan in _locate against a plain scalar scan."""
+
+    LIMITS = (1e-9, 1e-12, 1e-12, 1e12)
+
+    def test_margins_agree_between_scalar_and_array_forms(self):
+        from curveflow.integrate import _margins
+
+        rng = np.random.default_rng(3)
+        rho, area, length = (rng.uniform(-1.0, 1.0, 40) for _ in range(3))
+        block = _margins(self.LIMITS, rho, area, length)
+        for i in range(40):
+            scalar = _margins(self.LIMITS, float(rho[i]), float(area[i]), float(length[i]))
+            assert scalar == tuple(float(m[i]) for m in block)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_flags_cover_every_scalar_crossing(self, seed):
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _Problem
+
+        rng = np.random.default_rng(seed)
+        spec0 = _random_convex(rng, int(rng.integers(2, 64)))
+        controls = IntegratorControls(t_max=5.0, singularity_eps=rng.uniform(0.01, 0.5), area_vanish=0.5)
+        problem = _Problem(spec0, H_EQUALS_L, controls)
+        law = closed_length(spec0, H_EQUALS_L)
+        times = np.linspace(0.0, 1.5, 301)
+        flags = problem.flags(times, law(times))
+        scalar = np.array([bool(problem.crossed(t, law(t))) for t in times.tolist()])
+        assert scalar.any() and not scalar.all()
+        assert np.all(flags[scalar])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_events_as_a_scalar_scan(self, seed):
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _locate, _Problem
+
+        rng = np.random.default_rng(100 + seed)
+        spec0 = _random_convex(rng, int(rng.integers(2, 64)))
+        term = [H_EQUALS_L, Constant(c=rng.uniform(-2.0, 2.0)), LinTsai(), MaCheng()][seed % 4]
+        controls = IntegratorControls(
+            t_max=10.0,
+            singularity_eps=rng.uniform(1e-9, 0.3),
+            area_vanish=rng.uniform(1e-12, 1.0),
+            length_vanish=rng.uniform(1e-12, 0.1),
+            length_blowup=rng.uniform(20.0, 1e3),
+        )
+        problem = _Problem(spec0, term, controls)
+        law = closed_length(spec0, term)
+        times = np.linspace(0.0, 10.0, 1001)
+        scalar = _locate(problem.modes, problem.crossed, law, 0.0, times)
+        assert problem.locate(law, 0.0, times) == scalar
+
+    def test_peak_allocation_does_not_grow_with_check_times(self):
+        import tracemalloc
+
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _prescan, _Problem
+
+        rng = np.random.default_rng(7)
+        spec0 = _random_convex(rng, 64)
+        problem = _Problem(spec0, PanYang(), IntegratorControls())
+        law = closed_length(spec0, PanYang())
+        peaks = []
+        for count in (2_000, 20_000):
+            times = np.linspace(0.0, 1.0, count)
+            tracemalloc.start()
+            assert _prescan(problem.flags, law, times, 0) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]

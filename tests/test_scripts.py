@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +41,23 @@ class TestArtifactDiff:
         assert "  ok: max_abs 0  max_rel 0  mismatches 1" in lines
         assert "  x: max_abs 0.5  max_rel 0.2  mismatches 0" in lines
         assert not any(line.startswith(("  t:", "  event.t:")) for line in lines)
+
+
+class TestTrajectoryDigest:
+    def test_out_writes_one_jsonl_per_run(self, tmp_path, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("trajectory_digest", SCRIPTS / "trajectory_digest.py")
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        monkeypatch.setattr(digest, "SPECTRA", {"ellipse": digest.SPECTRA["ellipse"]})
+        monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
+        monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
+        monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
+        assert digest.main() == 0
+        assert "runs 2 sha256" in capsys.readouterr().out
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
+        records = [json.loads(line) for line in (tmp_path / names[1]).read_text().splitlines()]
+        *states, last = records
+        assert set(states[0]) == {"t", "L", "A"} and states[0]["t"] == 0.0
+        assert last["event"]["kind"] == "singularity"
+        assert last["event"]["t"] >= states[-1]["t"]

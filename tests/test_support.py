@@ -283,6 +283,32 @@ class TestCurvePosition:
         assert np.allclose(got2, -0.8 * np.cos(2 * th), atol=1e-14)
 
 
+    @given(spectra(max_modes=64))
+    @settings(max_examples=30, deadline=None)
+    def test_frame_grid_default_is_the_explicit_grid_bit_for_bit(self, sp):
+        from curveflow.support import FRAME_GRID
+
+        cached = curve_position(sp)
+        explicit = curve_position(sp, theta_grid(FRAME_GRID))
+        assert np.array_equal(cached.thetas, explicit.thetas)
+        assert np.array_equal(cached.points, explicit.points)
+
+    def test_one_read_only_frame_table_per_truncation(self):
+        from curveflow.support import FRAME_GRID, _frame_table
+
+        n = 9
+        curve_position(spec(1.0, cos=[0.0, 0.1], n=n))
+        table = _frame_table(n)
+        misses = _frame_table.cache_info().misses
+        curve_position(spec(2.0, sin=[0.3, 0.0, 0.05], n=n))
+        assert _frame_table.cache_info().misses == misses
+        assert all(a is b for a, b in zip(table, _frame_table(n)))
+        assert len(table[0]) == FRAME_GRID and all(arr.shape == (FRAME_GRID, n) for arr in table[1:])
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestProjection:
     def test_constant_samples(self):
         s = project_from_samples(np.ones(64), truncation=8)
