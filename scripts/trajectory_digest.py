@@ -7,9 +7,10 @@ below. The matrix reaches all five threshold outcomes (horizon, length
 blow-up, area vanish, length vanish, singularity) and runs where two
 thresholds are crossed inside one step. For each run it prints the
 sha256 of the run's event (kind, t, theta) and of every recorded state's
-(t, L, A), written with repr so any bit change shows; then the counts by
-event kind and one sha256 over all runs. Run it on two checkouts on the
-same machine and compare the output.
+(t, L, A), read from the trajectory's columns and written with repr so
+any bit change shows; then the counts by event kind and one sha256 over
+all runs. Run it on two checkouts on the same machine and compare the
+output.
 
 With ``--out DIR`` it also writes each run to DIR/<spectrum>__<flow>__<controls>.jsonl:
 one {"t", "L", "A"} line per recorded state, then an {"event": {"kind",
@@ -77,9 +78,10 @@ def digest(spec: SupportSpectrum, flow: str, controls: IntegratorControls) -> tu
         kind = f"error:{type(exc).__name__}"
         return kind, hashlib.sha256(f"{kind} {exc}".encode()).hexdigest(), [{"error": f"{kind} {exc}"}]
     event = traj.event
+    columns = list(zip(traj.t.tolist(), traj.L.tolist(), traj.A.tolist()))
     lines = [f"{event.kind} {event.t!r} {event.theta!r}"]
-    lines.extend(f"{s.t!r} {s.L!r} {s.A!r}" for s in traj.states)
-    records = [{"t": s.t, "L": s.L, "A": s.A} for s in traj.states]
+    lines.extend(f"{t!r} {L!r} {A!r}" for t, L, A in columns)
+    records = [{"t": t, "L": L, "A": A} for t, L, A in columns]
     records.append({"event": {"kind": event.kind, "t": event.t, "theta": event.theta}})
     return event.kind, hashlib.sha256("\n".join(lines).encode()).hexdigest(), records
 

@@ -24,6 +24,8 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -32,17 +34,20 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .flows import NonlocalTerm, evaluate_h, flow_state, format_flow_term, parse_flow_term
+from .flows import NonlocalTerm, flow_state, format_flow_term, parse_flow_term
+from .flows import evaluate_h  # noqa: F401  (perfbench/spans.py traces this name here)
 from .integrate import (
     MAX_SAMPLES,
     IntegratorControls,
     Trajectory,
     describe_outcome,
+    h_column,
     integrate,
     outcome_record,
-    state_record,
+    record_rows,
     summary_record,
 )
+from .integrate import state_record  # noqa: F401  (perfbench/spans.py traces this name here)
 from .support import (
     CONVEXITY_EPS,
     MAX_TRUNCATION,
@@ -304,8 +309,7 @@ def _resolve_out(path_text: str, out_dir: Path | None) -> Path:
 
 def _write_timeseries(path: Path, traj: Trajectory, records: list, term: NonlocalTerm) -> None:
     lines = ["t,L,A,ipd,ipr,k_min,k_max,H"]
-    for state, rec in zip(traj.states, records):
-        h_val = evaluate_h(term, state)
+    for rec, h_val in zip(records, h_column(traj, term)):
         lines.append(
             f"{rec['t']!r},{rec['L']!r},{rec['A']!r},{rec['ipd']!r},"
             f"{rec['ipr']!r},{rec['k_min']!r},{rec['k_max']!r},{h_val!r}"
@@ -313,18 +317,23 @@ def _write_timeseries(path: Path, traj: Trajectory, records: list, term: Nonloca
     path.write_text("\n".join(lines) + "\n")
 
 
+def _frame_indices(count: int, frame_count: int) -> list[int]:
+    """The distinct indices round(linspace(0, count - 1, frame_count)), in
+    increasing order; rounding keeps them sorted, so equal ones are adjacent."""
+    return list(dict.fromkeys(np.round(np.linspace(0, count - 1, frame_count)).astype(int).tolist()))
+
+
 def _write_frames(path: Path, traj: Trajectory, records: list, frame_count: int) -> list:
     frames = []
     lines = []
-    last = len(traj.states) - 1
-    for i in np.unique(np.round(np.linspace(0, last, frame_count)).astype(int)):
+    for i in _frame_indices(len(records), frame_count):
         samples = curve_position(traj.states[i].spectrum)
         frames.append(samples)
         rec = dict(
             records[i],
-            theta=[float(v) for v in samples.thetas],
-            x=[float(p[0]) for p in samples.points],
-            y=[float(p[1]) for p in samples.points],
+            theta=samples.thetas.tolist(),
+            x=samples.points[:, 0].tolist(),
+            y=samples.points[:, 1].tolist(),
         )
         lines.append(json.dumps(rec))
     lines.append(json.dumps(summary_record(traj)))
@@ -409,7 +418,7 @@ def run(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        records = [state_record(s) for s in traj.states]
+        records = record_rows(traj)
         paths = config.outputs
         _write_timeseries(_resolve_out(paths.timeseries, out_dir), traj, records, config.flow)
         frames_path = _resolve_out(paths.frames, out_dir)
@@ -470,15 +479,15 @@ def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: Nonl
     row = {"axis": label}
     try:
         traj = integrate(spec0, term, config.controls)
-        final = traj.states[-1]
+        final_t, final_L, final_A = (float(column[-1]) for column in (traj.t, traj.L, traj.A))
         row.update(
             outcome=outcome_record(traj.outcome)["kind"],
             event=traj.event.kind,
             event_t=repr(traj.event.t),
-            final_t=repr(final.t),
-            final_L=repr(final.L),
-            final_A=repr(final.A),
-            final_ipr=repr(isoperimetric_ratio(final.L, final.A)),
+            final_t=repr(final_t),
+            final_L=repr(final_L),
+            final_A=repr(final_A),
+            final_ipr=repr(isoperimetric_ratio(final_L, final_A)),
             ipd_ratio_max=repr(diagnostics.ipd_decay_ratio(traj)),
             ipr_monotone=str(diagnostics.ipr_monotone(traj, term)).lower(),
             error="",
@@ -510,9 +519,12 @@ def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = N
             )
             jobs.append((repr(value), scaled, config.flow))
     rows = [_sweep_one(spec, config, label, term) for label, spec, term in jobs]
-    lines = [",".join(_SWEEP_COLUMNS)]
-    lines.extend(",".join(str(row[c]) for c in _SWEEP_COLUMNS) for row in rows)
-    text = "\n".join(lines) + "\n"
+    # Labels such as powersum:1,1,0 hold commas, so fields are quoted where needed.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(_SWEEP_COLUMNS)
+    writer.writerows([row[c] for c in _SWEEP_COLUMNS] for row in rows)
+    text = buffer.getvalue()
     try:
         _resolve_out("sweep.csv", out_dir).write_text(text)
     except OSError as exc:

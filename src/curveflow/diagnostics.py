@@ -24,13 +24,11 @@ import numpy as np
 
 from . import heat
 from .flows import FlowState, NonlocalTerm, Constant, LinTsai, MaCheng, PanYang
-from .integrate import Trajectory
+from .integrate import Trajectory, ipd_column, ipr_column
 from .support import (
     CONVEXITY_EPS,
     ConvexityError,
     SupportSpectrum,
-    isoperimetric_deficit,
-    isoperimetric_ratio,
     limit_circle,
     radius_extrema,
     sq_curvature_integral,
@@ -101,16 +99,15 @@ def gage(state: FlowState) -> InequalityReport:
 def ipd_decay_ratio(traj: Trajectory) -> float:
     """max over samples of IPD(t) / (IPD(0) e^{-2t}); at most 1 for every
     flow. Circle input (IPD(0) = 0) is the exact-zero special case and
-    reports 0."""
-    first = traj.states[0]
-    ipd0 = isoperimetric_deficit(first.spectrum)
+    reports 0. Reads the deficit column (``integrate.ipd_column``); ratios
+    that are NaN, where e^{-2t} underflows, are skipped."""
+    ipd = ipd_column(traj)
+    ipd0 = ipd[0]
     if ipd0 <= 0.0:
         return 0.0
-    worst = 0.0
-    for s in traj.states:
-        ipd_t = isoperimetric_deficit(s.spectrum)
-        worst = max(worst, float(ipd_t / (ipd0 * np.exp(-2.0 * (s.t - first.t)))))
-    return worst
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = ipd / (ipd0 * np.exp(-2.0 * (traj.t - traj.t[0])))
+    return max(0.0, float(np.fmax.reduce(ratios)))
 
 
 def ipr_guaranteed_monotone(term: NonlocalTerm) -> bool:
@@ -128,8 +125,8 @@ def ipr_monotone(traj: Trajectory, term: NonlocalTerm) -> bool:
     for other terms this is a report, not an assertion.
     """
     del term  # the guarantee class is queried separately
-    iprs = [isoperimetric_ratio(s.L, s.A) for s in traj.states]
-    return all(b <= a + IPR_MONOTONE_SLACK for a, b in zip(iprs, iprs[1:]))
+    iprs = ipr_column(traj)
+    return bool(np.all(iprs[1:] <= iprs[:-1] + IPR_MONOTONE_SLACK))
 
 
 def convergence_residual(state: FlowState, spec0: SupportSpectrum, grid_size: int = 1024) -> float:

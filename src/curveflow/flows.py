@@ -161,11 +161,12 @@ def area_along_flow(spec0: SupportSpectrum, length: float, t: float) -> float:
     return _area(length, e_val)
 
 
-def _area(length: float, e_val: float) -> float:
+def _area(length, e_val):
     # Written as pi*(L/2pi)^2 + E so the circular part is exact whenever
-    # L/(2*pi) is.
+    # L/(2*pi) is; element by element for arrays.
     mean = length / TWO_PI
-    return float(np.pi * mean * mean + e_val)
+    area = np.pi * mean * mean + e_val
+    return float(area) if np.ndim(area) == 0 else area
 
 
 def flow_state(spec0: SupportSpectrum, t: float, length: float) -> FlowState:

@@ -131,10 +131,14 @@ def known_scalars(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
     return 0.0, _e_value(1.0 - n**2, spec0.cos_coeffs**2 + spec0.sin_coeffs**2, t)
 
 
-def _e_value(decay: np.ndarray, power: np.ndarray, t: float) -> float:
+def _e_value(decay: np.ndarray, power: np.ndarray, t):
     # E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} p_n from decay = 1 - n^2
-    # and the initial mode power p_n, precomputable once per run.
-    return float(-(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * t) * power))
+    # and the initial mode power p_n, precomputable once per run. For an
+    # array of times, one E per time: a (times x modes) array summed along
+    # each row, pairwise as for a single time, so each value is the same.
+    tt = np.asarray(t, dtype=float)
+    e_val = -(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * tt[..., None]) * power, axis=-1)
+    return float(e_val) if e_val.ndim == 0 else e_val
 
 
 def deviation_sup_norm(dev0: DeviationSpectrum, t: float) -> float:

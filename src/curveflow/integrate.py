@@ -9,8 +9,12 @@ For every other powersum the ODE is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
 quartic dense-output interpolant, and ``rel_tol``/``abs_tol`` govern
 that path only. The right-hand side reads H from (t, L) through mode
-arrays computed once per run; only at sampled instants is the full
-curve state reconstituted from the propagated initial deviation.
+arrays computed once per run. A finished run keeps its recorded states
+as columns: the times, the lengths and, derived from both, the areas.
+Every other per-state quantity is a (times x modes) product of the
+initial spectrum, and the column functions below compute it for all
+states at once; a ``FlowState`` is built only when ``Trajectory.states``
+is indexed.
 
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish); the analytic maximal existence
@@ -32,7 +36,8 @@ degenerate length/area scenarios.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -47,7 +52,7 @@ from .flows import (
     area_along_flow,
     closed_length,
     flow_state,
-    length_rate,
+    length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
 from .heat import _e_value
 from .support import (
@@ -56,6 +61,7 @@ from .support import (
     ConvexityError,
     GeometricSummary,
     SupportSpectrum,
+    _deficit,
     _grid_deviation,
     _inverse_curvature,
     _radius_table,
@@ -169,21 +175,80 @@ Outcome = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    states: tuple[FlowState, ...]
+    """The recorded states of one run, as columns, with its event and outcome.
+
+    ``t`` and ``L`` hold the time and length of each recorded state. ``A``
+    is derived from them: the closed-form area, computed SCAN_CHUNK states
+    at a time, each value that of ``flow_state`` at the same (t, L) bit for
+    bit. All three are read-only float arrays and pass the checks every
+    FlowState makes. ``states`` is a read-only sequence that builds the
+    FlowState of a state each time it is indexed.
+    """
+
+    spec0: SupportSpectrum
+    t: np.ndarray
+    L: np.ndarray
     event: TerminationEvent
     outcome: Outcome
+    A: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.states:
+        t, length = np.array(self.t, dtype=float), np.array(self.L, dtype=float)
+        if t.ndim != 1 or t.shape != length.shape:
+            raise ValueError("t and L must be one-dimensional and of equal length")
+        if not t.size:
             raise ValueError("trajectory needs at least one state")
-        ts = [s.t for s in self.states]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("trajectory states must be strictly increasing in time")
-        if self.event.t < ts[-1] - 1e-12:
+        if self.event.t < t[-1] - 1e-12:
             raise ValueError("event time precedes the last recorded state")
-        object.__setattr__(self, "states", tuple(self.states))
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(length))):
+            raise ValueError("flow state fields must be finite")
+        if t[0] < 0.0:
+            raise ValueError("propagation time must be non-negative")
+        if np.any(length <= 0.0):
+            raise ValueError("flow state requires positive length")
+        modes = _Modes(self.spec0)
+        with np.errstate(over="ignore"):
+            area = _by_chunk(modes.area, t, length)
+        if not np.all(np.isfinite(area)):
+            raise ValueError("flow state fields must be finite")
+        for name, column in (("t", t), ("L", length), ("A", area)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_modes", modes)  # for the column functions
+
+    @property
+    def states(self) -> "_States":
+        return _States(self)
+
+
+class _States(Sequence):
+    """Read-only view of a trajectory's recorded states. Indexing builds
+    the state with ``flow_state`` (slices give a tuple of states)."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return len(self._traj.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = range(len(self))[index]
+        traj = self._traj
+        return flow_state(traj.spec0, float(traj.t[i]), float(traj.L[i]))
+
+
+def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:
+    """fn applied to SCAN_CHUNK states at a time, the results joined along
+    their last axis, so that no (times x modes) array grows with the run."""
+    count = len(columns[0])
+    parts = [fn(*(c[lo : lo + SCAN_CHUNK] for c in columns)) for lo in range(0, count, SCAN_CHUNK)]
+    return np.concatenate(parts, axis=-1)
 
 
 # Dormand-Prince 5(4) tableau; order-5 propagated solution, FSAL.
@@ -280,8 +345,9 @@ class _Modes:
         self._rho_size = np.abs(self.decay) * (np.abs(self._a0) + np.abs(self._b0))
         self.thetas = _radius_table(spec0.truncation)[0]
 
-    def area(self, t: float, length: float) -> float:
-        """area_along_flow(spec0, length, t), bit for bit."""
+    def area(self, t, length):
+        """area_along_flow(spec0, length, t), bit for bit; element by
+        element for arrays of times and lengths."""
         return _area(length, _e_value(self.decay, self._power, t))
 
     def inverse_curvature(self, t: float, length: float) -> float:
@@ -300,13 +366,33 @@ class _Modes:
     def argmin_theta(self, t: float) -> float:
         return float(self.thetas[int(np.argmin(self.deviation(t)))])
 
+    def deficit(self, times: np.ndarray) -> np.ndarray:
+        """isoperimetric_deficit of the state at each time, bit for bit: row
+        i of the (times x modes) factors is heat.mode_factors at times[i]."""
+        factors = np.exp(np.multiply.outer(times, self.decay))
+        return _deficit(self._a0 * factors, self._b0 * factors)
+
+    def _deviation_block(self, times: np.ndarray):
+        # (modes x times) factors and the (grid x times) deviation from the
+        # mean of the radius of curvature: one product for all the times.
+        factors = np.exp(np.multiply.outer(self.decay, times))
+        return factors, _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors)
+
+    def radius_range(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Rows (min, max) of the radius of curvature on the grid at each
+        time. The block product sums in another order than
+        ``radius_extrema``; the two differ by rounding, far below 1e-12 of
+        the sizes ``scan`` gives."""
+        _, dev = self._deviation_block(times)
+        return lengths / TWO_PI + np.array([dev.min(axis=0), dev.max(axis=0)])
+
     def scan(self, times: np.ndarray, lengths: np.ndarray):
         """(min radius, area) at each time, each with the size its rounding
         scales with: the mean plus the sum of |terms| of the grid sum, and
         the circular part plus |E|."""
-        factors = np.exp(np.multiply.outer(self.decay, times))
+        factors, dev = self._deviation_block(times)
         mean = lengths / TWO_PI
-        rho_min = mean + _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors).min(axis=0)
+        rho_min = mean + dev.min(axis=0)
         e_val = (np.pi / 2.0) * ((self.decay * self._power) @ (factors * factors))
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
             circle = np.pi * mean * mean
@@ -465,13 +551,13 @@ _BY_EVENT = {row[0]: row for row in _OUTCOMES}
 _BY_OUTCOME = {row[1]: row for row in _OUTCOMES}
 
 
-def _classify(states: tuple[FlowState, ...], event: TerminationEvent) -> Outcome:
+def _classify(spec0: SupportSpectrum, final_length: float, event: TerminationEvent) -> Outcome:
     if event.kind not in _BY_EVENT:
         raise ValueError(f"unknown event kind {event.kind!r}")
     _, cls, _, _, diagnostic = _BY_EVENT[event.kind]
     values = {
-        "center": limit_circle(states[0].spectrum),
-        "limit_length": states[-1].L,
+        "center": limit_circle(spec0),
+        "limit_length": final_length,
         "t_star": event.t,
         "theta_star": event.theta,
         "t_max": event.t,
@@ -482,7 +568,7 @@ def _classify(states: tuple[FlowState, ...], event: TerminationEvent) -> Outcome
 
 def classify(traj: Trajectory) -> Outcome:
     """Recompute the outcome of a finished trajectory from its event."""
-    return _classify(traj.states, traj.event)
+    return _classify(traj.spec0, float(traj.L[-1]), traj.event)
 
 
 def integrate(
@@ -495,7 +581,8 @@ def integrate(
     The initial spectrum must pass convexity validation. Sampled states
     land on multiples of ``sample_interval`` plus the final event time.
     L(t) comes from ``flows.closed_length`` where the length ODE is
-    linear, and from the DOPRI5 solve otherwise.
+    linear, and from the DOPRI5 solve otherwise. The run records (t, L)
+    pairs only and builds no FlowState; see ``Trajectory``.
     """
     if controls is None:
         controls = IntegratorControls()
@@ -517,49 +604,51 @@ def _sample_times(controls: IntegratorControls) -> np.ndarray:
     return np.append(grid[grid <= controls.t_max - 1e-12], controls.t_max)
 
 
-def _finish(states: list[FlowState], event: TerminationEvent) -> Trajectory:
-    return Trajectory(states=tuple(states), event=event, outcome=_classify(tuple(states), event))
-
-
-def _closed_trajectory(problem: _Problem, law: ClosedLength) -> Trajectory:
-    """States and event along the closed-form length; the check times are
-    t = 0 and the sample times.
+def _finish(spec0: SupportSpectrum, times: list, lengths: list, event: TerminationEvent) -> Trajectory:
+    """The trajectory of the recorded (t, L) pairs, which both paths end in.
 
     Past L ~ 1e155 the area overflows, where the ODE path's H overflows
     too: the run then ends as an H domain exit at the last state whose
     area is finite."""
-    spec0, t_max = problem.spec0, problem.controls.t_max
+    mean = np.array(lengths) / TWO_PI
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(np.pi * mean * mean)[1:])
+    if overflow.size:
+        times, lengths = times[: overflow[0] + 1], lengths[: overflow[0] + 1]
+        event = TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=times[-1])
+    outcome = _classify(spec0, lengths[-1], event)
+    return Trajectory(spec0=spec0, t=times, L=lengths, event=event, outcome=outcome)
+
+
+def _closed_trajectory(problem: _Problem, law: ClosedLength) -> Trajectory:
+    """States and event along the closed-form length; the check times are
+    t = 0 and the sample times."""
+    t_max = problem.controls.t_max
     times = np.concatenate(([0.0], _sample_times(problem.controls)))
     found = problem.locate(law, 0.0, times)
     t_stop = t_max if found is None else found[0]
     kept = times[times <= t_stop].tolist()
-    # In chunks, so that no (times x modes) array grows with t_max.
-    lengths = [L for lo in range(0, len(kept), SCAN_CHUNK) for L in law(kept[lo : lo + SCAN_CHUNK]).tolist()]
+    lengths = _by_chunk(law, np.array(kept)).tolist()
     if found is not None and t_stop > kept[-1] + 1e-12:
         kept.append(t_stop)
         lengths.append(law(t_stop))
-    states = []
-    for t, length in zip(kept, lengths):
-        if states and not np.isfinite(np.pi * (length / TWO_PI) * (length / TWO_PI)):
-            return _finish(states, TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=states[-1].t))
-        states.append(flow_state(spec0, t, length))
     event = TerminationEvent(kind=EVENT_HORIZON, t=t_max) if found is None else found[1]
-    return _finish(states, event)
+    return _finish(problem.spec0, kept, lengths, event)
 
 
 def _ode_trajectory(problem: _Problem) -> Trajectory:
     """States and event along the DOPRI5 solution of the length ODE; the
     check times are the sample times inside each step and its end."""
-    spec0, term, controls = problem.spec0, problem.term, problem.controls
+    spec0, controls = problem.spec0, problem.controls
     t = 0.0
     length = curve_length(spec0)
-    states = [flow_state(spec0, t, length)]
+    times, lengths = [t], [length]
     found = problem.locate(lambda tau: length, t, np.array([t]))
     if found is not None:
-        return _finish(states, found[1])
+        return _finish(spec0, times, lengths, found[1])
 
     grid = _sample_times(controls).tolist()
-    k1 = length_rate(term, states[0])
+    k1 = problem.rhs(t, length)
     h = min(1e-3, controls.t_max)
     sample_idx = 0
 
@@ -575,14 +664,14 @@ def _ode_trajectory(problem: _Problem) -> Trajectory:
             h *= 0.25
             if h < MIN_STEP:
                 kind = EVENT_H_DOMAIN_EXIT if domain_fail else EVENT_STEP_COLLAPSE
-                return _finish(states, TerminationEvent(kind=kind, t=t))
+                return _finish(spec0, times, lengths, TerminationEvent(kind=kind, t=t))
             continue
         scale = controls.abs_tol + controls.rel_tol * max(abs(length), abs(y5))
         err_norm = abs(err) / scale
         if not err_norm <= 1.0:  # rejects NaN estimates too
             h = max(h * max(0.2, 0.9 * err_norm**-0.2), MIN_STEP * 0.5)
             if h < MIN_STEP:
-                return _finish(states, TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t))
+                return _finish(spec0, times, lengths, TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t))
             continue
 
         t1 = t + h
@@ -607,11 +696,15 @@ def _ode_trajectory(problem: _Problem) -> Trajectory:
 
         found = problem.locate(path, t, np.array(check_points))
         t_stop = t1 if found is None else found[0]
-        states.extend(flow_state(spec0, s, path(s)) for s in samples if s <= t_stop)
+        for s in samples:
+            if s <= t_stop:
+                times.append(s)
+                lengths.append(path(s))
         if found is not None:
-            if t_stop > states[-1].t + 1e-12:
-                states.append(flow_state(spec0, t_stop, dense(t_stop)))
-            return _finish(states, found[1])
+            if t_stop > times[-1] + 1e-12:
+                times.append(t_stop)
+                lengths.append(dense(t_stop))
+            return _finish(spec0, times, lengths, found[1])
 
         t, length, k1 = t1, y5, k7
         if err_norm == 0.0:
@@ -619,7 +712,7 @@ def _ode_trajectory(problem: _Problem) -> Trajectory:
         else:
             h *= min(5.0, max(0.2, 0.9 * err_norm**-0.2))
 
-    return _finish(states, TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max))
+    return _finish(spec0, times, lengths, TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max))
 
 
 def detect_singularity(
@@ -673,8 +766,57 @@ def _shape(state: FlowState) -> tuple[float, float, float, float]:
     return isoperimetric_deficit(state.spectrum), ipr, 1.0 / rho_max, 1.0 / rho_min
 
 
+def ipd_column(traj: Trajectory) -> np.ndarray:
+    """Isoperimetric deficit of every recorded state,
+    2 pi^2 sum (n^2 - 1)((a_n f_n)^2 + (b_n f_n)^2) with f_n = e^{(1 - n^2) t},
+    each value that of ``support.isoperimetric_deficit`` bit for bit."""
+    return _by_chunk(traj._modes.deficit, traj.t)
+
+
+def ipr_column(traj: Trajectory) -> np.ndarray:
+    """Isoperimetric ratio of every recorded state; inf at non-positive area."""
+    return np.array([isoperimetric_ratio(L, A) for L, A in zip(traj.L.tolist(), traj.A.tolist())])
+
+
+def _curvature_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    # (k_min, k_max) of every recorded state from the grid extrema of the
+    # radius of curvature, NaN unless the state is strictly convex, as in
+    # _shape; one block product per SCAN_CHUNK states.
+    rho_min, rho_max = _by_chunk(traj._modes.radius_range, traj.t, traj.L)
+    convex = rho_min > CONVEXITY_EPS
+    with np.errstate(divide="ignore"):
+        return np.where(convex, 1.0 / rho_max, np.nan), np.where(convex, 1.0 / rho_min, np.nan)
+
+
+def h_column(traj: Trajectory, term: NonlocalTerm) -> list[float]:
+    """H of every recorded state: ``flows.evaluate_h`` of the state, bit for bit."""
+    modes = traj._modes
+    return [
+        _h(term, L, lambda: A, lambda: modes.inverse_curvature(t, L))
+        for t, L, A in zip(traj.t.tolist(), traj.L.tolist(), traj.A.tolist())
+    ]
+
+
+def record_rows(traj: Trajectory) -> list[dict]:
+    """``state_record`` of every recorded state, built from the columns.
+    k_min and k_max come from block products, so they may differ from
+    state_record's in the last bits; every other field is the same."""
+    k_min, k_max = _curvature_columns(traj)
+    columns = {
+        "t": traj.t.tolist(),
+        "L": traj.L.tolist(),
+        "A": traj.A.tolist(),
+        "ipd": ipd_column(traj).tolist(),
+        "ipr": [_json_num(v) for v in ipr_column(traj).tolist()],
+        "k_min": [_json_num(v) for v in k_min.tolist()],
+        "k_max": [_json_num(v) for v in k_max.tolist()],
+    }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def state_record(state: FlowState) -> dict:
-    """Scalar record of one state, used for JSONL export and the CLI."""
+    """Scalar record of one state, used for JSONL export and the CLI; see
+    ``record_rows`` for the records of a whole trajectory."""
     ipd, ipr, k_min, k_max = _shape(state)
     return {
         "t": state.t,
@@ -733,7 +875,7 @@ def summary_record(traj: Trajectory) -> dict:
 
 def trajectory_lines(traj: Trajectory) -> list[str]:
     """JSONL lines: one scalar record per state plus a trailing summary."""
-    lines = [json.dumps(state_record(s)) for s in traj.states]
+    lines = [json.dumps(rec) for rec in record_rows(traj)]
     lines.append(json.dumps(summary_record(traj)))
     return lines
 

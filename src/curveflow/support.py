@@ -246,9 +246,15 @@ def isoperimetric_deficit(spec: SupportSpectrum) -> float:
     Exact where the difference L^2 - 4*pi*A cancels catastrophically
     (large L, near-circular curves).
     """
-    n = np.arange(1, spec.truncation + 1).astype(float)
-    power = spec.cos_coeffs**2 + spec.sin_coeffs**2
-    return float(2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power))
+    return float(_deficit(spec.cos_coeffs, spec.sin_coeffs))
+
+
+def _deficit(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
+    # isoperimetric_deficit along the last axis: one value per row of
+    # (states x modes) coefficients, summed as for a single spectrum.
+    n = np.arange(1, cos_coeffs.shape[-1] + 1).astype(float)
+    power = cos_coeffs**2 + sin_coeffs**2
+    return 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power, axis=-1)
 
 
 def isoperimetric_ratio(length: float, area: float) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -278,6 +280,18 @@ class TestSweep:
         assert ok.split(",")[10] == ""
         assert "convexity" in bad.split(",")[10]
 
+    def test_labels_with_commas_are_quoted(self, tmp_path, capsys):
+        cfg = parse_config(MINIMAL + "t_max = 1\n")
+        assert sweep(cfg, "flows:pan-yang;powersum:1,1,0", tmp_path, tmp_path / "out") == 0
+        text = (tmp_path / "out" / "sweep.csv").read_text()
+        assert capsys.readouterr().out == text
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [11, 11, 11]
+        assert [row[0] for row in rows] == ["axis", "pan-yang", "powersum:1.0,1.0,0.0"]
+        assert text.splitlines()[1].startswith("pan-yang,")  # no quotes where none are needed
+        assert text.splitlines()[2].startswith('"powersum:1.0,1.0,0.0",')
+        assert rows[2][2] == "singularity"
+
     def test_empty_axis_rejected(self, tmp_path, capsys):
         cfg = parse_config(MINIMAL)
         assert sweep(cfg, "flows:", tmp_path) == 2
@@ -405,3 +419,13 @@ class TestConstMinusOneRun:
             t, ipd = float(cols[0]), float(cols[3])
             exact = 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power * np.exp(2.0 * (1.0 - n**2) * t))
             assert ipd == pytest.approx(exact, rel=1e-12)
+
+
+class TestFrameIndices:
+    def test_same_as_unique_of_rounded_linspace(self):
+        from curveflow.cli import _frame_indices
+
+        for count in range(1, 401):
+            for frame_count in range(2, 65):
+                want = np.unique(np.round(np.linspace(0, count - 1, frame_count)).astype(int)).tolist()
+                assert _frame_indices(count, frame_count) == want, (count, frame_count)

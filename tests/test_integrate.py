@@ -34,6 +34,7 @@ from curveflow import (
     trajectory_lines,
     write_trajectory_jsonl,
 )
+from curveflow.support import CONVEXITY_EPS, isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
 
@@ -233,12 +234,11 @@ class TestThresholdEvents:
 
 
 class TestClassifySynthetic:
-    def base_states(self):
-        return (flow_state(ELLIPSEISH, 0.0, TWO_PI),)
-
     def make(self, kind, t=1.0, theta=None):
         return Trajectory(
-            states=self.base_states(),
+            spec0=ELLIPSEISH,
+            t=[0.0],
+            L=[TWO_PI],
             event=TerminationEvent(kind=kind, t=t, theta=theta),
             outcome=Undetermined(diagnostic="placeholder"),
         )
@@ -277,7 +277,9 @@ class TestClassifySynthetic:
             mean=1.0, cos_coeffs=[0.3, 0.2], sin_coeffs=[-0.1, 0.0]
         )
         traj = Trajectory(
-            states=(flow_state(translated, 0.0, TWO_PI),),
+            spec0=translated,
+            t=[0.0],
+            L=[TWO_PI],
             event=TerminationEvent(kind="reached-horizon", t=2.0),
             outcome=Undetermined(diagnostic="placeholder"),
         )
@@ -287,19 +289,21 @@ class TestClassifySynthetic:
 
 class TestTrajectoryValidation:
     def test_rejects_decreasing_times(self):
-        states = (flow_state(ELLIPSEISH, 0.0, TWO_PI), flow_state(ELLIPSEISH, 0.0, TWO_PI))
         with pytest.raises(ValueError):
             Trajectory(
-                states=states,
+                spec0=ELLIPSEISH,
+                t=[0.0, 0.0],
+                L=[TWO_PI, TWO_PI],
                 event=TerminationEvent(kind="reached-horizon", t=1.0),
                 outcome=Undetermined(diagnostic="x"),
             )
 
     def test_rejects_event_before_states(self):
-        states = (flow_state(ELLIPSEISH, 1.0, TWO_PI),)
         with pytest.raises(ValueError):
             Trajectory(
-                states=states,
+                spec0=ELLIPSEISH,
+                t=[1.0],
+                L=[TWO_PI],
                 event=TerminationEvent(kind="reached-horizon", t=0.5),
                 outcome=Undetermined(diagnostic="x"),
             )
@@ -307,10 +311,53 @@ class TestTrajectoryValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Trajectory(
-                states=(),
+                spec0=ELLIPSEISH,
+                t=[],
+                L=[],
                 event=TerminationEvent(kind="reached-horizon", t=0.5),
                 outcome=Undetermined(diagnostic="x"),
             )
+
+    @pytest.mark.parametrize(
+        "t, L, why",
+        [
+            ([0.0, 1.0, 0.5], [TWO_PI] * 3, "increasing"),
+            ([0.0, 0.5], [TWO_PI, 0.0], "positive length"),
+            ([0.0, 0.5], [TWO_PI, -1.0], "positive length"),
+            ([0.0, 0.5], [TWO_PI, 1e160], "finite"),  # A = L^2/(4 pi) + E overflows
+            ([0.0, np.nan], [TWO_PI, TWO_PI], "finite"),
+            ([0.0, 0.5], [TWO_PI, np.inf], "finite"),
+            ([-0.5, 0.5], [TWO_PI, TWO_PI], "non-negative"),
+            ([0.0, 0.5], [TWO_PI], "equal length"),
+        ],
+    )
+    def test_rejects_bad_columns(self, t, L, why):
+        with pytest.raises(ValueError, match=why):
+            Trajectory(
+                spec0=ELLIPSEISH,
+                t=t,
+                L=L,
+                event=TerminationEvent(kind="reached-horizon", t=2.0),
+                outcome=Undetermined(diagnostic="x"),
+            )
+
+    def test_columns_are_read_only_and_states_a_sequence(self):
+        traj = integrate(ELLIPSEISH, LinTsai(), IntegratorControls(t_max=0.5, sample_interval=0.1))
+        assert traj.t.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5]
+        for column in (traj.t, traj.L, traj.A):
+            assert column.dtype == float and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        states = traj.states
+        assert len(states) == 6
+        assert states[-1] == states[5] == flow_state(ELLIPSEISH, traj.t[5], traj.L[5])
+        assert [s.t for s in states] == traj.t.tolist()
+        assert [s.t for s in states[1:4]] == traj.t[1:4].tolist()
+        assert isinstance(states[0].t, float) and isinstance(states[0].L, float)
+        with pytest.raises(IndexError):
+            states[6]
+        with pytest.raises(IndexError):
+            states[-7]
 
 
 class TestNonConvexInput:
@@ -391,24 +438,50 @@ class TestExport:
 GALLERY_ELLIPSE = SupportSpectrum(mean=1.0, cos_coeffs=[0.1, 0.2], sin_coeffs=[0.0, 0.05])
 
 
+GENERAL_POWERSUM = PowerSum(terms=((0.3, 0.5, 0.25), (2.0, -1.0, 1.0)))  # on the ODE path
+
+
+def _count_flow_states(monkeypatch) -> list:
+    """Calls of flow_state through curveflow.integrate, where states are built."""
+    module = importlib.import_module("curveflow.integrate")
+    calls = []
+    real = module.flow_state
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "flow_state", counting)
+    return calls
+
+
 class TestLeanPath:
-    """The length solve reads scalars only; full states exist only where recorded."""
+    """The length solve reads scalars only; a run records (t, L) columns and
+    a full state is built only when one is indexed."""
 
     @pytest.mark.parametrize(
-        "term", [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), H_EQUALS_L]
+        "term", [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), H_EQUALS_L, GENERAL_POWERSUM]
     )
-    def test_flow_state_built_only_for_recorded_states(self, term, monkeypatch):
-        module = importlib.import_module("curveflow.integrate")
-        calls = []
-        real = module.flow_state
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, "flow_state", counting)
+    def test_flow_state_built_only_on_access(self, term, monkeypatch):
+        calls = _count_flow_states(monkeypatch)
         traj = integrate(GALLERY_ELLIPSE, term, IntegratorControls(t_max=2.0))
-        assert len(calls) == len(traj.states)
+        assert calls == []
+        assert len(traj.states) == len(traj.t) >= 3
+        assert traj.states[2].t == traj.t[2]
+        assert len(calls) == 1
+        assert traj.states[-1].L == traj.L[-1]
+        assert len(calls) == 2
+
+    def test_sweep_builds_no_flow_state(self, tmp_path, monkeypatch):
+        from curveflow.cli import parse_config, sweep
+
+        calls = _count_flow_states(monkeypatch)
+        cfg = parse_config("flow = pan-yang\nmean = 1\ncos = 0.1, 0.2\nsin = 0, 0.05\nt_max = 2\n")
+        axis = "flows:pan-yang;lin-tsai;ma-cheng;const:-1;powersum:1,1,0;powersum:0.3,0.5,0.25"
+        assert sweep(cfg, axis, tmp_path, tmp_path / "out") == 0
+        assert calls == []
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.endswith(",") for row in rows)  # no row failed
 
     def test_scalar_rhs_is_length_rate_bit_for_bit(self):
         from curveflow.integrate import _Problem
@@ -786,3 +859,51 @@ class TestPrescan:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+
+COLUMN_TERMS = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), Constant(c=0.5), H_EQUALS_L, GENERAL_POWERSUM]
+
+
+class TestColumns:
+    """Each column against the per-state route it replaces."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        term=st.sampled_from(COLUMN_TERMS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_the_states(self, seed, n, term):
+        from curveflow import evaluate_h, ipd_decay_ratio, isoperimetric_deficit
+        from curveflow.integrate import _Modes, h_column, ipd_column, ipr_column, record_rows
+
+        spec0 = _random_convex(np.random.default_rng(seed), n)
+        traj = integrate(spec0, term, IntegratorControls(t_max=2.0, sample_interval=0.03))
+        assert len(traj.t) > 2 * 32 or traj.event.kind != "reached-horizon"  # spans several chunks
+        rows, h_values = record_rows(traj), h_column(traj, term)
+        ipd, ipr = ipd_column(traj), ipr_column(traj)
+        sizes = _Modes(spec0).scan(traj.t, traj.L)[1]
+        for i, state in enumerate(traj.states):
+            assert state == flow_state(spec0, float(traj.t[i]), float(traj.L[i]))
+            assert state.A == traj.A[i]
+            record = state_record(state)
+            for key in ("t", "L", "A", "ipd", "ipr"):
+                assert rows[i][key] == record[key], key
+            assert ipd[i] == isoperimetric_deficit(state.spectrum)
+            assert ipr[i] == isoperimetric_ratio(state.L, state.A)
+            assert h_values[i] == evaluate_h(term, state)
+            if (rows[i]["k_max"] is None) != (record["k_max"] is None):
+                # Only where the minimum radius sits at the convexity threshold.
+                rho_min = 1.0 / (rows[i]["k_max"] or record["k_max"])
+                assert abs(rho_min - CONVEXITY_EPS) <= 1e-12 * sizes[i]
+            elif record["k_max"] is not None:
+                for key in ("k_min", "k_max"):
+                    assert abs(1.0 / rows[i][key] - 1.0 / record[key]) <= 1e-12 * sizes[i]
+        # The per-state loop ipd_decay_ratio replaced, as the reference.
+        states = list(traj.states)
+        ipd0 = isoperimetric_deficit(states[0].spectrum)
+        worst = 0.0
+        for s in states if ipd0 > 0.0 else []:
+            ratio = isoperimetric_deficit(s.spectrum) / (ipd0 * np.exp(-2.0 * (s.t - states[0].t)))
+            worst = max(worst, float(ratio))
+        assert ipd_decay_ratio(traj) == worst
