@@ -204,17 +204,18 @@ class Trajectory:
             raise ValueError("trajectory states must be strictly increasing in time")
         if self.event.t < t[-1] - 1e-12:
             raise ValueError("event time precedes the last recorded state")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(length))):
+        if not np.all(np.isfinite(t)):
             raise ValueError("flow state fields must be finite")
         if t[0] < 0.0:
             raise ValueError("propagation time must be non-negative")
         if np.any(length <= 0.0):
             raise ValueError("flow state requires positive length")
         modes = _Modes(self.spec0)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf
             area = _by_chunk(modes.area, t, length)
-        if not np.all(np.isfinite(area)):
-            raise ValueError("flow state fields must be finite")
+        overflow = np.flatnonzero(~(np.isfinite(length) & np.isfinite(area)))
+        if overflow.size:
+            raise _NonFiniteState(int(overflow[0]))
         for name, column in (("t", t), ("L", length), ("A", area)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -223,6 +224,15 @@ class Trajectory:
     @property
     def states(self) -> "_States":
         return _States(self)
+
+
+class _NonFiniteState(ValueError):
+    """A recorded state whose length or area is not finite; ``index`` is
+    the first such state."""
+
+    def __init__(self, index: int):
+        super().__init__("flow state fields must be finite")
+        self.index = index
 
 
 class _States(Sequence):
@@ -610,14 +620,14 @@ def _finish(spec0: SupportSpectrum, times: list, lengths: list, event: Terminati
     Past L ~ 1e155 the area overflows, where the ODE path's H overflows
     too: the run then ends as an H domain exit at the last state whose
     area is finite."""
-    mean = np.array(lengths) / TWO_PI
-    with np.errstate(over="ignore"):
-        overflow = np.flatnonzero(~np.isfinite(np.pi * mean * mean)[1:])
-    if overflow.size:
-        times, lengths = times[: overflow[0] + 1], lengths[: overflow[0] + 1]
-        event = TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=times[-1])
-    outcome = _classify(spec0, lengths[-1], event)
-    return Trajectory(spec0=spec0, t=times, L=lengths, event=event, outcome=outcome)
+    try:
+        return Trajectory(spec0, times, lengths, event, _classify(spec0, lengths[-1], event))
+    except _NonFiniteState as exc:
+        if exc.index == 0:
+            raise
+        times, lengths = times[: exc.index], lengths[: exc.index]
+    event = TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=times[-1])
+    return Trajectory(spec0, times, lengths, event, _classify(spec0, lengths[-1], event))
 
 
 def _closed_trajectory(problem: _Problem, law: ClosedLength) -> Trajectory:
