@@ -244,20 +244,21 @@ def emit_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_rows(path: Path, expected: int, name: str) -> list[list[float]]:
-    rows = []
+def _read_rows(path: Path, expected: int, name: str) -> dict[int, list[float]]:
+    """The numeric rows of a CSV input file, keyed by line number."""
+    rows = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         parts = [p.strip() for p in body.split(",")]
         try:
-            rows.append([float(p) for p in parts])
+            rows[lineno] = [float(p) for p in parts]
         except ValueError:
             if lineno == 1:  # header row
                 continue
             raise ConfigError(f"{name} line {lineno}: expected numbers, got {body!r}") from None
-        if len(rows[-1]) != expected:
+        if len(rows[lineno]) != expected:
             raise ConfigError(f"{name} line {lineno}: expected {expected} columns")
     return rows
 
@@ -272,29 +273,30 @@ def load_initial(initial: InitialCurve, base_dir: Path) -> SupportSpectrum:
     if not path.is_absolute():
         path = base_dir / path
     if initial.kind == "coeffs-file":
-        rows = _read_rows(path, 3, "coeffs_file")
-        for n_val, _, _ in rows:
+        modes = {}  # mode index -> (line, a_n, b_n)
+        for lineno, (n_val, a_val, b_val) in _read_rows(path, 3, "coeffs_file").items():
             if not (n_val.is_integer() and 0 <= n_val <= MAX_TRUNCATION):
                 raise ConfigError(
-                    f"coeffs_file: mode index {n_val} must be an integer in 0..{MAX_TRUNCATION}"
+                    f"coeffs_file line {lineno}: mode index {n_val} must be an integer "
+                    f"in 0..{MAX_TRUNCATION}"
                 )
-        top = max(int(r[0]) for r in rows)
-        cos = [0.0] * max(top, 2)
-        sin = [0.0] * max(top, 2)
-        mean = 0.0
-        for n_val, a_val, b_val in rows:
             n = int(n_val)
-            if n == 0:
-                mean = a_val
-            else:
-                cos[n - 1] = a_val
-                sin[n - 1] = b_val
+            if n in modes:
+                raise ConfigError(f"coeffs_file line {lineno}: mode index {n} repeats line {modes[n][0]}")
+            modes[n] = (lineno, a_val, b_val)
+        if not modes:
+            raise ConfigError("coeffs_file: no coefficient rows n,a_n,b_n after line 1")
+        mean = modes.pop(0, (0, 0.0, 0.0))[1]
+        cos = [0.0] * max(max(modes, default=0), 2)
+        sin = list(cos)
+        for n, (_, a_val, b_val) in modes.items():
+            cos[n - 1], sin[n - 1] = a_val, b_val
         return spectrum_from_dict({"mean": mean, "cos": cos, "sin": sin})
     if initial.kind == "samples-file":
-        values = [row[0] for row in _read_rows(path, 1, "samples_file")]
+        values = [row[0] for row in _read_rows(path, 1, "samples_file").values()]
         return project_from_samples(values, initial.truncation)
     if initial.kind == "polygon-file":
-        vertices = _read_rows(path, 2, "polygon_file")
+        vertices = list(_read_rows(path, 2, "polygon_file").values())
         return spectrum_from_polygon(vertices, initial.truncation)
     raise ConfigError(f"unknown initial kind {initial.kind!r}")
 
@@ -465,7 +467,12 @@ def _parse_axis(axis: str) -> tuple[str, list]:
     if head == "flows":
         return "flows", [parse_flow_term(part) for part in rest.split(";")]
     if head == "scale":
-        return "scale", [float(part) for part in rest.split(",")]
+        values = []
+        for part in rest.split(","):
+            values.append(float(part))
+            if not np.isfinite(values[-1]):
+                raise ConfigError(f"scale value {part.strip()!r} is not finite")
+        return "scale", values
     raise ConfigError(f"unknown axis kind {head!r}")
 
 
@@ -504,20 +511,21 @@ def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = N
         if not values:
             raise ConfigError("axis has no values")
         spec0 = load_initial(config.initial, base_dir)
+        jobs = []
+        for value in values:
+            if kind == "flows":
+                jobs.append((format_flow_term(value), spec0, value))
+            else:
+                with np.errstate(over="ignore"):  # a coefficient overflowing to inf is rejected
+                    scaled = SupportSpectrum(
+                        mean=spec0.mean,
+                        cos_coeffs=spec0.cos_coeffs * value,
+                        sin_coeffs=spec0.sin_coeffs * value,
+                    )
+                jobs.append((repr(value), scaled, config.flow))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    jobs = []
-    for value in values:
-        if kind == "flows":
-            jobs.append((format_flow_term(value), spec0, value))
-        else:
-            scaled = SupportSpectrum(
-                mean=spec0.mean,
-                cos_coeffs=spec0.cos_coeffs * value,
-                sin_coeffs=spec0.sin_coeffs * value,
-            )
-            jobs.append((repr(value), scaled, config.flow))
     rows = [_sweep_one(spec, config, label, term) for label, spec, term in jobs]
     # Labels such as powersum:1,1,0 hold commas, so fields are quoted where needed.
     buffer = io.StringIO()

@@ -18,17 +18,17 @@ the go1 slack exceeds the go2 slack by (L^2 - 4*pi*A)/pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import heat
 from .flows import FlowState, NonlocalTerm, Constant, LinTsai, MaCheng, PanYang
 from .integrate import Trajectory, ipd_column, ipr_column
 from .support import (
     CONVEXITY_EPS,
     ConvexityError,
     SupportSpectrum,
+    evaluate_support,
     limit_circle,
     radius_extrema,
     sq_curvature_integral,
@@ -134,7 +134,7 @@ def convergence_residual(state: FlowState, spec0: SupportSpectrum, grid_size: in
     a_1 cos(theta) + b_1 sin(theta) of the initial curve."""
     thetas = theta_grid(grid_size)
     a1, b1 = limit_circle(spec0)
-    dev = heat.deviation_of(state.spectrum).evaluate(thetas)
+    dev = evaluate_support(replace(state.spectrum, mean=0.0), thetas)
     limit = a1 * np.cos(thetas) + b1 * np.sin(thetas)
     return float(np.max(np.abs(dev - limit)))
 

@@ -54,6 +54,10 @@ class HDomainError(ValueError):
 class Constant:
     c: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.c):
+            raise ValueError(f"constant must be finite, got {self.c!r}")
+
 
 @dataclass(frozen=True)
 class PanYang:
@@ -158,28 +162,13 @@ def area_along_flow(spec0: SupportSpectrum, length: float, t: float) -> float:
     """A(t) = L^2/(4*pi) + E(t); identical to the enclosed area of the
     propagated spectrum with mean L/(2*pi)."""
     _, e_val = heat.known_scalars(spec0, t)
-    return _area(length, e_val)
-
-
-def _area(length, e_val):
-    # Written as pi*(L/2pi)^2 + E so the circular part is exact whenever
-    # L/(2*pi) is; element by element for arrays.
-    mean = length / TWO_PI
-    area = np.pi * mean * mean + e_val
-    return float(area) if np.ndim(area) == 0 else area
+    return heat._area(length, e_val)
 
 
 def flow_state(spec0: SupportSpectrum, t: float, length: float) -> FlowState:
     """Reconstitute the full state at (t, L) from the initial spectrum:
     mode n scaled by exp((1 - n^2) t), mean L/(2*pi)."""
-    if t < 0.0:
-        raise ValueError("propagation time must be non-negative")
-    factors = heat.mode_factors(spec0.truncation, t)
-    spectrum = SupportSpectrum(
-        mean=length / TWO_PI,
-        cos_coeffs=spec0.cos_coeffs * factors,
-        sin_coeffs=spec0.sin_coeffs * factors,
-    )
+    spectrum = heat._Modes(spec0).spectrum(t, length / TWO_PI)
     return FlowState(t=t, L=length, spectrum=spectrum, A=area_along_flow(spec0, length, t))
 
 
@@ -289,9 +278,9 @@ def closed_length(spec0: SupportSpectrum, term: NonlocalTerm) -> ClosedLength | 
     """The closed-form L(t) of ``term`` from ``spec0``, or None where the
     length ODE is not linear (see the module docstring for the three forms)."""
     l0 = TWO_PI * spec0.mean
-    n = np.arange(1, spec0.truncation + 1, dtype=float)
-    rates = 2.0 * (1.0 - n**2)
-    q_n = 2.0 * np.pi**2 * (n**2 - 1.0) * (spec0.cos_coeffs**2 + spec0.sin_coeffs**2)
+    modes = heat._Modes(spec0)
+    rates = 2.0 * modes.decay
+    q_n = 2.0 * np.pi**2 * -modes.decay * modes.power
     if isinstance(term, MaCheng):
         # (L^2)' = sum lambda_n q_n e^{lambda_n t}.
         return ClosedLength(l0, 2, 0.0, rates, rates * q_n / l0**2)

@@ -1,153 +1,165 @@
-"""Closed-form propagation of support-function deviations.
+"""Mode propagation: the one home of the per-run mode arrays.
 
 The deviation of the support function from its circular mean solves a
-linear heat-type equation on the circle whose Fourier mode n carries the
-exact factor exp((1 - n^2) t): mode 1 (translation) is invariant, every
-mode n >= 2 decays. That diagonal factor is the canonical propagation
-path here.
+linear heat-type equation whose Fourier mode n carries the exact factor
+exp((1 - n^2) t): mode 1 (translation) is invariant, every other decays.
+Only this module builds the decay rates 1 - n^2 (shared per truncation),
+the initial mode power p_n = a_n^2 + b_n^2 and the factors; ``flows`` and
+``integrate`` read them through :class:`_Modes`. The length dynamics read
 
-The equivalent Gaussian-convolution representation
+    E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} p_n  <=  0,
 
-    B(theta, t) = e^t * integral K_t(theta - xi) (u0(xi) - mean0) dxi,
-    K_t(s) = exp(-s^2 / (4 t)) / (2 sqrt(pi t)),
-
-is kept as an independent quadrature oracle (:func:`kernel_oracle`) so
-the two routes can be cross-checked; it is never used by the solver.
-
-The scalars feeding the length dynamics are known in advance from the
-initial data alone: the deviation mean D(t) is identically zero, and
-
-    E1(t) = pi*mean0^2*e^{2t}
-            + (pi/2) sum (1 - n^2) e^{2(1-n^2)t} (a_n^2 + b_n^2)
-    E(t)  = E1(t) - (L0^2 / 4 pi) e^{2t}  <=  0.
+minus the isoperimetric deficit over 4*pi of the propagated curve, known
+from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .support import (
+    TWO_PI,
     SupportSpectrum,
-    _coeff_array,
-    default_validation_grid,
-    evaluate_support,
-    project_from_samples,
-    theta_grid,
+    _deficit,
+    _grid_deviation,
+    _inverse_curvature,
+    _radius_table,
 )
 
-# Gaussian oracle quadrature: window +-KERNEL_WINDOW*sqrt(t) (tail < 1e-28)
-# and 2*KERNEL_PANELS+1 Simpson nodes (measured error < 1e-13 for N <= 8).
-KERNEL_WINDOW = 16.0
-KERNEL_PANELS = 8192
 
-
-class DeviationSpectrum(SupportSpectrum):
-    """Zero-mean support spectrum: the deviation from the circular mean."""
-
-    def __init__(self, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> None:
-        super().__init__(mean=0.0, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
-
-    def evaluate(self, theta):
-        return evaluate_support(self, theta)
-
-
-def deviation_of(spec: SupportSpectrum) -> DeviationSpectrum:
-    return DeviationSpectrum(cos_coeffs=spec.cos_coeffs, sin_coeffs=spec.sin_coeffs)
-
-
-def with_mean(dev: DeviationSpectrum, mean: float) -> SupportSpectrum:
-    return SupportSpectrum(mean=mean, cos_coeffs=dev.cos_coeffs, sin_coeffs=dev.sin_coeffs)
-
-
-def mode_factors(truncation: int, t: float) -> np.ndarray:
-    """exp((1 - n^2) t) for n = 1..truncation."""
+@functools.lru_cache(maxsize=8)
+def _decay(truncation: int) -> np.ndarray:
+    # 1 - n^2 for n = 1..truncation, shared read-only.
     n = np.arange(1, truncation + 1, dtype=float)
-    return np.exp((1.0 - n**2) * t)
+    decay = 1.0 - n**2
+    decay.flags.writeable = False
+    return decay
 
 
-def propagate(dev0: DeviationSpectrum, t: float) -> DeviationSpectrum:
-    """Scale mode n by exp((1 - n^2) t); t = 0 is the identity."""
-    if t < 0.0:
-        raise ValueError("propagation time must be non-negative")
-    factors = mode_factors(dev0.truncation, t)
-    return DeviationSpectrum(
-        cos_coeffs=dev0.cos_coeffs * factors,
-        sin_coeffs=dev0.sin_coeffs * factors,
-    )
+def _area(length, e_val):
+    # Written as pi*(L/2pi)^2 + E so the circular part is exact whenever
+    # L/(2*pi) is; element by element for arrays.
+    mean = length / TWO_PI
+    area = np.pi * mean * mean + e_val
+    return float(area) if np.ndim(area) == 0 else area
 
 
-def kernel_oracle(
-    u0,
-    theta: float,
-    t: float,
-    *,
-    window: float = KERNEL_WINDOW,
-    panels: int = KERNEL_PANELS,
-) -> float:
-    """Deviation at (theta, t) from the literal Gaussian representation.
+class _Modes:
+    """Mode arrays of an initial spectrum: every scalar the length solve
+    reads at (t, L) is a short sum over the decay rates 1 - n^2, the
+    coefficients a_n, b_n and their power p_n. Building one costs a cache
+    lookup; ``power`` and the grid-sum sizes are computed on first use.
+    The radius of curvature on the validation grid,
 
-    ``u0`` is either a callable returning support values for an array of
-    angles, or uniform-grid samples (a trig interpolant of truncation
-    len // 2 - 1, at most MAX_TRUNCATION, is built from them). The heat
-    kernel on the line is integrated by composite Simpson over
-    |xi - theta| <= window*sqrt(t); undefined at t = 0 where the kernel
-    degenerates to a delta.
+        rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
+
+    goes through the shared table of ``support._grid_deviation``, so
+    ``min_radius`` is ``radius_extrema`` of the recorded state, bit for bit.
+    ``scan`` evaluates a block of times with one product against that table.
     """
-    if t <= 0.0:
-        raise ValueError("kernel quadrature requires t > 0")
-    if callable(u0):
-        u_eval = u0
-        mean0 = float(np.mean(u_eval(theta_grid(4096))))
-    else:
-        samples = _coeff_array(u0, "u0 samples")
-        interp = project_from_samples(samples, truncation=len(samples) // 2 - 1)
-        u_eval = lambda xs: evaluate_support(interp, xs)  # noqa: E731
-        mean0 = float(np.mean(samples))
-    half = window * np.sqrt(t)
-    s = np.linspace(-half, half, 2 * panels + 1)
-    weights = np.ones_like(s)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (s[1] - s[0]) / 3.0
-    kernel = np.exp(-(s**2) / (4.0 * t)) / (2.0 * np.sqrt(np.pi * t))
-    return float(np.exp(t) * np.sum(weights * kernel * (np.asarray(u_eval(theta + s)) - mean0)))
+
+    def __init__(self, spec0: SupportSpectrum):
+        self.decay = _decay(spec0.truncation)
+        self._a0 = spec0.cos_coeffs
+        self._b0 = spec0.sin_coeffs
+
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        return self._a0**2 + self._b0**2
+
+    @functools.cached_property
+    def _rho_size(self) -> np.ndarray:
+        # Sum of |terms| of the grid sum for rho, per mode, at t = 0.
+        return np.abs(self.decay) * (np.abs(self._a0) + np.abs(self._b0))
+
+    def factors(self, t: float) -> np.ndarray:
+        """exp((1 - n^2) t) for n = 1..N."""
+        return np.exp(self.decay * t)
+
+    def spectrum(self, t: float, mean: float) -> SupportSpectrum:
+        """The spectrum with mode n scaled by exp((1 - n^2) t) and the given mean."""
+        if t < 0.0:
+            raise ValueError("propagation time must be non-negative")
+        factors = self.factors(t)
+        return SupportSpectrum(
+            mean=mean, cos_coeffs=self._a0 * factors, sin_coeffs=self._b0 * factors
+        )
+
+    def e_value(self, t):
+        """E(t); for an array of times, one E per time."""
+        # A (times x modes) array summed along each row, pairwise as for a
+        # single time, so each value is the same.
+        tt = np.asarray(t, dtype=float)
+        decay, power = self.decay, self.power
+        e_val = -(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * tt[..., None]) * power, axis=-1)
+        return float(e_val) if e_val.ndim == 0 else e_val
+
+    def area(self, t, length):
+        """flows.area_along_flow(spec0, length, t), bit for bit; element by
+        element for arrays of times and lengths."""
+        return _area(length, self.e_value(t))
+
+    def inverse_curvature(self, t: float, length: float) -> float:
+        """total_inverse_curvature of flow_state(spec0, t, length), bit for bit."""
+        factors = self.factors(t)
+        return _inverse_curvature(length / TWO_PI, self._a0 * factors, self._b0 * factors)
+
+    def deviation(self, t: float) -> np.ndarray:
+        factors = self.factors(t)
+        return _grid_deviation(self._a0 * factors, self._b0 * factors)
+
+    def min_radius(self, t: float, length: float) -> float:
+        """radius_extrema(flow_state(spec0, t, L).spectrum)[0], bit for bit."""
+        return length / TWO_PI + float(np.min(self.deviation(t)))
+
+    def argmin_theta(self, t: float) -> float:
+        thetas = _radius_table(len(self._a0))[0]
+        return float(thetas[int(np.argmin(self.deviation(t)))])
+
+    def deficit(self, times: np.ndarray) -> np.ndarray:
+        """isoperimetric_deficit of the state at each time, bit for bit: row
+        i of the (times x modes) factors is factors(times[i])."""
+        factors = np.exp(np.multiply.outer(times, self.decay))
+        return _deficit(self._a0 * factors, self._b0 * factors)
+
+    def _deviation_block(self, times: np.ndarray):
+        # (modes x times) factors and the (grid x times) deviation from the
+        # mean of the radius of curvature: one product for all the times.
+        factors = np.exp(np.multiply.outer(self.decay, times))
+        return factors, _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors)
+
+    def radius_range(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Rows (min, max) of the radius of curvature on the grid at each
+        time. The block product sums in another order than
+        ``radius_extrema``; the two differ by rounding, far below 1e-12 of
+        the sizes ``scan`` gives."""
+        _, dev = self._deviation_block(times)
+        return lengths / TWO_PI + np.array([dev.min(axis=0), dev.max(axis=0)])
+
+    def scan(self, times: np.ndarray, lengths: np.ndarray):
+        """(min radius, area) at each time, each with the size its rounding
+        scales with: the mean plus the sum of |terms| of the grid sum, and
+        the circular part plus |E|."""
+        factors, dev = self._deviation_block(times)
+        mean = lengths / TWO_PI
+        rho_min = mean + dev.min(axis=0)
+        e_val = (np.pi / 2.0) * ((self.decay * self.power) @ (factors * factors))
+        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
+            circle = np.pi * mean * mean
+        return rho_min, np.abs(mean) + self._rho_size @ factors, circle + e_val, circle - e_val
 
 
-def e1(spec0: SupportSpectrum, t: float) -> float:
-    """The quadratic propagated-support integral driving the length ODE."""
-    _, e_val = known_scalars(spec0, t)
-    return float(np.pi * spec0.mean**2 * np.exp(2.0 * t) + e_val)
+def propagate(spec: SupportSpectrum, t: float) -> SupportSpectrum:
+    """The deviation of ``spec`` from its circular mean at time t: a
+    zero-mean spectrum with mode n scaled by exp((1 - n^2) t); t = 0 keeps
+    the coefficients."""
+    return _Modes(spec).spectrum(t, 0.0)
 
 
 def known_scalars(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
-    """(D, E) at time t. D vanishes identically; E <= 0 always.
-
-    E(t) equals minus the isoperimetric deficit over 4*pi at the
-    propagated curve, computable from the initial data alone.
-    """
+    """(D, E) at time t: the deviation mean D vanishes identically; E <= 0."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    n = np.arange(1, spec0.truncation + 1, dtype=float)
-    return 0.0, _e_value(1.0 - n**2, spec0.cos_coeffs**2 + spec0.sin_coeffs**2, t)
-
-
-def _e_value(decay: np.ndarray, power: np.ndarray, t):
-    # E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} p_n from decay = 1 - n^2
-    # and the initial mode power p_n, precomputable once per run. For an
-    # array of times, one E per time: a (times x modes) array summed along
-    # each row, pairwise as for a single time, so each value is the same.
-    tt = np.asarray(t, dtype=float)
-    e_val = -(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * tt[..., None]) * power, axis=-1)
-    return float(e_val) if e_val.ndim == 0 else e_val
-
-
-def deviation_sup_norm(dev0: DeviationSpectrum, t: float) -> float:
-    """Sup-norm of the propagated deviation on the validation grid.
-
-    Bounded by e^t * sum(|a_n| + |b_n|) of the initial deviation; in
-    fact each surviving mode decays except the translation mode.
-    """
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    moved = propagate(dev0, t)
-    return float(np.max(np.abs(moved.evaluate(theta_grid(default_validation_grid(dev0.truncation))))))
+    return 0.0, _Modes(spec0).e_value(t)

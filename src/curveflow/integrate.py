@@ -8,13 +8,13 @@ and every powersum of the forms H = alpha L + c or H = alpha L + beta A/L.
 For every other powersum the ODE is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
 quartic dense-output interpolant, and ``rel_tol``/``abs_tol`` govern
-that path only. The right-hand side reads H from (t, L) through mode
-arrays computed once per run. A finished run keeps its recorded states
-as columns: the times, the lengths and, derived from both, the areas.
-Every other per-state quantity is a (times x modes) product of the
-initial spectrum, and the column functions below compute it for all
-states at once; a ``FlowState`` is built only when ``Trajectory.states``
-is indexed.
+that path only. The right-hand side reads H from (t, L) through the
+per-run mode arrays of ``heat._Modes``. A finished run keeps its recorded
+states as columns: the times, the lengths and, derived from both, the
+areas. Every other per-state quantity is a (times x modes) product of the
+initial spectrum, which the column functions below take from the same
+``_Modes`` for all states at once; a ``FlowState`` is built only when
+``Trajectory.states`` is indexed.
 
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish); the analytic maximal existence
@@ -47,24 +47,19 @@ from .flows import (
     FlowState,
     HDomainError,
     NonlocalTerm,
-    _area,
     _h,
     area_along_flow,
     closed_length,
     flow_state,
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
-from .heat import _e_value
+from .heat import _Modes
 from .support import (
     CONVEXITY_EPS,
     TWO_PI,
     ConvexityError,
     GeometricSummary,
     SupportSpectrum,
-    _deficit,
-    _grid_deviation,
-    _inverse_curvature,
-    _radius_table,
     curve_length,
     isoperimetric_deficit,
     isoperimetric_ratio,
@@ -329,84 +324,6 @@ def _dopri_step(f, t, y, h, k1):
         r5=h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7),
     )
     return y5, err, k7, dense
-
-
-class _Modes:
-    """Mode arrays of the initial spectrum, computed once per run.
-
-    Mode n of the deviation carries the factor exp((1 - n^2) t), so every
-    scalar the length solve reads at (t, L) is a short sum over the decay
-    rates 1 - n^2, the coefficients a_n, b_n and their power p_n. The
-    radius of curvature on the validation grid,
-
-        rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
-
-    goes through the shared table of ``support._grid_deviation``, so
-    ``min_radius`` is ``radius_extrema`` of the recorded state, bit for bit.
-    ``scan`` evaluates a block of times with one product against that table.
-    """
-
-    def __init__(self, spec0: SupportSpectrum):
-        n = np.arange(1, spec0.truncation + 1, dtype=float)
-        self.decay = 1.0 - n**2
-        self._a0 = spec0.cos_coeffs
-        self._b0 = spec0.sin_coeffs
-        self._power = self._a0**2 + self._b0**2
-        self._rho_size = np.abs(self.decay) * (np.abs(self._a0) + np.abs(self._b0))
-        self.thetas = _radius_table(spec0.truncation)[0]
-
-    def area(self, t, length):
-        """area_along_flow(spec0, length, t), bit for bit; element by
-        element for arrays of times and lengths."""
-        return _area(length, _e_value(self.decay, self._power, t))
-
-    def inverse_curvature(self, t: float, length: float) -> float:
-        """total_inverse_curvature of flow_state(spec0, t, length), bit for bit."""
-        factors = np.exp(self.decay * t)
-        return _inverse_curvature(length / TWO_PI, self._a0 * factors, self._b0 * factors)
-
-    def deviation(self, t: float) -> np.ndarray:
-        factors = np.exp(self.decay * t)
-        return _grid_deviation(self._a0 * factors, self._b0 * factors)
-
-    def min_radius(self, t: float, length: float) -> float:
-        """radius_extrema(flow_state(spec0, t, L).spectrum)[0], bit for bit."""
-        return length / TWO_PI + float(np.min(self.deviation(t)))
-
-    def argmin_theta(self, t: float) -> float:
-        return float(self.thetas[int(np.argmin(self.deviation(t)))])
-
-    def deficit(self, times: np.ndarray) -> np.ndarray:
-        """isoperimetric_deficit of the state at each time, bit for bit: row
-        i of the (times x modes) factors is heat.mode_factors at times[i]."""
-        factors = np.exp(np.multiply.outer(times, self.decay))
-        return _deficit(self._a0 * factors, self._b0 * factors)
-
-    def _deviation_block(self, times: np.ndarray):
-        # (modes x times) factors and the (grid x times) deviation from the
-        # mean of the radius of curvature: one product for all the times.
-        factors = np.exp(np.multiply.outer(self.decay, times))
-        return factors, _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors)
-
-    def radius_range(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Rows (min, max) of the radius of curvature on the grid at each
-        time. The block product sums in another order than
-        ``radius_extrema``; the two differ by rounding, far below 1e-12 of
-        the sizes ``scan`` gives."""
-        _, dev = self._deviation_block(times)
-        return lengths / TWO_PI + np.array([dev.min(axis=0), dev.max(axis=0)])
-
-    def scan(self, times: np.ndarray, lengths: np.ndarray):
-        """(min radius, area) at each time, each with the size its rounding
-        scales with: the mean plus the sum of |terms| of the grid sum, and
-        the circular part plus |E|."""
-        factors, dev = self._deviation_block(times)
-        mean = lengths / TWO_PI
-        rho_min = mean + dev.min(axis=0)
-        e_val = (np.pi / 2.0) * ((self.decay * self._power) @ (factors * factors))
-        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
-            circle = np.pi * mean * mean
-        return rho_min, np.abs(mean) + self._rho_size @ factors, circle + e_val, circle - e_val
 
 
 # Kinds crossed at the same instant resolve to the first listed.

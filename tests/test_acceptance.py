@@ -13,7 +13,6 @@ import pytest
 import oracles
 from curveflow import (
     Constant,
-    DeviationSpectrum,
     IntegratorControls,
     LinTsai,
     MaCheng,
@@ -21,6 +20,7 @@ from curveflow import (
     PowerSum,
     SupportSpectrum,
     convergence_residual,
+    evaluate_support,
     flow_state,
     gage,
     go1,
@@ -28,7 +28,6 @@ from curveflow import (
     integrate,
     ipr_monotone,
     isoperimetric,
-    kernel_oracle,
     limit_circle,
     propagate,
     radius_extrema,
@@ -66,13 +65,12 @@ def test_c01_kernel_oracle_equivalence():
         n = int(rng.integers(2, 9))
         cos = rng.uniform(-0.1, 0.1, n)
         sin = rng.uniform(-0.1, 0.1, n)
-        dev = DeviationSpectrum(cos_coeffs=cos, sin_coeffs=sin)
-        u0 = lambda x, c=cos, s=sin: oracles.u_series(1.0, c, s, x)  # noqa: E731
+        dev = SupportSpectrum(mean=0.0, cos_coeffs=cos, sin_coeffs=sin)
         for _ in range(32):
             theta = float(rng.uniform(0.0, TWO_PI))
             t = float(rng.uniform(0.05, 3.0))
-            closed = propagate(dev, t).evaluate(theta)
-            quad = kernel_oracle(u0, theta, t)
+            closed = evaluate_support(propagate(dev, t), theta)
+            quad = oracles.gaussian_deviation(1.0, cos, sin, theta, t)
             worst = max(worst, abs(closed - quad))
     elapsed = time.monotonic() - started
     assert worst <= 1e-8, f"worst closed-form vs quadrature gap {worst:.3e}"

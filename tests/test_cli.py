@@ -301,6 +301,21 @@ class TestSweep:
         cfg = parse_config(MINIMAL)
         assert sweep(cfg, "volume:1,2", tmp_path) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_scale_rejected(self, tmp_path, capsys, value):
+        cfg_path = write_config(tmp_path, MINIMAL)
+        argv = ["sweep", "--config", str(cfg_path), "--axis", f"scale:1.0,{value}"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"scale value '{value}'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_scale_overflowing_a_coefficient_rejected(self, tmp_path, capsys):
+        cfg = parse_config("flow = pan-yang\nmean = 100\ncos = 0, 2\n")
+        assert sweep(cfg, "scale:1.0,1e308", tmp_path, tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: cos_coeffs contains non-finite entries\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestMain:
     def test_run_roundtrip(self, tmp_path, capsys):
@@ -389,6 +404,30 @@ class TestRejectedControls:
             assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
             assert field in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_constant_names_flow_line(self, tmp_path, capsys, value):
+        with pytest.raises(ConfigError, match=f"line 2: bad constant in flow term 'const:{value}'"):
+            parse_config(f"mean = 1.0\nflow = const:{value}\n")
+        cfg_path = write_config(tmp_path, f"flow = const:{value}\nmean = 1.0\ncos = 0.0, 0.2\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: line 1: bad constant in flow term 'const:{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("n,a,b\n0,1.0,0\n2,0.2,0.0\n2,0.05,0.0\n", "coeffs_file line 4: mode index 2 repeats line 3"),
+            ("n,a,b\n", "coeffs_file: no coefficient rows n,a_n,b_n after line 1"),
+            ("", "coeffs_file: no coefficient rows n,a_n,b_n after line 1"),
+        ],
+    )
+    def test_repeated_mode_or_no_coeffs_rows(self, tmp_path, capsys, rows, message):
+        (tmp_path / "coeffs.csv").write_text(rows)
+        cfg_path = write_config(tmp_path, "flow = pan-yang\ncoeffs_file = coeffs.csv\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_integral_float_accepted(self):
         assert parse_config(MINIMAL + "frame_count = 4.0\n").frame_count == 4

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,7 @@ from curveflow import (
     length_rate,
     parse_flow_term,
     propagate,
-    deviation_of,
     total_inverse_curvature,
-    with_mean,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -64,6 +64,13 @@ class TestParseFlowTerm:
     def test_bad_constant(self):
         with pytest.raises(ValueError):
             parse_flow_term("const:abc")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_constant_rejected(self, value):
+        with pytest.raises(ValueError, match="constant must be finite"):
+            Constant(c=value)
+        with pytest.raises(ValueError, match="bad constant"):
+            parse_flow_term(f"const:{value}")
 
     def test_bad_powersum_arity(self):
         with pytest.raises(ValueError, match="coeff,p,q"):
@@ -186,7 +193,7 @@ class TestAreaAlongFlow:
     )
     def test_matches_enclosed_area_of_propagated_spectrum(self, coeffs, length, t):
         spec0 = SupportSpectrum(mean=1.0, cos_coeffs=coeffs, sin_coeffs=coeffs)
-        moved = with_mean(propagate(deviation_of(spec0), t), length / TWO_PI)
+        moved = replace(propagate(spec0, t), mean=length / TWO_PI)
         assert area_along_flow(spec0, length, t) == pytest.approx(
             enclosed_area(moved), abs=1e-10
         )
@@ -259,7 +266,7 @@ class TestFlowState:
             mean=1.3, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0]
         )
         length = 7.1
-        want = with_mean(propagate(deviation_of(spec0), t), length / TWO_PI)
+        want = replace(propagate(spec0, t), mean=length / TWO_PI)
         got = flow_state(spec0, t, length).spectrum
         assert got.mean == want.mean
         assert np.array_equal(got.cos_coeffs, want.cos_coeffs)

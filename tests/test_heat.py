@@ -1,23 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from curveflow import (
-    DeviationSpectrum,
     SupportSpectrum,
-    deviation_of,
-    deviation_sup_norm,
-    e1,
     enclosed_area,
-    kernel_oracle,
+    evaluate_support,
     known_scalars,
-    mode_factors,
     propagate,
     support_derivative,
     theta_grid,
-    with_mean,
 )
+from curveflow.support import default_validation_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,7 +23,18 @@ def dev(cos=(), sin=(), n=2):
     n = max(n, len(cos), len(sin))
     cos = list(cos) + [0.0] * (n - len(cos))
     sin = list(sin) + [0.0] * (n - len(sin))
-    return DeviationSpectrum(cos_coeffs=cos, sin_coeffs=sin)
+    return SupportSpectrum(mean=0.0, cos_coeffs=cos, sin_coeffs=sin)
+
+
+def e1(spec0, t):
+    # The quadratic propagated-support integral driving the length ODE.
+    return np.pi * spec0.mean**2 * np.exp(2.0 * t) + known_scalars(spec0, t)[1]
+
+
+def deviation_sup_norm(d, t):
+    # Sup-norm of the propagated deviation on the validation grid.
+    grid = theta_grid(default_validation_grid(d.truncation))
+    return float(np.max(np.abs(evaluate_support(propagate(d, t), grid))))
 
 
 ELLIPSEISH = SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.2], sin_coeffs=[0.0, 0.0])
@@ -50,7 +58,7 @@ class TestPropagate:
             propagate(dev(cos=[0.0, 0.1]), -0.1)
 
     def test_factors(self):
-        f = mode_factors(3, 0.25)
+        f = propagate(dev(cos=[1.0, 1.0, 1.0]), 0.25).cos_coeffs
         assert f == pytest.approx([1.0, np.exp(-0.75), np.exp(-2.0)], abs=1e-16)
 
     @settings(max_examples=40, deadline=None)
@@ -70,50 +78,36 @@ class TestPropagate:
     @given(st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=6), st.floats(0.0, 3.0))
     def test_zero_mean_preserved(self, coeffs, t):
         moved = propagate(dev(cos=coeffs, sin=coeffs), t)
-        grid_integral = np.mean(moved.evaluate(theta_grid(512))) * TWO_PI
+        grid_integral = np.mean(evaluate_support(moved, theta_grid(512))) * TWO_PI
         assert abs(grid_integral) <= 1e-10
 
 
 class TestKernelOracle:
+    """The Gaussian-convolution oracle of tests/oracles.py."""
+
     def test_circle_is_zero(self):
         for theta, t in ((0.0, 0.1), (1.0, 0.5), (4.0, 2.0)):
-            assert abs(kernel_oracle(np.ones(64), theta, t)) <= 1e-12
+            assert abs(oracles.gaussian_deviation(1.0, [0.0, 0.0], [0.0, 0.0], theta, t)) <= 1e-12
 
     def test_mode_two_value(self):
-        got = kernel_oracle(lambda x: 1.0 + 0.2 * np.cos(2 * x), 0.0, 0.5)
+        got = oracles.gaussian_deviation(1.0, [0.0, 0.2], [0.0, 0.0], 0.0, 0.5)
         assert got == pytest.approx(0.0446260, abs=1e-7)
         assert got == pytest.approx(0.2 * np.exp(-1.5), abs=1e-10)
 
     def test_mode_one_invariance(self):
-        got = kernel_oracle(lambda x: 1.0 + 0.3 * np.cos(x), 0.0, 2.0)
+        got = oracles.gaussian_deviation(1.0, [0.3], [0.0], 0.0, 2.0)
         assert got == pytest.approx(0.3, abs=1e-9)
-
-    def test_samples_path_matches_callable(self):
-        th = theta_grid(256)
-        samples = 1.0 + 0.2 * np.cos(2 * th) - 0.05 * np.sin(3 * th)
-        fn = lambda x: 1.0 + 0.2 * np.cos(2 * x) - 0.05 * np.sin(3 * x)  # noqa: E731
-        a = kernel_oracle(samples, 0.4, 0.3)
-        b = kernel_oracle(fn, 0.4, 0.3)
-        assert a == pytest.approx(b, abs=1e-10)
-
-    def test_nonpositive_time_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_oracle(np.ones(64), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            kernel_oracle(np.ones(64), 0.0, -1.0)
 
     def test_agrees_with_mode_decay(self):
         rng = np.random.default_rng(7)
         for _ in range(4):
             mean, cos, sin = oracles.random_spectrum_coeffs(rng, max_modes=8, scale=0.1)
-            d = DeviationSpectrum(cos_coeffs=cos, sin_coeffs=sin)
+            spec0 = SupportSpectrum(mean=mean, cos_coeffs=cos, sin_coeffs=sin)
             for _ in range(4):
                 theta = rng.uniform(0.0, TWO_PI)
                 t = rng.uniform(0.05, 3.0)
-                closed = propagate(d, t).evaluate(theta)
-                quad = kernel_oracle(
-                    lambda x: oracles.u_series(mean, cos, sin, x), theta, t
-                )
+                closed = evaluate_support(propagate(spec0, t), theta)
+                quad = oracles.gaussian_deviation(mean, cos, sin, theta, t)
                 assert abs(closed - quad) <= 1e-8
 
 
@@ -144,7 +138,7 @@ class TestKnownScalars:
         assert e_val <= 0.0
         # -4*pi*E equals L^2 - 4*pi*A for the propagated curve at any length
         length = 5.0
-        moved = with_mean(propagate(deviation_of(spec0), t), length / TWO_PI)
+        moved = replace(propagate(spec0, t), mean=length / TWO_PI)
         ipd = length**2 - 4.0 * np.pi * enclosed_area(moved)
         assert -4.0 * np.pi * e_val == pytest.approx(ipd, abs=1e-9)
 
@@ -164,7 +158,7 @@ class TestE1:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            e1(ELLIPSEISH, -0.5)
+            known_scalars(ELLIPSEISH, -0.5)
 
     def test_matches_double_integral_quadrature(self):
         rng = np.random.default_rng(3)
@@ -206,20 +200,7 @@ class TestDeviationSupNorm:
                 np.sum(n**order * (np.abs(d.cos_coeffs) + np.abs(d.sin_coeffs)))
             )
             for t in (0.0, 0.3, 1.0, 4.0):
-                moved = with_mean(propagate(d, t), 0.0)
+                moved = propagate(d, t)
                 sup = float(np.max(np.abs(support_derivative(moved, th, order=order))))
                 assert sup <= bound0 * (1.0 + 1e-12)
 
-
-class TestConversions:
-    def test_deviation_roundtrip(self):
-        d = deviation_of(ELLIPSEISH)
-        assert np.array_equal(d.cos_coeffs, ELLIPSEISH.cos_coeffs)
-        back = with_mean(d, 1.0)
-        assert back == ELLIPSEISH
-
-    def test_deviation_evaluate(self):
-        d = deviation_of(ELLIPSEISH)
-        assert d.evaluate(0.0) == pytest.approx(0.2, abs=1e-15)
-        th = theta_grid(64)
-        assert np.allclose(d.evaluate(th), 0.2 * np.cos(2 * th), atol=1e-15)

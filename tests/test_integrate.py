@@ -382,9 +382,9 @@ class TestRescaledSupport:
     def test_blowup_run_rounds_out(self):
         traj = integrate(ELLIPSEISH, Constant(c=-1.0), IntegratorControls(t_max=6.0))
         scaled = rescaled_support(traj.states[-1])
-        from curveflow import deviation_of, theta_grid
+        from curveflow import evaluate_support, propagate, theta_grid
 
-        sup = np.max(np.abs(deviation_of(scaled).evaluate(theta_grid(512))))
+        sup = np.max(np.abs(evaluate_support(propagate(scaled, 0.0), theta_grid(512))))
         assert sup <= 1e-6
         assert scaled.mean == pytest.approx(1.0, rel=1e-12)
 
@@ -566,7 +566,8 @@ class TestEventLocation:
         assert len(traj.states) == 1
 
     def test_tie_inside_a_bracket_goes_by_priority(self):
-        from curveflow.integrate import EVENT_TIME_TOL, _locate, _Modes
+        from curveflow.heat import _Modes
+        from curveflow.integrate import EVENT_TIME_TOL, _locate
 
         def crossed(t, length):
             # Listed lowest priority first: the order of the list must not matter.
@@ -578,7 +579,8 @@ class TestEventLocation:
         assert t_before < 0.3 <= event.t <= t_before + EVENT_TIME_TOL
 
     def test_nothing_crossed(self):
-        from curveflow.integrate import _locate, _Modes
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _locate
 
         never = lambda t, length: []  # noqa: E731
         assert _locate(_Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0]) is None
@@ -592,7 +594,7 @@ class TestEventLocation:
     @settings(max_examples=60, deadline=None)
     def test_event_min_radius_is_state_min_radius(self, n, seed, t, length):
         from curveflow import radius_extrema
-        from curveflow.integrate import _Modes
+        from curveflow.heat import _Modes
 
         rng = np.random.default_rng(seed)
         scale = rng.uniform(0.01, 1.0) / np.arange(1, n + 1) ** 2
@@ -875,7 +877,8 @@ class TestColumns:
     @settings(max_examples=40, deadline=None)
     def test_columns_match_the_states(self, seed, n, term):
         from curveflow import evaluate_h, ipd_decay_ratio, isoperimetric_deficit
-        from curveflow.integrate import _Modes, h_column, ipd_column, ipr_column, record_rows
+        from curveflow.heat import _Modes
+        from curveflow.integrate import h_column, ipd_column, ipr_column, record_rows
 
         spec0 = _random_convex(np.random.default_rng(seed), n)
         traj = integrate(spec0, term, IntegratorControls(t_max=2.0, sample_interval=0.03))

@@ -1,10 +1,12 @@
+import importlib
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def artifact_diff(dir_a, dir_b):
@@ -61,3 +63,15 @@ class TestTrajectoryDigest:
         assert set(states[0]) == {"t", "L", "A"} and states[0]["t"] == 0.0
         assert last["event"]["kind"] == "singularity"
         assert last["event"]["t"] >= states[-1]["t"]
+
+
+class TestPerfbenchPatches:
+    def test_every_patched_name_resolves(self, monkeypatch):
+        # The benchmark's tracer wraps these names; each must still exist
+        # where it looks for it, or a traced benchmark run fails.
+        monkeypatch.syspath_prepend(str(ROOT))
+        patches = importlib.import_module("perfbench.spans").PATCHES
+        assert patches
+        for module_name, name, _ in patches:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

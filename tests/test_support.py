@@ -131,7 +131,7 @@ class TestValidateConvexity:
         assert hi == pytest.approx(1.6, abs=1e-14)
 
     def test_one_read_only_table_per_truncation(self):
-        from curveflow.integrate import _Modes
+        from curveflow.heat import _Modes
         from curveflow.support import _radius_table
 
         n = 7
