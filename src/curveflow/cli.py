@@ -4,7 +4,7 @@ Config files are flat ``key = value`` text; ``#`` starts a comment.
 Exactly one initial-curve source must be given:
 
     mean = 1.0            inline coefficient record (with cos = .., sin = ..)
-    coeffs_file = f.csv   rows n,a_n,b_n (row n = 0 carries the mean)
+    coeffs_file = f.csv   rows n,a_n,b_n (row n = 0 carries the mean, b_0 = 0)
     samples_file = f.csv  one support value per line on a uniform grid
     polygon_file = f.csv  rows x,y of convex counterclockwise vertices
 
@@ -12,11 +12,14 @@ plus ``flow = pan-yang | lin-tsai | ma-cheng | const:<c> |
 powersum:<c,p,q>[;<c,p,q>...]``, optional integrator-control overrides
 (rel_tol, abs_tol, t_max, length_blowup, length_vanish, area_vanish,
 singularity_eps, sample_interval), output paths (timeseries, frames,
-reports, svg) and frame_count.
+reports, svg), frame_count and truncation: the projection truncation of
+a samples or polygon file (default 64), and for cos/sin or a coeffs_file
+a bound that their mode count may not exceed.
 
 Subcommands:
-  run    integrate, classify, write timeseries CSV / frames JSONL /
+  run    integrate until an event, write timeseries CSV / frames JSONL /
          optional SVG frames / inequality reports CSV, print the verdict
+         (the outcome the event implies)
   sweep  one run per axis value, run serially, summary CSV
   check  inequality suite on the initial curve only
 """
@@ -74,7 +77,7 @@ class InitialCurve:
     cos: tuple[float, ...] = ()
     sin: tuple[float, ...] = ()
     path: str | None = None
-    truncation: int = 64
+    truncation: int | None = None  # None: unset, DEFAULT_TRUNCATION for samples/polygon files
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,7 @@ class RunConfig:
 _CONTROL_KEYS = tuple(f.name for f in fields(IntegratorControls))
 _PATH_KEYS = ("timeseries", "frames", "reports", "svg")
 _SOURCE_KEYS = ("coeffs_file", "samples_file", "polygon_file")
+DEFAULT_TRUNCATION = 64
 
 
 def _parse_float(value: str, key: str, lineno: int) -> float:
@@ -115,7 +119,7 @@ def _parse_float_list(value: str, key: str, lineno: int) -> tuple[float, ...]:
     return tuple(_parse_float(part.strip(), key, lineno) for part in body.split(","))
 
 
-def _parse_count(raw: dict, key: str, default: int, maximum: float = np.inf) -> int:
+def _parse_count(raw: dict, key: str, default: int | None, maximum: float = np.inf) -> int | None:
     if key not in raw:
         return default
     value, lineno = raw[key]
@@ -162,7 +166,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"line {flow_line}: {exc}") from None
 
-    truncation = _parse_count(raw, "truncation", 64, MAX_TRUNCATION)
+    truncation = _parse_count(raw, "truncation", None, MAX_TRUNCATION)
     sources = [k for k in _SOURCE_KEYS if k in raw]
     inline = "mean" in raw
     if inline + len(sources) != 1:
@@ -182,6 +186,11 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"line {raw[key][1]}: {key} holds more than {MAX_TRUNCATION} coefficients"
                 )
+        count = max(len(cos), len(sin))
+        if truncation is not None and truncation < count:
+            raise ConfigError(
+                f"line {raw['truncation'][1]}: truncation = {truncation} is below the {count} modes of cos/sin"
+            )
         initial = InitialCurve(
             kind="coeffs",
             mean=_parse_float(mean_text, "mean", mean_line),
@@ -231,7 +240,8 @@ def emit_config(config: RunConfig) -> str:
         lines.append("sin = " + ", ".join(repr(v) for v in ini.sin))
     else:
         lines.append(f"{ini.kind.replace('-file', '_file')} = {ini.path}")
-    lines.append(f"truncation = {ini.truncation}")
+    if ini.truncation is not None:
+        lines.append(f"truncation = {ini.truncation}")
     for key in _CONTROL_KEYS:
         lines.append(f"{key} = {getattr(config.controls, key)!r}")
     out = config.outputs
@@ -281,23 +291,32 @@ def load_initial(initial: InitialCurve, base_dir: Path) -> SupportSpectrum:
                     f"in 0..{MAX_TRUNCATION}"
                 )
             n = int(n_val)
+            if n == 0 and b_val != 0.0:
+                raise ConfigError(
+                    f"coeffs_file line {lineno}: row 0 carries the mean, so its b must be 0, got {b_val!r}"
+                )
             if n in modes:
                 raise ConfigError(f"coeffs_file line {lineno}: mode index {n} repeats line {modes[n][0]}")
             modes[n] = (lineno, a_val, b_val)
         if not modes:
             raise ConfigError("coeffs_file: no coefficient rows n,a_n,b_n after line 1")
+        top = max(modes)
+        if initial.truncation is not None and top > initial.truncation:
+            raise ConfigError(
+                f"coeffs_file line {modes[top][0]}: mode index {top} exceeds truncation = {initial.truncation}"
+            )
         mean = modes.pop(0, (0, 0.0, 0.0))[1]
-        cos = [0.0] * max(max(modes, default=0), 2)
+        cos = [0.0] * max(top, 2)
         sin = list(cos)
         for n, (_, a_val, b_val) in modes.items():
             cos[n - 1], sin[n - 1] = a_val, b_val
         return spectrum_from_dict({"mean": mean, "cos": cos, "sin": sin})
     if initial.kind == "samples-file":
         values = [row[0] for row in _read_rows(path, 1, "samples_file").values()]
-        return project_from_samples(values, initial.truncation)
+        return project_from_samples(values, initial.truncation or DEFAULT_TRUNCATION)
     if initial.kind == "polygon-file":
         vertices = list(_read_rows(path, 2, "polygon_file").values())
-        return spectrum_from_polygon(vertices, initial.truncation)
+        return spectrum_from_polygon(vertices, initial.truncation or DEFAULT_TRUNCATION)
     raise ConfigError(f"unknown initial kind {initial.kind!r}")
 
 

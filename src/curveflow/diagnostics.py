@@ -39,6 +39,8 @@ from .support import (
 INEQ_TOL = 1e-9
 EQUALITY_MODE_TOL = 1e-10
 IPR_MONOTONE_SLACK = 1e-10
+# Points of the grid on which convergence_residual takes its sup-norm.
+RESIDUAL_GRID = 1024
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,10 @@ def ipr_monotone(traj: Trajectory, term: NonlocalTerm) -> bool:
     return bool(np.all(iprs[1:] <= iprs[:-1] + IPR_MONOTONE_SLACK))
 
 
-def convergence_residual(state: FlowState, spec0: SupportSpectrum, grid_size: int = 1024) -> float:
+def convergence_residual(state: FlowState, spec0: SupportSpectrum) -> float:
     """Grid sup-norm of (deviation at t) minus the limit harmonic
     a_1 cos(theta) + b_1 sin(theta) of the initial curve."""
-    thetas = theta_grid(grid_size)
+    thetas = theta_grid(RESIDUAL_GRID)
     a1, b1 = limit_circle(spec0)
     dev = evaluate_support(replace(state.spectrum, mean=0.0), thetas)
     limit = a1 * np.cos(thetas) + b1 * np.sin(thetas)

@@ -19,16 +19,17 @@ initial spectrum, which the column functions below take from the same
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish); the analytic maximal existence
 time is replaced by the first crossing of the configured thresholds,
-with the thresholds recorded in the controls. Check times are the
-sample times plus t_max on the closed path, and the sample times inside
-each step plus the step's end on the ODE path. One locator serves both
-paths, t = 0 and ``detect_singularity``: a block pre-scan evaluates the
-check times SCAN_CHUNK at a time (one (grid x N)(N x chunk) product for
-the curvature minimum), the scalar test confirms the bracket around the
+with the thresholds recorded in the controls. One recorder takes L(t)
+as steps: the closed form is the one step (0, t_max), the ODE solve the
+point t = 0 and then its accepted steps. A step's check times are the
+sample times inside it and its end. One locator serves every step and
+``detect_singularity``: a block pre-scan evaluates the check times
+SCAN_CHUNK at a time (one (grid x N)(N x chunk) product for the
+curvature minimum), the scalar test confirms the bracket around the
 first flagged one, and one bisection, to 1e-10 in time, finds the
 earliest crossing of any threshold, with ties broken
-singularity > area vanish > length vanish > length blow-up. Outcomes
-classify how a finished trajectory behaved: convergence to a circle
+singularity > area vanish > length vanish > length blow-up. A
+trajectory derives its outcome from its event: convergence to a circle
 (with its limit center), a curvature singularity, or one of the
 degenerate length/area scenarios.
 """
@@ -36,14 +37,13 @@ degenerate length/area scenarios.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
 
 from .flows import (
-    ClosedLength,
     FlowState,
     HDomainError,
     NonlocalTerm,
@@ -172,7 +172,8 @@ Outcome = Union[
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """The recorded states of one run, as columns, with its event and outcome.
+    """The recorded states of one run, as columns, with its event and the
+    outcome that event and the last length imply.
 
     ``t`` and ``L`` hold the time and length of each recorded state. ``A``
     is derived from them: the closed-form area, computed SCAN_CHUNK states
@@ -186,10 +187,12 @@ class Trajectory:
     t: np.ndarray
     L: np.ndarray
     event: TerminationEvent
-    outcome: Outcome
+    outcome: Outcome = field(init=False)
     A: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.event.kind not in _BY_EVENT:
+            raise ValueError(f"unknown event kind {self.event.kind!r}")
         t, length = np.array(self.t, dtype=float), np.array(self.L, dtype=float)
         if t.ndim != 1 or t.shape != length.shape:
             raise ValueError("t and L must be one-dimensional and of equal length")
@@ -215,6 +218,7 @@ class Trajectory:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_modes", modes)  # for the column functions
+        object.__setattr__(self, "outcome", _classify(self.spec0, float(length[-1]), self.event))
 
     @property
     def states(self) -> "_States":
@@ -400,7 +404,7 @@ def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> 
     evaluated SCAN_CHUNK times at a time; None when there is none."""
     for lo in range(start, len(times), SCAN_CHUNK):
         chunk = times[lo : lo + SCAN_CHUNK]
-        hits = np.flatnonzero(flags(chunk, np.broadcast_to(path(chunk), chunk.shape)))
+        hits = np.flatnonzero(flags(chunk, path(chunk)))
         if hits.size:
             return lo + int(hits[0])
     return None
@@ -479,8 +483,6 @@ _BY_OUTCOME = {row[1]: row for row in _OUTCOMES}
 
 
 def _classify(spec0: SupportSpectrum, final_length: float, event: TerminationEvent) -> Outcome:
-    if event.kind not in _BY_EVENT:
-        raise ValueError(f"unknown event kind {event.kind!r}")
     _, cls, _, _, diagnostic = _BY_EVENT[event.kind]
     values = {
         "center": limit_circle(spec0),
@@ -493,11 +495,6 @@ def _classify(spec0: SupportSpectrum, final_length: float, event: TerminationEve
     return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
-def classify(traj: Trajectory) -> Outcome:
-    """Recompute the outcome of a finished trajectory from its event."""
-    return _classify(traj.spec0, float(traj.L[-1]), traj.event)
-
-
 def integrate(
     spec0: SupportSpectrum,
     term: NonlocalTerm,
@@ -508,8 +505,9 @@ def integrate(
     The initial spectrum must pass convexity validation. Sampled states
     land on multiples of ``sample_interval`` plus the final event time.
     L(t) comes from ``flows.closed_length`` where the length ODE is
-    linear, and from the DOPRI5 solve otherwise. The run records (t, L)
-    pairs only and builds no FlowState; see ``Trajectory``.
+    linear, as the one step (0, t_max), and from the DOPRI5 steps
+    otherwise. The run records (t, L) pairs only and builds no
+    FlowState; see ``Trajectory``.
     """
     if controls is None:
         controls = IntegratorControls()
@@ -520,7 +518,7 @@ def integrate(
         )
     problem = _Problem(spec0, term, controls)
     law = closed_length(spec0, term)
-    return _ode_trajectory(problem) if law is None else _closed_trajectory(problem, law)
+    return _record(problem, _dopri_steps(problem) if law is None else iter([(0.0, controls.t_max, law)]))
 
 
 def _sample_times(controls: IntegratorControls) -> np.ndarray:
@@ -531,115 +529,95 @@ def _sample_times(controls: IntegratorControls) -> np.ndarray:
     return np.append(grid[grid <= controls.t_max - 1e-12], controls.t_max)
 
 
-def _finish(spec0: SupportSpectrum, times: list, lengths: list, event: TerminationEvent) -> Trajectory:
-    """The trajectory of the recorded (t, L) pairs, which both paths end in.
+def _record(problem: _Problem, steps: Iterator) -> Trajectory:
+    """States and event along L(t), given as steps (t0, t1, path): path(t)
+    is L on [t0, t1] at a time or an array of times, until the next step
+    is drawn. ``steps`` may return an event that ends the run.
 
-    Past L ~ 1e155 the area overflows, where the ODE path's H overflows
-    too: the run then ends as an H domain exit at the last state whose
-    area is finite."""
+    A step's check times are the sample times (t = 0, then
+    ``_sample_times``) not yet passed below t1 - 1e-12, then t1, which is
+    recorded when within 1e-12 of the next sample time. At a crossing the
+    run keeps the states up to its lower end, then that end. Past
+    L ~ 1e155 the area overflows, where the ODE path's H overflows too:
+    the run then ends as an H domain exit at the last state whose area
+    is finite."""
+    controls = problem.controls
+    grid = np.concatenate(([0.0], _sample_times(controls)))
+    times, lengths, k = [], [], 0
+    while True:
+        try:
+            t0, t1, path = next(steps)
+        except StopIteration as stop:
+            event = stop.value or TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max)
+            break
+        j = k + int(np.searchsorted(grid[k:], t1 - 1e-12, side="right"))
+        check = np.append(grid[k:j], t1)
+        on_grid = j < len(grid) and abs(grid[j] - t1) <= 1e-12
+        kept, k = (check, j + 1) if on_grid else (check[:-1], j)
+        found = problem.locate(path, t0, check)
+        t_stop = t1 if found is None else found[0]
+        kept = kept[kept <= t_stop]
+        if kept.size:
+            times += kept.tolist()
+            lengths += _by_chunk(path, kept).tolist()
+        if found is not None:
+            if t_stop > times[-1] + 1e-12:
+                times.append(t_stop)
+                lengths.append(path(t_stop))
+            event = found[1]
+            break
     try:
-        return Trajectory(spec0, times, lengths, event, _classify(spec0, lengths[-1], event))
+        return Trajectory(problem.spec0, times, lengths, event)
     except _NonFiniteState as exc:
         if exc.index == 0:
             raise
         times, lengths = times[: exc.index], lengths[: exc.index]
-    event = TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=times[-1])
-    return Trajectory(spec0, times, lengths, event, _classify(spec0, lengths[-1], event))
+    return Trajectory(problem.spec0, times, lengths, TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=times[-1]))
 
 
-def _closed_trajectory(problem: _Problem, law: ClosedLength) -> Trajectory:
-    """States and event along the closed-form length; the check times are
-    t = 0 and the sample times."""
-    t_max = problem.controls.t_max
-    times = np.concatenate(([0.0], _sample_times(problem.controls)))
-    found = problem.locate(law, 0.0, times)
-    t_stop = t_max if found is None else found[0]
-    kept = times[times <= t_stop].tolist()
-    lengths = _by_chunk(law, np.array(kept)).tolist()
-    if found is not None and t_stop > kept[-1] + 1e-12:
-        kept.append(t_stop)
-        lengths.append(law(t_stop))
-    event = TerminationEvent(kind=EVENT_HORIZON, t=t_max) if found is None else found[1]
-    return _finish(problem.spec0, kept, lengths, event)
-
-
-def _ode_trajectory(problem: _Problem) -> Trajectory:
-    """States and event along the DOPRI5 solution of the length ODE; the
-    check times are the sample times inside each step and its end."""
-    spec0, controls = problem.spec0, problem.controls
+def _dopri_steps(problem: _Problem) -> Iterator:
+    """The accepted DOPRI5 steps of the length ODE, as (t0, t1, path) for
+    ``_record``. The first is the point t = 0 itself, so that t = 0 is
+    checked before the first RHS call. Returns the domain-exit or
+    step-collapse event when the step size collapses before t_max."""
+    controls = problem.controls
     t = 0.0
-    length = curve_length(spec0)
-    times, lengths = [t], [length]
-    found = problem.locate(lambda tau: length, t, np.array([t]))
-    if found is not None:
-        return _finish(spec0, times, lengths, found[1])
-
-    grid = _sample_times(controls).tolist()
+    length = curve_length(problem.spec0)
+    yield t, t, lambda tau: length + 0.0 * tau  # L(0) at a time or an array of times
     k1 = problem.rhs(t, length)
     h = min(1e-3, controls.t_max)
-    sample_idx = 0
-
     while t < controls.t_max - 1e-13:
         h = min(h, MAX_STEP, controls.t_max - t)
-        domain_fail = False
         try:
             y5, err, k7, dense = _dopri_step(problem.rhs, t, length, h, k1)
         except HDomainError:
-            domain_fail = True
-            y5 = err = k7 = dense = None
-        if domain_fail or not np.isfinite(y5):
+            y5 = None
+        if y5 is None or not np.isfinite(y5):
             h *= 0.25
             if h < MIN_STEP:
-                kind = EVENT_H_DOMAIN_EXIT if domain_fail else EVENT_STEP_COLLAPSE
-                return _finish(spec0, times, lengths, TerminationEvent(kind=kind, t=t))
+                return TerminationEvent(kind=EVENT_H_DOMAIN_EXIT if y5 is None else EVENT_STEP_COLLAPSE, t=t)
             continue
         scale = controls.abs_tol + controls.rel_tol * max(abs(length), abs(y5))
         err_norm = abs(err) / scale
         if not err_norm <= 1.0:  # rejects NaN estimates too
             h = max(h * max(0.2, 0.9 * err_norm**-0.2), MIN_STEP * 0.5)
             if h < MIN_STEP:
-                return _finish(spec0, times, lengths, TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t))
+                return TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t)
             continue
 
-        t1 = t + h
-        if controls.t_max - t1 < 1e-13:
-            t1 = controls.t_max
-
-        # Check points: sample times inside the step, then the endpoint,
-        # which is recorded when it sits on the next sample time (t_max does).
-        samples = []
-        while grid[sample_idx] <= t1 - 1e-12:
-            samples.append(grid[sample_idx])
-            sample_idx += 1
-        check_points = samples + [t1]
-        if abs(grid[sample_idx] - t1) <= 1e-12:
-            samples.append(t1)
-            sample_idx += 1
+        t1 = controls.t_max if controls.t_max - (t + h) < 1e-13 else t + h
 
         def path(tau):
             if isinstance(tau, np.ndarray):
                 return np.where(tau == t1, y5, dense(tau))
             return y5 if tau == t1 else dense(tau)
 
-        found = problem.locate(path, t, np.array(check_points))
-        t_stop = t1 if found is None else found[0]
-        for s in samples:
-            if s <= t_stop:
-                times.append(s)
-                lengths.append(path(s))
-        if found is not None:
-            if t_stop > times[-1] + 1e-12:
-                times.append(t_stop)
-                lengths.append(dense(t_stop))
-            return _finish(spec0, times, lengths, found[1])
-
+        yield t, t1, path
         t, length, k1 = t1, y5, k7
         if err_norm == 0.0:
             h *= 5.0
         else:
             h *= min(5.0, max(0.2, 0.9 * err_norm**-0.2))
-
-    return _finish(spec0, times, lengths, TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max))
 
 
 def detect_singularity(

@@ -26,10 +26,14 @@ TWO_PI = 2.0 * np.pi
 # Strict positivity threshold for min(u'' + u) on the validation grid.
 CONVEXITY_EPS = 1e-9
 # Largest truncation N; bounds every per-N array, the validation tables
-# included. Polygon sources reach at most 511 on their 1024-point grid.
+# included. Polygon sources reach at most 511 on their POLYGON_GRID.
 MAX_TRUNCATION = 512
 # Points per frame: curve_position's default uniform grid.
 FRAME_GRID = 256
+# Points of the trapezoid rule in sq_curvature_integral.
+SQ_CURVATURE_GRID = 2048
+# Points at which spectrum_from_polygon samples a polygon's support function.
+POLYGON_GRID = 1024
 
 
 class ConvexityError(ValueError):
@@ -284,14 +288,14 @@ def limit_circle(spec0: SupportSpectrum) -> tuple[float, float]:
     return float(spec0.cos_coeffs[0]), float(spec0.sin_coeffs[0])
 
 
-def sq_curvature_integral(spec: SupportSpectrum, grid_size: int = 2048) -> float:
+def sq_curvature_integral(spec: SupportSpectrum) -> float:
     """integral k^2 ds = integral dtheta / (u'' + u), by trapezoid quadrature.
 
     No closed form exists; the uniform-grid trapezoid rule converges
     spectrally for the smooth positive integrand. Rejects non-convex input.
     """
     require_convex(spec)
-    rho = radius_of_curvature(spec, theta_grid(grid_size))
+    rho = radius_of_curvature(spec, theta_grid(SQ_CURVATURE_GRID))
     return float(np.mean(1.0 / rho) * TWO_PI)
 
 
@@ -351,14 +355,7 @@ def project_from_samples(u_values, truncation: int) -> SupportSpectrum:
     return SupportSpectrum(mean=mean, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
 
 
-def polygon_support_samples(vertices, grid_size: int) -> np.ndarray:
-    """h(theta_j) = max_i <v_i, (cos theta_j, sin theta_j)> on the uniform grid."""
-    verts = np.asarray(vertices, dtype=float)
-    th = theta_grid(grid_size)
-    return np.max(verts @ np.vstack([np.cos(th), np.sin(th)]), axis=0)
-
-
-def spectrum_from_polygon(vertices, truncation: int = 16, grid_size: int = 1024) -> SupportSpectrum:
+def spectrum_from_polygon(vertices, truncation: int = 16) -> SupportSpectrum:
     """Project the support function of a convex polygon onto a spectrum.
 
     The truncation of a polygon's (non-smooth) support function is
@@ -380,7 +377,9 @@ def spectrum_from_polygon(vertices, truncation: int = 16, grid_size: int = 1024)
                 "vertices are not in strictly convex counterclockwise position: "
                 f"triple ({tuple(a)}, {tuple(b)}, {tuple(c)}) has cross product {cross:.3e}"
             )
-    return project_from_samples(polygon_support_samples(verts, grid_size), truncation)
+    # h(theta_j) = max_i <v_i, (cos theta_j, sin theta_j)> on the uniform grid.
+    th = theta_grid(POLYGON_GRID)
+    return project_from_samples(np.max(verts @ np.vstack([np.cos(th), np.sin(th)]), axis=0), truncation)
 
 
 def spectrum_to_dict(spec: SupportSpectrum) -> dict:

@@ -136,6 +136,13 @@ class TestEmitRoundTrip:
         )
         assert parse_config(emit_config(cfg)) == cfg
 
+    def test_roundtrip_unset_truncation(self):
+        # An unset truncation stays unset, so cos/sin may hold more than 64 values.
+        cfg = parse_config("flow = pan-yang\nmean = 1.0\ncos = " + ", ".join(["0.0"] * 70) + "\n")
+        assert cfg.initial.truncation is None
+        assert "truncation" not in emit_config(cfg)
+        assert parse_config(emit_config(cfg)) == cfg
+
 
 class TestLoadInitial:
     def test_coeffs_inline(self):
@@ -428,6 +435,39 @@ class TestRejectedControls:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_nonzero_b_at_mode_zero_rejected(self, tmp_path, capsys):
+        (tmp_path / "coeffs.csv").write_text("0,1.0,0.5\n2,0.1,0\n")
+        cfg_path = write_config(tmp_path, "flow = pan-yang\ncoeffs_file = coeffs.csv\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: coeffs_file line 1: row 0 carries the mean, so its b must be 0, got 0.5\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("mean = 1.0\ncos = 0.0, 0.2, 0.01\n", "line 2: truncation = 2 is below the 3 modes of cos/sin"),
+            ("mean = 1.0\nsin = 0.0, 0.2, 0.01\n", "line 2: truncation = 2 is below the 3 modes of cos/sin"),
+            ("coeffs_file = coeffs.csv\n", "coeffs_file line 3: mode index 3 exceeds truncation = 2"),
+        ],
+    )
+    def test_truncation_below_the_source_modes_rejected(self, tmp_path, capsys, source, message):
+        (tmp_path / "coeffs.csv").write_text("n,a,b\n0,1.0,0\n3,0.01,0\n")
+        cfg_path = write_config(tmp_path, "flow = pan-yang\ntruncation = 2\n" + source)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("truncation", ["", "truncation = 3\n", "truncation = 64\n"])
+    def test_truncation_at_or_above_the_source_modes_changes_nothing(self, tmp_path, truncation):
+        (tmp_path / "coeffs.csv").write_text("n,a,b\n0,1.0,0\n3,0.01,0\n")
+        for source in ("mean = 1.0\ncos = 0.0, 0.0, 0.01\n", "coeffs_file = coeffs.csv\n"):
+            cfg = parse_config("flow = pan-yang\n" + truncation + source)
+            spec = load_initial(cfg.initial, tmp_path)
+            assert spec.mean == 1.0
+            assert spec.cos_coeffs.tolist() == [0.0, 0.0, 0.01]
+            assert spec.sin_coeffs.tolist() == [0.0, 0.0, 0.0]
 
     def test_integral_float_accepted(self):
         assert parse_config(MINIMAL + "frame_count = 4.0\n").frame_count == 4

@@ -11,6 +11,7 @@ from curveflow import (
     ConvergesToCircle,
     ConvexityError,
     CurvatureSingularity,
+    HDomainError,
     IntegratorControls,
     LengthBlowupRescaledCircle,
     LengthVanishesSingularityForced,
@@ -22,7 +23,6 @@ from curveflow import (
     TerminationEvent,
     Trajectory,
     Undetermined,
-    classify,
     describe_outcome,
     detect_singularity,
     flow_state,
@@ -240,37 +240,40 @@ class TestClassifySynthetic:
             t=[0.0],
             L=[TWO_PI],
             event=TerminationEvent(kind=kind, t=t, theta=theta),
-            outcome=Undetermined(diagnostic="placeholder"),
         )
 
     def test_horizon_maps_to_circle_limit(self):
-        out = classify(self.make("reached-horizon", t=50.0))
+        out = self.make("reached-horizon", t=50.0).outcome
         assert isinstance(out, ConvergesToCircle)
         assert out.center == (0.0, 0.0)
 
     def test_singularity(self):
-        out = classify(self.make("singularity", t=0.3, theta=np.pi))
+        out = self.make("singularity", t=0.3, theta=np.pi).outcome
         assert out == CurvatureSingularity(t_star=0.3, theta_star=np.pi)
 
     def test_blowup(self):
-        assert classify(self.make("length-blowup")) == LengthBlowupRescaledCircle(t_max=1.0)
+        assert self.make("length-blowup").outcome == LengthBlowupRescaledCircle(t_max=1.0)
 
     def test_vanish(self):
-        assert classify(self.make("length-vanish")) == LengthVanishesSingularityForced(
+        assert self.make("length-vanish").outcome == LengthVanishesSingularityForced(
             t_max=1.0
         )
 
     def test_area(self):
-        out = classify(self.make("area-vanish"))
+        out = self.make("area-vanish").outcome
         assert isinstance(out, AreaVanishesCurvatureBlowup)
         assert out.t_max == 1.0
         assert out.limit_length == TWO_PI
 
     def test_step_collapse_and_domain_exit_undetermined(self):
         for kind in ("step-collapse", "h-domain-exit"):
-            out = classify(self.make(kind))
+            out = self.make(kind).outcome
             assert isinstance(out, Undetermined)
             assert "t=1" in out.diagnostic
+
+    def test_unknown_event_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown event kind 'pinch'"):
+            self.make("pinch")
 
     def test_center_uses_first_harmonic(self):
         translated = SupportSpectrum(
@@ -281,9 +284,8 @@ class TestClassifySynthetic:
             t=[0.0],
             L=[TWO_PI],
             event=TerminationEvent(kind="reached-horizon", t=2.0),
-            outcome=Undetermined(diagnostic="placeholder"),
         )
-        out = classify(traj)
+        out = traj.outcome
         assert out.center == (0.3, -0.1)
 
 
@@ -295,7 +297,6 @@ class TestTrajectoryValidation:
                 t=[0.0, 0.0],
                 L=[TWO_PI, TWO_PI],
                 event=TerminationEvent(kind="reached-horizon", t=1.0),
-                outcome=Undetermined(diagnostic="x"),
             )
 
     def test_rejects_event_before_states(self):
@@ -305,7 +306,6 @@ class TestTrajectoryValidation:
                 t=[1.0],
                 L=[TWO_PI],
                 event=TerminationEvent(kind="reached-horizon", t=0.5),
-                outcome=Undetermined(diagnostic="x"),
             )
 
     def test_rejects_empty(self):
@@ -315,7 +315,6 @@ class TestTrajectoryValidation:
                 t=[],
                 L=[],
                 event=TerminationEvent(kind="reached-horizon", t=0.5),
-                outcome=Undetermined(diagnostic="x"),
             )
 
     @pytest.mark.parametrize(
@@ -338,7 +337,6 @@ class TestTrajectoryValidation:
                 t=t,
                 L=L,
                 event=TerminationEvent(kind="reached-horizon", t=2.0),
-                outcome=Undetermined(diagnostic="x"),
             )
 
     def test_columns_are_read_only_and_states_a_sequence(self):
@@ -432,7 +430,8 @@ class TestExport:
     def test_classify_is_idempotent_on_real_runs(self):
         for term in (PanYang(), H_EQUALS_L):
             traj = integrate(ELLIPSEISH, term, IntegratorControls(t_max=2.0))
-            assert classify(traj) == traj.outcome
+            rebuilt = Trajectory(spec0=traj.spec0, t=traj.t, L=traj.L, event=traj.event)
+            assert rebuilt.outcome == traj.outcome
 
 
 GALLERY_ELLIPSE = SupportSpectrum(mean=1.0, cos_coeffs=[0.1, 0.2], sin_coeffs=[0.0, 0.05])
@@ -565,6 +564,32 @@ class TestEventLocation:
         assert traj.event.t == 0.0
         assert len(traj.states) == 1
 
+    def test_closed_path_checks_t_zero_in_the_first_block(self, monkeypatch):
+        from curveflow.integrate import SCAN_CHUNK, _Problem, _sample_times
+
+        blocks = []
+        real = _Problem.flags
+
+        def counting(self, times, lengths):
+            blocks.append(len(times))
+            return real(self, times, lengths)
+
+        monkeypatch.setattr(_Problem, "flags", counting)
+        controls = IntegratorControls(t_max=5.0)
+        assert integrate(ELLIPSEISH, PanYang(), controls).event.kind == "reached-horizon"
+        # 101 check times in 4 blocks; a separate check at t = 0 would make 5.
+        assert len(blocks) == np.ceil((1 + len(_sample_times(controls))) / SCAN_CHUNK) == 4
+
+    def test_ode_path_checks_t_zero_before_the_first_rhs_call(self):
+        # H = L^400 overflows at the initial length, so the run ends at the
+        # t = 0 check only if that check comes before the RHS is evaluated.
+        steep = PowerSum(terms=((1.0, 400.0, 0.0),))
+        traj = integrate(ELLIPSEISH, steep, IntegratorControls(length_blowup=1.0))
+        assert traj.event == TerminationEvent(kind="length-blowup", t=0.0)
+        assert len(traj.states) == 1
+        with pytest.raises(HDomainError, match="H overflow"):
+            integrate(ELLIPSEISH, steep)
+
     def test_tie_inside_a_bracket_goes_by_priority(self):
         from curveflow.heat import _Modes
         from curveflow.integrate import EVENT_TIME_TOL, _locate
@@ -694,7 +719,7 @@ class TestClosedLength:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_ode_on_the_same_term(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _closed_trajectory, _ode_trajectory, _Problem
+        from curveflow.integrate import _dopri_steps, _Problem, _record
 
         rng = np.random.default_rng(seed)
         for term in _family(rng):
@@ -702,8 +727,8 @@ class TestClosedLength:
             problem = _Problem(spec0, term, self.CONTROLS)
             law = closed_length(spec0, term)
             assert law is not None
-            ode = _ode_trajectory(problem)
-            closed = _closed_trajectory(problem, law)
+            ode = _record(problem, _dopri_steps(problem))
+            closed = _record(problem, iter([(0.0, self.CONTROLS.t_max, law)]))
             assert closed.event.kind == ode.event.kind
             assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
             at = {s.t: s.L for s in ode.states}
@@ -715,7 +740,7 @@ class TestClosedLength:
     def test_vanishing_length(self):
         # H = 2: L = 4 pi - 2 pi e^t reaches zero at t = ln 2.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _closed_trajectory, _ode_trajectory, _Problem
+        from curveflow.integrate import _dopri_steps, _Problem, _record
 
         controls = IntegratorControls(
             t_max=5.0, length_vanish=1e-3, area_vanish=1e-30, singularity_eps=1e-16,
@@ -723,8 +748,8 @@ class TestClosedLength:
         )
         problem = _Problem(CIRCLE, Constant(c=2.0), controls)
         law = closed_length(CIRCLE, Constant(c=2.0))
-        ode = _ode_trajectory(problem)
-        closed = _closed_trajectory(problem, law)
+        ode = _record(problem, _dopri_steps(problem))
+        closed = _record(problem, iter([(0.0, controls.t_max, law)]))
         assert closed.event.kind == ode.event.kind == "length-vanish"
         want = np.log(2.0 - 1e-3 / TWO_PI)
         assert closed.event.t == pytest.approx(want, abs=1e-9)
@@ -735,13 +760,13 @@ class TestClosedLength:
         # kappa = 16 pi: L reaches 1e155, where A = L^2/(4 pi) overflows, long
         # before the blow-up threshold 1e300; the ODE's H = 2A/L - 4L overflows there.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _closed_trajectory, _ode_trajectory, _Problem
+        from curveflow.integrate import _dopri_steps, _Problem, _record
 
         term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
         controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
         problem = _Problem(ELLIPSEISH, term, controls)
-        closed = _closed_trajectory(problem, closed_length(ELLIPSEISH, term))
-        ode = _ode_trajectory(problem)
+        closed = _record(problem, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
+        ode = _record(problem, _dopri_steps(problem))
         assert closed.event.kind == ode.event.kind == "h-domain-exit"
         assert np.isfinite(closed.states[-1].A) and closed.states[-1].L > 1e150
         assert abs(closed.event.t - ode.event.t) <= controls.sample_interval
