@@ -345,18 +345,17 @@ def _frame_indices(count: int, frame_count: int) -> list[int]:
 
 
 def _write_frames(path: Path, traj: Trajectory, records: list, frame_count: int) -> list:
-    frames = []
+    indices = _frame_indices(len(records), frame_count)
+    frames = [curve_position(traj.states[i].spectrum) for i in indices]
+    # Every frame is sampled at the same angles, so they are encoded once. Each
+    # line is the text of json.dumps(dict(record, theta=..., x=..., y=...)):
+    # the record's keys first, then the three lists, with the same separators.
+    theta = json.dumps(frames[0].thetas.tolist())
     lines = []
-    for i in _frame_indices(len(records), frame_count):
-        samples = curve_position(traj.states[i].spectrum)
-        frames.append(samples)
-        rec = dict(
-            records[i],
-            theta=samples.thetas.tolist(),
-            x=samples.points[:, 0].tolist(),
-            y=samples.points[:, 1].tolist(),
-        )
-        lines.append(json.dumps(rec))
+    for i, samples in zip(indices, frames):
+        x = json.dumps(samples.points[:, 0].tolist())
+        y = json.dumps(samples.points[:, 1].tolist())
+        lines.append(f'{json.dumps(records[i])[:-1]}, "theta": {theta}, "x": {x}, "y": {y}}}')
     lines.append(json.dumps(summary_record(traj)))
     path.write_text("\n".join(lines) + "\n")
     return frames
@@ -371,8 +370,12 @@ def _write_svg_frames(svg_dir: Path, frames) -> None:
     # SVG y points down; flip and shift the viewBox accordingly.
     vb = (min_x - pad, -(max_y + pad), (max_x - min_x) + 2 * pad, (max_y - min_y) + 2 * pad)
     stroke = 0.004 * max(vb[2], vb[3])
+    # Every frame has the same number of points. %.6f of a float is the text
+    # of f"{v:.6f}" (-0.0 included), and scaling by -1.0 is exact negation,
+    # so one format call writes the "x,-y x,-y ..." list of a frame.
+    template = " ".join(["%.6f,%.6f"] * len(frames[0].points))
     for i, frame in enumerate(frames):
-        pts = " ".join(f"{x:.6f},{-y:.6f}" for x, y in frame.points)
+        pts = template % tuple((frame.points * (1.0, -1.0)).ravel().tolist())
         doc = (
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="{vb[0]:.6f} {vb[1]:.6f} {vb[2]:.6f} {vb[3]:.6f}">\n'

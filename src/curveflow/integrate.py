@@ -50,7 +50,7 @@ from .flows import (
     _h,
     area_along_flow,
     closed_length,
-    flow_state,
+    flow_state,  # noqa: F401  (perfbench/spans.py traces this name here)
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
 from .heat import _Modes
@@ -236,7 +236,8 @@ class _NonFiniteState(ValueError):
 
 class _States(Sequence):
     """Read-only view of a trajectory's recorded states. Indexing builds
-    the state with ``flow_state`` (slices give a tuple of states)."""
+    the state from the trajectory's mode arrays and area column, equal to
+    ``flow_state`` at the same (t, L) (slices give a tuple of states)."""
 
     def __init__(self, traj: Trajectory):
         self._traj = traj
@@ -249,7 +250,9 @@ class _States(Sequence):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         i = range(len(self))[index]
         traj = self._traj
-        return flow_state(traj.spec0, float(traj.t[i]), float(traj.L[i]))
+        t, length = float(traj.t[i]), float(traj.L[i])
+        spectrum = traj._modes.spectrum(t, length / TWO_PI)
+        return FlowState(t=t, L=length, spectrum=spectrum, A=float(traj.A[i]))
 
 
 def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:

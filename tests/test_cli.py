@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from curveflow import (
     IntegratorControls,
     PanYang,
     PowerSum,
+    curve_position,
+    integrate,
     theta_grid,
 )
 from curveflow.cli import (
@@ -508,3 +511,82 @@ class TestFrameIndices:
             for frame_count in range(2, 65):
                 want = np.unique(np.round(np.linspace(0, count - 1, frame_count)).astype(int)).tolist()
                 assert _frame_indices(count, frame_count) == want, (count, frame_count)
+
+
+# A pinching run whose last record has null curvatures (the event fires below
+# CONVEXITY_EPS), a circle whose points include y = 0.0 (-0.0 in the SVG), and
+# an ellipse with sine modes.
+WRITER_RUNS = {
+    "pinch-null-curvatures": (
+        "flow = powersum:1,1,0\nmean = 1\ncos = 0, 0.2\nt_max = 5\nsingularity_eps = 1e-12\n"
+    ),
+    "circle": "flow = pan-yang\nmean = 1\ncos = 0, 0\nt_max = 1\n",
+    "ellipse": "flow = lin-tsai\n" + GALLERY + "t_max = 2\n",
+}
+
+
+def _svg_points(path: Path) -> str:
+    (points,) = re.findall(r' points="([^"]*)"', path.read_text())
+    return points
+
+
+class TestWriterBytes:
+    """frames.jsonl and the SVG frames against the per-frame dict and
+    per-point formulas the writers are defined by."""
+
+    def _run(self, tmp_path, name):
+        from curveflow.cli import _frame_indices
+        from curveflow.integrate import record_rows
+
+        cfg = parse_config(WRITER_RUNS[name] + "svg = anim\nframe_count = 5\n")
+        out = tmp_path / "out"
+        assert run(cfg, tmp_path, out) == 0
+        traj = integrate(load_initial(cfg.initial, tmp_path), cfg.flow, cfg.controls)
+        records = record_rows(traj)
+        frames = [
+            (records[i], curve_position(traj.states[i].spectrum))
+            for i in _frame_indices(len(records), cfg.frame_count)
+        ]
+        lines = (out / "frames.jsonl").read_text().splitlines()
+        svgs = sorted((out / "anim").glob("frame_*.svg"))
+        return traj, frames, lines, svgs
+
+    @pytest.mark.parametrize("name", WRITER_RUNS)
+    def test_lines_and_points_match_the_per_point_formulas(self, tmp_path, name):
+        from curveflow.integrate import summary_record
+
+        traj, frames, lines, svgs = self._run(tmp_path, name)
+        assert len(lines) == len(frames) + 1 and len(svgs) == len(frames)
+        for (record, samples), line, svg in zip(frames, lines, svgs):
+            assert line == json.dumps(
+                dict(
+                    record,
+                    theta=samples.thetas.tolist(),
+                    x=samples.points[:, 0].tolist(),
+                    y=samples.points[:, 1].tolist(),
+                )
+            )
+            assert _svg_points(svg) == " ".join(f"{x:.6f},{-y:.6f}" for x, y in samples.points)
+        assert lines[-1] == json.dumps(summary_record(traj))
+
+    def test_null_curvatures_in_the_last_frame(self, tmp_path):
+        _, frames, lines, _ = self._run(tmp_path, "pinch-null-curvatures")
+        last = json.loads(lines[-2])
+        assert frames[-1][0]["k_min"] is None and last["k_min"] is last["k_max"] is None
+        assert '"k_min": null, "k_max": null, "theta": [' in lines[-2]
+
+    def test_zero_y_is_written_negated(self, tmp_path):
+        _, frames, _, svgs = self._run(tmp_path, "circle")
+        assert frames[0][1].points[0, 1] == 0.0
+        assert _svg_points(svgs[0]).startswith("1.000000,-0.000000 ")
+
+    def test_svg_points_of_rounding_edge_values(self, tmp_path):
+        from curveflow.cli import _write_svg_frames
+        from curveflow.support import CurveSamples
+
+        values = [0.0, -0.0, 5e-7, -5e-7, 4e-7, -4e-7, 1.0000005, 123456.789, -2.5e-12]
+        points = np.array([(v, w) for v in values for w in values])
+        _write_svg_frames(tmp_path, [CurveSamples(thetas=np.zeros(len(points)), points=points)])
+        want = " ".join(f"{x:.6f},{-y:.6f}" for x, y in points)
+        assert _svg_points(tmp_path / "frame_00000.svg") == want
+        assert "-0.000000,-0.000000" in want and "0.000000,0.000000" in want

@@ -441,16 +441,17 @@ GENERAL_POWERSUM = PowerSum(terms=((0.3, 0.5, 0.25), (2.0, -1.0, 1.0)))  # on th
 
 
 def _count_flow_states(monkeypatch) -> list:
-    """Calls of flow_state through curveflow.integrate, where states are built."""
+    """States built in curveflow.integrate, by flow_state or by FlowState."""
     module = importlib.import_module("curveflow.integrate")
     calls = []
-    real = module.flow_state
+    for name in ("flow_state", "FlowState"):
+        real = getattr(module, name)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+        def counting(*args, real=real, **kwargs):
+            calls.append(args or kwargs)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "flow_state", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -470,6 +471,17 @@ class TestLeanPath:
         assert len(calls) == 1
         assert traj.states[-1].L == traj.L[-1]
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("term", [PanYang(), GENERAL_POWERSUM])
+    def test_states_equal_flow_state(self, term):
+        from curveflow.flows import closed_length
+
+        # pan-yang has a closed-form length; GENERAL_POWERSUM runs DOPRI5.
+        assert (closed_length(GALLERY_ELLIPSE, term) is None) == (term is GENERAL_POWERSUM)
+        traj = integrate(GALLERY_ELLIPSE, term, IntegratorControls(t_max=2.0))
+        assert len(traj.states) >= 3
+        for i, state in enumerate(traj.states):
+            assert state == flow_state(traj.spec0, float(traj.t[i]), float(traj.L[i])), i
 
     def test_sweep_builds_no_flow_state(self, tmp_path, monkeypatch):
         from curveflow.cli import parse_config, sweep
