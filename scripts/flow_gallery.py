@@ -42,7 +42,7 @@ def main() -> int:
         controls = IntegratorControls(t_max=args.t_max)
         traj = integrate(BENCHMARK, term, controls)
         ratio = ipd_decay_ratio(traj)
-        mono = ipr_monotone(traj, term)
+        mono = ipr_monotone(traj)
         print(f"{text:>16}  {describe_outcome(traj.outcome):<60} {ratio:>10.4f} {str(mono):>9}")
 
         config = RunConfig(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -52,9 +53,7 @@ from .integrate import (
 )
 from .integrate import state_record  # noqa: F401  (perfbench/spans.py traces this name here)
 from .support import (
-    CONVEXITY_EPS,
     MAX_TRUNCATION,
-    ConvexityError,
     SupportSpectrum,
     curve_length,
     curve_position,
@@ -62,8 +61,9 @@ from .support import (
     spectrum_from_dict,
     spectrum_from_polygon,
     project_from_samples,
-    validate_convexity,
+    require_convex,
 )
+from .support import validate_convexity  # noqa: F401  (perfbench/spans.py traces this name here)
 
 
 class ConfigError(ValueError):
@@ -328,13 +328,16 @@ def _resolve_out(path_text: str, out_dir: Path | None) -> Path:
     return path
 
 
+_TIMESERIES_KEYS = ("t", "L", "A", "ipd", "ipr", "k_min", "k_max")
+
+
 def _write_timeseries(path: Path, traj: Trajectory, records: list, term: NonlocalTerm) -> None:
-    lines = ["t,L,A,ipd,ipr,k_min,k_max,H"]
+    lines = [",".join(_TIMESERIES_KEYS + ("H",))]
     for rec, h_val in zip(records, h_column(traj, term)):
-        lines.append(
-            f"{rec['t']!r},{rec['L']!r},{rec['A']!r},{rec['ipd']!r},"
-            f"{rec['ipr']!r},{rec['k_min']!r},{rec['k_max']!r},{h_val!r}"
-        )
+        # None is the record's JSON null: k_min and k_max of a state that is
+        # not strictly convex.
+        cells = ["nan" if rec[k] is None else repr(rec[k]) for k in _TIMESERIES_KEYS]
+        lines.append(",".join(cells + [repr(h_val)]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -385,100 +388,62 @@ def _write_svg_frames(svg_dir: Path, frames) -> None:
         (svg_dir / f"frame_{i:05d}.svg").write_text(doc)
 
 
-def _inequality_rows(traj: Trajectory, term: NonlocalTerm) -> list[diagnostics.InequalityReport]:
-    rows = []
-    for label, state in (("initial", traj.states[0]), ("final", traj.states[-1])):
-        rows.append(_tagged(diagnostics.isoperimetric(state), label))
-        rows.append(_tagged(diagnostics.go1(state), label))
-        go2_report, _ = diagnostics.go2(state)
-        rows.append(_tagged(go2_report, label))
-        try:
-            rows.append(_tagged(diagnostics.gage(state), label))
-        except ConvexityError:
-            pass
-    ratio = diagnostics.ipd_decay_ratio(traj)
-    rows.append(diagnostics.build_report("ipd_decay_max_ratio", 1.0, ratio))
-    monotone = diagnostics.ipr_monotone(traj, term)
-    rows.append(
-        diagnostics.InequalityReport(
-            name="ipr_monotone",
-            lhs=1.0 if monotone else 0.0,
-            rhs=1.0,
-            slack=0.0 if monotone else -1.0,
-            satisfied=monotone,
-        )
-    )
+def _inequality_rows(traj: Trajectory) -> list[diagnostics.InequalityReport]:
+    rows = [
+        replace(report, name=f"{report.name}@{label}")
+        for label, state in (("initial", traj.states[0]), ("final", traj.states[-1]))
+        for report in diagnostics.state_reports(state)
+    ]
+    rows.append(diagnostics.build_report("ipd_decay_max_ratio", 1.0, diagnostics.ipd_decay_ratio(traj)))
+    rows.append(diagnostics.build_report("ipr_monotone", float(diagnostics.ipr_monotone(traj)), 1.0))
     return rows
 
 
-def _tagged(report: diagnostics.InequalityReport, label: str) -> diagnostics.InequalityReport:
-    return replace(report, name=f"{report.name}@{label}")
+def _exit_status(command):
+    """The subcommand's own exit status, or 2 after one stderr line when it
+    raises ValueError (bad input: ConfigError, ConvexityError, HDomainError)
+    or OSError (filesystem)."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except OSError as exc:
+            print(str(exc), file=sys.stderr)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    return guarded
 
 
-def _load_convex(config: RunConfig, base_dir: Path) -> SupportSpectrum | None:
-    """The configured initial spectrum, or None after printing why it is unusable."""
-    try:
-        spec0 = load_initial(config.initial, base_dir)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    if validate_convexity(spec0) <= CONVEXITY_EPS:
-        print("error: initial curve fails convexity validation", file=sys.stderr)
-        return None
-    return spec0
-
-
+@_exit_status
 def run(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
     """Integrate one configured flow and write all artifacts."""
-    spec0 = _load_convex(config, base_dir)
-    if spec0 is None:
-        return 2
-    try:
-        traj = integrate(spec0, config.flow, config.controls)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        records = record_rows(traj)
-        paths = config.outputs
-        _write_timeseries(_resolve_out(paths.timeseries, out_dir), traj, records, config.flow)
-        frames_path = _resolve_out(paths.frames, out_dir)
-        frames = _write_frames(frames_path, traj, records, config.frame_count)
-        if paths.svg is not None:
-            _write_svg_frames(_resolve_out(paths.svg, out_dir), frames)
-        reports = _inequality_rows(traj, config.flow)
-        _resolve_out(paths.reports, out_dir).write_text(diagnostics.reports_to_csv(reports))
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    traj = integrate(load_initial(config.initial, base_dir), config.flow, config.controls)
+    records = record_rows(traj)
+    paths = config.outputs
+    _write_timeseries(_resolve_out(paths.timeseries, out_dir), traj, records, config.flow)
+    frames = _write_frames(_resolve_out(paths.frames, out_dir), traj, records, config.frame_count)
+    if paths.svg is not None:
+        _write_svg_frames(_resolve_out(paths.svg, out_dir), frames)
+    reports = _inequality_rows(traj)
+    _resolve_out(paths.reports, out_dir).write_text(diagnostics.reports_to_csv(reports))
     print(f"verdict: {describe_outcome(traj.outcome)}")
     return 0
 
 
+@_exit_status
 def check(config: RunConfig, base_dir: Path, out_dir: Path | None = None) -> int:
     """Inequality suite on the initial curve only."""
-    spec0 = _load_convex(config, base_dir)
-    if spec0 is None:
-        return 2
+    spec0 = load_initial(config.initial, base_dir)
+    require_convex(spec0)
     state = flow_state(spec0, 0.0, curve_length(spec0))
-    go2_report, equality = diagnostics.go2(state)
-    reports = [
-        diagnostics.isoperimetric(state),
-        diagnostics.go1(state),
-        go2_report,
-        diagnostics.gage(state),
-    ]
+    reports = diagnostics.state_reports(state)
     text = diagnostics.reports_to_csv(reports)
-    try:
-        _resolve_out(config.outputs.reports, out_dir).write_text(text)
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    _resolve_out(config.outputs.reports, out_dir).write_text(text)
     sys.stdout.write(text)
-    print(f"go2_equality_case: {str(equality).lower()}")
+    print(f"go2_equality_case: {str(diagnostics.go2(state)[1]).lower()}")
     return 0 if all(r.satisfied for r in reports) else 1
 
 
@@ -518,36 +483,33 @@ def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: Nonl
             final_A=repr(final_A),
             final_ipr=repr(isoperimetric_ratio(final_L, final_A)),
             ipd_ratio_max=repr(diagnostics.ipd_decay_ratio(traj)),
-            ipr_monotone=str(diagnostics.ipr_monotone(traj, term)).lower(),
+            ipr_monotone=str(diagnostics.ipr_monotone(traj)).lower(),
             error="",
         )
     except Exception as exc:  # per-row failure; the sweep continues
-        row.update({c: "" for c in _SWEEP_COLUMNS[1:]}, error=str(exc).replace(",", ";"))
+        row.update({c: "" for c in _SWEEP_COLUMNS[1:]}, error=str(exc))
     return row
 
 
+@_exit_status
 def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = None) -> int:
     """One integration per axis value; failures are recorded per row."""
-    try:
-        kind, values = _parse_axis(axis)
-        if not values:
-            raise ConfigError("axis has no values")
-        spec0 = load_initial(config.initial, base_dir)
-        jobs = []
-        for value in values:
-            if kind == "flows":
-                jobs.append((format_flow_term(value), spec0, value))
-            else:
-                with np.errstate(over="ignore"):  # a coefficient overflowing to inf is rejected
-                    scaled = SupportSpectrum(
-                        mean=spec0.mean,
-                        cos_coeffs=spec0.cos_coeffs * value,
-                        sin_coeffs=spec0.sin_coeffs * value,
-                    )
-                jobs.append((repr(value), scaled, config.flow))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kind, values = _parse_axis(axis)
+    if not values:
+        raise ConfigError("axis has no values")
+    spec0 = load_initial(config.initial, base_dir)
+    jobs = []
+    for value in values:
+        if kind == "flows":
+            jobs.append((format_flow_term(value), spec0, value))
+        else:
+            with np.errstate(over="ignore"):  # a coefficient overflowing to inf is rejected
+                scaled = SupportSpectrum(
+                    mean=spec0.mean,
+                    cos_coeffs=spec0.cos_coeffs * value,
+                    sin_coeffs=spec0.sin_coeffs * value,
+                )
+            jobs.append((repr(value), scaled, config.flow))
     rows = [_sweep_one(spec, config, label, term) for label, spec, term in jobs]
     # Labels such as powersum:1,1,0 hold commas, so fields are quoted where needed.
     buffer = io.StringIO()
@@ -555,11 +517,7 @@ def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = N
     writer.writerow(_SWEEP_COLUMNS)
     writer.writerows([row[c] for c in _SWEEP_COLUMNS] for row in rows)
     text = buffer.getvalue()
-    try:
-        _resolve_out("sweep.csv", out_dir).write_text(text)
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    _resolve_out("sweep.csv", out_dir).write_text(text)
     sys.stdout.write(text)
     return 0
 
@@ -586,7 +544,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a file that is not UTF-8 text
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     base_dir = config_path.parent

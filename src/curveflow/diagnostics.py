@@ -25,6 +25,7 @@ import numpy as np
 from .flows import FlowState, NonlocalTerm, Constant, LinTsai, MaCheng, PanYang
 from .integrate import Trajectory, ipd_column, ipr_column
 from .support import (
+    ConvexityError,
     SupportSpectrum,
     evaluate_support,
     limit_circle,
@@ -94,6 +95,17 @@ def gage(state: FlowState) -> InequalityReport:
     return build_report("gage", lhs, rhs)
 
 
+def state_reports(state: FlowState) -> list[InequalityReport]:
+    """isoperimetric, go1 and go2 at one state, then gage if the state is
+    strictly convex."""
+    reports = [isoperimetric(state), go1(state), go2(state)[0]]
+    try:
+        reports.append(gage(state))
+    except ConvexityError:
+        pass
+    return reports
+
+
 def ipd_decay_ratio(traj: Trajectory) -> float:
     """max over samples of IPD(t) / (IPD(0) e^{-2t}); at most 1 for every
     flow. Circle input (IPD(0) = 0) is the exact-zero special case and
@@ -116,13 +128,12 @@ def ipr_guaranteed_monotone(term: NonlocalTerm) -> bool:
     return isinstance(term, Constant) and term.c < 0.0
 
 
-def ipr_monotone(traj: Trajectory, term: NonlocalTerm) -> bool:
+def ipr_monotone(traj: Trajectory) -> bool:
     """Sampled isoperimetric ratio non-increasing within a 1e-10 slack.
 
     Guaranteed for the flows named by :func:`ipr_guaranteed_monotone`;
     for other terms this is a report, not an assertion.
     """
-    del term  # the guarantee class is queried separately
     iprs = ipr_column(traj)
     return bool(np.all(iprs[1:] <= iprs[:-1] + IPR_MONOTONE_SLACK))
 

@@ -220,11 +220,11 @@ def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
 
 
 def require_convex(spec: SupportSpectrum) -> float:
+    """The grid-min radius of curvature; raises ConvexityError unless it
+    exceeds CONVEXITY_EPS. The one convexity gate of the package."""
     rho_min = validate_convexity(spec)
     if rho_min <= CONVEXITY_EPS:
-        raise ConvexityError(
-            f"spectrum fails strict convexity: min radius of curvature {rho_min:.3e}"
-        )
+        raise ConvexityError(f"curve fails convexity validation: min radius of curvature {rho_min:.3e}")
     return rho_min
 
 

@@ -179,7 +179,7 @@ def test_c09_ipr_monotone():
     controls = IntegratorControls(t_max=5.0)
     for term in terms:
         traj = integrate(ELLIPSEISH, term, controls)
-        assert ipr_monotone(traj, term), f"ratio rose under {term}"
+        assert ipr_monotone(traj), f"ratio rose under {term}"
 
 
 @criterion("10 constant-speed ODE exactness")

@@ -302,6 +302,14 @@ class TestSweep:
         assert text.splitlines()[2].startswith('"powersum:1.0,1.0,0.0",')
         assert rows[2][2] == "singularity"
 
+    def test_error_with_commas_written_as_is(self, tmp_path, capsys):
+        cfg = parse_config(MINIMAL + "t_max = 1\n")
+        assert sweep(cfg, "flows:pan-yang;powersum:1e308,1,1", tmp_path, tmp_path / "out") == 0
+        rows = list(csv.reader(io.StringIO((tmp_path / "out" / "sweep.csv").read_text())))
+        assert [len(row) for row in rows] == [11, 11, 11]
+        assert rows[1][10] == ""
+        assert rows[2][10] == "H overflow at L=6.283e+00, A=2.953e+00"
+
     def test_empty_axis_rejected(self, tmp_path, capsys):
         cfg = parse_config(MINIMAL)
         assert sweep(cfg, "flows:", tmp_path) == 2
@@ -325,6 +333,50 @@ class TestSweep:
         assert sweep(cfg, "scale:1.0,1e308", tmp_path, tmp_path / "o") == 2
         assert capsys.readouterr().err == "error: cos_coeffs contains non-finite entries\n"
         assert not (tmp_path / "o").exists()
+
+
+# Each failure: the bytes of run.cfg (None: no such file), whether --out is a
+# regular file, and text of the one stderr line. sweep records an unusable
+# curve as an error row, so the non-convex curve exits 2 in run and check only.
+EXIT_TWO_CASES = {
+    "missing-config": (None, False, "No such file"),
+    "config-not-utf8": (b"\xff\xfe", False, "config error: "),
+    "unknown-key": (MINIMAL.encode() + b"colour = red\n", False, "config error: line 4: unknown key"),
+    "missing-coeffs-file": (b"flow = pan-yang\ncoeffs_file = nope.csv\n", False, "No such file"),
+    "nonconvex-curve": (
+        b"flow = pan-yang\nmean = 1\ncos = 0, 0.5\n",
+        False,
+        "error: curve fails convexity validation: min radius of curvature -5.000e-01",
+    ),
+    "out-blocked-by-file": (MINIMAL.encode() + b"t_max = 0.5\n", True, "File exists"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (command, case)
+        for case in EXIT_TWO_CASES
+        for command in ("run", "check", "sweep")
+        if (command, case) != ("sweep", "nonconvex-curve")
+    ],
+)
+def test_bad_input_exits_two_with_one_stderr_line(tmp_path, capsys, command, case):
+    text, blocked, message = EXIT_TWO_CASES[case]
+    cfg_path = tmp_path / "run.cfg"
+    if text is not None:
+        cfg_path.write_bytes(text)
+    out = tmp_path / "o"
+    if blocked:
+        out.write_text("a file, not a directory\n")
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "flows:pan-yang"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 class TestMain:
@@ -574,6 +626,16 @@ class TestWriterBytes:
         last = json.loads(lines[-2])
         assert frames[-1][0]["k_min"] is None and last["k_min"] is last["k_max"] is None
         assert '"k_min": null, "k_max": null, "theta": [' in lines[-2]
+
+    def test_timeseries_fields_parse_as_floats(self, tmp_path):
+        self._run(tmp_path, "pinch-null-curvatures")
+        lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines]
+        assert header == ["t", "L", "A", "ipd", "ipr", "k_min", "k_max", "H"]
+        values = [[float(field) for field in row] for row in rows]
+        assert all(len(row) == 8 for row in values)
+        assert np.isnan(values[-1][5]) and np.isnan(values[-1][6])
+        assert np.all(np.isfinite(np.array(values[:-1])))
 
     def test_zero_y_is_written_negated(self, tmp_path):
         _, frames, _, svgs = self._run(tmp_path, "circle")

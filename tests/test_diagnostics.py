@@ -154,6 +154,16 @@ class TestGage:
             gage(flow_state(bad, 0.0, TWO_PI))
 
 
+class TestStateReports:
+    def test_gage_only_for_a_strictly_convex_state(self):
+        from curveflow.diagnostics import state_reports
+
+        state = state_of(ELLIPSEISH)
+        assert state_reports(state) == [isoperimetric(state), go1(state), go2(state)[0], gage(state)]
+        bad = flow_state(SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.5], sin_coeffs=[0.0, 0.0]), 0.0, TWO_PI)
+        assert [r.name for r in state_reports(bad)] == ["isoperimetric", "go1", "go2"]
+
+
 class TestIsoperimetric:
     def test_reports(self):
         rep = isoperimetric(state_of(ELLIPSEISH))
@@ -184,13 +194,13 @@ class TestTrajectoryChecks:
     def test_ipr_monotone_guaranteed_flows(self, term):
         traj = integrate(ELLIPSEISH, term, IntegratorControls(t_max=4.0))
         assert ipr_guaranteed_monotone(term)
-        assert ipr_monotone(traj, term)
+        assert ipr_monotone(traj)
 
     def test_ipr_not_guaranteed_for_growing_h(self):
         term = PowerSum(terms=((1.0, 1.0, 0.0),))
         assert not ipr_guaranteed_monotone(term)
         traj = integrate(ELLIPSEISH, term, IntegratorControls(t_max=5.0))
-        assert not ipr_monotone(traj, term)  # report only: this one rises
+        assert not ipr_monotone(traj)  # report only: this one rises
 
     def test_ipr_guard_classification(self):
         assert ipr_guaranteed_monotone(Constant(c=-0.1))

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -75,3 +76,20 @@ class TestPerfbenchPatches:
         for module_name, name, _ in patches:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+    def test_every_import_kept_for_the_tracer_is_patched(self, monkeypatch):
+        # An import kept only so that the tracer can wrap it carries this
+        # note; once no patch names it, it is dead and must go.
+        monkeypatch.syspath_prepend(str(ROOT))
+        patched = {(module, name) for module, name, _ in importlib.import_module("perfbench.spans").PATCHES}
+        marker = "perfbench/spans.py traces this name here"
+        marked = []
+        for path in sorted((ROOT / "src" / "curveflow").glob("*.py")):
+            lines = path.read_text().splitlines()
+            for node in ast.walk(ast.parse("\n".join(lines))):
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        if marker in lines[alias.lineno - 1]:
+                            marked.append((f"curveflow.{path.stem}", alias.asname or alias.name))
+        assert marked
+        assert [entry for entry in marked if entry not in patched] == []
