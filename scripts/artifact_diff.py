@@ -12,12 +12,14 @@ counted.
 Usage:
     python scripts/artifact_diff.py DIR_A DIR_B
 
-Exits 0 when every file is byte-identical, 1 otherwise.
+Exits 0 when every file is byte-identical, 1 otherwise; a reader that
+closes the listing early (as `| head` does) leaves the status as it is.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -96,7 +98,18 @@ def main() -> int:
             same.append(rel)
         else:
             differ.append(rel)
+    status = 0 if not differ and files_a == files_b else 1
+    try:
+        _print_listing(args.dir_a, args.dir_b, files_a, files_b, same, differ)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The recipe of Python's signal docs: the flush at exit would
+        # raise again, so stdout goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
+
+def _print_listing(dir_a: Path, dir_b: Path, files_a: set, files_b: set, same: list, differ: list) -> None:
     print(f"identical: {len(same)} files")
     for rel in same:
         print(f"  {rel}")
@@ -107,13 +120,12 @@ def main() -> int:
         print(f"differs: {rel}")
         if rel.suffix not in (".csv", ".jsonl"):
             continue
-        rows_a, rows_b = _rows(args.dir_a / rel), _rows(args.dir_b / rel)
+        rows_a, rows_b = _rows(dir_a / rel), _rows(dir_b / rel)
         if len(rows_a) != len(rows_b):
             print(f"  rows: {len(rows_a)} vs {len(rows_b)}; the leading rows are compared")
         for key, (max_abs, max_rel, mismatches) in _column_stats(rows_a, rows_b).items():
             if max_abs or mismatches:
                 print(f"  {key}: max_abs {max_abs:.3g}  max_rel {max_rel:.3g}  mismatches {mismatches}")
-    return 0 if not differ and files_a == files_b else 1
 
 
 if __name__ == "__main__":

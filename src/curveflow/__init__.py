@@ -9,7 +9,6 @@ from .diagnostics import (
     go1,
     go2,
     ipd_decay_ratio,
-    ipr_guaranteed_monotone,
     ipr_monotone,
     isoperimetric,
     reports_to_csv,
@@ -43,13 +42,9 @@ from .integrate import (
     Trajectory,
     Undetermined,
     describe_outcome,
-    detect_singularity,
     integrate,
-    rescaled_support,
     state_record,
     summarize,
-    trajectory_lines,
-    write_trajectory_jsonl,
 )
 from .support import (
     CONVEXITY_EPS,
@@ -59,7 +54,6 @@ from .support import (
     SupportSpectrum,
     curve_length,
     curve_position,
-    curve_samples_to_csv,
     enclosed_area,
     evaluate_support,
     isoperimetric_deficit,
@@ -68,10 +62,7 @@ from .support import (
     radius_extrema,
     radius_of_curvature,
     spectrum_from_dict,
-    spectrum_from_json,
     spectrum_from_polygon,
-    spectrum_to_dict,
-    spectrum_to_json,
     sq_curvature_integral,
     support_derivative,
     theta_grid,

@@ -230,30 +230,6 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def emit_config(config: RunConfig) -> str:
-    """Canonical config text; parse_config round-trips it exactly."""
-    lines = [f"flow = {format_flow_term(config.flow)}"]
-    ini = config.initial
-    if ini.kind == "coeffs":
-        lines.append(f"mean = {ini.mean!r}")
-        lines.append("cos = " + ", ".join(repr(v) for v in ini.cos))
-        lines.append("sin = " + ", ".join(repr(v) for v in ini.sin))
-    else:
-        lines.append(f"{ini.kind.replace('-file', '_file')} = {ini.path}")
-    if ini.truncation is not None:
-        lines.append(f"truncation = {ini.truncation}")
-    for key in _CONTROL_KEYS:
-        lines.append(f"{key} = {getattr(config.controls, key)!r}")
-    out = config.outputs
-    lines.append(f"timeseries = {out.timeseries}")
-    lines.append(f"frames = {out.frames}")
-    lines.append(f"reports = {out.reports}")
-    if out.svg is not None:
-        lines.append(f"svg = {out.svg}")
-    lines.append(f"frame_count = {config.frame_count}")
-    return "\n".join(lines) + "\n"
-
-
 def _read_rows(path: Path, expected: int, name: str) -> dict[int, list[float]]:
     """The numeric rows of a CSV input file, keyed by line number."""
     rows = {}

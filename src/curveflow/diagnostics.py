@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flows import FlowState, NonlocalTerm, Constant, LinTsai, MaCheng, PanYang
+from .flows import FlowState
 from .integrate import Trajectory, ipd_column, ipr_column
 from .support import (
     ConvexityError,
@@ -120,19 +120,11 @@ def ipd_decay_ratio(traj: Trajectory) -> float:
     return max(0.0, float(np.fmax.reduce(ratios)))
 
 
-def ipr_guaranteed_monotone(term: NonlocalTerm) -> bool:
-    """Whether the isoperimetric ratio is guaranteed non-increasing for
-    this term (the three named flows, and any negative constant)."""
-    if isinstance(term, (PanYang, LinTsai, MaCheng)):
-        return True
-    return isinstance(term, Constant) and term.c < 0.0
-
-
 def ipr_monotone(traj: Trajectory) -> bool:
     """Sampled isoperimetric ratio non-increasing within a 1e-10 slack.
 
-    Guaranteed for the flows named by :func:`ipr_guaranteed_monotone`;
-    for other terms this is a report, not an assertion.
+    Guaranteed for pan-yang, lin-tsai, ma-cheng and any negative
+    constant; for other terms this is a report, not an assertion.
     """
     iprs = ipr_column(traj)
     return bool(np.all(iprs[1:] <= iprs[:-1] + IPR_MONOTONE_SLACK))

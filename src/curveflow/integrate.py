@@ -22,21 +22,19 @@ time is replaced by the first crossing of the configured thresholds,
 with the thresholds recorded in the controls. One recorder takes L(t)
 as steps: the closed form is the one step (0, t_max), the ODE solve the
 point t = 0 and then its accepted steps. A step's check times are the
-sample times inside it and its end. One locator serves every step and
-``detect_singularity``: a block pre-scan evaluates the check times
-SCAN_CHUNK at a time (one (grid x N)(N x chunk) product for the
-curvature minimum), the scalar test confirms the bracket around the
-first flagged one, and one bisection, to 1e-10 in time, finds the
-earliest crossing of any threshold, with ties broken
-singularity > area vanish > length vanish > length blow-up. A
-trajectory derives its outcome from its event: convergence to a circle
-(with its limit center), a curvature singularity, or one of the
-degenerate length/area scenarios.
+sample times inside it and its end. One locator serves every step: a
+block pre-scan evaluates the check times SCAN_CHUNK at a time (one
+(grid x N)(N x chunk) product for the curvature minimum), the scalar
+test confirms the bracket around the first flagged one, and one
+bisection, to 1e-10 in time, finds the earliest crossing of any
+threshold, with ties broken singularity > area vanish > length vanish >
+length blow-up. A trajectory derives its outcome from its event:
+convergence to a circle (with its limit center), a curvature
+singularity, or one of the degenerate length/area scenarios.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable, Union
@@ -346,21 +344,13 @@ def _margins(limits: tuple, rho_min, area, length) -> tuple:
 
 
 class _Problem:
-    def __init__(
-        self,
-        spec0: SupportSpectrum,
-        term: NonlocalTerm | None,
-        controls: IntegratorControls | None,
-        limits: tuple | None = None,
-    ):
+    def __init__(self, spec0: SupportSpectrum, term: NonlocalTerm, controls: IntegratorControls):
         self.spec0 = spec0
         self.term = term
         self.controls = controls
         self.modes = _Modes(spec0)
-        if limits is None:
-            c = controls
-            limits = (c.singularity_eps, c.area_vanish, c.length_vanish, c.length_blowup)
-        self.limits = limits
+        c = controls
+        self.limits = (c.singularity_eps, c.area_vanish, c.length_vanish, c.length_blowup)
 
     def rhs(self, t: float, length: float) -> float:
         # H lives on (0, inf) x (0, inf); trial stages poking L <= 0 are
@@ -419,27 +409,24 @@ def _locate(
     path: Callable,
     t_prev: float,
     check_times,
-    flags: Callable | None = None,
+    flags: Callable,
 ) -> tuple[float, TerminationEvent] | None:
     """Earliest crossing along L = path(t): (t_before, event) or None.
 
     ``crossed(t, L)`` lists the kinds crossed at (t, L). The check times
-    follow ``t_prev``. With ``flags`` (a block test, see ``_prescan``) the
+    follow ``t_prev``. ``flags`` is a block test (see ``_prescan``); the
     scalar test runs only on the first flagged check time and the one
-    before it; without, on every check time in turn. At the first check
-    time where any kind is crossed, one bisection on "nothing crossed yet"
-    shrinks [previous check time, it] to EVENT_TIME_TOL; the event is the
-    first kind in _EVENT_PRIORITY crossed at the upper end.
+    before it. At the first check time where any kind is crossed, one
+    bisection on "nothing crossed yet" shrinks [previous check time, it]
+    to EVENT_TIME_TOL; the event is the first kind in _EVENT_PRIORITY
+    crossed at the upper end.
     """
     start = 0
     while start < len(check_times):
-        if flags is None:
-            window = range(start, len(check_times))
-        else:
-            first = _prescan(flags, path, check_times, start)
-            if first is None:
-                return None
-            window = range(max(first - 1, start), first + 1)
+        first = _prescan(flags, path, check_times, start)
+        if first is None:
+            return None
+        window = range(max(first - 1, start), first + 1)
         lo = t_prev if window[0] == 0 else float(check_times[window[0] - 1])
         for i in window:
             hi = float(check_times[i])
@@ -619,43 +606,6 @@ def _dopri_steps(problem: _Problem) -> Iterator:
             h *= min(5.0, max(0.2, 0.9 * err_norm**-0.2))
 
 
-def detect_singularity(
-    spec0: SupportSpectrum,
-    length_path: Callable[[float], float],
-    horizon: float,
-    *,
-    singularity_eps: float = 1e-9,
-) -> tuple[float, float] | None:
-    """First time the grid-min radius of curvature drops to the threshold.
-
-    ``length_path`` supplies L(t) on [0, horizon] (for example a solved
-    or closed-form length). The minimum is taken on the validation grid
-    of ``radius_extrema`` at 4096 uniform time steps, through the same
-    pre-scan and bisection as ``integrate``; returns (t*, theta*) or None.
-    """
-    problem = _Problem(spec0, None, None, limits=(singularity_eps, -np.inf, -np.inf, np.inf))
-
-    def path(tau):
-        if isinstance(tau, np.ndarray):
-            return np.array([length_path(x) for x in tau.tolist()], dtype=float)
-        return length_path(tau)
-
-    found = problem.locate(path, 0.0, np.linspace(0.0, horizon, 4096 + 1))
-    return None if found is None else (found[1].t, found[1].theta)
-
-
-def rescaled_support(state: FlowState) -> SupportSpectrum:
-    """Spectrum of the curve rescaled to length 2*pi; the mean becomes 1."""
-    if state.L <= 0.0:
-        raise ValueError("rescaling requires positive length")
-    factor = TWO_PI / state.L
-    return SupportSpectrum(
-        mean=state.spectrum.mean * factor,
-        cos_coeffs=state.spectrum.cos_coeffs * factor,
-        sin_coeffs=state.spectrum.sin_coeffs * factor,
-    )
-
-
 def _json_num(x: float):
     return float(x) if np.isfinite(x) else None
 
@@ -769,21 +719,9 @@ def describe_outcome(outcome: Outcome) -> str:
 
 
 def summary_record(traj: Trajectory) -> dict:
-    """The trailing summary line of trajectory and frame exports."""
+    """The trailing summary line of the frames export."""
     event = traj.event
     return {
         "event": {"kind": event.kind, "t": event.t, "theta": event.theta},
         "outcome": outcome_record(traj.outcome),
     }
-
-
-def trajectory_lines(traj: Trajectory) -> list[str]:
-    """JSONL lines: one scalar record per state plus a trailing summary."""
-    lines = [json.dumps(rec) for rec in record_rows(traj)]
-    lines.append(json.dumps(summary_record(traj)))
-    return lines
-
-
-def write_trajectory_jsonl(traj: Trajectory, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(trajectory_lines(traj)) + "\n")

@@ -16,7 +16,6 @@ Angles are normalized to [0, 2*pi); uniform grids use theta_j = 2*pi*j/M.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,14 +381,6 @@ def spectrum_from_polygon(vertices, truncation: int = 16) -> SupportSpectrum:
     return project_from_samples(np.max(verts @ np.vstack([np.cos(th), np.sin(th)]), axis=0), truncation)
 
 
-def spectrum_to_dict(spec: SupportSpectrum) -> dict:
-    return {
-        "mean": spec.mean,
-        "cos": [float(v) for v in spec.cos_coeffs],
-        "sin": [float(v) for v in spec.sin_coeffs],
-    }
-
-
 def spectrum_from_dict(record: dict) -> SupportSpectrum:
     cos = [float(v) for v in record.get("cos", [])]
     sin = [float(v) for v in record.get("sin", [])]
@@ -397,18 +388,3 @@ def spectrum_from_dict(record: dict) -> SupportSpectrum:
     cos += [0.0] * (n - len(cos))
     sin += [0.0] * (n - len(sin))
     return SupportSpectrum(mean=float(record["mean"]), cos_coeffs=cos, sin_coeffs=sin)
-
-
-def spectrum_to_json(spec: SupportSpectrum) -> str:
-    return json.dumps(spectrum_to_dict(spec))
-
-
-def spectrum_from_json(text: str) -> SupportSpectrum:
-    return spectrum_from_dict(json.loads(text))
-
-
-def curve_samples_to_csv(samples: CurveSamples) -> str:
-    lines = ["theta,x,y"]
-    for th, (x, y) in zip(samples.thetas, samples.points):
-        lines.append(f"{float(th)!r},{float(x)!r},{float(y)!r}")
-    return "\n".join(lines) + "\n"

@@ -19,10 +19,7 @@ from curveflow import (
 from curveflow.cli import (
     ConfigError,
     InitialCurve,
-    OutputPaths,
-    RunConfig,
     check,
-    emit_config,
     load_initial,
     main,
     parse_config,
@@ -45,6 +42,10 @@ class TestParseConfig:
         assert cfg.frame_count == 16
         assert cfg.outputs.timeseries == "timeseries.csv"
         assert cfg.outputs.svg is None
+        # An unset truncation stays unset, so cos/sin may hold more than 64 values.
+        cfg = parse_config("flow = pan-yang\nmean = 1.0\ncos = " + ", ".join(["0.0"] * 70) + "\n")
+        assert cfg.initial.truncation is None
+        assert len(cfg.initial.cos) == 70
 
     def test_bracketed_lists(self):
         cfg = parse_config("flow = pan-yang\nmean = 1\ncos = [0, 0.2]\nsin = []\n")
@@ -116,35 +117,6 @@ class TestParseConfig:
     def test_cos_requires_inline_mean(self):
         with pytest.raises(ConfigError, match="inline"):
             parse_config("flow = pan-yang\nsamples_file = x.csv\ncos = 0, 1\n")
-
-
-class TestEmitRoundTrip:
-    def test_roundtrip_nondefault(self):
-        cfg = RunConfig(
-            initial=InitialCurve(kind="coeffs", mean=1.5, cos=(0.1, 0.0), sin=(0.0, -0.2), truncation=32),
-            flow=Constant(c=-2.0),
-            controls=IntegratorControls(t_max=7.0, rel_tol=1e-10),
-            outputs=OutputPaths(timeseries="a.csv", frames="b.jsonl", reports="c.csv", svg="d"),
-            frame_count=5,
-        )
-        assert parse_config(emit_config(cfg)) == cfg
-
-    def test_roundtrip_file_source(self):
-        cfg = RunConfig(
-            initial=InitialCurve(kind="polygon-file", path="poly.csv", truncation=8),
-            flow=PowerSum(terms=((1.0, 1.0, 0.0), (0.5, 0.0, 1.0))),
-            controls=IntegratorControls(),
-            outputs=OutputPaths(),
-            frame_count=16,
-        )
-        assert parse_config(emit_config(cfg)) == cfg
-
-    def test_roundtrip_unset_truncation(self):
-        # An unset truncation stays unset, so cos/sin may hold more than 64 values.
-        cfg = parse_config("flow = pan-yang\nmean = 1.0\ncos = " + ", ".join(["0.0"] * 70) + "\n")
-        assert cfg.initial.truncation is None
-        assert "truncation" not in emit_config(cfg)
-        assert parse_config(emit_config(cfg)) == cfg
 
 
 class TestLoadInitial:

@@ -20,7 +20,6 @@ from curveflow import (
     go2,
     integrate,
     ipd_decay_ratio,
-    ipr_guaranteed_monotone,
     ipr_monotone,
     isoperimetric,
     isoperimetric_deficit,
@@ -193,19 +192,12 @@ class TestTrajectoryChecks:
     )
     def test_ipr_monotone_guaranteed_flows(self, term):
         traj = integrate(ELLIPSEISH, term, IntegratorControls(t_max=4.0))
-        assert ipr_guaranteed_monotone(term)
         assert ipr_monotone(traj)
 
     def test_ipr_not_guaranteed_for_growing_h(self):
         term = PowerSum(terms=((1.0, 1.0, 0.0),))
-        assert not ipr_guaranteed_monotone(term)
         traj = integrate(ELLIPSEISH, term, IntegratorControls(t_max=5.0))
         assert not ipr_monotone(traj)  # report only: this one rises
-
-    def test_ipr_guard_classification(self):
-        assert ipr_guaranteed_monotone(Constant(c=-0.1))
-        assert not ipr_guaranteed_monotone(Constant(c=0.1))
-        assert not ipr_guaranteed_monotone(PowerSum(terms=((-1.0, 0.0, 0.0),)))
 
     def test_ipd_ratio_bounded_for_random_curves_and_flows(self):
         rng = np.random.default_rng(37)

@@ -2,12 +2,15 @@ import ast
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+# Note on an import kept only so that the benchmark's tracer can wrap it.
+TRACED_MARKER = "perfbench/spans.py traces this name here"
 
 
 def artifact_diff(dir_a, dir_b):
@@ -45,6 +48,24 @@ class TestArtifactDiff:
         assert "  x: max_abs 0.5  max_rel 0.2  mismatches 0" in lines
         assert not any(line.startswith(("  t:", "  event.t:")) for line in lines)
 
+    def test_closed_stdout_ends_quietly_with_the_comparison_status(self, tmp_path):
+        # Enough identical files that the listing overflows a 64 KiB pipe buffer.
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir()
+            for i in range(1000):
+                (tmp_path / side / f"{i:04d}{'x' * 200}.csv").write_text("t\n")
+        with open(tmp_path / "stderr", "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, str(SCRIPTS / "artifact_diff.py"), str(tmp_path / "a"), str(tmp_path / "b")],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                text=True,
+            )
+            assert proc.stdout.readline() == "identical: 1000 files\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in (tmp_path / "stderr").read_text()
+
 
 class TestTrajectoryDigest:
     def test_out_writes_one_jsonl_per_run(self, tmp_path, monkeypatch, capsys):
@@ -66,6 +87,27 @@ class TestTrajectoryDigest:
         assert last["event"]["t"] >= states[-1]["t"]
 
 
+class TestReadme:
+    def test_library_example_runs_as_written(self, capsys):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("ConvergesToCircle(center=(0.0, 0.0), ")
+
+
+def _imports(path: Path):
+    """(bound name, source line) of every name a module imports."""
+    lines = path.read_text().splitlines()
+    for node in ast.walk(ast.parse("\n".join(lines))):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], lines[alias.lineno - 1]
+
+
+MODULES = sorted((ROOT / "src" / "curveflow").glob("*.py"))
+
+
 class TestPerfbenchPatches:
     def test_every_patched_name_resolves(self, monkeypatch):
         # The benchmark's tracer wraps these names; each must still exist
@@ -82,14 +124,25 @@ class TestPerfbenchPatches:
         # note; once no patch names it, it is dead and must go.
         monkeypatch.syspath_prepend(str(ROOT))
         patched = {(module, name) for module, name, _ in importlib.import_module("perfbench.spans").PATCHES}
-        marker = "perfbench/spans.py traces this name here"
-        marked = []
-        for path in sorted((ROOT / "src" / "curveflow").glob("*.py")):
-            lines = path.read_text().splitlines()
-            for node in ast.walk(ast.parse("\n".join(lines))):
-                if isinstance(node, ast.ImportFrom):
-                    for alias in node.names:
-                        if marker in lines[alias.lineno - 1]:
-                            marked.append((f"curveflow.{path.stem}", alias.asname or alias.name))
+        marked = [
+            (f"curveflow.{path.stem}", name)
+            for path in MODULES
+            for name, line in _imports(path)
+            if TRACED_MARKER in line
+        ]
         assert marked
         assert [entry for entry in marked if entry not in patched] == []
+
+    def test_every_import_is_used_or_kept_for_the_tracer(self):
+        unused = []
+        for path in MODULES:
+            if path.name == "__init__.py":  # imports there are the public names
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [
+                f"{path.name}: {name}"
+                for name, line in _imports(path)
+                if name not in used and TRACED_MARKER not in line
+            ]
+        assert unused == []
