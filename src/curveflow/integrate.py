@@ -25,12 +25,13 @@ point t = 0 and then its accepted steps. A step's check times are the
 sample times inside it and its end. One locator serves every step: a
 block pre-scan evaluates the check times SCAN_CHUNK at a time (one
 (grid x N)(N x chunk) product for the curvature minimum), the scalar
-test confirms the bracket around the first flagged one, and one
-bisection, to 1e-10 in time, finds the earliest crossing of any
-threshold, with ties broken singularity > area vanish > length vanish >
-length blow-up. A trajectory derives its outcome from its event:
-convergence to a circle (with its limit center), a curvature
-singularity, or one of the degenerate length/area scenarios.
+test confirms the bracket around the first flagged one, and
+root-finding on the threshold margins locates the earliest crossing of
+any threshold, resolved to the 1e-10 bracket bisection gives, with ties
+broken singularity > area vanish > length vanish > length blow-up.
+A trajectory derives its outcome from its event: convergence to a
+circle (with its limit center), a curvature singularity, or one of the
+degenerate length/area scenarios.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .flows import (
     HDomainError,
     NonlocalTerm,
     _h,
-    area_along_flow,
+    area_along_flow,  # noqa: F401  (perfbench/spans.py traces this name here)
     closed_length,
     flow_state,  # noqa: F401  (perfbench/spans.py traces this name here)
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
@@ -76,8 +77,11 @@ EVENT_AREA_VANISH = "area-vanish"
 EVENT_H_DOMAIN_EXIT = "h-domain-exit"
 EVENT_STEP_COLLAPSE = "step-collapse"
 
-# Event location: bisection width on time.
+# Event location: width of the final bracket on time.
 EVENT_TIME_TOL = 1e-10
+# Secant probes of the event locator may exceed the halvings they settle
+# without a probe by at most this many.
+SECANT_SLACK = 4
 # Internal cap on the step size so threshold crossings are scanned at
 # least this finely even when the controller wants huge steps.
 MAX_STEP = 0.25
@@ -343,6 +347,11 @@ def _margins(limits: tuple, rho_min, area, length) -> tuple:
     return (rho_min - eps, area - area_vanish, length - length_vanish, length_blowup - length)
 
 
+def _crossed(margins: tuple) -> list[str]:
+    """Event kinds whose margin is <= 0, in _EVENT_PRIORITY order."""
+    return [kind for kind, margin in zip(_EVENT_PRIORITY, margins) if margin <= 0.0]
+
+
 class _Problem:
     def __init__(self, spec0: SupportSpectrum, term: NonlocalTerm, controls: IntegratorControls):
         self.spec0 = spec0
@@ -366,21 +375,16 @@ class _Problem:
         )
         return length - TWO_PI * h_val
 
-    def crossed(self, t: float, length: float) -> list[str]:
-        """Event kinds whose thresholds are crossed at (t, L)."""
-        # No FlowState here: event bisection may probe lengths at or
-        # below the vanish threshold where states are unconstructible.
-        margins = _margins(
-            self.limits,
-            self.modes.min_radius(t, length),
-            area_along_flow(self.spec0, length, t),
-            length,
-        )
-        return [kind for kind, margin in zip(_EVENT_PRIORITY, margins) if margin <= 0.0]
+    def margins(self, t: float, length: float) -> tuple:
+        """``_margins`` at (t, L), the scalar test of the event locator."""
+        # No FlowState here: the locator may probe lengths at or below the
+        # vanish threshold where states are unconstructible.
+        modes = self.modes
+        return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
     def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Check times where some threshold may be crossed: every one that
-        ``crossed`` lists, and possibly a few within PRESCAN_SLACK of one."""
+        """Check times where some threshold may be crossed: every one where
+        a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of one."""
         rho_min, rho_size, area, area_size = self.modes.scan(times, lengths)
         sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
         flagged = np.zeros(len(times), dtype=bool)
@@ -389,7 +393,7 @@ class _Problem:
         return flagged
 
     def locate(self, path: Callable, t_prev: float, check_times: np.ndarray):
-        return _locate(self.modes, self.crossed, path, t_prev, check_times, self.flags)
+        return _locate(self.modes, self.margins, path, t_prev, check_times, self.flags)
 
 
 def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> int | None:
@@ -403,24 +407,25 @@ def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> 
     return None
 
 
-def _locate(
-    modes: _Modes,
-    crossed: Callable,
-    path: Callable,
-    t_prev: float,
-    check_times,
-    flags: Callable,
-) -> tuple[float, TerminationEvent] | None:
+def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, check_times, flags: Callable):
     """Earliest crossing along L = path(t): (t_before, event) or None.
 
-    ``crossed(t, L)`` lists the kinds crossed at (t, L). The check times
+    ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
     follow ``t_prev``. ``flags`` is a block test (see ``_prescan``); the
     scalar test runs only on the first flagged check time and the one
-    before it. At the first check time where any kind is crossed, one
-    bisection on "nothing crossed yet" shrinks [previous check time, it]
-    to EVENT_TIME_TOL; the event is the first kind in _EVENT_PRIORITY
-    crossed at the upper end.
+    before it. At the first check time where any kind is crossed,
+    ``_halve`` narrows [previous check time, it] to EVENT_TIME_TOL as the
+    bisection on "nothing crossed yet" does; if the scalar test disagrees
+    at its ends (a threshold that dips and recovers), that bisection
+    itself runs. The event is the first kind crossed at the upper end.
     """
+    known: dict[float, tuple] = {}
+
+    def probe(t: float) -> tuple:
+        if t not in known:
+            known[t] = margins(t, path(t))
+        return known[t]
+
     start = 0
     while start < len(check_times):
         first = _prescan(flags, path, check_times, start)
@@ -430,25 +435,58 @@ def _locate(
         lo = t_prev if window[0] == 0 else float(check_times[window[0] - 1])
         for i in window:
             hi = float(check_times[i])
-            fired = crossed(hi, path(hi))
-            if fired:
-                return _bisect(modes, crossed, path, lo, hi, fired)
+            if _crossed(probe(hi)):
+                for secant in (True, False):
+                    t0, t1 = _halve(probe, lo, hi, secant)
+                    fired = _crossed(probe(t1))
+                    if fired and (t0 == lo or not _crossed(probe(t0))):
+                        break
+                theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
+                return t0, TerminationEvent(kind=fired[0], t=t1, theta=theta)
             lo = hi
         start = window[-1] + 1
     return None
 
 
-def _bisect(modes: _Modes, crossed: Callable, path: Callable, lo: float, hi: float, fired: list):
+def _halve(probe: Callable, lo: float, hi: float, secant: bool) -> tuple[float, float]:
+    """[lo, hi] halved at mid = (lo + hi) / 2 down to EVENT_TIME_TOL on
+    "anything crossed", as the bisection does; ``probe(t)`` gives the
+    margins at t. A root bracket [a, b] (nothing crossed at a, something
+    at b) settles each midpoint outside it without a probe. A midpoint
+    inside it is probed, after, with ``secant``, Illinois steps (Dowell
+    and Jarratt, BIT 11, 1971) on the margin of a kind crossed at b, as
+    long as they number fewer than the halvings settled plus SECANT_SLACK:
+    a kinked or discontinuous margin costs at most that many more probes.
+    """
+    a, b = lo, hi
+    kind = _EVENT_PRIORITY.index(_crossed(probe(b))[0])
+    fa, fb = probe(a)[kind], probe(b)[kind]
+    side = secants = settled = 0
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
-        fired_mid = crossed(mid, path(mid))
-        if fired_mid:
-            hi, fired = mid, fired_mid
+        if not a < mid < b:
+            settled += 1
         else:
-            lo = mid
-    kind = next(k for k in _EVENT_PRIORITY if k in fired)
-    theta = modes.argmin_theta(hi) if kind == EVENT_SINGULARITY else None
-    return lo, TerminationEvent(kind=kind, t=hi, theta=theta)
+            t = mid
+            if secant and fa > 0.0 and secants < settled + SECANT_SLACK:
+                illinois = b - fb * (b - a) / (fb - fa)
+                if a < illinois < b:
+                    t, secants = illinois, secants + 1
+            margins = probe(t)
+            # Regula falsi that halves the value kept at an end twice running.
+            if min(margins) > 0.0:
+                fb = 0.5 * fb if side > 0 else fb
+                a, fa, side = t, margins[kind], 1
+            else:
+                if margins[kind] > 0.0:  # another kind crossed first: follow it
+                    kind, side = _EVENT_PRIORITY.index(_crossed(margins)[0]), 0
+                    fa = probe(a)[kind]
+                fa = 0.5 * fa if side < 0 else fa
+                b, fb, side = t, margins[kind], -1
+            if t != mid:
+                continue
+        lo, hi = (mid, hi) if mid < b else (lo, mid)
+    return lo, hi
 
 
 # One row per event kind: the outcome it yields, that outcome's record

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the package's closed forms and code
 paths: support functions are evaluated by raw term-by-term summation,
 geometric quantities come from dense trapezoid quadrature of their
-defining integrals, and propagation from the literal Gaussian
-convolution integrated by composite Simpson.
+defining integrals, propagation from the literal Gaussian convolution
+integrated by composite Simpson, and event times from plain bisection.
 """
 
 import numpy as np
@@ -128,3 +128,18 @@ def random_convex_coeffs(rng, max_modes=8, mean_range=(0.8, 1.5)):
     cos = rng.uniform(-1, 1, n) * damp
     sin = rng.uniform(-1, 1, n) * damp
     return mean, cos, sin
+
+
+def bisect_crossing(crossed, lo, hi, fired, tol):
+    """The event bisection: halve [lo, hi] at mid = 0.5 * (lo + hi) on
+    "anything crossed" until hi - lo <= tol. ``crossed(t)`` lists the
+    kinds crossed at t and ``fired`` those crossed at hi; returns
+    (lo, hi, kinds crossed at hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fired_mid = crossed(mid)
+        if fired_mid:
+            hi, fired = mid, fired_mid
+        else:
+            lo = mid
+    return lo, hi, fired

@@ -1,6 +1,7 @@
 import importlib
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -465,21 +466,58 @@ def _every_check_time(times, lengths):
     return np.ones(len(times), dtype=bool)
 
 
+def _bisection(probe, lo, hi, secant):
+    """``integrate._halve`` as the plain bisection of ``oracles``."""
+    from curveflow.integrate import EVENT_TIME_TOL, _crossed
+
+    crossed = lambda t: _crossed(probe(t))  # noqa: E731
+    return oracles.bisect_crossing(crossed, lo, hi, crossed(hi), EVENT_TIME_TOL)[:2]
+
+
+def _with_bisection(run):
+    """run() with ``integrate._halve`` replaced by ``_bisection``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("curveflow.integrate"), "_halve", _bisection)
+        return run()
+
+
+def _same_as_bisection(run) -> Trajectory:
+    """run(), after checking that its event and its t and L columns are
+    those of the same run with the bisection locator, bit for bit."""
+    traj, reference = run(), _with_bisection(run)
+    assert traj.event == reference.event
+    assert np.array_equal(traj.t, reference.t) and np.array_equal(traj.L, reference.L)
+    return traj
+
+
+def _pinch_curve(rng, n: int, ratio: float, offset: float) -> SupportSpectrum:
+    """u = m + a1 cos + b1 sin + a cos 2(theta - phi), a/m = ``ratio``,
+    with phi ``offset`` of the way between two nodes of the 512-point
+    curvature grid."""
+    mean = rng.uniform(0.5, 2.0)
+    phi = (int(rng.integers(0, 256)) + offset) * TWO_PI / 512
+    cos, sin = np.zeros(n), np.zeros(n)
+    cos[0], sin[0] = rng.uniform(-1.0, 1.0, 2) * mean
+    cos[1], sin[1] = ratio * mean * np.cos(2.0 * phi), ratio * mean * np.sin(2.0 * phi)
+    return SupportSpectrum(mean=mean, cos_coeffs=cos, sin_coeffs=sin)
+
+
 class TestEventLocation:
-    """One locator: a scan over check times, one bisection, priority on ties."""
+    """One locator: a scan over check times, a root bracket on the margins
+    that settles the bisection's halvings, priority on ties."""
 
     def record_probes(self, monkeypatch):
-        from curveflow.integrate import _Problem
+        from curveflow.integrate import _crossed, _Problem
 
         probes = []
-        real = _Problem.crossed
+        real = _Problem.margins
 
         def recording(self, t, length):
-            fired = real(self, t, length)
-            probes.append((t, fired))
-            return fired
+            margins = real(self, t, length)
+            probes.append((t, _crossed(margins)))
+            return margins
 
-        monkeypatch.setattr(_Problem, "crossed", recording)
+        monkeypatch.setattr(_Problem, "margins", recording)
         return probes
 
     def test_two_thresholds_at_one_check_point_take_one_bisection(self, monkeypatch):
@@ -546,21 +584,138 @@ class TestEventLocation:
         from curveflow.heat import _Modes
         from curveflow.integrate import EVENT_TIME_TOL, _locate
 
-        def crossed(t, length):
-            # Listed lowest priority first: the order of the list must not matter.
-            return ["length-blowup", "length-vanish", "area-vanish"] if t >= 0.3 else []
+        def margins(t, length):
+            # Area vanish, length vanish and length blow-up all cross at t = 0.3.
+            return (1.0, 1.0, 1.0, 1.0) if t < 0.3 else (1.0, -1.0, -1.0, -1.0)
 
-        found = _locate(_Modes(ELLIPSEISH), crossed, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], _every_check_time)
+        found = _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], _every_check_time)
         t_before, event = found
         assert event.kind == "area-vanish" and event.theta is None
         assert t_before < 0.3 <= event.t <= t_before + EVENT_TIME_TOL
+
+    @pytest.mark.parametrize("roots", [(0.4, 0.3), (0.45, 0.26), (0.31, 0.3)])
+    def test_root_finding_follows_the_kind_crossed_first(self, roots):
+        # Singularity and area vanish both cross in [0.25, 0.5], area vanish first.
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _locate
+
+        calls = []
+
+        def margins(t, length):
+            calls.append(t)
+            return (roots[0] ** 2 - t * t, roots[1] ** 2 - t * t, 1.0, 1.0)
+
+        def locate():
+            del calls[:]
+            return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], _every_check_time)
+
+        want = _with_bisection(locate)
+        assert locate() == want and want[1].kind == "area-vanish"
+        # The bisection takes 32 probes after the first crossed check time.
+        assert len(calls) - 2 <= 16
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["crossed-at-lower-end", "clear-at-upper-end"])
+    def test_an_end_the_scalar_test_contradicts_falls_back_to_the_bisection(self, end):
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _locate
+
+        flipped = []
+
+        def margins(t, length):
+            # Crossed from t = 0.3 on, except where flipped.
+            margin = 0.09 - t * t
+            return (-margin if t in flipped else margin, 1.0, 1.0, 1.0)
+
+        def locate():
+            return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], _every_check_time)
+
+        t_before, event = locate()
+        # The root bracket settles these ends without a probe; flip the one
+        # under test there, a threshold that dips or recovers in between.
+        flipped.append((t_before, event.t)[end])
+        want = _with_bisection(locate)
+        assert locate() == want != (t_before, event)
 
     def test_nothing_crossed(self):
         from curveflow.heat import _Modes
         from curveflow.integrate import _locate
 
-        never = lambda t, length: []  # noqa: E731
+        never = lambda t, length: (1.0, 1.0, 1.0, 1.0)  # noqa: E731
         assert _locate(_Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0], _every_check_time) is None
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.sampled_from([2, 16, 64]),
+        ratio=st.floats(min_value=0.05, max_value=0.3),
+        offset=st.floats(min_value=0.01, max_value=0.99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pinch_events_match_the_bisection(self, seed, n, ratio, offset):
+        spec0 = _pinch_curve(np.random.default_rng(seed), n, ratio, offset)
+        traj = _same_as_bisection(lambda: integrate(spec0, H_EQUALS_L, IntegratorControls(t_max=10.0)))
+        assert traj.event.kind == "singularity"
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=16),
+        length_vanish=st.floats(min_value=1e-3, max_value=0.3),
+        area_vanish=st.floats(min_value=1e-6, max_value=0.05),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_ode_path_threshold_events_match_the_bisection(self, seed, n, length_vanish, area_vanish):
+        spec0 = _random_convex(np.random.default_rng(seed), n)
+        controls = IntegratorControls(t_max=10.0, length_vanish=length_vanish, area_vanish=area_vanish)
+        traj = _same_as_bisection(lambda: integrate(spec0, GENERAL_POWERSUM, controls))
+        assert traj.event.kind in ("length-vanish", "area-vanish")
+
+    def test_two_thresholds_at_one_check_point_match_the_bisection(self):
+        controls = IntegratorControls(t_max=10.0, length_vanish=3.5e-6)
+        traj = _same_as_bisection(lambda: integrate(CIRCLE, H_EQUALS_L, controls))
+        assert traj.event.kind == "area-vanish"
+
+    def test_pinch_family_probes(self, monkeypatch):
+        probes = self.record_probes(monkeypatch)
+        rng = np.random.default_rng(1)
+        counts = []
+        for i in range(60):
+            offset = 0.5 if i % 2 == 0 else rng.uniform(0.01, 0.99)
+            spec0 = _pinch_curve(rng, (2, 16, 64)[i % 3], rng.uniform(0.05, 0.3), offset)
+            del probes[:]
+            assert integrate(spec0, H_EQUALS_L, IntegratorControls(t_max=10.0)).event.kind == "singularity"
+            counts.append(len(probes))
+        # The bisection alone takes 29 probes to narrow a 0.05 bracket to 1e-10.
+        assert np.median(counts) <= 16 and max(counts) <= 35
+
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            lambda t: 1.0 if t < 0.3 else -1.0,
+            lambda t: 0.3 - t if t < 0.3 else 1e-6 * (0.3 - t),
+            lambda t: 0.4 - t if t < 0.3 else (-1e-3 if t < 0.31 else 1e-6 * (0.31 - t)),
+            lambda t: abs(t - 0.28) + 0.01 if t < 0.3 else -1e-9 - (t - 0.3) ** 2,
+        ],
+        ids=["jump", "kink", "kink-and-jump", "jump-after-kink"],
+    )
+    def test_kinked_or_discontinuous_margin_costs_little_more_than_bisection(self, margin):
+        from curveflow.heat import _Modes
+        from curveflow.integrate import EVENT_TIME_TOL, _locate
+
+        calls = []
+
+        def margins(t, length):
+            calls.append(t)
+            return (margin(t), 1.0, 1.0, 1.0)
+
+        def locate():
+            del calls[:]
+            return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], _every_check_time)
+
+        want = _with_bisection(locate)
+        assert locate() == want
+        after_firing = len(calls) - calls.index(0.5) - 1
+        # The bisection's halvings, at most SECANT_SLACK = 4 secant probes
+        # beyond the halvings they settle, and a check at each end.
+        assert after_firing <= np.ceil(np.log2(0.25 / EVENT_TIME_TOL)) + 6
 
     @given(
         n=st.integers(min_value=2, max_value=64),
@@ -597,7 +752,8 @@ class TestSymmetries:
     """Rotating the input shifts theta* and keeps t*; translating it keeps
     the pinch and moves the limit center; reflecting it (b_n -> -b_n)
     reflects theta* and keeps everything else; restarting from a recorded
-    state repeats the run from there on."""
+    state repeats the run from there on; scaling it, u -> lambda u, scales
+    L(t) by lambda when H has degree 1."""
 
     CONTROLS = IntegratorControls(t_max=1.0)
 
@@ -650,7 +806,19 @@ class TestSymmetries:
     )
     @settings(max_examples=30, deadline=None)
     def test_restart_on_the_closed_path(self, seed, n, term, k):
-        spec0 = _random_convex(np.random.default_rng(seed), n)
+        self.check_restart(_random_convex(np.random.default_rng(seed), n), term, k, 1e-14)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=32),
+        k=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_restart_on_the_ode_path(self, seed, n, k):
+        self.check_restart(_random_convex(np.random.default_rng(seed), n), GENERAL_POWERSUM, k, 1e-8)
+
+    @staticmethod
+    def check_restart(spec0, term, k, rel_tol):
         t_max = 3.0
         base = integrate(spec0, term, IntegratorControls(t_max=t_max))
         k = min(k, len(base.t) - 2)  # a sample time before any event
@@ -659,7 +827,39 @@ class TestSymmetries:
         assert restart.event.kind == base.event.kind
         assert len(restart.t) == len(base.t) - k
         assert np.allclose(restart.t + t1, base.t[k:], rtol=0.0, atol=1e-12)
-        assert np.max(np.abs(restart.L - base.L[k:]) / base.L[k:]) <= 1e-14
+        assert np.max(np.abs(restart.L - base.L[k:]) / base.L[k:]) <= rel_tol
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=32),
+        term=st.sampled_from([PanYang(), LinTsai(), MaCheng()]),
+        scale=st.floats(min_value=0.3, max_value=4.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scaling_on_the_closed_path(self, seed, n, term, scale):
+        self.check_scaling(_random_convex(np.random.default_rng(seed), n), term, scale, 1e-14)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=32),
+        scale=st.floats(min_value=0.3, max_value=4.0),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_scaling_on_the_ode_path(self, seed, n, scale):
+        # H = 0.1 L + 0.005 L^3 / A has degree 1 and no closed form.
+        term = PowerSum(terms=((0.1, 1.0, 0.0), (0.005, 3.0, -1.0)))
+        self.check_scaling(_random_convex(np.random.default_rng(seed), n), term, scale, 1e-10)
+
+    @staticmethod
+    def check_scaling(spec0, term, scale, rel_tol):
+        controls = IntegratorControls(t_max=4.0)
+        scaled = SupportSpectrum(
+            mean=scale * spec0.mean, cos_coeffs=scale * spec0.cos_coeffs, sin_coeffs=scale * spec0.sin_coeffs
+        )
+        base, traj = integrate(spec0, term, controls), integrate(scaled, term, controls)
+        assert base.event.kind == traj.event.kind == "reached-horizon"
+        assert np.array_equal(traj.t, base.t)
+        assert np.max(np.abs(traj.L - scale * base.L) / (scale * base.L)) <= rel_tol
 
 
 def _random_convex(rng, n: int) -> SupportSpectrum:
@@ -814,7 +1014,7 @@ class TestPrescan:
     @pytest.mark.parametrize("seed", range(8))
     def test_flags_cover_every_scalar_crossing(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _Problem
+        from curveflow.integrate import _crossed, _Problem
 
         rng = np.random.default_rng(seed)
         spec0 = _random_convex(rng, int(rng.integers(2, 64)))
@@ -823,7 +1023,7 @@ class TestPrescan:
         law = closed_length(spec0, H_EQUALS_L)
         times = np.linspace(0.0, 1.5, 301)
         flags = problem.flags(times, law(times))
-        scalar = np.array([bool(problem.crossed(t, law(t))) for t in times.tolist()])
+        scalar = np.array([bool(_crossed(problem.margins(t, law(t)))) for t in times.tolist()])
         assert scalar.any() and not scalar.all()
         assert np.all(flags[scalar])
 
@@ -845,7 +1045,7 @@ class TestPrescan:
         problem = _Problem(spec0, term, controls)
         law = closed_length(spec0, term)
         times = np.linspace(0.0, 10.0, 1001)
-        scalar = _locate(problem.modes, problem.crossed, law, 0.0, times, _every_check_time)
+        scalar = _locate(problem.modes, problem.margins, law, 0.0, times, _every_check_time)
         assert problem.locate(law, 0.0, times) == scalar
 
     def test_peak_allocation_does_not_grow_with_check_times(self):

@@ -87,6 +87,22 @@ class TestTrajectoryDigest:
         assert last["event"]["t"] >= states[-1]["t"]
 
 
+class TestSingularityScan:
+    def test_every_amplitude_pinches_at_the_analytic_time(self, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("singularity_scan", SCRIPTS / "singularity_scan.py")
+        scan = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scan)
+        monkeypatch.setattr(sys, "argv", ["singularity_scan.py"])
+        assert scan.main() == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["a2", "event", "t_detected", "t_analytic", "gap"]
+        assert len(rows) == 6
+        for row in rows:
+            _, kind, _, _, gap = row.split()
+            # The gap comes from singularity_eps: the event fires at rho_min = 1e-9, not 0.
+            assert kind == "singularity" and float(gap) <= 1e-7
+
+
 class TestReadme:
     def test_library_example_runs_as_written(self, capsys):
         readme = (ROOT / "README.md").read_text()
