@@ -57,7 +57,14 @@ class _Modes:
 
     goes through the shared table of ``support._grid_deviation``, so
     ``min_radius`` is ``radius_extrema`` of the recorded state, bit for bit.
-    ``scan`` evaluates a block of times with one product against that table.
+    Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), rho over every
+    theta is at least
+
+        L(t)/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t},
+
+    an O(N) bound per time whose sum decays at rate 3 or more;
+    ``scan`` reads it first and evaluates a block of times with one product
+    against the grid table only where the bound does not clear the threshold.
     """
 
     def __init__(self, spec0: SupportSpectrum):
@@ -73,6 +80,11 @@ class _Modes:
     def _rho_size(self) -> np.ndarray:
         # Sum of |terms| of the grid sum for rho, per mode, at t = 0.
         return np.abs(self.decay) * (np.abs(self._a0) + np.abs(self._b0))
+
+    @functools.cached_property
+    def _rho_amp(self) -> np.ndarray:
+        # Largest |mode n term| of rho over every theta, at t = 0.
+        return np.abs(self.decay) * np.sqrt(self.power)
 
     def factors(self, t: float) -> np.ndarray:
         """exp((1 - n^2) t) for n = 1..N."""
@@ -124,31 +136,45 @@ class _Modes:
         factors = np.exp(np.multiply.outer(times, self.decay))
         return _deficit(self._a0 * factors, self._b0 * factors)
 
-    def _deviation_block(self, times: np.ndarray):
-        # (modes x times) factors and the (grid x times) deviation from the
-        # mean of the radius of curvature: one product for all the times.
-        factors = np.exp(np.multiply.outer(self.decay, times))
-        return factors, _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors)
+    def _factor_block(self, times: np.ndarray) -> np.ndarray:
+        # (modes x times): column i is factors(times[i]).
+        return np.exp(np.multiply.outer(self.decay, times))
+
+    def _deviation_block(self, factors: np.ndarray) -> np.ndarray:
+        # (grid x times) deviation of the radius of curvature from its mean:
+        # one product for all the times.
+        return _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors)
 
     def radius_range(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Rows (min, max) of the radius of curvature on the grid at each
         time. The block product sums in another order than
         ``radius_extrema``; the two differ by rounding, far below 1e-12 of
         the sizes ``scan`` gives."""
-        _, dev = self._deviation_block(times)
+        dev = self._deviation_block(self._factor_block(times))
         return lengths / TWO_PI + np.array([dev.min(axis=0), dev.max(axis=0)])
 
-    def scan(self, times: np.ndarray, lengths: np.ndarray):
+    def scan(self, times: np.ndarray, lengths: np.ndarray, eps: float, slack: float):
         """(min radius, area) at each time, each with the size its rounding
         scales with: the mean plus the sum of |terms| of the grid sum, and
-        the circular part plus |E|."""
-        factors, dev = self._deviation_block(times)
+        the circular part plus |E|.
+
+        The min radius is the grid minimum of ``radius_range``, unless the
+        bound L/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t} exceeds ``eps``
+        by more than ``slack`` times the size at every time of the block:
+        then it is that bound and the grid product is skipped. The bound
+        lies below the grid minimum up to rounding far below 1e-12 of the
+        size, so "min radius - eps <= s * size" reads the same on both for
+        any s up to slack/2."""
+        factors = self._factor_block(times)
         mean = lengths / TWO_PI
-        rho_min = mean + dev.min(axis=0)
+        rho_size = np.abs(mean) + self._rho_size @ factors
+        rho_min = mean - self._rho_amp @ factors
+        if not (rho_min - eps > slack * rho_size).all():
+            rho_min = mean + self._deviation_block(factors).min(axis=0)
         e_val = (np.pi / 2.0) * ((self.decay * self.power) @ (factors * factors))
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
             circle = np.pi * mean * mean
-        return rho_min, np.abs(mean) + self._rho_size @ factors, circle + e_val, circle - e_val
+        return rho_min, rho_size, circle + e_val, circle - e_val
 
 
 def propagate(spec: SupportSpectrum, t: float) -> SupportSpectrum:

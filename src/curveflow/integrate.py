@@ -23,9 +23,13 @@ with the thresholds recorded in the controls. One recorder takes L(t)
 as steps: the closed form is the one step (0, t_max), the ODE solve the
 point t = 0 and then its accepted steps. A step's check times are the
 sample times inside it and its end. One locator serves every step: a
-block pre-scan evaluates the check times SCAN_CHUNK at a time (one
-(grid x N)(N x chunk) product for the curvature minimum), the scalar
-test confirms the bracket around the first flagged one, and
+block pre-scan evaluates the check times in blocks of SCAN_CHUNK = 32,
+then twice as many each time up to SCAN_BLOCK_CAP = 256. Per block it
+first bounds the curvature minimum from below by
+L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time,
+and only where that bound does not clear the singularity threshold at
+every time runs one (grid x N)(N x block) product for the grid minimum.
+The scalar test confirms the bracket around the first flagged one, and
 root-finding on the threshold margins locates the earliest crossing of
 any threshold, resolved to the 1e-10 bracket bisection gives, with ties
 broken singularity > area vanish > length vanish > length blow-up.
@@ -88,9 +92,13 @@ MAX_STEP = 0.25
 MIN_STEP = 1e-14
 # Cap on recorded states, t_max / sample_interval, so every run is bounded.
 MAX_SAMPLES = 10**6
-# Check times the event pre-scan evaluates at once; its arrays are
-# (grid x SCAN_CHUNK) whatever the number of check times.
+# Check times in the event pre-scan's first block; each later block is
+# twice the one before, up to SCAN_BLOCK_CAP check times. The first block
+# stays small because a pinch often falls within its first few check times.
 SCAN_CHUNK = 32
+# Largest block of the pre-scan and of the column functions: their arrays
+# are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
+SCAN_BLOCK_CAP = 256
 # The pre-scan sums in another order than the scalar test, so it flags a
 # check time once a margin is within this share of the margin's size;
 # the scalar test decides. Rounding differs by less than 1e-12 of that size.
@@ -178,9 +186,9 @@ class Trajectory:
     outcome that event and the last length imply.
 
     ``t`` and ``L`` hold the time and length of each recorded state. ``A``
-    is derived from them: the closed-form area, computed SCAN_CHUNK states
-    at a time, each value that of ``flow_state`` at the same (t, L) bit for
-    bit. All three are read-only float arrays and pass the checks every
+    is derived from them: the closed-form area, computed SCAN_BLOCK_CAP
+    states at a time, each value that of ``flow_state`` at the same (t, L)
+    bit for bit. All three are read-only float arrays and pass the checks every
     FlowState makes. ``states`` is a read-only sequence that builds the
     FlowState of a state each time it is indexed.
     """
@@ -258,10 +266,10 @@ class _States(Sequence):
 
 
 def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:
-    """fn applied to SCAN_CHUNK states at a time, the results joined along
-    their last axis, so that no (times x modes) array grows with the run."""
+    """fn applied to SCAN_BLOCK_CAP states at a time, the results joined
+    along their last axis, so that no (times x modes) array grows with the run."""
     count = len(columns[0])
-    parts = [fn(*(c[lo : lo + SCAN_CHUNK] for c in columns)) for lo in range(0, count, SCAN_CHUNK)]
+    parts = [fn(*(c[lo : lo + SCAN_BLOCK_CAP] for c in columns)) for lo in range(0, count, SCAN_BLOCK_CAP)]
     return np.concatenate(parts, axis=-1)
 
 
@@ -384,8 +392,12 @@ class _Problem:
 
     def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Check times where some threshold may be crossed: every one where
-        a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of one."""
-        rho_min, rho_size, area, area_size = self.modes.scan(times, lengths)
+        a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of
+        one. A block whose curvature bound clears singularity_eps by twice
+        that share needs no grid product (see ``_Modes.scan``)."""
+        rho_min, rho_size, area, area_size = self.modes.scan(
+            times, lengths, self.limits[0], 2.0 * PRESCAN_SLACK
+        )
         sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
         flagged = np.zeros(len(times), dtype=bool)
         for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes):
@@ -398,12 +410,15 @@ class _Problem:
 
 def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> int | None:
     """Index of the first check time from ``start`` on that ``flags`` marks,
-    evaluated SCAN_CHUNK times at a time; None when there is none."""
-    for lo in range(start, len(times), SCAN_CHUNK):
-        chunk = times[lo : lo + SCAN_CHUNK]
+    evaluated in blocks of SCAN_CHUNK check times, then twice as many each
+    time up to SCAN_BLOCK_CAP; None when there is none."""
+    lo, size = start, SCAN_CHUNK
+    while lo < len(times):
+        chunk = times[lo : lo + size]
         hits = np.flatnonzero(flags(chunk, path(chunk)))
         if hits.size:
             return lo + int(hits[0])
+        lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
     return None
 
 
@@ -673,7 +688,7 @@ def ipr_column(traj: Trajectory) -> np.ndarray:
 def _curvature_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     # (k_min, k_max) of every recorded state from the grid extrema of the
     # radius of curvature, NaN unless the state is strictly convex, as in
-    # _shape; one block product per SCAN_CHUNK states.
+    # _shape; one block product per SCAN_BLOCK_CAP states.
     rho_min, rho_max = _by_chunk(traj._modes.radius_range, traj.t, traj.L)
     convex = rho_min > CONVEXITY_EPS
     with np.errstate(divide="ignore"):

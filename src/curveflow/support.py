@@ -292,9 +292,16 @@ def sq_curvature_integral(spec: SupportSpectrum) -> float:
 
     No closed form exists; the uniform-grid trapezoid rule converges
     spectrally for the smooth positive integrand. Rejects non-convex input.
+    The radius of curvature on the SQ_CURVATURE_GRID points is one inverse
+    real FFT of M*mean and (M/2)(1 - n^2)(a_n - i b_n), zero-padded.
     """
     require_convex(spec)
-    rho = radius_of_curvature(spec, theta_grid(SQ_CURVATURE_GRID))
+    m = SQ_CURVATURE_GRID
+    n = np.arange(1, spec.truncation + 1, dtype=float)
+    weighted = np.zeros(m // 2 + 1, dtype=complex)
+    weighted[0] = m * spec.mean
+    weighted[1 : spec.truncation + 1] = (m / 2.0) * (1.0 - n**2) * (spec.cos_coeffs - 1j * spec.sin_coeffs)
+    rho = np.fft.irfft(weighted, m)
     return float(np.mean(1.0 / rho) * TWO_PI)
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's closed forms and code
 paths: support functions are evaluated by raw term-by-term summation,
 geometric quantities come from dense trapezoid quadrature of their
 defining integrals, propagation from the literal Gaussian convolution
-integrated by composite Simpson, and event times from plain bisection.
+integrated by composite Simpson, event times from plain bisection, and
+the event pre-scan's flags from the grid minimum at every check time.
 """
 
 import numpy as np
@@ -143,3 +144,18 @@ def bisect_crossing(crossed, lo, hi, fired, tol):
         else:
             lo = mid
     return lo, hi, fired
+
+
+def grid_flags(problem, times, lengths):
+    """``integrate._Problem.flags`` with the grid minimum of the radius of
+    curvature at every check time, never the curvature bound."""
+    from curveflow.integrate import PRESCAN_SLACK, _margins
+
+    modes = problem.modes
+    _, rho_size, area, area_size = modes.scan(times, lengths, problem.limits[0], np.inf)
+    rho_min = modes.radius_range(times, lengths)[0]
+    sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
+    flagged = np.zeros(len(times), dtype=bool)
+    for margin, size in zip(_margins(problem.limits, rho_min, area, lengths), sizes):
+        flagged |= margin <= PRESCAN_SLACK * size
+    return flagged

@@ -30,6 +30,7 @@ from curveflow import (
     length_rate,
     state_record,
 )
+from curveflow.integrate import PRESCAN_SLACK
 from curveflow.support import CONVEXITY_EPS, isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -561,14 +562,17 @@ class TestEventLocation:
         real = _Problem.flags
 
         def counting(self, times, lengths):
-            blocks.append(len(times))
+            blocks.append((float(times[0]), len(times)))
             return real(self, times, lengths)
 
         monkeypatch.setattr(_Problem, "flags", counting)
         controls = IntegratorControls(t_max=5.0)
         assert integrate(ELLIPSEISH, PanYang(), controls).event.kind == "reached-horizon"
-        # 101 check times in 4 blocks; a separate check at t = 0 would make 5.
-        assert len(blocks) == np.ceil((1 + len(_sample_times(controls))) / SCAN_CHUNK) == 4
+        # 101 check times in blocks of 32, 64 and 5; a separate check at
+        # t = 0 would make a block of 1 first.
+        assert 1 + len(_sample_times(controls)) == 101
+        assert blocks[0][0] == 0.0
+        assert [size for _, size in blocks] == [SCAN_CHUNK, 2 * SCAN_CHUNK, 5]
 
     def test_ode_path_checks_t_zero_before_the_first_rhs_call(self):
         # H = L^400 overflows at the initial length, so the run ends at the
@@ -996,8 +1000,9 @@ class TestClosedLength:
 
 
 class TestPrescan:
-    """The block pre-scan in _locate against a plain scalar scan: _locate
-    with every check time flagged."""
+    """The block pre-scan in _locate against a plain scalar scan (_locate
+    with every check time flagged) and against the grid minimum at every
+    check time (``oracles.grid_flags``)."""
 
     LIMITS = (1e-9, 1e-12, 1e-12, 1e12)
 
@@ -1067,6 +1072,137 @@ class TestPrescan:
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
 
+    @pytest.mark.parametrize(
+        "eps, grid_products, flagged",
+        [(0.3, 0, 0), (0.5, 1, 2), (0.4 - 0.5 * PRESCAN_SLACK, 1, 1)],
+        ids=["clear", "crossed", "within-the-slack"],
+    )
+    def test_grid_product_runs_only_where_the_bound_does_not_clear(
+        self, monkeypatch, eps, grid_products, flagged
+    ):
+        # rho = 1 - 0.6 e^{-3t} cos 2 theta under pan-yang: the bound
+        # 1 - 0.6 e^{-3t} is the minimum itself, 0.4 at t = 0 on a grid node.
+        from curveflow.integrate import _Problem
+
+        heat = importlib.import_module("curveflow.heat")
+        calls = []
+        real = heat._grid_deviation
+        monkeypatch.setattr(heat, "_grid_deviation", lambda a, b: calls.append(a.shape) or real(a, b))
+        times = np.linspace(0.0, 1.0, 32)
+        lengths = np.full(32, TWO_PI)
+        problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(singularity_eps=eps))
+        flags = problem.flags(times, lengths)
+        assert len(calls) == grid_products
+        assert np.count_nonzero(flags) == flagged
+        assert np.array_equal(flags, oracles.grid_flags(problem, times, lengths))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        term=st.sampled_from(["pan-yang", "lin-tsai", "ma-cheng", "const", "H = L", "general"]),
+        pinch=st.booleans(),
+        eps=st.sampled_from([1e-9, 1e-3]) | st.floats(min_value=0.01, max_value=0.5),
+        share=st.none() | st.floats(min_value=0.9, max_value=0.999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_flags_and_runs_as_the_grid_only_route(self, seed, n, term, pinch, eps, share):
+        # A share of the initial grid minimum puts eps between the bound
+        # and that minimum for many curves: blocks run the grid product
+        # without a flag.
+        from curveflow import radius_extrema
+        from curveflow.integrate import _Problem, record_rows
+
+        rng = np.random.default_rng(seed)
+        if pinch:
+            spec0 = _pinch_curve(rng, n, rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.99))
+        else:
+            spec0 = _random_convex(rng, n)
+        if share is not None:
+            eps = share * radius_extrema(spec0)[0]
+        term = {
+            "pan-yang": PanYang(), "lin-tsai": LinTsai(), "ma-cheng": MaCheng(),
+            "const": Constant(c=rng.uniform(-2.0, 1.0)), "H = L": H_EQUALS_L, "general": GENERAL_POWERSUM,
+        }[term]
+        controls = IntegratorControls(t_max=5.0, singularity_eps=eps)
+        real = _Problem.flags
+
+        def checked(problem, times, lengths):
+            flags = real(problem, times, lengths)
+            assert np.array_equal(flags, oracles.grid_flags(problem, times, lengths))
+            return flags
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Problem, "flags", checked)
+            traj = integrate(spec0, term, controls)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Problem, "flags", oracles.grid_flags)
+            reference = integrate(spec0, term, controls)
+        assert traj.event == reference.event
+        for name in ("t", "L", "A"):
+            assert np.array_equal(getattr(traj, name), getattr(reference, name)), name
+        assert record_rows(traj) == record_rows(reference)
+
+    @staticmethod
+    def curvature_bound(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
+        """(the bound ``_Modes.scan`` reads at t, its size): with eps = -inf
+        every block clears, so the scan returns the bound itself."""
+        from curveflow.heat import _Modes
+
+        lower, size = _Modes(spec0).scan(np.array([t]), np.array([TWO_PI * spec0.mean]), -np.inf, 0.0)[:2]
+        return float(lower[0]), float(size[0])
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        t=st.floats(min_value=0.0, max_value=5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_curvature_bound_lies_below_the_minimum(self, seed, n, t):
+        from curveflow import radius_extrema
+        from curveflow.heat import _Modes
+
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.01, 1.0) / np.arange(1, n + 1) ** 2
+        spec0 = SupportSpectrum(
+            mean=rng.uniform(0.5, 2.0),
+            cos_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
+            sin_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
+        )
+        lower, size = self.curvature_bound(spec0, t)
+        spec = _Modes(spec0).spectrum(t, spec0.mean)
+        fine = oracles.rho_series(spec.mean, spec.cos_coeffs, spec.sin_coeffs, oracles.grid(1 << 14))
+        # Rounding of either sum stays below 1e-14 of the size here; the
+        # pre-scan's skip rule leaves 2e-10 of it.
+        assert lower <= float(np.min(fine)) + 1e-14 * size
+        assert lower <= radius_extrema(spec)[0] + 1e-14 * size
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.sampled_from([2, 16, 64]),
+        offset=st.floats(min_value=0.01, max_value=0.99),
+        t=st.floats(min_value=0.0, max_value=5.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_curvature_bound_is_exact_on_the_pinch_family(self, seed, n, offset, t):
+        # u = m + a1 cos + b1 sin + a cos 2(theta - phi) has rho_min =
+        # m - 3|a| e^{-3t}, at theta = phi, between nodes of the 2^14-point grid.
+        from curveflow import radius_extrema
+        from curveflow.heat import _Modes
+
+        rng = np.random.default_rng(seed)
+        m, ratio, a1, b1 = rng.uniform(0.5, 2.0), rng.uniform(0.05, 0.3), *rng.uniform(-1.0, 1.0, 2)
+        phi = (int(rng.integers(0, 1 << 13)) + offset) * TWO_PI / (1 << 14)
+        cos, sin = np.zeros(n), np.zeros(n)
+        cos[0], sin[0] = a1, b1
+        cos[1], sin[1] = ratio * m * np.cos(2.0 * phi), ratio * m * np.sin(2.0 * phi)
+        spec0 = SupportSpectrum(mean=m, cos_coeffs=cos, sin_coeffs=sin)
+        lower, size = self.curvature_bound(spec0, t)
+        assert abs(lower - (m - 3.0 * ratio * m * np.exp(-3.0 * t))) <= 1e-14 * size
+        spec = _Modes(spec0).spectrum(t, m)
+        fine = oracles.rho_series(spec.mean, spec.cos_coeffs, spec.sin_coeffs, oracles.grid(1 << 14))
+        assert lower <= float(np.min(fine)) + 1e-14 * size
+        assert lower <= radius_extrema(spec)[0] + 1e-14 * size
+
 
 COLUMN_TERMS = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), Constant(c=0.5), H_EQUALS_L, GENERAL_POWERSUM]
 
@@ -1083,14 +1219,14 @@ class TestColumns:
     def test_columns_match_the_states(self, seed, n, term):
         from curveflow import evaluate_h, ipd_decay_ratio, isoperimetric_deficit
         from curveflow.heat import _Modes
-        from curveflow.integrate import h_column, ipd_column, ipr_column, record_rows
+        from curveflow.integrate import SCAN_BLOCK_CAP, h_column, ipd_column, ipr_column, record_rows
 
         spec0 = _random_convex(np.random.default_rng(seed), n)
-        traj = integrate(spec0, term, IntegratorControls(t_max=2.0, sample_interval=0.03))
-        assert len(traj.t) > 2 * 32 or traj.event.kind != "reached-horizon"  # spans several chunks
+        traj = integrate(spec0, term, IntegratorControls(t_max=2.0, sample_interval=0.007))
+        assert len(traj.t) > SCAN_BLOCK_CAP or traj.event.kind != "reached-horizon"  # spans several blocks
         rows, h_values = record_rows(traj), h_column(traj, term)
         ipd, ipr = ipd_column(traj), ipr_column(traj)
-        sizes = _Modes(spec0).scan(traj.t, traj.L)[1]
+        sizes = _Modes(spec0).scan(traj.t, traj.L, CONVEXITY_EPS, 0.0)[1]
         for i, state in enumerate(traj.states):
             assert state == flow_state(spec0, float(traj.t[i]), float(traj.L[i]))
             assert state.A == traj.A[i]
