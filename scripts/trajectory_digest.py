@@ -8,7 +8,8 @@ blow-up, area vanish, length vanish, singularity) and runs where two
 thresholds are crossed inside one step. For each run it prints the
 sha256 of the run's event (kind, t, theta) and of every recorded state's
 (t, L, A), read from the trajectory's columns and written with repr so
-any bit change shows; then the counts by event kind and one sha256 over
+any bit change shows; then the counts by event kind, how many runs took
+the closed-form length and how many the ODE solve, and one sha256 over
 all runs. Run it on two checkouts on the same machine and compare the
 output.
 
@@ -33,6 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow_term  # noqa: E402
+from curveflow.flows import closed_length  # noqa: E402
 
 SPECTRA = {
     "circle": SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.0], sin_coeffs=[0.0, 0.0]),
@@ -95,6 +97,7 @@ def main() -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     counts: Counter[str] = Counter()
+    paths: Counter[str] = Counter()
     total = hashlib.sha256()
     for spec_name, spec in SPECTRA.items():
         for flow in FLOWS:
@@ -105,11 +108,13 @@ def main() -> int:
                     lines = "".join(json.dumps(rec) + "\n" for rec in records)
                     (args.out / f"{name}.jsonl").write_text(lines)
                 counts[kind] += 1
+                paths["ode" if closed_length(spec, parse_flow_term(flow)) is None else "closed"] += 1
                 total.update(sha.encode())
                 if not args.quiet:
                     print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
+    print(f"paths closed {paths['closed']} ode {paths['ode']}")
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
     return 0
 

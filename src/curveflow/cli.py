@@ -432,7 +432,10 @@ def _parse_axis(axis: str) -> tuple[str, list]:
     if head == "scale":
         values = []
         for part in rest.split(","):
-            values.append(float(part))
+            try:
+                values.append(float(part))
+            except ValueError:
+                raise ConfigError(f"scale value {part.strip()!r} is not a number") from None
             if not np.isfinite(values[-1]):
                 raise ConfigError(f"scale value {part.strip()!r} is not finite")
         return "scale", values

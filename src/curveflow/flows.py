@@ -19,21 +19,20 @@ ma-cheng is the one variant that reads the propagated spectrum rather
 than (L, A) alone; its extra integral is still a known function of time,
 which keeps the ODE self-contained.
 
-Where that ODE is linear, :func:`closed_length` solves it by hand. The
-choice goes by the algebra of H, not by the name of the term. With
-p_n = a_n^2 + b_n^2, lambda_n = 2(1 - n^2) and q_n = 2 pi^2 (n^2 - 1) p_n:
+Where some power z = L^r makes that ODE linear with constant
+coefficients, :func:`closed_length` solves it by hand, chosen by the
+algebra of H and not by the name of the term. With alpha the summed
+coefficient of L, lambda_n = 2(1 - n^2) and q_n = 2 pi^2 (n^2 - 1) p_n,
+p_n = a_n^2 + b_n^2 (so that -4 pi E = sum q_n e^{lambda_n t}):
 
-  (i)   H = alpha L + c (every term has (p, q) in {(0, 0), (1, 0)}):
-        L = L* + (L0 - L*) e^{kappa t},  kappa = 1 - 2 pi alpha,
-        L* = 2 pi c / kappa, and L = L0 - 2 pi c t at kappa = 0.
-  (ii)  H = alpha L + beta A/L (every term has (p, q) in {(1, 0), (-1, 1)}):
-        L^2 = e^{kappa t} L0^2
-              + beta sum q_n e^{kappa t} expm1((lambda_n - kappa) t) / (lambda_n - kappa),
-        kappa = 2 - 4 pi alpha - beta.
-  (iii) ma-cheng: L^2 = L0^2 - 2 pi^2 sum (n^2 - 1) p_n (1 - e^{lambda_n t}).
+  H = alpha L + c L^p, at most one such (p, 0) term (pan-yang, const:c):
+      r = 1 - p (1 with none), z' = r (1 - 2 pi alpha) z - 2 pi r c.
+  H = alpha L + beta A/L + gamma/L (lin-tsai): r = 2, z' = kappa z
+      + beta sum q_n e^{lambda_n t} - 4 pi gamma, kappa = 2 - 4 pi alpha - beta.
+      ma-cheng is alpha = 1/(2 pi), so kappa = 0, with lambda_n q_n for beta q_n.
 
-pan-yang and const:c fall under (i), lin-tsai under (ii). Every other
-powersum goes to the ODE solver in ``integrate``.
+Every other term goes to the ODE solver in ``integrate``, H = alpha L +
+b L^3 + c L A among them: its z = L^-2 has the time-varying coefficient E(t).
 """
 
 from __future__ import annotations
@@ -235,13 +234,16 @@ class ClosedLength:
         psi(g, t) = (1 - e^{-g t}) / g,   psi(0, t) = t,
 
     which is finite as rate_j -> kappa, cannot overflow for kappa < 0, and
-    has z/z0 == 1.0 exactly at t = 0, so L(0) is L0 bit for bit. For
-    power 2, L = L0 sign(z) sqrt(|z/z0|): a length through zero shows as
-    a negative L, which the vanish threshold sees.
+    has z/z0 == 1.0 exactly at t = 0, so L(0) is L0 bit for bit. The power
+    r is any real but 0. For r > 0, L = L0 sign(z) |z/z0|^(1/r): a length
+    through zero shows as a negative L, which the vanish threshold sees.
+    For r < 0, z reaching zero is a blow-up: L is +inf from then on. No law
+    is built (the ODE runs) where z0 is not a normal float or kappa plus the
+    weights is not finite, as for H = L^400 from L0 = 2 pi.
     """
 
     l0: float
-    power: int
+    power: float
     kappa: float
     rates: np.ndarray
     weights: np.ndarray
@@ -257,7 +259,13 @@ class ClosedLength:
             psi = np.where(gap > 0.0, -np.expm1(-gap * col) / gap, col)
             lead = np.exp((np.maximum(self.rates, self.kappa) - top) * col)
             ratio = np.exp(top * tt) * (np.exp((self.kappa - top) * tt) + (lead * psi) @ self.weights)
-            length = self.l0 * (ratio if self.power == 1 else np.sign(ratio) * np.sqrt(np.abs(ratio)))
+            if self.power == 1.0:
+                length = self.l0 * ratio
+            elif self.power > 0.0:
+                # np.power, not **: a float64 scalar's ** calls pow, not sqrt, at power 2.
+                length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
+            else:
+                length = np.where(ratio > 0.0, self.l0 * np.power(ratio, 1.0 / self.power), np.inf)
         return float(length) if length.ndim == 0 else length
 
 
@@ -275,24 +283,33 @@ def _as_power_terms(term: NonlocalTerm) -> tuple[tuple[float, float, float], ...
 
 
 def closed_length(spec0: SupportSpectrum, term: NonlocalTerm) -> ClosedLength | None:
-    """The closed-form L(t) of ``term`` from ``spec0``, or None where the
-    length ODE is not linear (see the module docstring for the three forms)."""
+    """The closed-form L(t) of ``term`` from ``spec0``, or None where no
+    power of L makes the length ODE linear (see the module docstring)."""
     l0 = TWO_PI * spec0.mean
     modes = heat._Modes(spec0)
     rates = 2.0 * modes.decay
     q_n = 2.0 * np.pi**2 * -modes.decay * modes.power
-    if isinstance(term, MaCheng):
-        # (L^2)' = sum lambda_n q_n e^{lambda_n t}.
-        return ClosedLength(l0, 2, 0.0, rates, rates * q_n / l0**2)
-    terms = _as_power_terms(term)
-    kinds = {(p, q) for _, p, q in terms}
-    alpha = sum(c for c, p, q in terms if (p, q) == (1.0, 0.0))
-    if kinds <= {(0.0, 0.0), (1.0, 0.0)}:
-        # L' = kappa L - 2 pi c.
-        c0 = sum(c for c, p, q in terms if (p, q) == (0.0, 0.0))
-        return ClosedLength(l0, 1, 1.0 - TWO_PI * alpha, np.zeros(1), np.array([-TWO_PI * c0 / l0]))
-    if kinds <= {(1.0, 0.0), (-1.0, 1.0)}:
-        # (L^2)' = kappa L^2 + beta sum q_n e^{lambda_n t}.
-        beta = sum(c for c, p, q in terms if (p, q) == (-1.0, 1.0))
-        return ClosedLength(l0, 2, 2.0 - 2.0 * TWO_PI * alpha - beta, rates, beta * q_n / l0**2)
+    spectral, coef = isinstance(term, MaCheng), {}
+    for c, p, q in ((1.0 / TWO_PI, 1.0, 0.0),) if spectral else _as_power_terms(term):
+        coef[p, q] = coef.get((p, q), 0.0) + c
+    alpha = coef.pop((1.0, 0.0), 0.0)
+    (p, q), c = next(iter(coef.items()), ((0.0, 0.0), 0.0))
+    if not spectral and len(coef) <= 1 and q == 0.0:
+        # z = L^r, r = 1 - p: z' = r (1 - 2 pi alpha) z - 2 pi r c.
+        r = 1.0 - p
+        kappa, rates, forcing = r * (1.0 - TWO_PI * alpha), np.zeros(1), np.array([-TWO_PI * r * c])
+    elif coef.keys() <= {(-1.0, 1.0), (-1.0, 0.0)}:
+        # z = L^2; -4 pi gamma at rate 0 only where gamma/L is, so the rest keep their bits.
+        r, beta = 2.0, coef.get((-1.0, 1.0), 0.0)
+        kappa = 2.0 - 2.0 * TWO_PI * alpha - beta
+        forcing = rates * q_n if spectral else beta * q_n
+        if (-1.0, 0.0) in coef:
+            rates, forcing = np.append(rates, 0.0), np.append(forcing, -2.0 * TWO_PI * coef[-1.0, 0.0])
+    else:
+        return None
+    with np.errstate(all="ignore"):
+        z0 = np.float64(l0) ** r  # the same pow as l0**r, but inf rather than OverflowError
+        weights = forcing / z0
+    if np.finfo(float).tiny <= z0 < np.inf and abs(kappa + weights.sum()) < np.inf:
+        return ClosedLength(l0, r, kappa, rates, weights)
     return None

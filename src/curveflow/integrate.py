@@ -1,10 +1,10 @@
 """Length of the curve along the flow, events and outcomes.
 
 Mode n of the deviation carries the exact factor exp((1 - n^2) t), so
-only the length L(t) is left to find. Where the length ODE
-dL/dt = L - 2*pi*H is linear, ``flows.closed_length`` gives L(t) in
-closed form and no ODE is solved: pan-yang, const:c, lin-tsai, ma-cheng
-and every powersum of the forms H = alpha L + c or H = alpha L + beta A/L.
+only the length L(t) is left to find. Where a power of L makes the
+length ODE dL/dt = L - 2*pi*H linear, ``flows.closed_length`` gives L(t)
+in closed form and no ODE is solved: every named term and the powersums
+H = alpha L + c L^p and H = alpha L + beta A/L + gamma/L.
 For every other powersum the ODE is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
 quartic dense-output interpolant, and ``rel_tol``/``abs_tol`` govern

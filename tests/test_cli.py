@@ -300,6 +300,14 @@ class TestSweep:
         assert f"scale value '{value}'" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_scale_that_is_not_a_number_rejected(self, tmp_path, capsys, value):
+        cfg_path = write_config(tmp_path, MINIMAL)
+        argv = ["sweep", "--config", str(cfg_path), "--axis", f"scale:1.0,{value},2"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: scale value '{value}' is not a number\n"
+        assert not (tmp_path / "o").exists()
+
     def test_scale_overflowing_a_coefficient_rejected(self, tmp_path, capsys):
         cfg = parse_config("flow = pan-yang\nmean = 100\ncos = 0, 2\n")
         assert sweep(cfg, "scale:1.0,1e308", tmp_path, tmp_path / "o") == 2

@@ -805,7 +805,11 @@ class TestSymmetries:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=2, max_value=32),
-        term=st.sampled_from([PanYang(), LinTsai(), MaCheng(), Constant(c=-0.5)]),
+        term=st.sampled_from([
+            PanYang(), LinTsai(), MaCheng(), Constant(c=-0.5),
+            PowerSum(terms=((0.2, 1.5, 0.0),)),
+            PowerSum(terms=((1.0, -1.0, 1.0), (-0.5, -1.0, 0.0))),
+        ]),
         k=st.integers(min_value=1, max_value=40),
     )
     @settings(max_examples=30, deadline=None)
@@ -881,8 +885,10 @@ def _random_convex(rng, n: int) -> SupportSpectrum:
 
 
 def _family(rng):
-    """One term of each closed form with random alpha, beta, c, plus the
-    near-resonant cases: kappa ~ 0 in (i) and kappa ~ lambda_2 = -6 in (ii)."""
+    """Terms of both closed-form families with random alpha, beta, c: the
+    power r = 1 - p of H = alpha L + c L^p, and r = 2 with beta A/L, gamma/L
+    (gamma = c of both signs) and ma-cheng; plus the near-resonant cases
+    kappa ~ 0 at r = 1 and kappa ~ lambda_2 = -6 at r = 2."""
     alpha, beta, c = rng.uniform(-0.3, 0.3), rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 1.0)
     return [
         PowerSum(terms=((c, 0.0, 0.0), (alpha, 1.0, 0.0))),
@@ -890,6 +896,12 @@ def _family(rng):
         MaCheng(),
         PowerSum(terms=((c, 0.0, 0.0), ((1.0 + 1e-9) / TWO_PI, 1.0, 0.0))),
         PowerSum(terms=((2.0, -1.0, 1.0), (6.0 / (4.0 * np.pi) * (1.0 + 1e-12), 1.0, 0.0))),
+        PowerSum(terms=((0.2, 1.5, 0.0),)),
+        PowerSum(terms=((0.05, 2.0, 0.0), (0.1, 1.0, 0.0))),
+        PowerSum(terms=((0.3, 0.5, 0.0), (0.05, 1.0, 0.0))),
+        PowerSum(terms=((alpha, 1.0, 0.0), (beta, -1.0, 1.0), (c, -1.0, 0.0))),
+        PowerSum(terms=((alpha, 1.0, 0.0), (beta, -1.0, 1.0), (-c, -1.0, 0.0))),
+        PowerSum(terms=((c, -1.0, 0.0),)),
     ]
 
 
@@ -970,8 +982,15 @@ class TestClosedLength:
         from curveflow.flows import closed_length
 
         closed = ["pan-yang", "lin-tsai", "ma-cheng", "const:-1", "powersum:1,1,0",
-                  "powersum:1.2,0,0", "powersum:2,-1,1", "powersum:0.5,1,0;-1,-1,1;2,0,0"]
-        ode = ["powersum:0.3,0.5,0.25;2,-1,1", "powersum:1,0,1", "powersum:1,0,0;1,-1,1"]
+                  "powersum:1.2,0,0", "powersum:2,-1,1", "powersum:0.2,1.5,0",
+                  "powersum:0.05,2,0;0.1,1,0", "powersum:0.3,0.5,0;0.05,1,0",
+                  "powersum:0.1,1,0;2,-1,1;0.3,-1,0", "powersum:0.1,1,0;2,-1,1;-0.3,-1,0",
+                  "powersum:0.3,-1,0", "powersum:0.5,1,0;-1,-1,1;2,0,0"]
+        # GENERAL_POWERSUM first. No power of L makes these linear: (0,0) with
+        # (-1,1), say, or the r = -2 set, whose L^-2 equation has a time-varying
+        # coefficient.
+        ode = ["powersum:0.3,0.5,0.25;2,-1,1", "powersum:1,0,1", "powersum:1,0,0;1,-1,1",
+               "powersum:1,1,0;1,3,0;1,1,1"]
         from curveflow import parse_flow_term
 
         for text in closed[:-1]:
@@ -979,6 +998,31 @@ class TestClosedLength:
         # (0,0) with (-1,1) is neither form.
         for text in ode + closed[-1:]:
             assert closed_length(ELLIPSEISH, parse_flow_term(text)) is None, text
+
+    @pytest.mark.parametrize(
+        "term, controls, kind",
+        [
+            ("powersum:2,0.5,0", IntegratorControls(), "area-vanish"),
+            ("powersum:2,0.5,0", IntegratorControls(area_vanish=1e-30, singularity_eps=1e-16), "length-vanish"),
+            ("powersum:-0.1,2,0", IntegratorControls(), "length-blowup"),
+            ("powersum:-0.01,3,0", IntegratorControls(), "length-blowup"),
+        ],
+    )
+    def test_power_laws_cross_the_thresholds_as_the_ode_does(self, term, controls, kind):
+        # A circle under H = 2 L^(1/2) (r = 1/2) shrinks to a point near t = 0.445;
+        # H = -0.1 L^2 and -0.01 L^3 (r = -1, -2) blow up in finite time, where
+        # z = L^r reaches zero and the closed form reads L = +inf.
+        from curveflow import parse_flow_term
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _dopri_steps, _Problem, _record
+
+        problem = _Problem(CIRCLE, parse_flow_term(term), controls)
+        law = closed_length(CIRCLE, problem.term)
+        assert law is not None
+        closed = _record(problem, iter([(0.0, controls.t_max, law)]))
+        ode = _record(problem, _dopri_steps(problem))
+        assert closed.event.kind == ode.event.kind == kind
+        assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
 
     def test_exact_at_zero_and_for_pan_yang(self):
         from curveflow.flows import closed_length
