@@ -98,7 +98,7 @@ class RunConfig:
 
 
 _CONTROL_KEYS = tuple(f.name for f in fields(IntegratorControls))
-_PATH_KEYS = ("timeseries", "frames", "reports", "svg")
+_PATH_KEYS = tuple(f.name for f in fields(OutputPaths))
 _SOURCE_KEYS = ("coeffs_file", "samples_file", "polygon_file")
 DEFAULT_TRUNCATION = 64
 
@@ -215,15 +215,10 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad integrator controls: {exc}") from None
 
-    outputs = OutputPaths(
-        timeseries=raw.get("timeseries", ("timeseries.csv", 0))[0],
-        frames=raw.get("frames", ("frames.jsonl", 0))[0],
-        reports=raw.get("reports", ("reports.csv", 0))[0],
-        svg=raw["svg"][0] if "svg" in raw else None,
-    )
+    outputs = OutputPaths(**{key: raw[key][0] for key in _PATH_KEYS if key in raw})
 
     # Frames are drawn from the recorded states, which are capped.
-    frame_count = _parse_count(raw, "frame_count", 16, MAX_SAMPLES)
+    frame_count = _parse_count(raw, "frame_count", RunConfig.frame_count, MAX_SAMPLES)
 
     return RunConfig(
         initial=initial, flow=flow, controls=controls, outputs=outputs, frame_count=frame_count
@@ -474,8 +469,6 @@ def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: Nonl
 def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = None) -> int:
     """One integration per axis value; failures are recorded per row."""
     kind, values = _parse_axis(axis)
-    if not values:
-        raise ConfigError("axis has no values")
     spec0 = load_initial(config.initial, base_dir)
     jobs = []
     for value in values:

@@ -237,7 +237,10 @@ class ClosedLength:
     has z/z0 == 1.0 exactly at t = 0, so L(0) is L0 bit for bit. The power
     r is any real but 0. For r > 0, L = L0 sign(z) |z/z0|^(1/r): a length
     through zero shows as a negative L, which the vanish threshold sees.
-    For r < 0, z reaching zero is a blow-up: L is +inf from then on. No law
+    For r < 0, z reaching zero is a blow-up: L is +inf from then on. Where
+    z > 0 and r is neither 1 nor 2, L = L0 exp(log1p(z/z0 - 1)/r) with
+    z/z0 - 1 summed as expm1(kappa t) plus the forcing, so the relative
+    error of L stays near the rounding of z/z0 - 1 as r nears 0. No law
     is built (the ODE runs) where z0 is not a normal float or kappa plus the
     weights is not finite, as for H = L^400 from L0 = 2 pi.
     """
@@ -258,14 +261,20 @@ class ClosedLength:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             psi = np.where(gap > 0.0, -np.expm1(-gap * col) / gap, col)
             lead = np.exp((np.maximum(self.rates, self.kappa) - top) * col)
-            ratio = np.exp(top * tt) * (np.exp((self.kappa - top) * tt) + (lead * psi) @ self.weights)
+            forced = (lead * psi) @ self.weights
+            ratio = np.exp(top * tt) * (np.exp((self.kappa - top) * tt) + forced)
             if self.power == 1.0:
                 length = self.l0 * ratio
-            elif self.power > 0.0:
+            else:
                 # np.power, not **: a float64 scalar's ** calls pow, not sqrt, at power 2.
                 length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
-            else:
-                length = np.where(ratio > 0.0, self.l0 * np.power(ratio, 1.0 / self.power), np.inf)
+                if self.power != 2.0:
+                    # z/z0 - 1 summed without the 1, so that a power near 0 does
+                    # not magnify its rounding; where z/z0 <= 0 the result stays.
+                    excess = np.expm1(self.kappa * tt) + np.exp(top * tt) * forced
+                    log_ratio = np.where(excess > -1.0, np.log1p(excess), np.log(ratio))
+                    through_zero = length if self.power > 0.0 else np.inf
+                    length = np.where(ratio > 0.0, self.l0 * np.exp(log_ratio / self.power), through_zero)
         return float(length) if length.ndim == 0 else length
 
 

@@ -10,7 +10,9 @@ the initial mode power p_n = a_n^2 + b_n^2 and the factors; ``flows`` and
     E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} p_n  <=  0,
 
 minus the isoperimetric deficit over 4*pi of the propagated curve, known
-from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t).
+from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t). Each quantity
+is one ``_Modes`` method that takes a time or an array of times; the grid
+extrema of the radius of curvature come from ``support._radius_range``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .support import (
     _deficit,
     _grid_deviation,
     _inverse_curvature,
+    _radius_range,
     _radius_table,
 )
 
@@ -46,17 +49,24 @@ def _area(length, e_val):
     return float(area) if np.ndim(area) == 0 else area
 
 
+# The pre-scan sums in another order than the scalar test, so it flags a
+# check time once a margin is within this share of the margin's size;
+# the scalar test decides. Rounding differs by less than 1e-12 of that size.
+PRESCAN_SLACK = 1e-10
+
+
 class _Modes:
     """Mode arrays of an initial spectrum: every scalar the length solve
     reads at (t, L) is a short sum over the decay rates 1 - n^2, the
     coefficients a_n, b_n and their power p_n. Building one costs a cache
     lookup; ``power`` and the grid-sum sizes are computed on first use.
+    Each quantity has one method, which takes a time or an array of times.
     The radius of curvature on the validation grid,
 
         rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
 
-    goes through the shared table of ``support._grid_deviation``, so
-    ``min_radius`` is ``radius_extrema`` of the recorded state, bit for bit.
+    has its extrema from ``support._radius_range``, so ``radius_range`` at
+    one time is ``radius_extrema`` of the recorded state, bit for bit.
     Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), rho over every
     theta is at least
 
@@ -86,18 +96,21 @@ class _Modes:
         # Largest |mode n term| of rho over every theta, at t = 0.
         return np.abs(self.decay) * np.sqrt(self.power)
 
-    def factors(self, t: float) -> np.ndarray:
-        """exp((1 - n^2) t) for n = 1..N."""
-        return np.exp(self.decay * t)
+    def factors(self, t) -> np.ndarray:
+        """exp((1 - n^2) t) for n = 1..N; (modes x times) for an array of times."""
+        return np.exp(np.multiply.outer(self.decay, t))
+
+    def _coeffs(self, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (a_n f_n, b_n f_n): vectors for one time, (modes x times) columns for many.
+        shape = (-1,) + (1,) * (factors.ndim - 1)
+        return self._a0.reshape(shape) * factors, self._b0.reshape(shape) * factors
 
     def spectrum(self, t: float, mean: float) -> SupportSpectrum:
         """The spectrum with mode n scaled by exp((1 - n^2) t) and the given mean."""
         if t < 0.0:
             raise ValueError("propagation time must be non-negative")
-        factors = self.factors(t)
-        return SupportSpectrum(
-            mean=mean, cos_coeffs=self._a0 * factors, sin_coeffs=self._b0 * factors
-        )
+        cos_coeffs, sin_coeffs = self._coeffs(self.factors(t))
+        return SupportSpectrum(mean=mean, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
 
     def e_value(self, t):
         """E(t); for an array of times, one E per time."""
@@ -115,20 +128,19 @@ class _Modes:
 
     def inverse_curvature(self, t: float, length: float) -> float:
         """total_inverse_curvature of flow_state(spec0, t, length), bit for bit."""
-        factors = self.factors(t)
-        return _inverse_curvature(length / TWO_PI, self._a0 * factors, self._b0 * factors)
+        return _inverse_curvature(length / TWO_PI, *self._coeffs(self.factors(t)))
 
-    def deviation(self, t: float) -> np.ndarray:
-        factors = self.factors(t)
-        return _grid_deviation(self._a0 * factors, self._b0 * factors)
-
-    def min_radius(self, t: float, length: float) -> float:
-        """radius_extrema(flow_state(spec0, t, L).spectrum)[0], bit for bit."""
-        return length / TWO_PI + float(np.min(self.deviation(t)))
+    def radius_range(self, t, length) -> tuple:
+        """(min, max) of the radius of curvature on the grid: at one time
+        ``radius_extrema`` of flow_state(spec0, t, L) bit for bit, for arrays
+        of times and lengths one pair of arrays. A block product sums in
+        another order than one time's; the two differ by rounding, far below
+        1e-12 of the sizes ``scan`` gives."""
+        return _radius_range(length / TWO_PI, *self._coeffs(self.factors(t)))
 
     def argmin_theta(self, t: float) -> float:
-        thetas = _radius_table(len(self._a0))[0]
-        return float(thetas[int(np.argmin(self.deviation(t)))])
+        dev = _grid_deviation(*self._coeffs(self.factors(t)))
+        return float(_radius_table(len(self._a0))[0][int(np.argmin(dev))])
 
     def deficit(self, times: np.ndarray) -> np.ndarray:
         """isoperimetric_deficit of the state at each time, bit for bit: row
@@ -136,41 +148,24 @@ class _Modes:
         factors = np.exp(np.multiply.outer(times, self.decay))
         return _deficit(self._a0 * factors, self._b0 * factors)
 
-    def _factor_block(self, times: np.ndarray) -> np.ndarray:
-        # (modes x times): column i is factors(times[i]).
-        return np.exp(np.multiply.outer(self.decay, times))
-
-    def _deviation_block(self, factors: np.ndarray) -> np.ndarray:
-        # (grid x times) deviation of the radius of curvature from its mean:
-        # one product for all the times.
-        return _grid_deviation(self._a0[:, None] * factors, self._b0[:, None] * factors)
-
-    def radius_range(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Rows (min, max) of the radius of curvature on the grid at each
-        time. The block product sums in another order than
-        ``radius_extrema``; the two differ by rounding, far below 1e-12 of
-        the sizes ``scan`` gives."""
-        dev = self._deviation_block(self._factor_block(times))
-        return lengths / TWO_PI + np.array([dev.min(axis=0), dev.max(axis=0)])
-
-    def scan(self, times: np.ndarray, lengths: np.ndarray, eps: float, slack: float):
+    def scan(self, times: np.ndarray, lengths: np.ndarray, eps: float):
         """(min radius, area) at each time, each with the size its rounding
         scales with: the mean plus the sum of |terms| of the grid sum, and
         the circular part plus |E|.
 
         The min radius is the grid minimum of ``radius_range``, unless the
         bound L/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t} exceeds ``eps``
-        by more than ``slack`` times the size at every time of the block:
-        then it is that bound and the grid product is skipped. The bound
-        lies below the grid minimum up to rounding far below 1e-12 of the
-        size, so "min radius - eps <= s * size" reads the same on both for
-        any s up to slack/2."""
-        factors = self._factor_block(times)
+        by more than 2 * PRESCAN_SLACK times the size at every time of the
+        block: then it is that bound and the grid product is skipped. The
+        bound lies below the grid minimum up to rounding far below 1e-12 of
+        the size, so "min radius - eps <= PRESCAN_SLACK * size" reads the
+        same on both."""
+        factors = self.factors(times)
         mean = lengths / TWO_PI
         rho_size = np.abs(mean) + self._rho_size @ factors
         rho_min = mean - self._rho_amp @ factors
-        if not (rho_min - eps > slack * rho_size).all():
-            rho_min = mean + self._deviation_block(factors).min(axis=0)
+        if not (rho_min - eps > 2.0 * PRESCAN_SLACK * rho_size).all():
+            rho_min = _radius_range(mean, *self._coeffs(factors))[0]
         e_val = (np.pi / 2.0) * ((self.decay * self.power) @ (factors * factors))
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
             circle = np.pi * mean * mean

@@ -56,7 +56,7 @@ from .flows import (
     flow_state,  # noqa: F401  (perfbench/spans.py traces this name here)
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
-from .heat import _Modes
+from .heat import PRESCAN_SLACK, _Modes
 from .support import (
     CONVEXITY_EPS,
     TWO_PI,
@@ -99,10 +99,6 @@ SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
 SCAN_BLOCK_CAP = 256
-# The pre-scan sums in another order than the scalar test, so it flags a
-# check time once a margin is within this share of the margin's size;
-# the scalar test decides. Rounding differs by less than 1e-12 of that size.
-PRESCAN_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -388,24 +384,19 @@ class _Problem:
         # No FlowState here: the locator may probe lengths at or below the
         # vanish threshold where states are unconstructible.
         modes = self.modes
-        return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
+        return _margins(self.limits, modes.radius_range(t, length)[0], modes.area(t, length), length)
 
     def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Check times where some threshold may be crossed: every one where
         a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of
         one. A block whose curvature bound clears singularity_eps by twice
         that share needs no grid product (see ``_Modes.scan``)."""
-        rho_min, rho_size, area, area_size = self.modes.scan(
-            times, lengths, self.limits[0], 2.0 * PRESCAN_SLACK
-        )
+        rho_min, rho_size, area, area_size = self.modes.scan(times, lengths, self.limits[0])
         sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
         flagged = np.zeros(len(times), dtype=bool)
         for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes):
             flagged |= margin <= PRESCAN_SLACK * size
         return flagged
-
-    def locate(self, path: Callable, t_prev: float, check_times: np.ndarray):
-        return _locate(self.modes, self.margins, path, t_prev, check_times, self.flags)
 
 
 def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> int | None:
@@ -593,7 +584,7 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
         check = np.append(grid[k:j], t1)
         on_grid = j < len(grid) and abs(grid[j] - t1) <= 1e-12
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
-        found = problem.locate(path, t0, check)
+        found = _locate(problem.modes, problem.margins, path, t0, check, problem.flags)
         t_stop = t1 if found is None else found[0]
         kept = kept[kept <= t_stop]
         if kept.size:
@@ -663,14 +654,16 @@ def _json_num(x: float):
     return float(x) if np.isfinite(x) else None
 
 
+def _curvatures(rho_min, rho_max) -> np.ndarray:
+    # (k_min, k_max) = (1/rho_max, 1/rho_min), NaN unless rho_min >
+    # CONVEXITY_EPS (the state is strictly convex); for one state or a column.
+    return 1.0 / np.where(np.greater(rho_min, CONVEXITY_EPS), (rho_max, rho_min), np.nan)
+
+
 def _shape(state: FlowState) -> tuple[float, float, float, float]:
-    # (ipd, ipr, k_min, k_max); ipr is inf at non-positive area and the
-    # curvatures are NaN unless the state is strictly convex.
-    ipr = isoperimetric_ratio(state.L, state.A)
-    rho_min, rho_max = radius_extrema(state.spectrum)
-    if rho_min <= CONVEXITY_EPS:
-        rho_min = rho_max = float("nan")
-    return isoperimetric_deficit(state.spectrum), ipr, 1.0 / rho_max, 1.0 / rho_min
+    # (ipd, ipr, k_min, k_max); ipr is inf at non-positive area.
+    k_min, k_max = _curvatures(*radius_extrema(state.spectrum)).tolist()
+    return isoperimetric_deficit(state.spectrum), isoperimetric_ratio(state.L, state.A), k_min, k_max
 
 
 def ipd_column(traj: Trajectory) -> np.ndarray:
@@ -685,14 +678,10 @@ def ipr_column(traj: Trajectory) -> np.ndarray:
     return np.array([isoperimetric_ratio(L, A) for L, A in zip(traj.L.tolist(), traj.A.tolist())])
 
 
-def _curvature_columns(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+def _curvature_columns(traj: Trajectory) -> np.ndarray:
     # (k_min, k_max) of every recorded state from the grid extrema of the
-    # radius of curvature, NaN unless the state is strictly convex, as in
-    # _shape; one block product per SCAN_BLOCK_CAP states.
-    rho_min, rho_max = _by_chunk(traj._modes.radius_range, traj.t, traj.L)
-    convex = rho_min > CONVEXITY_EPS
-    with np.errstate(divide="ignore"):
-        return np.where(convex, 1.0 / rho_max, np.nan), np.where(convex, 1.0 / rho_min, np.nan)
+    # radius of curvature, as in _shape; one block product per SCAN_BLOCK_CAP states.
+    return _curvatures(*_by_chunk(traj._modes.radius_range, traj.t, traj.L))
 
 
 def h_column(traj: Trajectory, term: NonlocalTerm) -> list[float]:

@@ -211,11 +211,21 @@ def validate_convexity(spec: SupportSpectrum) -> float:
     return radius_extrema(spec)[0]
 
 
+def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple:
+    """(min, max) of the radius of curvature on the validation grid, the mean
+    added after the extremum of the deviation: the one place these extrema
+    are taken. Coefficient vectors give one pair; (modes x times) blocks,
+    with a mean per column, give a pair of arrays, one value per column."""
+    dev = _grid_deviation(cos_coeffs, sin_coeffs)
+    # The ufuncs themselves: ndarray.min/max add a wrapper call per scalar probe.
+    return mean + np.minimum.reduce(dev, axis=0), mean + np.maximum.reduce(dev, axis=0)
+
+
 def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
-    """(min, max) of the radius of curvature on the validation grid. The mean is
-    added after the extremum, as the singularity event does, so the two agree bit for bit."""
-    dev = _grid_deviation(spec.cos_coeffs, spec.sin_coeffs)
-    return spec.mean + float(np.min(dev)), spec.mean + float(np.max(dev))
+    """(min, max) of the radius of curvature on the validation grid, as floats;
+    the singularity event reads the same ``_radius_range``, so the two agree bit for bit."""
+    rho_min, rho_max = _radius_range(spec.mean, spec.cos_coeffs, spec.sin_coeffs)
+    return float(rho_min), float(rho_max)
 
 
 def require_convex(spec: SupportSpectrum) -> float:

@@ -152,7 +152,7 @@ def grid_flags(problem, times, lengths):
     from curveflow.integrate import PRESCAN_SLACK, _margins
 
     modes = problem.modes
-    _, rho_size, area, area_size = modes.scan(times, lengths, problem.limits[0], np.inf)
+    _, rho_size, area, area_size = modes.scan(times, lengths, problem.limits[0])
     rho_min = modes.radius_range(times, lengths)[0]
     sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
     flagged = np.zeros(len(times), dtype=bool)

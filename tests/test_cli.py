@@ -322,6 +322,11 @@ EXIT_TWO_CASES = {
     "missing-config": (None, False, "No such file"),
     "config-not-utf8": (b"\xff\xfe", False, "config error: "),
     "unknown-key": (MINIMAL.encode() + b"colour = red\n", False, "config error: line 4: unknown key"),
+    "bad-powersum-number": (
+        b"flow = powersum:1,x,0\nmean = 1\n",
+        False,
+        "config error: line 1: bad number in powersum term '1,x,0'",
+    ),
     "missing-coeffs-file": (b"flow = pan-yang\ncoeffs_file = nope.csv\n", False, "No such file"),
     "nonconvex-curve": (
         b"flow = pan-yang\nmean = 1\ncos = 0, 0.5\n",
@@ -462,6 +467,9 @@ class TestRejectedControls:
             ("n,a,b\n0,1.0,0\n2,0.2,0.0\n2,0.05,0.0\n", "coeffs_file line 4: mode index 2 repeats line 3"),
             ("n,a,b\n", "coeffs_file: no coefficient rows n,a_n,b_n after line 1"),
             ("", "coeffs_file: no coefficient rows n,a_n,b_n after line 1"),
+            ("n,a,b\n\n  # no rows\n", "coeffs_file: no coefficient rows n,a_n,b_n after line 1"),
+            ("n,a,b\n0,1.0,0\n2,x,0\n", "coeffs_file line 3: expected numbers, got '2,x,0'"),
+            ("n,a,b\n0,1.0,0\n2,0.2\n", "coeffs_file line 3: expected 3 columns"),
         ],
     )
     def test_repeated_mode_or_no_coeffs_rows(self, tmp_path, capsys, rows, message):

@@ -210,6 +210,24 @@ class TestThresholdEvents:
         traj = integrate(ELLIPSEISH, H_EQUALS_L, IntegratorControls(t_max=30.0))
         assert traj.event.kind == "singularity"
 
+    def test_error_rejections_down_to_the_minimum_step_collapse(self, monkeypatch):
+        # dL/dt jumps from 0 to 1e12 at t = 0.5: every step across the jump
+        # fails the error test, however short, so the step size collapses
+        # at the last accepted time, just below 0.5.
+        from curveflow.integrate import MIN_STEP, _dopri_steps, _Problem
+
+        monkeypatch.setattr(_Problem, "rhs", lambda self, t, length: 0.0 if t < 0.5 else 1e12)
+        steps = _dopri_steps(_Problem(GALLERY_ELLIPSE, GENERAL_POWERSUM, IntegratorControls(t_max=2.0)))
+        last = None
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                last = next(steps)[1]
+        assert stop.value.value == TerminationEvent(kind="step-collapse", t=last)
+        assert 0.5 - 100 * MIN_STEP < last < 0.5
+        traj = integrate(GALLERY_ELLIPSE, GENERAL_POWERSUM, IntegratorControls(t_max=2.0))
+        assert traj.event == TerminationEvent(kind="step-collapse", t=last)
+        assert isinstance(traj.outcome, Undetermined)
+
 
 class TestClassifySynthetic:
     def make(self, kind, t=1.0, theta=None):
@@ -740,7 +758,8 @@ class TestEventLocation:
             sin_coeffs=rng.uniform(-1.0, 1.0, n) * scale,
         )
         state = flow_state(spec0, t, length)
-        assert radius_extrema(state.spectrum)[0] == _Modes(spec0).min_radius(t, length)
+        assert radius_extrema(state.spectrum)[0] == _Modes(spec0).radius_range(t, length)[0]
+        assert radius_extrema(state.spectrum) == _Modes(spec0).radius_range(t, length)
 
 
 def _rotated_ellipse(phi: float) -> SupportSpectrum:
@@ -1024,6 +1043,21 @@ class TestClosedLength:
         assert closed.event.kind == ode.event.kind == kind
         assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
 
+    @pytest.mark.parametrize("p", [0.9999999, 1.0000001])
+    def test_power_near_zero_keeps_its_accuracy(self, p):
+        # H = 0.1 L^p has r = 1 - p = +-1e-7: raising z/z0 to the power 1/r
+        # would magnify its rounding by 1e7 (a gap of about 2e-9 here).
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _dopri_steps, _Problem, _record
+
+        controls = IntegratorControls(t_max=5.0, rel_tol=1e-12, abs_tol=1e-15)
+        term = PowerSum(terms=((0.1, p, 0.0),))
+        problem = _Problem(GALLERY_ELLIPSE, term, controls)
+        closed = _record(problem, iter([(0.0, controls.t_max, closed_length(GALLERY_ELLIPSE, term))]))
+        ode = _record(problem, _dopri_steps(problem))
+        assert closed.event == ode.event and np.array_equal(closed.t, ode.t)
+        assert np.max(np.abs(closed.L / ode.L - 1.0)) <= 2e-12
+
     def test_exact_at_zero_and_for_pan_yang(self):
         from curveflow.flows import closed_length
 
@@ -1095,7 +1129,7 @@ class TestPrescan:
         law = closed_length(spec0, term)
         times = np.linspace(0.0, 10.0, 1001)
         scalar = _locate(problem.modes, problem.margins, law, 0.0, times, _every_check_time)
-        assert problem.locate(law, 0.0, times) == scalar
+        assert _locate(problem.modes, problem.margins, law, 0.0, times, problem.flags) == scalar
 
     def test_peak_allocation_does_not_grow_with_check_times(self):
         import tracemalloc
@@ -1128,10 +1162,10 @@ class TestPrescan:
         # 1 - 0.6 e^{-3t} is the minimum itself, 0.4 at t = 0 on a grid node.
         from curveflow.integrate import _Problem
 
-        heat = importlib.import_module("curveflow.heat")
+        support = importlib.import_module("curveflow.support")
         calls = []
-        real = heat._grid_deviation
-        monkeypatch.setattr(heat, "_grid_deviation", lambda a, b: calls.append(a.shape) or real(a, b))
+        real = support._grid_deviation
+        monkeypatch.setattr(support, "_grid_deviation", lambda a, b: calls.append(a.shape) or real(a, b))
         times = np.linspace(0.0, 1.0, 32)
         lengths = np.full(32, TWO_PI)
         problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(singularity_eps=eps))
@@ -1192,7 +1226,7 @@ class TestPrescan:
         every block clears, so the scan returns the bound itself."""
         from curveflow.heat import _Modes
 
-        lower, size = _Modes(spec0).scan(np.array([t]), np.array([TWO_PI * spec0.mean]), -np.inf, 0.0)[:2]
+        lower, size = _Modes(spec0).scan(np.array([t]), np.array([TWO_PI * spec0.mean]), -np.inf)[:2]
         return float(lower[0]), float(size[0])
 
     @given(
@@ -1270,7 +1304,7 @@ class TestColumns:
         assert len(traj.t) > SCAN_BLOCK_CAP or traj.event.kind != "reached-horizon"  # spans several blocks
         rows, h_values = record_rows(traj), h_column(traj, term)
         ipd, ipr = ipd_column(traj), ipr_column(traj)
-        sizes = _Modes(spec0).scan(traj.t, traj.L, CONVEXITY_EPS, 0.0)[1]
+        sizes = _Modes(spec0).scan(traj.t, traj.L, CONVEXITY_EPS)[1]
         for i, state in enumerate(traj.states):
             assert state == flow_state(spec0, float(traj.t[i]), float(traj.L[i]))
             assert state.A == traj.A[i]

@@ -124,6 +124,21 @@ def _imports(path: Path):
 MODULES = sorted((ROOT / "src" / "curveflow").glob("*.py"))
 
 
+def _private_definitions(tree: ast.Module):
+    """Private names a module defines: module-level functions, classes and
+    constants, and the methods of its classes."""
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
 class TestPerfbenchPatches:
     def test_every_patched_name_resolves(self, monkeypatch):
         # The benchmark's tracer wraps these names; each must still exist
@@ -162,3 +177,17 @@ class TestPerfbenchPatches:
                 if name not in used and TRACED_MARKER not in line
             ]
         assert unused == []
+
+    def test_every_private_definition_is_referenced_in_the_package(self):
+        # Only references from src/curveflow count: private code that only
+        # tests reach is dead, such as a helper left behind by a refactor.
+        trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+        referenced = set()
+        for node in (node for tree in trees.values() for node in ast.walk(tree)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+        defined = [(module, name) for module, tree in trees.items() for name in _private_definitions(tree)]
+        assert defined
+        assert [f"{module}: {name}" for module, name in defined if name not in referenced] == []

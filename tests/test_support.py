@@ -136,7 +136,7 @@ class TestValidateConvexity:
         radius_extrema(first)
         table = _radius_table(n)
         radius_extrema(spec(2.0, sin=[0.3, 0.0, 0.05], n=n))
-        _Modes(first).min_radius(0.5, TWO_PI)
+        _Modes(first).radius_range(0.5, TWO_PI)[0]
         assert _radius_table.cache_info().misses <= misses + 1
         assert all(a is b for a, b in zip(table, _radius_table(n)))
         assert len(table[0]) == 512 and table[1].shape == table[2].shape == (512, n)
