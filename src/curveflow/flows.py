@@ -167,8 +167,8 @@ def area_along_flow(spec0: SupportSpectrum, length: float, t: float) -> float:
 def flow_state(spec0: SupportSpectrum, t: float, length: float) -> FlowState:
     """Reconstitute the full state at (t, L) from the initial spectrum:
     mode n scaled by exp((1 - n^2) t), mean L/(2*pi)."""
-    spectrum = heat._Modes(spec0).spectrum(t, length / TWO_PI)
-    return FlowState(t=t, L=length, spectrum=spectrum, A=area_along_flow(spec0, length, t))
+    modes = heat._Modes(spec0)
+    return FlowState(t=t, L=length, spectrum=modes.spectrum(t, length / TWO_PI), A=modes.area(t, length))
 
 
 def _power(base: float, exponent: float) -> float:
@@ -238,9 +238,11 @@ class ClosedLength:
     r is any real but 0. For r > 0, L = L0 sign(z) |z/z0|^(1/r): a length
     through zero shows as a negative L, which the vanish threshold sees.
     For r < 0, z reaching zero is a blow-up: L is +inf from then on. Where
-    z > 0 and r is neither 1 nor 2, L = L0 exp(log1p(z/z0 - 1)/r) with
-    z/z0 - 1 summed as expm1(kappa t) plus the forcing, so the relative
-    error of L stays near the rounding of z/z0 - 1 as r nears 0. No law
+    z > 0 and r is neither 1 nor 2, L = L0 exp(log(z/z0)/r), the log taken
+    as log1p of z/z0 - 1 summed as expm1(kappa t) plus the forcing where
+    |z/z0 - 1| < 1/2, so the relative error of L stays near the rounding of
+    z/z0 - 1 as r nears 0, and as log(z/z0) elsewhere, which keeps the digits
+    of a z/z0 far below 1. No law
     is built (the ODE runs) where z0 is not a normal float or kappa plus the
     weights is not finite, as for H = L^400 from L0 = 2 pi.
     """
@@ -265,16 +267,18 @@ class ClosedLength:
             ratio = np.exp(top * tt) * (np.exp((self.kappa - top) * tt) + forced)
             if self.power == 1.0:
                 length = self.l0 * ratio
-            else:
+            elif self.power == 2.0:
                 # np.power, not **: a float64 scalar's ** calls pow, not sqrt, at power 2.
-                length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
-                if self.power != 2.0:
-                    # z/z0 - 1 summed without the 1, so that a power near 0 does
-                    # not magnify its rounding; where z/z0 <= 0 the result stays.
-                    excess = np.expm1(self.kappa * tt) + np.exp(top * tt) * forced
-                    log_ratio = np.where(excess > -1.0, np.log1p(excess), np.log(ratio))
-                    through_zero = length if self.power > 0.0 else np.inf
-                    length = np.where(ratio > 0.0, self.l0 * np.exp(log_ratio / self.power), through_zero)
+                length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 0.5))
+            else:
+                # z/z0 - 1 summed without the 1, so that a power near 0 does not
+                # magnify its rounding; log1p only near z/z0 = 1, where log loses it.
+                excess = np.expm1(self.kappa * tt) + np.exp(top * tt) * forced
+                log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
+                length = self.l0 * np.exp(log_ratio / self.power)
+                if not np.all(ratio > 0.0):
+                    through_zero = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
+                    length = np.where(ratio > 0.0, length, through_zero if self.power > 0.0 else np.inf)
         return float(length) if length.ndim == 0 else length
 
 

@@ -3,9 +3,11 @@
 The deviation of the support function from its circular mean solves a
 linear heat-type equation whose Fourier mode n carries the exact factor
 exp((1 - n^2) t): mode 1 (translation) is invariant, every other decays.
-Only this module builds the decay rates 1 - n^2 (shared per truncation),
-the initial mode power p_n = a_n^2 + b_n^2 and the factors; ``flows`` and
-``integrate`` read them through :class:`_Modes`. The length dynamics read
+The decay rates 1 - n^2 are ``support._decay``, one read-only array per
+truncation that the closed forms of ``support`` weight their modes with
+too. Only this module builds the initial mode power p_n = a_n^2 + b_n^2
+and the factors; ``flows`` and ``integrate`` read them through
+:class:`_Modes`. The length dynamics read
 
     E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} p_n  <=  0,
 
@@ -24,21 +26,13 @@ import numpy as np
 from .support import (
     TWO_PI,
     SupportSpectrum,
+    _decay,
     _deficit,
     _grid_deviation,
     _inverse_curvature,
     _radius_range,
     _radius_table,
 )
-
-
-@functools.lru_cache(maxsize=8)
-def _decay(truncation: int) -> np.ndarray:
-    # 1 - n^2 for n = 1..truncation, shared read-only.
-    n = np.arange(1, truncation + 1, dtype=float)
-    decay = 1.0 - n**2
-    decay.flags.writeable = False
-    return decay
 
 
 def _area(length, e_val):
@@ -114,11 +108,11 @@ class _Modes:
 
     def e_value(self, t):
         """E(t); for an array of times, one E per time."""
-        # A (times x modes) array summed along each row, pairwise as for a
-        # single time, so each value is the same.
+        # A (times x modes) array summed along each row, pairwise as for a single
+        # time, so each value is the same; add.reduce skips np.sum's wrapper call.
         tt = np.asarray(t, dtype=float)
         decay, power = self.decay, self.power
-        e_val = -(np.pi / 2.0) * np.sum(-decay * np.exp(2.0 * decay * tt[..., None]) * power, axis=-1)
+        e_val = -(np.pi / 2.0) * np.add.reduce(-decay * np.exp(2.0 * decay * tt[..., None]) * power, axis=-1)
         return float(e_val) if e_val.ndim == 0 else e_val
 
     def area(self, t, length):

@@ -30,9 +30,10 @@ L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time,
 and only where that bound does not clear the singularity threshold at
 every time runs one (grid x N)(N x block) product for the grid minimum.
 The scalar test confirms the bracket around the first flagged one, and
-root-finding on the threshold margins locates the earliest crossing of
-any threshold, resolved to the 1e-10 bracket bisection gives, with ties
-broken singularity > area vanish > length vanish > length blow-up.
+ITP root-finding on the threshold margins narrows it to 1e-10 around the
+earliest crossing of any threshold, in at most one probe more than
+bisection, with ties broken singularity > area vanish > length vanish >
+length blow-up.
 A trajectory derives its outcome from its event: convergence to a
 circle (with its limit center), a curvature singularity, or one of the
 degenerate length/area scenarios.
@@ -40,6 +41,7 @@ degenerate length/area scenarios.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from typing import Callable, Union
@@ -53,7 +55,7 @@ from .flows import (
     _h,
     area_along_flow,  # noqa: F401  (perfbench/spans.py traces this name here)
     closed_length,
-    flow_state,  # noqa: F401  (perfbench/spans.py traces this name here)
+    flow_state,
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
 from .heat import PRESCAN_SLACK, _Modes
@@ -81,11 +83,8 @@ EVENT_AREA_VANISH = "area-vanish"
 EVENT_H_DOMAIN_EXIT = "h-domain-exit"
 EVENT_STEP_COLLAPSE = "step-collapse"
 
-# Event location: width of the final bracket on time.
+# Event location: width of the final bracket on time, up to an ulp or two of t.
 EVENT_TIME_TOL = 1e-10
-# Secant probes of the event locator may exceed the halvings they settle
-# without a probe by at most this many.
-SECANT_SLACK = 4
 # Internal cap on the step size so threshold crossings are scanned at
 # least this finely even when the controller wants huge steps.
 MAX_STEP = 0.25
@@ -186,7 +185,7 @@ class Trajectory:
     states at a time, each value that of ``flow_state`` at the same (t, L)
     bit for bit. All three are read-only float arrays and pass the checks every
     FlowState makes. ``states`` is a read-only sequence that builds the
-    FlowState of a state each time it is indexed.
+    FlowState of a state with ``flow_state`` each time it is indexed.
     """
 
     spec0: SupportSpectrum
@@ -242,8 +241,8 @@ class _NonFiniteState(ValueError):
 
 class _States(Sequence):
     """Read-only view of a trajectory's recorded states. Indexing builds
-    the state from the trajectory's mode arrays and area column, equal to
-    ``flow_state`` at the same (t, L) (slices give a tuple of states)."""
+    the state with ``flow_state`` at the recorded (t, L), whose area is the
+    area column's value (slices give a tuple of states)."""
 
     def __init__(self, traj: Trajectory):
         self._traj = traj
@@ -256,9 +255,7 @@ class _States(Sequence):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         i = range(len(self))[index]
         traj = self._traj
-        t, length = float(traj.t[i]), float(traj.L[i])
-        spectrum = traj._modes.spectrum(t, length / TWO_PI)
-        return FlowState(t=t, L=length, spectrum=spectrum, A=float(traj.A[i]))
+        return flow_state(traj.spec0, float(traj.t[i]), float(traj.L[i]))
 
 
 def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:
@@ -420,10 +417,8 @@ def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, che
     follow ``t_prev``. ``flags`` is a block test (see ``_prescan``); the
     scalar test runs only on the first flagged check time and the one
     before it. At the first check time where any kind is crossed,
-    ``_halve`` narrows [previous check time, it] to EVENT_TIME_TOL as the
-    bisection on "nothing crossed yet" does; if the scalar test disagrees
-    at its ends (a threshold that dips and recovers), that bisection
-    itself runs. The event is the first kind crossed at the upper end.
+    ``_narrow`` takes [previous check time, it] down to EVENT_TIME_TOL.
+    The event is the first kind crossed at the upper end of that bracket.
     """
     known: dict[float, tuple] = {}
 
@@ -442,11 +437,8 @@ def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, che
         for i in window:
             hi = float(check_times[i])
             if _crossed(probe(hi)):
-                for secant in (True, False):
-                    t0, t1 = _halve(probe, lo, hi, secant)
-                    fired = _crossed(probe(t1))
-                    if fired and (t0 == lo or not _crossed(probe(t0))):
-                        break
+                t0, t1 = _narrow(probe, lo, hi)
+                fired = _crossed(probe(t1))
                 theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
                 return t0, TerminationEvent(kind=fired[0], t=t1, theta=theta)
             lo = hi
@@ -454,45 +446,41 @@ def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, che
     return None
 
 
-def _halve(probe: Callable, lo: float, hi: float, secant: bool) -> tuple[float, float]:
-    """[lo, hi] halved at mid = (lo + hi) / 2 down to EVENT_TIME_TOL on
-    "anything crossed", as the bisection does; ``probe(t)`` gives the
-    margins at t. A root bracket [a, b] (nothing crossed at a, something
-    at b) settles each midpoint outside it without a probe. A midpoint
-    inside it is probed, after, with ``secant``, Illinois steps (Dowell
-    and Jarratt, BIT 11, 1971) on the margin of a kind crossed at b, as
-    long as they number fewer than the halvings settled plus SECANT_SLACK:
-    a kinked or discontinuous margin costs at most that many more probes.
+def _narrow(probe: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], nothing crossed at lo and something at hi, narrowed to
+    EVENT_TIME_TOL on "nothing crossed yet"; ``probe(t)`` gives the margins
+    at t. Each probe is an ITP step (Oliveira and Takahashi, ACM TOMS 47(1),
+    2021) on the margin of the first kind crossed at the upper end: regula
+    falsi, moved toward the midpoint by 0.2 (b - a)^2 / (hi - lo) and kept
+    within the radius of it that bisection plus one probe allows. So a
+    smooth margin converges superlinearly, and a kinked or discontinuous
+    one takes at most one probe more than bisection.
     """
     a, b = lo, hi
     kind = _EVENT_PRIORITY.index(_crossed(probe(b))[0])
     fa, fb = probe(a)[kind], probe(b)[kind]
-    side = secants = settled = 0
-    while hi - lo > EVENT_TIME_TOL:
-        mid = 0.5 * (lo + hi)
-        if not a < mid < b:
-            settled += 1
-        else:
+    width = max(b - a, EVENT_TIME_TOL)
+    for left in range(math.ceil(math.log2(width / EVENT_TIME_TOL)), -1, -1):
+        if b - a <= EVENT_TIME_TOL:
+            break
+        mid = 0.5 * (a + b)
+        falsi = (b * fa - a * fb) / (fa - fb)  # fb <= 0 < fa
+        # A probe within this radius of mid leaves a bracket at most EVENT_TIME_TOL 2^left wide.
+        radius = EVENT_TIME_TOL * 2.0**left - 0.5 * (b - a)
+        shift = min(max(abs(mid - falsi) - 0.2 * (b - a) ** 2 / width, 0.0), radius)
+        t = float(mid - math.copysign(shift, mid - falsi))
+        if not a < t < b:  # rounding, or a margin that is not finite
             t = mid
-            if secant and fa > 0.0 and secants < settled + SECANT_SLACK:
-                illinois = b - fb * (b - a) / (fb - fa)
-                if a < illinois < b:
-                    t, secants = illinois, secants + 1
-            margins = probe(t)
-            # Regula falsi that halves the value kept at an end twice running.
-            if min(margins) > 0.0:
-                fb = 0.5 * fb if side > 0 else fb
-                a, fa, side = t, margins[kind], 1
-            else:
-                if margins[kind] > 0.0:  # another kind crossed first: follow it
-                    kind, side = _EVENT_PRIORITY.index(_crossed(margins)[0]), 0
-                    fa = probe(a)[kind]
-                fa = 0.5 * fa if side < 0 else fa
-                b, fb, side = t, margins[kind], -1
-            if t != mid:
-                continue
-        lo, hi = (mid, hi) if mid < b else (lo, mid)
-    return lo, hi
+        margins = probe(t)
+        fired = _crossed(margins)
+        if not fired:
+            a, fa = t, margins[kind]
+        else:
+            if margins[kind] > 0.0:  # another kind crossed first: follow it
+                kind = _EVENT_PRIORITY.index(fired[0])
+                fa = probe(a)[kind]
+            b, fb = t, margins[kind]
+    return a, b
 
 
 # One row per event kind: the outcome it yields, that outcome's record

@@ -140,6 +140,16 @@ def theta_grid(size: int) -> np.ndarray:
     return TWO_PI * np.arange(size) / size
 
 
+@functools.lru_cache(maxsize=8)
+def _decay(truncation: int) -> np.ndarray:
+    # 1 - n^2 for n = 1..truncation, shared read-only: the weight of mode n
+    # in the radius of curvature and its rate in the flow.
+    n = np.arange(1, truncation + 1, dtype=float)
+    decay = 1.0 - n**2
+    decay.flags.writeable = False
+    return decay
+
+
 def _mode_angles(theta, truncation: int) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
     return np.multiply.outer(th, np.arange(1, truncation + 1))
@@ -170,8 +180,7 @@ def radius_of_curvature(spec: SupportSpectrum, theta):
 
     A non-positive value is the singularity signal, not an error.
     """
-    n = np.arange(1, spec.truncation + 1)
-    w = 1.0 - n.astype(float) ** 2
+    w = _decay(spec.truncation)
     ang = _mode_angles(theta, spec.truncation)
     vals = spec.mean + np.cos(ang) @ (w * spec.cos_coeffs) + np.sin(ang) @ (w * spec.sin_coeffs)
     return float(vals) if np.ndim(theta) == 0 else vals
@@ -184,11 +193,17 @@ def default_validation_grid(truncation: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _radius_table(truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (theta_j, (1 - n^2) cos(n theta_j), (1 - n^2) sin(n theta_j)) on the
-    # validation grid; built once per truncation and shared read-only.
-    thetas = theta_grid(default_validation_grid(truncation))
-    n = np.arange(1, truncation + 1, dtype=float)
-    ang = np.outer(thetas, n)
-    table = (thetas, np.cos(ang) * (1.0 - n**2), np.sin(ang) * (1.0 - n**2))
+    # validation grid; built once per truncation and shared read-only. The
+    # trig runs on theta in [0, pi]: row M - j is row j with its sine part
+    # negated, and the sine part at theta = pi is 0, so b_n -> -b_n mirrors
+    # every grid value bit for bit.
+    m = default_validation_grid(truncation)
+    thetas = theta_grid(m)
+    ang = np.outer(thetas[: m // 2 + 1], np.arange(1, truncation + 1, dtype=float))
+    cos_half, sin_half = np.cos(ang) * _decay(truncation), np.sin(ang) * _decay(truncation)
+    sin_half[-1] = 0.0
+    cos_table = np.concatenate((cos_half, cos_half[-2:0:-1]))
+    table = (thetas, cos_table, np.concatenate((sin_half, -sin_half[-2:0:-1])))
     for arr in table:
         arr.flags.writeable = False
     return table
@@ -248,9 +263,8 @@ def enclosed_area(spec: SupportSpectrum) -> float:
     Closed form pi*mean^2 - (pi/2) * sum (n^2 - 1)(a_n^2 + b_n^2);
     the translation mode n = 1 contributes nothing.
     """
-    n = np.arange(1, spec.truncation + 1).astype(float)
     power = spec.cos_coeffs**2 + spec.sin_coeffs**2
-    return float(np.pi * spec.mean**2 - (np.pi / 2.0) * np.sum((n**2 - 1.0) * power))
+    return float(np.pi * spec.mean**2 - (np.pi / 2.0) * np.sum(-_decay(spec.truncation) * power))
 
 
 def isoperimetric_deficit(spec: SupportSpectrum) -> float:
@@ -265,9 +279,8 @@ def isoperimetric_deficit(spec: SupportSpectrum) -> float:
 def _deficit(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
     # isoperimetric_deficit along the last axis: one value per row of
     # (states x modes) coefficients, summed as for a single spectrum.
-    n = np.arange(1, cos_coeffs.shape[-1] + 1).astype(float)
     power = cos_coeffs**2 + sin_coeffs**2
-    return 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power, axis=-1)
+    return 2.0 * np.pi**2 * np.sum(-_decay(cos_coeffs.shape[-1]) * power, axis=-1)
 
 
 def isoperimetric_ratio(length: float, area: float) -> float:
@@ -285,10 +298,9 @@ def total_inverse_curvature(spec: SupportSpectrum) -> float:
 
 def _inverse_curvature(mean: float, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> float:
     # Raw-array form of total_inverse_curvature, for the length solve.
-    n = np.arange(1, len(cos_coeffs) + 1).astype(float)
     power = cos_coeffs**2 + sin_coeffs**2
     length = TWO_PI * mean
-    return float(length**2 / TWO_PI + np.pi * np.sum((n**2 - 1.0) ** 2 * power))
+    return float(length**2 / TWO_PI + np.pi * np.sum(_decay(len(cos_coeffs)) ** 2 * power))
 
 
 def limit_circle(spec0: SupportSpectrum) -> tuple[float, float]:
@@ -307,10 +319,10 @@ def sq_curvature_integral(spec: SupportSpectrum) -> float:
     """
     require_convex(spec)
     m = SQ_CURVATURE_GRID
-    n = np.arange(1, spec.truncation + 1, dtype=float)
     weighted = np.zeros(m // 2 + 1, dtype=complex)
     weighted[0] = m * spec.mean
-    weighted[1 : spec.truncation + 1] = (m / 2.0) * (1.0 - n**2) * (spec.cos_coeffs - 1j * spec.sin_coeffs)
+    n = spec.truncation
+    weighted[1 : n + 1] = (m / 2.0) * _decay(n) * (spec.cos_coeffs - 1j * spec.sin_coeffs)
     rho = np.fft.irfft(weighted, m)
     return float(np.mean(1.0 / rho) * TWO_PI)
 

@@ -485,8 +485,8 @@ def _every_check_time(times, lengths):
     return np.ones(len(times), dtype=bool)
 
 
-def _bisection(probe, lo, hi, secant):
-    """``integrate._halve`` as the plain bisection of ``oracles``."""
+def _bisection(probe, lo, hi):
+    """``integrate._narrow`` as the plain bisection of ``oracles``."""
     from curveflow.integrate import EVENT_TIME_TOL, _crossed
 
     crossed = lambda t: _crossed(probe(t))  # noqa: E731
@@ -494,18 +494,48 @@ def _bisection(probe, lo, hi, secant):
 
 
 def _with_bisection(run):
-    """run() with ``integrate._halve`` replaced by ``_bisection``."""
+    """run() with ``integrate._narrow`` replaced by ``_bisection``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(importlib.import_module("curveflow.integrate"), "_halve", _bisection)
+        patch.setattr(importlib.import_module("curveflow.integrate"), "_narrow", _bisection)
         return run()
 
 
+def _check_event(found, want, margins, path):
+    """A (t0, event) of ``_locate`` against ``want``, the same call's with
+    the bisection: the same kind, event times within EVENT_TIME_TOL, nothing
+    crossed at t0 and something crossed at the event time by the scalar
+    test ``margins(t, path(t))``, and Python floats."""
+    from curveflow.integrate import EVENT_TIME_TOL, _crossed
+
+    (t0, event), (_, reference) = found, want
+    assert event.kind == reference.kind
+    assert abs(event.t - reference.t) <= EVENT_TIME_TOL
+    assert not _crossed(margins(t0, path(t0))) and _crossed(margins(event.t, path(event.t)))
+    assert type(t0) is float and type(event.t) is float
+
+
 def _same_as_bisection(run) -> Trajectory:
-    """run(), after checking that its event and its t and L columns are
-    those of the same run with the bisection locator, bit for bit."""
-    traj, reference = run(), _with_bisection(run)
-    assert traj.event == reference.event
-    assert np.array_equal(traj.t, reference.t) and np.array_equal(traj.L, reference.L)
+    """run(), after checking each event ``_locate`` finds in it against the
+    bisection's (see ``_check_event``), and its sample columns, all but the
+    final state, against those of the same run with the bisection."""
+    from curveflow.integrate import EVENT_TIME_TOL
+
+    module = importlib.import_module("curveflow.integrate")
+    real = module._locate
+
+    def checked(modes, margins, path, *rest):
+        found = real(modes, margins, path, *rest)
+        if found is not None:
+            _check_event(found, _with_bisection(lambda: real(modes, margins, path, *rest)), margins, path)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_locate", checked)
+        traj = run()
+    reference = _with_bisection(run)
+    assert traj.event.kind == reference.event.kind
+    assert abs(traj.event.t - reference.event.t) <= EVENT_TIME_TOL
+    assert np.array_equal(traj.t[:-1], reference.t[:-1]) and np.array_equal(traj.L[:-1], reference.L[:-1])
     return traj
 
 
@@ -522,8 +552,8 @@ def _pinch_curve(rng, n: int, ratio: float, offset: float) -> SupportSpectrum:
 
 
 class TestEventLocation:
-    """One locator: a scan over check times, a root bracket on the margins
-    that settles the bisection's halvings, priority on ties."""
+    """One locator: a scan over check times, ITP root-finding on the margins
+    within the bisection's probe count plus one, priority on ties."""
 
     def record_probes(self, monkeypatch):
         from curveflow.integrate import _crossed, _Problem
@@ -632,31 +662,11 @@ class TestEventLocation:
             return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], _every_check_time)
 
         want = _with_bisection(locate)
-        assert locate() == want and want[1].kind == "area-vanish"
+        found = locate()
         # The bisection takes 32 probes after the first crossed check time.
-        assert len(calls) - 2 <= 16
-
-    @pytest.mark.parametrize("end", [0, 1], ids=["crossed-at-lower-end", "clear-at-upper-end"])
-    def test_an_end_the_scalar_test_contradicts_falls_back_to_the_bisection(self, end):
-        from curveflow.heat import _Modes
-        from curveflow.integrate import _locate
-
-        flipped = []
-
-        def margins(t, length):
-            # Crossed from t = 0.3 on, except where flipped.
-            margin = 0.09 - t * t
-            return (-margin if t in flipped else margin, 1.0, 1.0, 1.0)
-
-        def locate():
-            return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], _every_check_time)
-
-        t_before, event = locate()
-        # The root bracket settles these ends without a probe; flip the one
-        # under test there, a threshold that dips or recovers in between.
-        flipped.append((t_before, event.t)[end])
-        want = _with_bisection(locate)
-        assert locate() == want != (t_before, event)
+        probes = len(calls) - 2
+        _check_event(found, want, margins, lambda t: TWO_PI)
+        assert want[1].kind == "area-vanish" and probes <= 16
 
     def test_nothing_crossed(self):
         from curveflow.heat import _Modes
@@ -664,6 +674,23 @@ class TestEventLocation:
 
         never = lambda t, length: (1.0, 1.0, 1.0, 1.0)  # noqa: E731
         assert _locate(_Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0], _every_check_time) is None
+
+    def test_an_event_where_floats_lie_wider_apart_than_the_tolerance_ends(self):
+        # Near t = 1e6 neighbouring floats are 1.16e-10 apart, so no bracket
+        # there is EVENT_TIME_TOL wide; the locator still stops, at one ulp.
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _locate
+
+        calls = []
+
+        def margins(t, length):
+            calls.append(t)
+            assert len(calls) <= 40, "the locator does not stop"
+            return (1e6 + 0.3 - t, 1.0, 1.0, 1.0)
+
+        times = [1e6 + 0.25, 1e6 + 0.5]
+        t_before, event = _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 1e6, times, _every_check_time)
+        assert t_before < 1e6 + 0.3 <= event.t == t_before + np.spacing(t_before)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -715,8 +742,9 @@ class TestEventLocation:
             lambda t: 0.3 - t if t < 0.3 else 1e-6 * (0.3 - t),
             lambda t: 0.4 - t if t < 0.3 else (-1e-3 if t < 0.31 else 1e-6 * (0.31 - t)),
             lambda t: abs(t - 0.28) + 0.01 if t < 0.3 else -1e-9 - (t - 0.3) ** 2,
+            lambda t: 0.3 - t,
         ],
-        ids=["jump", "kink", "kink-and-jump", "jump-after-kink"],
+        ids=["jump", "kink", "kink-and-jump", "jump-after-kink", "line"],
     )
     def test_kinked_or_discontinuous_margin_costs_little_more_than_bisection(self, margin):
         from curveflow.heat import _Modes
@@ -733,11 +761,11 @@ class TestEventLocation:
             return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], _every_check_time)
 
         want = _with_bisection(locate)
-        assert locate() == want
+        found = locate()
         after_firing = len(calls) - calls.index(0.5) - 1
-        # The bisection's halvings, at most SECANT_SLACK = 4 secant probes
-        # beyond the halvings they settle, and a check at each end.
-        assert after_firing <= np.ceil(np.log2(0.25 / EVENT_TIME_TOL)) + 6
+        _check_event(found, want, margins, lambda t: TWO_PI)
+        # At most one probe more than the bisection's halvings.
+        assert after_firing <= np.ceil(np.log2(0.25 / EVENT_TIME_TOL)) + 1
 
     @given(
         n=st.integers(min_value=2, max_value=64),
@@ -1057,6 +1085,23 @@ class TestClosedLength:
         ode = _record(problem, _dopri_steps(problem))
         assert closed.event == ode.event and np.array_equal(closed.t, ode.t)
         assert np.max(np.abs(closed.L / ode.L - 1.0)) <= 2e-12
+
+    @pytest.mark.parametrize("alpha, c, p, t_end", [(0.3, -1e-8, 0.25, 40.0), (0.5, -1e-9, 0.5, 20.0)])
+    def test_ratio_far_below_one_keeps_its_accuracy(self, alpha, c, p, t_end):
+        # H = alpha L + c L^p: z = L^r (r = 1 - p) decays from z0 toward
+        # s/|kappa|, many orders of magnitude down, where log1p(z/z0 - 1)
+        # would lose digits (about 1e-9 and 4e-8 here).
+        from curveflow.flows import closed_length
+
+        spec0 = SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.1], sin_coeffs=[0.0, 0.0])
+        law = closed_length(spec0, PowerSum(terms=((alpha, 1.0, 0.0), (c, p, 0.0))))
+        r = 1.0 - p
+        kappa, s = r * (1.0 - TWO_PI * alpha), -TWO_PI * r * c
+        assert kappa < 0.0 < s
+        # Both terms of z are positive, so this sum is accurate in float64.
+        times = np.linspace(0.0, t_end, 41)
+        z = TWO_PI**r * np.exp(kappa * times) + (s / kappa) * np.expm1(kappa * times)
+        assert np.max(np.abs(law(times) / z ** (1.0 / r) - 1.0)) <= 1e-14
 
     def test_exact_at_zero_and_for_pan_yang(self):
         from curveflow.flows import closed_length
