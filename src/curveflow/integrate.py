@@ -22,15 +22,16 @@ time is replaced by the first crossing of the configured thresholds,
 with the thresholds recorded in the controls. One recorder takes L(t)
 as steps: the closed form is the one step (0, t_max), the ODE solve the
 point t = 0 and then its accepted steps. A step's check times are the
-sample times inside it and its end. One locator serves every step: a
-block pre-scan evaluates the check times in blocks of SCAN_CHUNK = 32,
-then twice as many each time up to SCAN_BLOCK_CAP = 256. Per block it
-first bounds the curvature minimum from below by
+sample times inside it and its end. One locator serves every step, in
+one loop over blocks of check times: SCAN_CHUNK = 32, then twice as many
+each block up to SCAN_BLOCK_CAP = 256. Per block it first bounds the
+curvature minimum from below by
 L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time,
 and only where that bound does not clear the singularity threshold at
 every time runs one (grid x N)(N x block) product for the grid minimum.
-The scalar test confirms the bracket around the first flagged one, and
-ITP root-finding on the threshold margins narrows it to 1e-10 around the
+The scalar test then runs on the block's flagged check times in order;
+at the first crossed one, ITP root-finding on the threshold margins
+narrows the bracket from the check time before it to 1e-10 around the
 earliest crossing of any threshold, in at most one probe more than
 bisection, with ties broken singularity > area vanish > length vanish >
 length blow-up.
@@ -396,29 +397,16 @@ class _Problem:
         return flagged
 
 
-def _prescan(flags: Callable, path: Callable, times: np.ndarray, start: int) -> int | None:
-    """Index of the first check time from ``start`` on that ``flags`` marks,
-    evaluated in blocks of SCAN_CHUNK check times, then twice as many each
-    time up to SCAN_BLOCK_CAP; None when there is none."""
-    lo, size = start, SCAN_CHUNK
-    while lo < len(times):
-        chunk = times[lo : lo + size]
-        hits = np.flatnonzero(flags(chunk, path(chunk)))
-        if hits.size:
-            return lo + int(hits[0])
-        lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
-    return None
-
-
 def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, check_times, flags: Callable):
     """Earliest crossing along L = path(t): (t_before, event) or None.
 
     ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
-    follow ``t_prev``. ``flags`` is a block test (see ``_prescan``); the
-    scalar test runs only on the first flagged check time and the one
-    before it. At the first check time where any kind is crossed,
-    ``_narrow`` takes [previous check time, it] down to EVENT_TIME_TOL.
-    The event is the first kind crossed at the upper end of that bracket.
+    follow ``t_prev``. ``flags`` marks, per block of check times (SCAN_CHUNK,
+    then twice as many each block up to SCAN_BLOCK_CAP), every check time
+    where some kind may be crossed; the scalar test runs on the flagged
+    ones in order. At the first where any kind is crossed, ``_narrow``
+    takes [previous check time, it] down to EVENT_TIME_TOL. The event is
+    the first kind crossed at the upper end of that bracket.
     """
     known: dict[float, tuple] = {}
 
@@ -427,22 +415,17 @@ def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, che
             known[t] = margins(t, path(t))
         return known[t]
 
-    start = 0
-    while start < len(check_times):
-        first = _prescan(flags, path, check_times, start)
-        if first is None:
-            return None
-        window = range(max(first - 1, start), first + 1)
-        lo = t_prev if window[0] == 0 else float(check_times[window[0] - 1])
-        for i in window:
+    lo, size = 0, SCAN_CHUNK
+    while lo < len(check_times):
+        block = check_times[lo : lo + size]
+        for i in (lo + np.flatnonzero(flags(block, path(block)))).tolist():
             hi = float(check_times[i])
             if _crossed(probe(hi)):
-                t0, t1 = _narrow(probe, lo, hi)
+                t0, t1 = _narrow(probe, t_prev if i == 0 else float(check_times[i - 1]), hi)
                 fired = _crossed(probe(t1))
                 theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
                 return t0, TerminationEvent(kind=fired[0], t=t1, theta=theta)
-            lo = hi
-        start = window[-1] + 1
+        lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
     return None
 
 

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveflow import (
     Constant,
@@ -523,6 +526,71 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflow" in err
         assert "Traceback" not in err
+
+
+FUZZ_FLOWS = [
+    "pan-yang", "lin-tsai", "ma-cheng", "const:-1", "const:0.5",
+    "powersum:0.2,1.5,0", "powersum:1000,-3,0", "powersum:0.3,0.5,0.25;2,-1,1",
+]
+
+
+def _coefficients(n: int):
+    # Mode k gets at most 0.3 / k^2, so many curves are convex and some are not.
+    return st.tuples(*(st.floats(min_value=-0.3, max_value=0.3).map(lambda v, k=k: v / k**2) for k in range(1, n + 1)))
+
+
+class TestFuzz:
+    """run and a scale: sweep through main over random inline spectra,
+    flows and controls: an exit status, never a traceback, and CSVs that
+    read back."""
+
+    @given(
+        spectrum=st.integers(min_value=2, max_value=8).flatmap(lambda n: st.tuples(_coefficients(n), _coefficients(n))),
+        mean=st.floats(min_value=0.5, max_value=2.0),
+        flow=st.sampled_from(FUZZ_FLOWS),
+        t_max=st.floats(min_value=0.05, max_value=5.0),
+        sample_interval=st.floats(min_value=0.02, max_value=1.0),
+        singularity_eps=st.sampled_from([1e-9, 1e-3]) | st.floats(min_value=1e-6, max_value=0.5),
+        area_vanish=st.sampled_from([1e-12, 1e-3, 0.1]),
+        length_vanish=st.sampled_from([1e-12, 1e-3, 0.5]),
+        length_blowup=st.sampled_from([1e12, 100.0, 20.0]),
+        scales=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_and_sweep_exit_cleanly_with_readable_csvs(
+        self, spectrum, mean, flow, t_max, sample_interval, singularity_eps,
+        area_vanish, length_vanish, length_blowup, scales,
+    ):
+        cos, sin = spectrum
+        text = (
+            f"flow = {flow}\nmean = {mean!r}\n"
+            f"cos = {', '.join(map(repr, cos))}\nsin = {', '.join(map(repr, sin))}\n"
+            f"t_max = {t_max!r}\nsample_interval = {sample_interval!r}\n"
+            f"singularity_eps = {singularity_eps!r}\narea_vanish = {area_vanish!r}\n"
+            f"length_vanish = {length_vanish!r}\nlength_blowup = {length_blowup!r}\nframe_count = 4\n"
+        )
+        axis = "scale:" + ",".join(map(repr, scales))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            cfg_path = write_config(root, text)
+            codes = []
+            for argv in (["run"], ["sweep", "--axis", axis]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    codes.append(main(argv + ["--config", str(cfg_path), "--out", str(root / "o")]))
+                assert codes[-1] in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue()
+            timeseries, sweep_csv = root / "o" / "timeseries.csv", root / "o" / "sweep.csv"
+            assert timeseries.exists() == (codes[0] == 0) and sweep_csv.exists() == (codes[1] == 0)
+            if timeseries.exists():
+                rows = list(csv.reader(timeseries.read_text().splitlines()))
+                assert all(len(row) == 8 for row in rows)
+                times = [float(row[0]) for row in rows[1:]]
+                assert all(b > a for a, b in zip(times, times[1:]))
+            if sweep_csv.exists():
+                rows = list(csv.reader(io.StringIO(sweep_csv.read_text())))
+                assert len(rows) == 1 + len(scales)
+                assert all(len(row) == 11 for row in rows)
 
 
 class TestConstMinusOneRun:

@@ -580,9 +580,11 @@ class TestEventLocation:
         assert traj.event.t == pytest.approx(want, abs=1e-9)
         first = next(i for i, (_, fired) in enumerate(probes) if fired)
         assert set(probes[first][1]) == {"area-vanish", "length-vanish"}
-        lo, hi = probes[first - 1][0], probes[first][0]
-        bisection = probes[first + 1:]
-        assert all(lo < t < hi for t, _ in bisection)
+        # lo, the check time below hi (sample_interval 0.05), is probed with the bracket.
+        hi = probes[first][0]
+        lo = min(t for t, _ in probes if hi - 0.05 - 1e-12 <= t < hi)
+        bisection = [t for t, _ in probes[first + 1:] if t != lo]
+        assert all(lo < t < hi for t in bisection)
         # One bisection halves [lo, hi] down to the tolerance; a second
         # one for the other kind would double the probe count.
         assert len(bisection) <= np.ceil(np.log2((hi - lo) / EVENT_TIME_TOL)) + 1
@@ -621,6 +623,28 @@ class TestEventLocation:
         assert 1 + len(_sample_times(controls)) == 101
         assert blocks[0][0] == 0.0
         assert [size for _, size in blocks] == [SCAN_CHUNK, 2 * SCAN_CHUNK, 5]
+
+    def test_a_margin_inside_the_slack_costs_one_scan(self, monkeypatch):
+        # The circle's radius of curvature is 1, so singularity_eps = 1 - 5e-11
+        # leaves a margin within PRESCAN_SLACK of its size at every check time:
+        # all 201 are flagged and none is crossed. Each is tested once, in one
+        # pass over blocks of 32, 64 and 105.
+        from curveflow.integrate import _Problem, _sample_times
+
+        blocks = []
+        real = _Problem.flags
+
+        def counting(self, times, lengths):
+            blocks.append(len(times))
+            return real(self, times, lengths)
+
+        monkeypatch.setattr(_Problem, "flags", counting)
+        controls = IntegratorControls(t_max=10.0, singularity_eps=1.0 - 5e-11)
+        traj = integrate(CIRCLE, PanYang(), controls)
+        assert traj.event == TerminationEvent(kind="reached-horizon", t=10.0)
+        assert np.array_equal(traj.t, np.concatenate(([0.0], _sample_times(controls))))
+        assert np.all(traj.L == TWO_PI)
+        assert blocks == [32, 64, 105]
 
     def test_ode_path_checks_t_zero_before_the_first_rhs_call(self):
         # H = L^400 overflows at the initial length, so the run ends at the
@@ -1053,6 +1077,17 @@ class TestClosedLength:
             ("powersum:2,0.5,0", IntegratorControls(area_vanish=1e-30, singularity_eps=1e-16), "length-vanish"),
             ("powersum:-0.1,2,0", IntegratorControls(), "length-blowup"),
             ("powersum:-0.01,3,0", IntegratorControls(), "length-blowup"),
+            pytest.param(
+                "powersum:1000,-3,0", IntegratorControls(), "singularity",
+                marks=pytest.mark.xfail(
+                    raises=AssertionError,
+                    strict=True,
+                    reason="L^4 reaches 0 at t* = 0.0712714326141: the closed form ends in a "
+                    "singularity there, while DOPRI5's step size collapses as L' blows up "
+                    "and it ends in step-collapse at 0.0712714327462",
+                ),
+                id="collapse",
+            ),
         ],
     )
     def test_power_laws_cross_the_thresholds_as_the_ode_does(self, term, controls, kind):
@@ -1070,6 +1105,29 @@ class TestClosedLength:
         ode = _record(problem, _dopri_steps(problem))
         assert closed.event.kind == ode.event.kind == kind
         assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
+
+    def test_a_length_that_collapses_in_finite_time_ends_in_a_singularity(self):
+        # H = 1000 L^-3 (r = 4): z = L^4 = 2000 pi - (2000 pi - (2 pi)^4) e^{4t}
+        # for the unit circle, which reaches 0 at t* below. rho = L/(2 pi),
+        # A = L^2/(4 pi) and L reach their thresholds within 1e-20 of t*, far
+        # below a float's spacing there: every threshold crosses inside the
+        # last bracket, and the priority rule picks the singularity.
+        from curveflow.flows import closed_length
+        from curveflow.integrate import EVENT_TIME_TOL, _crossed, _Problem
+
+        term = PowerSum(terms=((1000.0, -3.0, 0.0),))
+        assert closed_length(CIRCLE, term) is not None
+        t_star = 0.25 * np.log(2000.0 * np.pi / (2000.0 * np.pi - TWO_PI**4))
+        assert t_star == pytest.approx(0.0712714326141, abs=1e-13)
+        traj = integrate(CIRCLE, term)
+        assert traj.event.kind == "singularity" and traj.event.theta is not None
+        assert abs(traj.event.t - t_star) <= EVENT_TIME_TOL
+        t_before = float(traj.t[-1])
+        assert t_before < t_star <= traj.event.t <= t_before + EVENT_TIME_TOL
+        problem = _Problem(CIRCLE, term, IntegratorControls())
+        law = closed_length(CIRCLE, term)
+        assert not _crossed(problem.margins(t_before, law(t_before)))
+        assert _crossed(problem.margins(traj.event.t, law(traj.event.t)))[0] == "singularity"
 
     @pytest.mark.parametrize("p", [0.9999999, 1.0000001])
     def test_power_near_zero_keeps_its_accuracy(self, p):
@@ -1180,7 +1238,7 @@ class TestPrescan:
         import tracemalloc
 
         from curveflow.flows import closed_length
-        from curveflow.integrate import _prescan, _Problem
+        from curveflow.integrate import _locate, _Problem
 
         rng = np.random.default_rng(7)
         spec0 = _random_convex(rng, 64)
@@ -1190,7 +1248,7 @@ class TestPrescan:
         for count in (2_000, 20_000):
             times = np.linspace(0.0, 1.0, count)
             tracemalloc.start()
-            assert _prescan(problem.flags, law, times, 0) is None
+            assert _locate(problem.modes, problem.margins, law, 0.0, times, problem.flags) is None
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
@@ -1233,7 +1291,7 @@ class TestPrescan:
         # and that minimum for many curves: blocks run the grid product
         # without a flag.
         from curveflow import radius_extrema
-        from curveflow.integrate import _Problem, record_rows
+        from curveflow.integrate import _crossed, _Problem, record_rows
 
         rng = np.random.default_rng(seed)
         if pinch:
@@ -1252,6 +1310,9 @@ class TestPrescan:
         def checked(problem, times, lengths):
             flags = real(problem, times, lengths)
             assert np.array_equal(flags, oracles.grid_flags(problem, times, lengths))
+            # The locator tests only flagged check times: every crossed one must be.
+            crossed = [bool(_crossed(problem.margins(t, L))) for t, L in zip(times.tolist(), lengths.tolist())]
+            assert np.all(flags[crossed])
             return flags
 
         with pytest.MonkeyPatch.context() as patch:

@@ -103,6 +103,25 @@ class TestSingularityScan:
             assert kind == "singularity" and float(gap) <= 1e-7
 
 
+class TestFlowGallery:
+    def test_every_flow_writes_its_artifacts_and_one_table_row(self, tmp_path, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("flow_gallery", SCRIPTS / "flow_gallery.py")
+        gallery = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gallery)
+        out = tmp_path / "gallery"
+        monkeypatch.setattr(sys, "argv", ["flow_gallery.py", "--t-max", "0.5", "--out", str(out)])
+        assert gallery.main() == 0
+        slugs = [text.replace(":", "_").replace(",", "-") for text in gallery.FLOWS]
+        assert len(slugs) == 5 and sorted(p.name for p in out.iterdir()) == sorted(slugs)
+        for slug in slugs:
+            for name in ("timeseries.csv", "frames.jsonl", "reports.csv"):
+                assert (out / slug / name).is_file(), (slug, name)
+            assert list((out / slug / "anim").glob("*.svg")), slug
+        lines = capsys.readouterr().out.splitlines()
+        for text in gallery.FLOWS:
+            assert sum(1 for line in lines if line.split()[:1] == [text]) == 1, text
+
+
 class TestReadme:
     def test_library_example_runs_as_written(self, capsys):
         readme = (ROOT / "README.md").read_text()
