@@ -9,9 +9,12 @@ thresholds are crossed inside one step. For each run it prints the
 sha256 of the run's event (kind, t, theta) and of every recorded state's
 (t, L, A), read from the trajectory's columns and written with repr so
 any bit change shows; then the counts by event kind, how many runs took
-the closed-form length and how many the ODE solve, and one sha256 over
-all runs. Run it on two checkouts on the same machine and compare the
-output.
+the closed-form length and how many the ODE solve, how many scalar tests
+the event locator ran (calls of ``integrate._Problem.margins``, counted
+by wrapping it here), and one sha256 over all runs. Run it on two
+checkouts on the same machine and compare the output: the probe count
+shows whether the locator's probe sequence changed, which the hashes
+see only through the event times.
 
 With ``--out DIR`` it also writes each run to DIR/<spectrum>__<flow>__<controls>.jsonl:
 one {"t", "L", "A"} line per recorded state, then an {"event": {"kind",
@@ -25,6 +28,7 @@ Usage:
 
 import argparse
 import hashlib
+import importlib
 import json
 import re
 import sys
@@ -35,6 +39,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow_term  # noqa: E402
 from curveflow.flows import closed_length  # noqa: E402
+
+# The module, not the function of the same name that the package exports.
+PROBLEM = importlib.import_module("curveflow.integrate")._Problem
 
 SPECTRA = {
     "circle": SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.0], sin_coeffs=[0.0, 0.0]),
@@ -99,22 +106,35 @@ def main() -> int:
     counts: Counter[str] = Counter()
     paths: Counter[str] = Counter()
     total = hashlib.sha256()
-    for spec_name, spec in SPECTRA.items():
-        for flow in FLOWS:
-            for controls_name, controls in CONTROLS.items():
-                kind, sha, records = digest(spec, flow, controls)
-                if args.out is not None:
-                    name = re.sub(r"[^A-Za-z0-9.+-]", "_", f"{spec_name}__{flow}__{controls_name}")
-                    lines = "".join(json.dumps(rec) + "\n" for rec in records)
-                    (args.out / f"{name}.jsonl").write_text(lines)
-                counts[kind] += 1
-                paths["ode" if closed_length(spec, parse_flow_term(flow)) is None else "closed"] += 1
-                total.update(sha.encode())
-                if not args.quiet:
-                    print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
+    probes = 0
+    margins = PROBLEM.margins
+
+    def counted(problem, t, length):
+        nonlocal probes
+        probes += 1
+        return margins(problem, t, length)
+
+    PROBLEM.margins = counted
+    try:
+        for spec_name, spec in SPECTRA.items():
+            for flow in FLOWS:
+                for controls_name, controls in CONTROLS.items():
+                    kind, sha, records = digest(spec, flow, controls)
+                    if args.out is not None:
+                        name = re.sub(r"[^A-Za-z0-9.+-]", "_", f"{spec_name}__{flow}__{controls_name}")
+                        lines = "".join(json.dumps(rec) + "\n" for rec in records)
+                        (args.out / f"{name}.jsonl").write_text(lines)
+                    counts[kind] += 1
+                    paths["ode" if closed_length(spec, parse_flow_term(flow)) is None else "closed"] += 1
+                    total.update(sha.encode())
+                    if not args.quiet:
+                        print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
+    finally:
+        PROBLEM.margins = margins
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
+    print(f"probes {probes}")
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
     return 0
 

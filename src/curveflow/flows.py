@@ -37,12 +37,12 @@ b L^3 + c L A among them: its z = L^-2 has the time-varying coefficient E(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import heat
-from .support import TWO_PI, SupportSpectrum, total_inverse_curvature
+from .support import TWO_PI, SupportSpectrum, _deficit_rates, total_inverse_curvature
 
 
 class HDomainError(ValueError):
@@ -252,19 +252,34 @@ class ClosedLength:
     kappa: float
     rates: np.ndarray
     weights: np.ndarray
+    # What __call__ reads that does not depend on t, built once here.
+    _top: float = field(init=False, repr=False)
+    _own_rate: float = field(init=False, repr=False)
+    _lead_rates: np.ndarray = field(init=False, repr=False)
+    _neg_gap: np.ndarray = field(init=False, repr=False)
+    _distinct: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
+        top = max(self.kappa, 0.0)
+        gap = np.abs(self.rates - self.kappa)
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_own_rate", self.kappa - top)
+        object.__setattr__(self, "_lead_rates", np.maximum(self.rates, self.kappa) - top)
+        object.__setattr__(self, "_neg_gap", -gap)
+        object.__setattr__(self, "_distinct", gap > 0.0)
 
     def __call__(self, t):
         """L at a time or an array of times; a float for a scalar time."""
         tt = np.asarray(t, dtype=float)
         col = tt[..., None]
-        gap = np.abs(self.rates - self.kappa)
-        # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
-        top = max(self.kappa, 0.0)
+        neg_gap = self._neg_gap
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            psi = np.where(gap > 0.0, -np.expm1(-gap * col) / gap, col)
-            lead = np.exp((np.maximum(self.rates, self.kappa) - top) * col)
-            forced = (lead * psi) @ self.weights
-            ratio = np.exp(top * tt) * (np.exp((self.kappa - top) * tt) + forced)
+            # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
+            psi = np.where(self._distinct, np.expm1(neg_gap * col) / neg_gap, col)
+            forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
+            growth = np.exp(self._top * tt)
+            ratio = growth * (np.exp(self._own_rate * tt) + forced)
             if self.power == 1.0:
                 length = self.l0 * ratio
             elif self.power == 2.0:
@@ -273,7 +288,7 @@ class ClosedLength:
             else:
                 # z/z0 - 1 summed without the 1, so that a power near 0 does not
                 # magnify its rounding; log1p only near z/z0 = 1, where log loses it.
-                excess = np.expm1(self.kappa * tt) + np.exp(top * tt) * forced
+                excess = np.expm1(self.kappa * tt) + growth * forced
                 log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
                 length = self.l0 * np.exp(log_ratio / self.power)
                 if not np.all(ratio > 0.0):
@@ -299,9 +314,8 @@ def closed_length(spec0: SupportSpectrum, term: NonlocalTerm) -> ClosedLength | 
     """The closed-form L(t) of ``term`` from ``spec0``, or None where no
     power of L makes the length ODE linear (see the module docstring)."""
     l0 = TWO_PI * spec0.mean
-    modes = heat._Modes(spec0)
-    rates = 2.0 * modes.decay
-    q_n = 2.0 * np.pi**2 * -modes.decay * modes.power
+    weight, rates = _deficit_rates(spec0.truncation)
+    q_n = 2.0 * np.pi**2 * weight * heat._Modes(spec0).power
     spectral, coef = isinstance(term, MaCheng), {}
     for c, p, q in ((1.0 / TWO_PI, 1.0, 0.0),) if spectral else _as_power_terms(term):
         coef[p, q] = coef.get((p, q), 0.0) + c

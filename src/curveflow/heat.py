@@ -5,7 +5,8 @@ linear heat-type equation whose Fourier mode n carries the exact factor
 exp((1 - n^2) t): mode 1 (translation) is invariant, every other decays.
 The decay rates 1 - n^2 are ``support._decay``, one read-only array per
 truncation that the closed forms of ``support`` weight their modes with
-too. Only this module builds the initial mode power p_n = a_n^2 + b_n^2
+too, and E(t) reads n^2 - 1 and 2(1 - n^2) from ``support._deficit_rates``
+beside it. Only this module builds the initial mode power p_n = a_n^2 + b_n^2
 and the factors; ``flows`` and ``integrate`` read them through
 :class:`_Modes`. The length dynamics read
 
@@ -14,7 +15,8 @@ and the factors; ``flows`` and ``integrate`` read them through
 minus the isoperimetric deficit over 4*pi of the propagated curve, known
 from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t). Each quantity
 is one ``_Modes`` method that takes a time or an array of times; the grid
-extrema of the radius of curvature come from ``support._radius_range``.
+extrema of the radius of curvature come from ``support._radius_range``, and
+the minimum alone, which the event locator reads, from ``support._min_radius``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .support import (
     SupportSpectrum,
     _decay,
     _deficit,
+    _deficit_rates,
     _grid_deviation,
     _inverse_curvature,
+    _min_radius,
     _radius_range,
     _radius_table,
 )
@@ -40,7 +44,8 @@ def _area(length, e_val):
     # L/(2*pi) is; element by element for arrays.
     mean = length / TWO_PI
     area = np.pi * mean * mean + e_val
-    return float(area) if np.ndim(area) == 0 else area
+    # getattr, not np.ndim: np.ndim costs more than the rest on a Python float.
+    return area if getattr(area, "ndim", 0) else float(area)
 
 
 # The pre-scan sums in another order than the scalar test, so it flags a
@@ -60,7 +65,9 @@ class _Modes:
         rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
 
     has its extrema from ``support._radius_range``, so ``radius_range`` at
-    one time is ``radius_extrema`` of the recorded state, bit for bit.
+    one time is ``radius_extrema`` of the recorded state, bit for bit, and
+    ``min_radius`` is its minimum. The methods for one time scale the
+    coefficients with ``_scaled``, which skips the (modes x times) shapes.
     Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), rho over every
     theta is at least
 
@@ -99,11 +106,17 @@ class _Modes:
         shape = (-1,) + (1,) * (factors.ndim - 1)
         return self._a0.reshape(shape) * factors, self._b0.reshape(shape) * factors
 
+    def _scaled(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        # _coeffs(factors(t)) at one time, bit for bit: decay * t is the outer
+        # product with a scalar, and there is nothing to reshape.
+        factors = np.exp(self.decay * t)
+        return self._a0 * factors, self._b0 * factors
+
     def spectrum(self, t: float, mean: float) -> SupportSpectrum:
         """The spectrum with mode n scaled by exp((1 - n^2) t) and the given mean."""
         if t < 0.0:
             raise ValueError("propagation time must be non-negative")
-        cos_coeffs, sin_coeffs = self._coeffs(self.factors(t))
+        cos_coeffs, sin_coeffs = self._scaled(t)
         return SupportSpectrum(mean=mean, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
 
     def e_value(self, t):
@@ -111,8 +124,8 @@ class _Modes:
         # A (times x modes) array summed along each row, pairwise as for a single
         # time, so each value is the same; add.reduce skips np.sum's wrapper call.
         tt = np.asarray(t, dtype=float)
-        decay, power = self.decay, self.power
-        e_val = -(np.pi / 2.0) * np.add.reduce(-decay * np.exp(2.0 * decay * tt[..., None]) * power, axis=-1)
+        weight, rate = _deficit_rates(len(self._a0))
+        e_val = -(np.pi / 2.0) * np.add.reduce(weight * np.exp(rate * tt[..., None]) * self.power, axis=-1)
         return float(e_val) if e_val.ndim == 0 else e_val
 
     def area(self, t, length):
@@ -122,7 +135,7 @@ class _Modes:
 
     def inverse_curvature(self, t: float, length: float) -> float:
         """total_inverse_curvature of flow_state(spec0, t, length), bit for bit."""
-        return _inverse_curvature(length / TWO_PI, *self._coeffs(self.factors(t)))
+        return _inverse_curvature(length / TWO_PI, *self._scaled(t))
 
     def radius_range(self, t, length) -> tuple:
         """(min, max) of the radius of curvature on the grid: at one time
@@ -132,8 +145,13 @@ class _Modes:
         1e-12 of the sizes ``scan`` gives."""
         return _radius_range(length / TWO_PI, *self._coeffs(self.factors(t)))
 
+    def min_radius(self, t: float, length: float) -> float:
+        """``radius_range(t, length)[0]`` at one time, bit for bit: the scalar
+        test of the event locator, which reads no maximum."""
+        return float(_min_radius(length / TWO_PI, *self._scaled(t)))
+
     def argmin_theta(self, t: float) -> float:
-        dev = _grid_deviation(*self._coeffs(self.factors(t)))
+        dev = _grid_deviation(*self._scaled(t))
         return float(_radius_table(len(self._a0))[0][int(np.argmin(dev))])
 
     def deficit(self, times: np.ndarray) -> np.ndarray:
@@ -147,7 +165,7 @@ class _Modes:
         scales with: the mean plus the sum of |terms| of the grid sum, and
         the circular part plus |E|.
 
-        The min radius is the grid minimum of ``radius_range``, unless the
+        The min radius is the grid minimum, ``support._min_radius``, unless the
         bound L/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t} exceeds ``eps``
         by more than 2 * PRESCAN_SLACK times the size at every time of the
         block: then it is that bound and the grid product is skipped. The
@@ -159,7 +177,7 @@ class _Modes:
         rho_size = np.abs(mean) + self._rho_size @ factors
         rho_min = mean - self._rho_amp @ factors
         if not (rho_min - eps > 2.0 * PRESCAN_SLACK * rho_size).all():
-            rho_min = _radius_range(mean, *self._coeffs(factors))[0]
+            rho_min = _min_radius(mean, *self._coeffs(factors))
         e_val = (np.pi / 2.0) * ((self.decay * self.power) @ (factors * factors))
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
             circle = np.pi * mean * mean

@@ -382,7 +382,7 @@ class _Problem:
         # No FlowState here: the locator may probe lengths at or below the
         # vanish threshold where states are unconstructible.
         modes = self.modes
-        return _margins(self.limits, modes.radius_range(t, length)[0], modes.area(t, length), length)
+        return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
     def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Check times where some threshold may be crossed: every one where

@@ -150,6 +150,16 @@ def _decay(truncation: int) -> np.ndarray:
     return decay
 
 
+@functools.lru_cache(maxsize=8)
+def _deficit_rates(truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    # (n^2 - 1, 2(1 - n^2)), shared read-only: the weight of p_n in the
+    # isoperimetric deficit and its rate there along the flow.
+    pair = (-_decay(truncation), 2.0 * _decay(truncation))
+    for arr in pair:
+        arr.flags.writeable = False
+    return pair
+
+
 def _mode_angles(theta, truncation: int) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
     return np.multiply.outer(th, np.arange(1, truncation + 1))
@@ -226,19 +236,32 @@ def validate_convexity(spec: SupportSpectrum) -> float:
     return radius_extrema(spec)[0]
 
 
+def _grid_min(mean, dev: np.ndarray):
+    # The radius of curvature's grid minimum from its _grid_deviation, the mean
+    # added after the minimum: the one place it is taken. The ufunc itself:
+    # ndarray.min adds a wrapper call per scalar probe.
+    return mean + np.minimum.reduce(dev, axis=0)
+
+
+def _min_radius(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
+    """The min of ``_radius_range`` alone, for a reader that needs no max.
+    Coefficient vectors give one value; (modes x times) blocks, with a mean
+    per column, give one value per column."""
+    return _grid_min(mean, _grid_deviation(cos_coeffs, sin_coeffs))
+
+
 def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple:
-    """(min, max) of the radius of curvature on the validation grid, the mean
-    added after the extremum of the deviation: the one place these extrema
-    are taken. Coefficient vectors give one pair; (modes x times) blocks,
-    with a mean per column, give a pair of arrays, one value per column."""
+    """(min, max) of the radius of curvature on the validation grid, each the
+    mean added after the extremum of the deviation. Coefficient vectors give
+    one pair; (modes x times) blocks, with a mean per column, give a pair of
+    arrays, one value per column."""
     dev = _grid_deviation(cos_coeffs, sin_coeffs)
-    # The ufuncs themselves: ndarray.min/max add a wrapper call per scalar probe.
-    return mean + np.minimum.reduce(dev, axis=0), mean + np.maximum.reduce(dev, axis=0)
+    return _grid_min(mean, dev), mean + np.maximum.reduce(dev, axis=0)
 
 
 def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
     """(min, max) of the radius of curvature on the validation grid, as floats;
-    the singularity event reads the same ``_radius_range``, so the two agree bit for bit."""
+    the singularity event reads the same ``_grid_min``, so the two agree bit for bit."""
     rho_min, rho_max = _radius_range(spec.mean, spec.cos_coeffs, spec.sin_coeffs)
     return float(rho_min), float(rho_max)
 
@@ -264,7 +287,7 @@ def enclosed_area(spec: SupportSpectrum) -> float:
     the translation mode n = 1 contributes nothing.
     """
     power = spec.cos_coeffs**2 + spec.sin_coeffs**2
-    return float(np.pi * spec.mean**2 - (np.pi / 2.0) * np.sum(-_decay(spec.truncation) * power))
+    return float(np.pi * spec.mean**2 - (np.pi / 2.0) * np.sum(_deficit_rates(spec.truncation)[0] * power))
 
 
 def isoperimetric_deficit(spec: SupportSpectrum) -> float:
@@ -280,7 +303,7 @@ def _deficit(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
     # isoperimetric_deficit along the last axis: one value per row of
     # (states x modes) coefficients, summed as for a single spectrum.
     power = cos_coeffs**2 + sin_coeffs**2
-    return 2.0 * np.pi**2 * np.sum(-_decay(cos_coeffs.shape[-1]) * power, axis=-1)
+    return 2.0 * np.pi**2 * np.sum(_deficit_rates(cos_coeffs.shape[-1])[0] * power, axis=-1)
 
 
 def isoperimetric_ratio(length: float, area: float) -> float:

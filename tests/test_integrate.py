@@ -812,6 +812,13 @@ class TestEventLocation:
         state = flow_state(spec0, t, length)
         assert radius_extrema(state.spectrum)[0] == _Modes(spec0).radius_range(t, length)[0]
         assert radius_extrema(state.spectrum) == _Modes(spec0).radius_range(t, length)
+        # The locator's scalar test reads the same minimum and area, bit for bit.
+        from curveflow.integrate import _margins, _Problem
+
+        controls = IntegratorControls()
+        limits = (controls.singularity_eps, controls.area_vanish, controls.length_vanish, controls.length_blowup)
+        want = _margins(limits, radius_extrema(state.spectrum)[0], state.A, length)
+        assert _Problem(spec0, H_EQUALS_L, controls).margins(t, length) == want
 
 
 def _rotated_ellipse(phi: float) -> SupportSpectrum:
@@ -1171,13 +1178,29 @@ class TestClosedLength:
         assert closed_length(spec0, PanYang()).kappa == 0.0
         assert set(closed_length(spec0, PanYang())(np.linspace(0.0, 50.0, 11))) == {TWO_PI * 1.3}
 
+    # (flow, r, reaches z/z0 <= 0): one law per branch of ClosedLength.__call__.
+    # The last three start from the unit circle and reach z/z0 <= 0 before
+    # t = 5: L through zero near t = ln 2 (r = 1) and t = 0.445 (r = 1/2), and
+    # L = +inf from the blow-up on (r = -1).
+    BRANCHES = [
+        ("pan-yang", 1.0, False), ("const:0.7", 1.0, False), ("powersum:1,1,0", 1.0, False),
+        ("lin-tsai", 2.0, False), ("ma-cheng", 2.0, False), ("powersum:2,-1,1;0.1,-1,0", 2.0, False),
+        ("powersum:0.2,1.5,0", -0.5, False),
+        ("const:2", 1.0, True), ("powersum:2,0.5,0", 0.5, True), ("powersum:-0.1,2,0", -1.0, True),
+    ]
+
     def test_scalar_and_array_forms_agree(self):
+        from curveflow import parse_flow_term
         from curveflow.flows import closed_length
 
-        law = closed_length(GALLERY_ELLIPSE, LinTsai())
         times = np.linspace(0.0, 5.0, 9)
-        assert isinstance(law(0.5), float)
-        assert law(times) == pytest.approx([law(t) for t in times], rel=1e-15)
+        for flow, power, through_zero in self.BRANCHES:
+            law = closed_length(CIRCLE if through_zero else GALLERY_ELLIPSE, parse_flow_term(flow))
+            assert law.power == power, flow
+            assert isinstance(law(0.5), float), flow
+            lengths = law(times)
+            assert lengths == pytest.approx([law(t) for t in times], rel=1e-15), flow
+            assert (not np.all((lengths > 0.0) & np.isfinite(lengths))) == through_zero, flow
 
 
 class TestPrescan:
@@ -1435,3 +1458,51 @@ class TestColumns:
             ratio = isoperimetric_deficit(s.spectrum) / (ipd0 * np.exp(-2.0 * (s.t - states[0].t)))
             worst = max(worst, float(ratio))
         assert ipd_decay_ratio(traj) == worst
+
+
+class TestFuzz:
+    """integrate over random convex spectra up to N = 64, flows on both
+    paths and random controls: a trajectory or a stated error, columns in
+    order, and on the closed path an event kind that the locator's scalar
+    test confirms at the event time."""
+
+    FLOWS = ["pan-yang", "lin-tsai", "ma-cheng", "const:-1", "const:0.5", "const:2", "powersum:1,1,0",
+             "powersum:0.2,1.5,0", GENERAL_POWERSUM]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        flow=st.sampled_from(FLOWS),
+        t_max=st.floats(min_value=0.05, max_value=5.0),
+        sample_interval=st.floats(min_value=0.02, max_value=1.0),
+        singularity_eps=st.sampled_from([1e-9, 1e-3]) | st.floats(min_value=1e-6, max_value=0.5),
+        area_vanish=st.sampled_from([1e-12, 1e-3, 0.1]),
+        length_vanish=st.sampled_from([1e-12, 1e-3, 0.5]),
+        length_blowup=st.sampled_from([1e12, 100.0, 20.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_runs_end_in_a_trajectory_or_a_stated_error(
+        self, seed, n, flow, t_max, sample_interval, singularity_eps, area_vanish, length_vanish, length_blowup
+    ):
+        from curveflow import parse_flow_term
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _EVENT_PRIORITY, _crossed, _Problem
+
+        spec0 = _random_convex(np.random.default_rng(seed), n)
+        term = parse_flow_term(flow) if isinstance(flow, str) else flow
+        controls = IntegratorControls(
+            t_max=t_max, sample_interval=sample_interval, singularity_eps=singularity_eps,
+            area_vanish=area_vanish, length_vanish=length_vanish, length_blowup=length_blowup,
+        )
+        try:
+            traj = integrate(spec0, term, controls)
+        except (ConvexityError, HDomainError):
+            return
+        assert isinstance(traj, Trajectory)
+        event = traj.event
+        assert traj.t[0] == 0.0 and np.all(np.diff(traj.t) > 0.0) and traj.t[-1] <= event.t
+        assert np.all(np.isfinite(traj.L)) and np.all(np.isfinite(traj.A))
+        law = closed_length(spec0, term)
+        if law is not None and event.kind in _EVENT_PRIORITY:
+            margins = _Problem(spec0, term, controls).margins(event.t, law(event.t))
+            assert _crossed(margins)[0] == event.kind

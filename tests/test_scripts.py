@@ -76,8 +76,13 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
+        margins = digest.PROBLEM.margins
         assert digest.main() == 0
-        assert "runs 2 sha256" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("runs 2 sha256") for line in out)
+        # The ellipse pinches under H = L after 10 scalar tests; pan-yang flags none.
+        assert "probes 10" in out
+        assert digest.PROBLEM.margins is margins
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
         records = [json.loads(line) for line in (tmp_path / names[1]).read_text().splitlines()]
