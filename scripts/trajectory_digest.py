@@ -10,11 +10,14 @@ sha256 of the run's event (kind, t, theta) and of every recorded state's
 (t, L, A), read from the trajectory's columns and written with repr so
 any bit change shows; then the counts by event kind, how many runs took
 the closed-form length and how many the ODE solve, how many scalar tests
-the event locator ran (calls of ``integrate._Problem.margins``, counted
-by wrapping it here), and one sha256 over all runs. Run it on two
-checkouts on the same machine and compare the output: the probe count
-shows whether the locator's probe sequence changed, which the hashes
-see only through the event times.
+the event locator ran (calls of ``integrate._Problem.margins``), what its
+pre-scan did (blocks: calls of ``integrate._Problem.flags``; columns: the
+check times those calls received; grid products: calls of
+``support._grid_deviation`` with 2-D coefficients), and one sha256 over
+all runs. The counts come from wrapping those names here. Run it on two
+checkouts on the same machine and compare the output: the probe and
+pre-scan counts show whether the locator's work changed, which the
+hashes see only through the event times.
 
 With ``--out DIR`` it also writes each run to DIR/<spectrum>__<flow>__<controls>.jsonl:
 one {"t", "L", "A"} line per recorded state, then an {"event": {"kind",
@@ -42,6 +45,7 @@ from curveflow.flows import closed_length  # noqa: E402
 
 # The module, not the function of the same name that the package exports.
 PROBLEM = importlib.import_module("curveflow.integrate")._Problem
+SUPPORT = importlib.import_module("curveflow.support")
 
 SPECTRA = {
     "circle": SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.0], sin_coeffs=[0.0, 0.0]),
@@ -106,15 +110,24 @@ def main() -> int:
     counts: Counter[str] = Counter()
     paths: Counter[str] = Counter()
     total = hashlib.sha256()
-    probes = 0
-    margins = PROBLEM.margins
+    tally: Counter[str] = Counter()
+    margins, flags, grid_deviation = PROBLEM.margins, PROBLEM.flags, SUPPORT._grid_deviation
 
-    def counted(problem, t, length):
-        nonlocal probes
-        probes += 1
+    def counted_margins(problem, t, length):
+        tally["probes"] += 1
         return margins(problem, t, length)
 
-    PROBLEM.margins = counted
+    def counted_flags(problem, times, lengths):
+        tally["blocks"] += 1
+        tally["columns"] += len(times)
+        return flags(problem, times, lengths)
+
+    def counted_grid_deviation(cos_coeffs, sin_coeffs):
+        tally["grid products"] += cos_coeffs.ndim == 2
+        return grid_deviation(cos_coeffs, sin_coeffs)
+
+    PROBLEM.margins, PROBLEM.flags = counted_margins, counted_flags
+    SUPPORT._grid_deviation = counted_grid_deviation
     try:
         for spec_name, spec in SPECTRA.items():
             for flow in FLOWS:
@@ -130,11 +143,13 @@ def main() -> int:
                     if not args.quiet:
                         print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
     finally:
-        PROBLEM.margins = margins
+        PROBLEM.margins, PROBLEM.flags = margins, flags
+        SUPPORT._grid_deviation = grid_deviation
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
-    print(f"probes {probes}")
+    print(f"probes {tally['probes']}")
+    print(f"prescan blocks {tally['blocks']} columns {tally['columns']} grid products {tally['grid products']}")
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
     return 0
 

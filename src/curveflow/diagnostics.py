@@ -73,7 +73,8 @@ def go2(state: FlowState) -> tuple[InequalityReport, bool]:
     """Refined bound integral (1/k) ds >= (2/pi)(L^2 - 4*pi*A) + 2A.
 
     Returns the report plus the equality-case flag, which is true
-    exactly when every mode n >= 3 of the spectrum vanishes.
+    exactly when every mode n >= 3 of the spectrum vanishes, to within
+    EQUALITY_MODE_TOL of the mean, so that scaling the curve keeps it.
     """
     lhs = total_inverse_curvature(state.spectrum)
     rhs = (2.0 / np.pi) * (state.L**2 - 4.0 * np.pi * state.A) + 2.0 * state.A
@@ -84,7 +85,7 @@ def go2(state: FlowState) -> tuple[InequalityReport, bool]:
             float(np.max(np.abs(spec.cos_coeffs[2:]))),
             float(np.max(np.abs(spec.sin_coeffs[2:]))),
         )
-    return build_report("go2", lhs, rhs), high <= EQUALITY_MODE_TOL
+    return build_report("go2", lhs, rhs), high <= EQUALITY_MODE_TOL * spec.mean
 
 
 def gage(state: FlowState) -> InequalityReport:

@@ -17,11 +17,10 @@ from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t). Each quantity
 is one ``_Modes`` method that takes a time or an array of times; the grid
 extrema of the radius of curvature come from ``support._radius_range``, and
 the minimum alone, which the event locator reads, from ``support._min_radius``.
+The locator's pre-scan and its bound on that minimum are ``integrate._Problem``'s.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -48,19 +47,12 @@ def _area(length, e_val):
     return area if getattr(area, "ndim", 0) else float(area)
 
 
-# The pre-scan sums in another order than the scalar test, so it flags a
-# check time once a margin is within this share of the margin's size;
-# the scalar test decides. Rounding differs by less than 1e-12 of that size.
-PRESCAN_SLACK = 1e-10
-
-
 class _Modes:
     """Mode arrays of an initial spectrum: every scalar the length solve
     reads at (t, L) is a short sum over the decay rates 1 - n^2, the
     coefficients a_n, b_n and their power p_n. Building one costs a cache
-    lookup; ``power`` and the grid-sum sizes are computed on first use.
-    Each quantity has one method, which takes a time or an array of times.
-    The radius of curvature on the validation grid,
+    lookup and the power. Each quantity has one method, which takes a time
+    or an array of times. The radius of curvature on the validation grid,
 
         rho(theta, t) = L(t)/(2*pi) + sum (1-n^2) d_n(t) * harmonics,
 
@@ -68,46 +60,25 @@ class _Modes:
     one time is ``radius_extrema`` of the recorded state, bit for bit, and
     ``min_radius`` is its minimum. The methods for one time scale the
     coefficients with ``_scaled``, which skips the (modes x times) shapes.
-    Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), rho over every
-    theta is at least
-
-        L(t)/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t},
-
-    an O(N) bound per time whose sum decays at rate 3 or more;
-    ``scan`` reads it first and evaluates a block of times with one product
-    against the grid table only where the bound does not clear the threshold.
     """
 
     def __init__(self, spec0: SupportSpectrum):
         self.decay = _decay(spec0.truncation)
         self._a0 = spec0.cos_coeffs
         self._b0 = spec0.sin_coeffs
-
-    @functools.cached_property
-    def power(self) -> np.ndarray:
-        return self._a0**2 + self._b0**2
-
-    @functools.cached_property
-    def _rho_size(self) -> np.ndarray:
-        # Sum of |terms| of the grid sum for rho, per mode, at t = 0.
-        return np.abs(self.decay) * (np.abs(self._a0) + np.abs(self._b0))
-
-    @functools.cached_property
-    def _rho_amp(self) -> np.ndarray:
-        # Largest |mode n term| of rho over every theta, at t = 0.
-        return np.abs(self.decay) * np.sqrt(self.power)
+        self.power = self._a0**2 + self._b0**2
 
     def factors(self, t) -> np.ndarray:
         """exp((1 - n^2) t) for n = 1..N; (modes x times) for an array of times."""
         return np.exp(np.multiply.outer(self.decay, t))
 
-    def _coeffs(self, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def coeffs(self, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (a_n f_n, b_n f_n): vectors for one time, (modes x times) columns for many.
         shape = (-1,) + (1,) * (factors.ndim - 1)
         return self._a0.reshape(shape) * factors, self._b0.reshape(shape) * factors
 
     def _scaled(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        # _coeffs(factors(t)) at one time, bit for bit: decay * t is the outer
+        # coeffs(factors(t)) at one time, bit for bit: decay * t is the outer
         # product with a scalar, and there is nothing to reshape.
         factors = np.exp(self.decay * t)
         return self._a0 * factors, self._b0 * factors
@@ -142,8 +113,8 @@ class _Modes:
         ``radius_extrema`` of flow_state(spec0, t, L) bit for bit, for arrays
         of times and lengths one pair of arrays. A block product sums in
         another order than one time's; the two differ by rounding, far below
-        1e-12 of the sizes ``scan`` gives."""
-        return _radius_range(length / TWO_PI, *self._coeffs(self.factors(t)))
+        1e-12 of the radius scale."""
+        return _radius_range(length / TWO_PI, *self.coeffs(self.factors(t)))
 
     def min_radius(self, t: float, length: float) -> float:
         """``radius_range(t, length)[0]`` at one time, bit for bit: the scalar
@@ -159,29 +130,6 @@ class _Modes:
         i of the (times x modes) factors is factors(times[i])."""
         factors = np.exp(np.multiply.outer(times, self.decay))
         return _deficit(self._a0 * factors, self._b0 * factors)
-
-    def scan(self, times: np.ndarray, lengths: np.ndarray, eps: float):
-        """(min radius, area) at each time, each with the size its rounding
-        scales with: the mean plus the sum of |terms| of the grid sum, and
-        the circular part plus |E|.
-
-        The min radius is the grid minimum, ``support._min_radius``, unless the
-        bound L/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t} exceeds ``eps``
-        by more than 2 * PRESCAN_SLACK times the size at every time of the
-        block: then it is that bound and the grid product is skipped. The
-        bound lies below the grid minimum up to rounding far below 1e-12 of
-        the size, so "min radius - eps <= PRESCAN_SLACK * size" reads the
-        same on both."""
-        factors = self.factors(times)
-        mean = lengths / TWO_PI
-        rho_size = np.abs(mean) + self._rho_size @ factors
-        rho_min = mean - self._rho_amp @ factors
-        if not (rho_min - eps > 2.0 * PRESCAN_SLACK * rho_size).all():
-            rho_min = _min_radius(mean, *self._coeffs(factors))
-        e_val = (np.pi / 2.0) * ((self.decay * self.power) @ (factors * factors))
-        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
-            circle = np.pi * mean * mean
-        return rho_min, rho_size, circle + e_val, circle - e_val
 
 
 def propagate(spec: SupportSpectrum, t: float) -> SupportSpectrum:

@@ -24,8 +24,8 @@ as steps: the closed form is the one step (0, t_max), the ODE solve the
 point t = 0 and then its accepted steps. A step's check times are the
 sample times inside it and its end. One locator serves every step, in
 one loop over blocks of check times: SCAN_CHUNK = 32, then twice as many
-each block up to SCAN_BLOCK_CAP = 256. Per block it first bounds the
-curvature minimum from below by
+each block up to SCAN_BLOCK_CAP = 256. Per block ``_Problem.scan`` first
+bounds the curvature minimum from below by
 L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time,
 and only where that bound does not clear the singularity threshold at
 every time runs one (grid x N)(N x block) product for the grid minimum.
@@ -59,12 +59,13 @@ from .flows import (
     flow_state,
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
-from .heat import PRESCAN_SLACK, _Modes
+from .heat import _Modes
 from .support import (
     CONVEXITY_EPS,
     TWO_PI,
     GeometricSummary,
     SupportSpectrum,
+    _min_radius,
     curve_length,
     isoperimetric_deficit,
     isoperimetric_ratio,
@@ -99,6 +100,10 @@ SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
 SCAN_BLOCK_CAP = 256
+# The pre-scan sums in another order than the scalar test, so it flags a
+# check time once a margin is within this share of the margin's size;
+# the scalar test decides. Rounding differs by less than 1e-12 of that size.
+PRESCAN_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -299,23 +304,6 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 )
 
 
-@dataclass(frozen=True)
-class _DenseSegment:
-    """Quartic interpolant of one accepted step on [t0, t0 + h]."""
-
-    t0: float
-    h: float
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    r5: float
-
-    def __call__(self, t: float) -> float:
-        s = (t - self.t0) / self.h
-        return self.r1 + s * (self.r2 + (1.0 - s) * (self.r3 + s * (self.r4 + (1.0 - s) * self.r5)))
-
-
 def _dopri_step(f, t, y, h, k1):
     k2 = f(t + _C[0] * h, y + h * (_A21 * k1))
     k3 = f(t + _C[1] * h, y + h * (_A31 * k1 + _A32 * k2))
@@ -325,15 +313,16 @@ def _dopri_step(f, t, y, h, k1):
     y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
     k7 = f(t + h, y5)
     err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    dense = _DenseSegment(
-        t0=t,
-        h=h,
-        r1=y,
-        r2=y5 - y,
-        r3=h * k1 - (y5 - y),
-        r4=(y5 - y) - h * k7 - (h * k1 - (y5 - y)),
-        r5=h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7),
-    )
+    r2 = y5 - y
+    r3 = h * k1 - r2
+    r4 = r2 - h * k7 - r3
+    r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+
+    def dense(tau):
+        """Quartic interpolant of the step on [t, t + h]."""
+        s = (tau - t) / h
+        return y + s * (r2 + (1.0 - s) * (r3 + s * (r4 + (1.0 - s) * r5)))
+
     return y5, err, k7, dense
 
 
@@ -355,13 +344,26 @@ def _crossed(margins: tuple) -> list[str]:
 
 
 class _Problem:
+    """One run's flow, controls and mode arrays: the length ODE's right-hand
+    side and the event locator's tests. ``margins`` is the scalar test at
+    one (t, L); ``flags`` marks the check times of a block where it may read
+    a crossing, from the block's ``scan``. Since |a cos n theta + b sin n
+    theta| <= sqrt(a^2 + b^2), the radius of curvature over every theta is
+    at least L(t)/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t}, an O(N)
+    bound per time whose sum decays at rate 3 or more.
+    """
+
     def __init__(self, spec0: SupportSpectrum, term: NonlocalTerm, controls: IntegratorControls):
         self.spec0 = spec0
         self.term = term
         self.controls = controls
-        self.modes = _Modes(spec0)
+        self.modes = modes = _Modes(spec0)
         c = controls
         self.limits = (c.singularity_eps, c.area_vanish, c.length_vanish, c.length_blowup)
+        # Per mode at t = 0: the sum of |terms| of the grid sum for rho, and
+        # the largest |term| over every theta.
+        self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
+        self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
 
     def rhs(self, t: float, length: float) -> float:
         # H lives on (0, inf) x (0, inf); trial stages poking L <= 0 are
@@ -384,12 +386,34 @@ class _Problem:
         modes = self.modes
         return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
+    def scan(self, times: np.ndarray, lengths: np.ndarray):
+        """(min radius, area) at each time, each with the size its rounding
+        scales with: the mean plus the sum of |terms| of the grid sum, and
+        the circular part plus |E|.
+
+        The min radius is the grid minimum, ``support._min_radius``, unless the
+        bound exceeds singularity_eps by more than 2 * PRESCAN_SLACK times the
+        size at every time of the block: then it is that bound and the grid
+        product is skipped. The bound lies below the grid minimum up to
+        rounding far below 1e-12 of the size, so "min radius - eps <=
+        PRESCAN_SLACK * size" reads the same on both."""
+        modes = self.modes
+        factors = modes.factors(times)
+        mean = lengths / TWO_PI
+        rho_size = np.abs(mean) + self._rho_size @ factors
+        rho_min = mean - self._rho_amp @ factors
+        if not (rho_min - self.limits[0] > 2.0 * PRESCAN_SLACK * rho_size).all():
+            rho_min = _min_radius(mean, *modes.coeffs(factors))
+        e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
+        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
+            circle = np.pi * mean * mean
+        return rho_min, rho_size, circle + e_val, circle - e_val
+
     def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Check times where some threshold may be crossed: every one where
         a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of
-        one. A block whose curvature bound clears singularity_eps by twice
-        that share needs no grid product (see ``_Modes.scan``)."""
-        rho_min, rho_size, area, area_size = self.modes.scan(times, lengths, self.limits[0])
+        one."""
+        rho_min, rho_size, area, area_size = self.scan(times, lengths)
         sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
         flagged = np.zeros(len(times), dtype=bool)
         for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes):
@@ -601,7 +625,7 @@ def _dopri_steps(problem: _Problem) -> Iterator:
         scale = controls.abs_tol + controls.rel_tol * max(abs(length), abs(y5))
         err_norm = abs(err) / scale
         if not err_norm <= 1.0:  # rejects NaN estimates too
-            h = max(h * max(0.2, 0.9 * err_norm**-0.2), MIN_STEP * 0.5)
+            h *= max(0.2, 0.9 * err_norm**-0.2)
             if h < MIN_STEP:
                 return TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t)
             continue

@@ -414,6 +414,9 @@ def spectrum_from_polygon(vertices, truncation: int = 16) -> SupportSpectrum:
     :func:`validate_convexity` before using the result geometrically.
     Vertices must be in convex position, counterclockwise.
     """
+    top = POLYGON_GRID // 2 - 1  # project_from_samples needs 2 N + 2 samples
+    if truncation > top:
+        raise ValueError(f"truncation of a polygon source must be at most {top}, got {truncation}")
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("need at least 3 two-dimensional vertices")

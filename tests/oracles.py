@@ -151,9 +151,8 @@ def grid_flags(problem, times, lengths):
     curvature at every check time, never the curvature bound."""
     from curveflow.integrate import PRESCAN_SLACK, _margins
 
-    modes = problem.modes
-    _, rho_size, area, area_size = modes.scan(times, lengths, problem.limits[0])
-    rho_min = modes.radius_range(times, lengths)[0]
+    _, rho_size, area, area_size = problem.scan(times, lengths)
+    rho_min = problem.modes.radius_range(times, lengths)[0]
     sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
     flagged = np.zeros(len(times), dtype=bool)
     for margin, size in zip(_margins(problem.limits, rho_min, area, lengths), sizes):

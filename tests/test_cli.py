@@ -321,6 +321,7 @@ class TestSweep:
 # Each failure: the bytes of run.cfg (None: no such file), whether --out is a
 # regular file, and text of the one stderr line. sweep records an unusable
 # curve as an error row, so the non-convex curve exits 2 in run and check only.
+# A unit square sits beside run.cfg as poly.csv.
 EXIT_TWO_CASES = {
     "missing-config": (None, False, "No such file"),
     "config-not-utf8": (b"\xff\xfe", False, "config error: "),
@@ -337,6 +338,11 @@ EXIT_TWO_CASES = {
         "error: curve fails convexity validation: min radius of curvature -5.000e-01",
     ),
     "out-blocked-by-file": (MINIMAL.encode() + b"t_max = 0.5\n", True, "File exists"),
+    "polygon-truncation-over-511": (
+        b"flow = pan-yang\npolygon_file = poly.csv\ntruncation = 512\n",
+        False,
+        "error: truncation of a polygon source must be at most 511, got 512",
+    ),
 }
 
 
@@ -354,6 +360,7 @@ def test_bad_input_exits_two_with_one_stderr_line(tmp_path, capsys, command, cas
     cfg_path = tmp_path / "run.cfg"
     if text is not None:
         cfg_path.write_bytes(text)
+    (tmp_path / "poly.csv").write_text("0,0\n1,0\n1,1\n0,1\n")
     out = tmp_path / "o"
     if blocked:
         out.write_text("a file, not a directory\n")

@@ -103,6 +103,14 @@ class TestGreenOsher:
         rep, equality = go2(state_of(CIRCLE))
         assert abs(rep.slack) <= 1e-12 and equality
 
+    @pytest.mark.parametrize("a3, equality", [(5e-5, False), (1e-12, True)])
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_go2_equality_flag_keeps_under_scaling(self, a3, equality, scale):
+        # Scaling the curve scales every mode with the mean: the flag must not change.
+        for mean in (1.0, scale):
+            spec = SupportSpectrum(mean=mean, cos_coeffs=[0.0, 0.1 * mean, a3 * mean], sin_coeffs=[0.0] * 3)
+            assert go2(state_of(spec))[1] is equality, mean
+
     def test_slack_identities_on_random_convex_spectra(self):
         rng = np.random.default_rng(21)
         for _ in range(25):

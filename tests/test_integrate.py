@@ -30,7 +30,7 @@ from curveflow import (
     length_rate,
     state_record,
 )
-from curveflow.integrate import PRESCAN_SLACK
+from curveflow.integrate import PRESCAN_SLACK, SCAN_CHUNK
 from curveflow.support import CONVEXITY_EPS, isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -606,7 +606,7 @@ class TestEventLocation:
         assert len(traj.states) == 1
 
     def test_closed_path_checks_t_zero_in_the_first_block(self, monkeypatch):
-        from curveflow.integrate import SCAN_CHUNK, _Problem, _sample_times
+        from curveflow.integrate import _Problem, _sample_times
 
         blocks = []
         real = _Problem.flags
@@ -1351,11 +1351,14 @@ class TestPrescan:
 
     @staticmethod
     def curvature_bound(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
-        """(the bound ``_Modes.scan`` reads at t, its size): with eps = -inf
-        every block clears, so the scan returns the bound itself."""
-        from curveflow.heat import _Modes
+        """(the bound ``_Problem.scan`` reads at t, its size): with
+        singularity_eps = -inf every block clears, so the scan returns the
+        bound itself."""
+        from curveflow.integrate import _Problem
 
-        lower, size = _Modes(spec0).scan(np.array([t]), np.array([TWO_PI * spec0.mean]), -np.inf)[:2]
+        problem = _Problem(spec0, PanYang(), IntegratorControls())
+        problem.limits = (-np.inf, *problem.limits[1:])
+        lower, size = problem.scan(np.array([t]), np.array([TWO_PI * spec0.mean]))[:2]
         return float(lower[0]), float(size[0])
 
     @given(
@@ -1410,6 +1413,28 @@ class TestPrescan:
         assert lower <= float(np.min(fine)) + 1e-14 * size
         assert lower <= radius_extrema(spec)[0] + 1e-14 * size
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        count=st.integers(min_value=1, max_value=SCAN_CHUNK),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_scan_lies_within_a_hair_of_the_scalar_test(self, seed, n, count):
+        # The premise of PRESCAN_SLACK: the block sums and the scalar test's
+        # sums differ by rounding far below 1e-12 of the sizes. A threshold
+        # no bound clears forces the grid product.
+        from curveflow.integrate import _Problem
+
+        rng = np.random.default_rng(seed)
+        spec0 = _random_convex(rng, n)
+        problem = _Problem(spec0, PanYang(), IntegratorControls(singularity_eps=1e300))
+        times = np.sort(rng.uniform(0.0, 5.0, count))
+        lengths = TWO_PI * spec0.mean * rng.uniform(0.5, 2.0, count)
+        rho_min, rho_size, area, area_size = problem.scan(times, lengths)
+        for i, (t, length) in enumerate(zip(times.tolist(), lengths.tolist())):
+            assert abs(rho_min[i] - problem.modes.min_radius(t, length)) <= 1e-12 * rho_size[i]
+            assert abs(area[i] - problem.modes.area(t, length)) <= 1e-12 * area_size[i]
+
 
 COLUMN_TERMS = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), Constant(c=0.5), H_EQUALS_L, GENERAL_POWERSUM]
 
@@ -1425,15 +1450,14 @@ class TestColumns:
     @settings(max_examples=40, deadline=None)
     def test_columns_match_the_states(self, seed, n, term):
         from curveflow import evaluate_h, ipd_decay_ratio, isoperimetric_deficit
-        from curveflow.heat import _Modes
-        from curveflow.integrate import SCAN_BLOCK_CAP, h_column, ipd_column, ipr_column, record_rows
+        from curveflow.integrate import SCAN_BLOCK_CAP, _Problem, h_column, ipd_column, ipr_column, record_rows
 
         spec0 = _random_convex(np.random.default_rng(seed), n)
         traj = integrate(spec0, term, IntegratorControls(t_max=2.0, sample_interval=0.007))
         assert len(traj.t) > SCAN_BLOCK_CAP or traj.event.kind != "reached-horizon"  # spans several blocks
         rows, h_values = record_rows(traj), h_column(traj, term)
         ipd, ipr = ipd_column(traj), ipr_column(traj)
-        sizes = _Modes(spec0).scan(traj.t, traj.L, CONVEXITY_EPS)[1]
+        sizes = _Problem(spec0, term, IntegratorControls(singularity_eps=CONVEXITY_EPS)).scan(traj.t, traj.L)[1]
         for i, state in enumerate(traj.states):
             assert state == flow_state(spec0, float(traj.t[i]), float(traj.L[i]))
             assert state.A == traj.A[i]

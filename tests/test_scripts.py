@@ -76,13 +76,17 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
-        margins = digest.PROBLEM.margins
+        wrapped = digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation
         assert digest.main() == 0
         out = capsys.readouterr().out.splitlines()
         assert any(line.startswith("runs 2 sha256") for line in out)
         # The ellipse pinches under H = L after 10 scalar tests; pan-yang flags none.
         assert "probes 10" in out
-        assert digest.PROBLEM.margins is margins
+        # Pan-yang scans its 201 check times in blocks of 32, 64 and 105, with
+        # no grid product; H = L pinches inside its first block of 32, whose
+        # curvature bound does not clear singularity_eps.
+        assert "prescan blocks 4 columns 233 grid products 1" in out
+        assert (digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation) == wrapped
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
         records = [json.loads(line) for line in (tmp_path / names[1]).read_text().splitlines()]
