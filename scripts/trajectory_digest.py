@@ -13,11 +13,14 @@ the closed-form length and how many the ODE solve, how many scalar tests
 the event locator ran (calls of ``integrate._Problem.margins``), what its
 pre-scan did (blocks: calls of ``integrate._Problem.flags``; columns: the
 check times those calls received; grid products: calls of
-``support._grid_deviation`` with 2-D coefficients), and one sha256 over
-all runs. The counts come from wrapping those names here. Run it on two
-checkouts on the same machine and compare the output: the probe and
-pre-scan counts show whether the locator's work changed, which the
-hashes see only through the event times.
+``support._grid_deviation`` with 2-D coefficients), how often the
+closed-form length law was evaluated (calls of
+``flows.ClosedLength.__call__`` on an array, the times those arrays held,
+and calls on a scalar time), and one sha256 over all runs. The counts
+come from wrapping those names here. Run it on two checkouts on the same
+machine and compare the output: the probe, pre-scan and evaluation
+counts show whether the locator's work changed, which the hashes see
+only through the event times.
 
 With ``--out DIR`` it also writes each run to DIR/<spectrum>__<flow>__<controls>.jsonl:
 one {"t", "L", "A"} line per recorded state, then an {"event": {"kind",
@@ -41,7 +44,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow_term  # noqa: E402
-from curveflow.flows import closed_length  # noqa: E402
+from curveflow.flows import ClosedLength, closed_length  # noqa: E402
 
 # The module, not the function of the same name that the package exports.
 PROBLEM = importlib.import_module("curveflow.integrate")._Problem
@@ -112,6 +115,7 @@ def main() -> int:
     total = hashlib.sha256()
     tally: Counter[str] = Counter()
     margins, flags, grid_deviation = PROBLEM.margins, PROBLEM.flags, SUPPORT._grid_deviation
+    law = ClosedLength.__call__
 
     def counted_margins(problem, t, length):
         tally["probes"] += 1
@@ -126,8 +130,17 @@ def main() -> int:
         tally["grid products"] += cos_coeffs.ndim == 2
         return grid_deviation(cos_coeffs, sin_coeffs)
 
+    def counted_law(closed, t):
+        if getattr(t, "ndim", 0):
+            tally["law arrays"] += 1
+            tally["law times"] += t.size
+        else:
+            tally["law scalars"] += 1
+        return law(closed, t)
+
     PROBLEM.margins, PROBLEM.flags = counted_margins, counted_flags
     SUPPORT._grid_deviation = counted_grid_deviation
+    ClosedLength.__call__ = counted_law
     try:
         for spec_name, spec in SPECTRA.items():
             for flow in FLOWS:
@@ -145,11 +158,16 @@ def main() -> int:
     finally:
         PROBLEM.margins, PROBLEM.flags = margins, flags
         SUPPORT._grid_deviation = grid_deviation
+        ClosedLength.__call__ = law
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
     print(f"probes {tally['probes']}")
     print(f"prescan blocks {tally['blocks']} columns {tally['columns']} grid products {tally['grid products']}")
+    print(
+        f"closed-law evaluations arrays {tally['law arrays']} times {tally['law times']}"
+        f" scalars {tally['law scalars']}"
+    )
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
     return 0
 

@@ -22,6 +22,10 @@ Subcommands:
          (the outcome the event implies)
   sweep  one run per axis value, run serially, summary CSV
   check  inequality suite on the initial curve only
+
+``main`` parses its arguments with one parser per process, built on its
+first call, so a process that runs many commands (a benchmark, a test
+suite, a notebook) builds it once.
 """
 
 from __future__ import annotations
@@ -494,7 +498,9 @@ def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = N
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="curveflow",
         description="Simulate linear nonlocal curvature flows of convex plane curves.",
@@ -509,7 +515,11 @@ def main(argv=None) -> int:
                 "--axis", required=True,
                 help="'flows:<term>;<term>;...' or 'scale:<f>,<f>,...'",
             )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     config_path = Path(args.config)
     try:
         config = parse_config(config_path.read_text())

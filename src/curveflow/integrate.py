@@ -22,9 +22,11 @@ time is replaced by the first crossing of the configured thresholds,
 with the thresholds recorded in the controls. One recorder takes L(t)
 as steps: the closed form is the one step (0, t_max), the ODE solve the
 point t = 0 and then its accepted steps. A step's check times are the
-sample times inside it and its end. One locator serves every step, in
-one loop over blocks of check times: SCAN_CHUNK = 32, then twice as many
-each block up to SCAN_BLOCK_CAP = 256. Per block ``_Problem.scan`` first
+sample times inside it and its end, where L is evaluated once,
+SCAN_BLOCK_CAP check times at a time as the locator reaches them, for
+its blocks and the recorded states alike. One locator serves every step,
+in one loop over blocks of check times: SCAN_CHUNK = 32, then twice as
+many each block up to SCAN_BLOCK_CAP = 256. Per block ``_Problem.scan`` first
 bounds the curvature minimum from below by
 L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time,
 and only where that bound does not clear the singularity threshold at
@@ -264,6 +266,24 @@ class _States(Sequence):
         return flow_state(traj.spec0, float(traj.t[i]), float(traj.L[i]))
 
 
+class _Lengths:
+    """L = path(t) at a step's check times, evaluated SCAN_BLOCK_CAP check
+    times at a time when a slice first reaches them: the locator's blocks
+    and the recorded states read the same values, and a run that ends
+    early evaluates at most one such chunk past its event."""
+
+    def __init__(self, path: Callable, times: np.ndarray):
+        self._path, self._times = path, times
+        self._values, self._done = np.empty(len(times)), 0
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        stop = index.indices(len(self._times))[1]
+        while self._done < stop:
+            lo, self._done = self._done, min(self._done + SCAN_BLOCK_CAP, len(self._times))
+            self._values[lo : self._done] = self._path(self._times[lo : self._done])
+        return self._values[index]
+
+
 def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:
     """fn applied to SCAN_BLOCK_CAP states at a time, the results joined
     along their last axis, so that no (times x modes) array grows with the run."""
@@ -421,16 +441,20 @@ class _Problem:
         return flagged
 
 
-def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, check_times, flags: Callable):
+def _locate(
+    modes: _Modes, margins: Callable, path: Callable, t_prev: float, check_times, lengths, flags: Callable
+):
     """Earliest crossing along L = path(t): (t_before, event) or None.
 
     ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
-    follow ``t_prev``. ``flags`` marks, per block of check times (SCAN_CHUNK,
+    follow ``t_prev``; ``lengths`` holds L at each of them, an array or
+    ``_Lengths``. ``flags`` marks, per block of check times (SCAN_CHUNK,
     then twice as many each block up to SCAN_BLOCK_CAP), every check time
-    where some kind may be crossed; the scalar test runs on the flagged
-    ones in order. At the first where any kind is crossed, ``_narrow``
-    takes [previous check time, it] down to EVENT_TIME_TOL. The event is
-    the first kind crossed at the upper end of that bracket.
+    where some kind may be crossed, from the block's slice of ``lengths``;
+    the scalar test runs on the flagged ones in order, calling ``path(t)``.
+    At the first where any kind is crossed, ``_narrow`` takes [previous
+    check time, it] down to EVENT_TIME_TOL. The event is the first kind
+    crossed at the upper end of that bracket.
     """
     known: dict[float, tuple] = {}
 
@@ -441,8 +465,7 @@ def _locate(modes: _Modes, margins: Callable, path: Callable, t_prev: float, che
 
     lo, size = 0, SCAN_CHUNK
     while lo < len(check_times):
-        block = check_times[lo : lo + size]
-        for i in (lo + np.flatnonzero(flags(block, path(block)))).tolist():
+        for i in (lo + np.flatnonzero(flags(check_times[lo : lo + size], lengths[lo : lo + size]))).tolist():
             hi = float(check_times[i])
             if _crossed(probe(hi)):
                 t0, t1 = _narrow(probe, t_prev if i == 0 else float(check_times[i - 1]), hi)
@@ -561,8 +584,9 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
 
     A step's check times are the sample times (t = 0, then
     ``_sample_times``) not yet passed below t1 - 1e-12, then t1, which is
-    recorded when within 1e-12 of the next sample time. At a crossing the
-    run keeps the states up to its lower end, then that end. Past
+    recorded when within 1e-12 of the next sample time. The locator's
+    blocks and the kept states read L there from one ``_Lengths``. At a
+    crossing the run keeps the states up to its lower end, then that end. Past
     L ~ 1e155 the area overflows, where the ODE path's H overflows too:
     the run then ends as an H domain exit at the last state whose area
     is finite."""
@@ -579,12 +603,12 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
         check = np.append(grid[k:j], t1)
         on_grid = j < len(grid) and abs(grid[j] - t1) <= 1e-12
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
-        found = _locate(problem.modes, problem.margins, path, t0, check, problem.flags)
+        at_check = _Lengths(path, check)
+        found = _locate(problem.modes, problem.margins, path, t0, check, at_check, problem.flags)
         t_stop = t1 if found is None else found[0]
         kept = kept[kept <= t_stop]
-        if kept.size:
-            times += kept.tolist()
-            lengths += _by_chunk(path, kept).tolist()
+        times += kept.tolist()
+        lengths += at_check[: kept.size].tolist()
         if found is not None:
             if t_stop > times[-1] + 1e-12:
                 times.append(t_stop)

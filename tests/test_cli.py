@@ -422,6 +422,45 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestParser:
+    def test_built_on_the_first_call_only(self, tmp_path, monkeypatch):
+        import argparse
+
+        from curveflow import cli
+
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = ["check", "--config", str(write_config(tmp_path, MINIMAL)), "--out", str(tmp_path / "o")]
+        cli._parser.cache_clear()
+        try:
+            assert main(argv) == 0
+            first = len(built)
+            assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        # One parser and one per subcommand, all during the first call.
+        assert first == 4 and len(built) == first
+
+    def test_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert "{run,sweep,check}" in usage
+
+    @pytest.mark.parametrize("argv", [[], ["run"]])
+    def test_missing_arguments_exit_two(self, argv):
+        for _ in range(2):  # the same parser, twice
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 2
+
+
 GALLERY = "mean = 1.0\ncos = 0.1, 0.2\nsin = 0.0, 0.05\n"
 
 

@@ -664,7 +664,9 @@ class TestEventLocation:
             # Area vanish, length vanish and length blow-up all cross at t = 0.3.
             return (1.0, 1.0, 1.0, 1.0) if t < 0.3 else (1.0, -1.0, -1.0, -1.0)
 
-        found = _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], _every_check_time)
+        found = _locate(
+            _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI), _every_check_time
+        )
         t_before, event = found
         assert event.kind == "area-vanish" and event.theta is None
         assert t_before < 0.3 <= event.t <= t_before + EVENT_TIME_TOL
@@ -683,7 +685,9 @@ class TestEventLocation:
 
         def locate():
             del calls[:]
-            return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], _every_check_time)
+            return _locate(
+                _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], np.full(2, TWO_PI), _every_check_time
+            )
 
         want = _with_bisection(locate)
         found = locate()
@@ -697,7 +701,9 @@ class TestEventLocation:
         from curveflow.integrate import _locate
 
         never = lambda t, length: (1.0, 1.0, 1.0, 1.0)  # noqa: E731
-        assert _locate(_Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0], _every_check_time) is None
+        assert _locate(
+            _Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0], np.full(2, TWO_PI), _every_check_time
+        ) is None
 
     def test_an_event_where_floats_lie_wider_apart_than_the_tolerance_ends(self):
         # Near t = 1e6 neighbouring floats are 1.16e-10 apart, so no bracket
@@ -713,7 +719,9 @@ class TestEventLocation:
             return (1e6 + 0.3 - t, 1.0, 1.0, 1.0)
 
         times = [1e6 + 0.25, 1e6 + 0.5]
-        t_before, event = _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 1e6, times, _every_check_time)
+        t_before, event = _locate(
+            _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 1e6, times, np.full(2, TWO_PI), _every_check_time
+        )
         assert t_before < 1e6 + 0.3 <= event.t == t_before + np.spacing(t_before)
 
     @given(
@@ -782,7 +790,9 @@ class TestEventLocation:
 
         def locate():
             del calls[:]
-            return _locate(_Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], _every_check_time)
+            return _locate(
+                _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI), _every_check_time
+            )
 
         want = _with_bisection(locate)
         found = locate()
@@ -1203,6 +1213,12 @@ class TestClosedLength:
             assert (not np.all((lengths > 0.0) & np.isfinite(lengths))) == through_zero, flow
 
 
+# One flow per closed-form family: r = 1 (pan-yang, const, H = L), r = 2
+# (lin-tsai, ma-cheng, and a gamma/L term) and r = -1/2.
+CLOSED_FLOWS = ["pan-yang", "lin-tsai", "ma-cheng", "const:-1", "const:0.5", "const:2", "powersum:1,1,0",
+                "powersum:0.2,1.5,0", "powersum:0.1,1,0;2,-1,1;0.3,-1,0"]
+
+
 class TestPrescan:
     """The block pre-scan in _locate against a plain scalar scan (_locate
     with every check time flagged) and against the grid minimum at every
@@ -1254,8 +1270,52 @@ class TestPrescan:
         problem = _Problem(spec0, term, controls)
         law = closed_length(spec0, term)
         times = np.linspace(0.0, 10.0, 1001)
-        scalar = _locate(problem.modes, problem.margins, law, 0.0, times, _every_check_time)
-        assert _locate(problem.modes, problem.margins, law, 0.0, times, problem.flags) == scalar
+        lengths = law(times)
+        scalar = _locate(problem.modes, problem.margins, law, 0.0, times, lengths, _every_check_time)
+        assert _locate(problem.modes, problem.margins, law, 0.0, times, lengths, problem.flags) == scalar
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=64),
+        flow=st.sampled_from(CLOSED_FLOWS),
+        t_max=st.floats(min_value=0.05, max_value=10.0),
+        sample_interval=st.floats(min_value=0.005, max_value=0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_slice_the_lengths_bit_for_bit(self, seed, n, flow, t_max, sample_interval):
+        # The pre-scan's blocks read slices of L evaluated SCAN_BLOCK_CAP check
+        # times at a time; the law must give each time the same bits whatever
+        # the array it is evaluated in.
+        from curveflow import parse_flow_term
+        from curveflow.flows import closed_length
+        from curveflow.integrate import SCAN_BLOCK_CAP, SCAN_CHUNK, _Lengths, _sample_times
+
+        law = closed_length(_random_convex(np.random.default_rng(seed), n), parse_flow_term(flow))
+        check = np.concatenate(([0.0], _sample_times(IntegratorControls(t_max=t_max, sample_interval=sample_interval))))
+        lengths = _Lengths(law, check)
+        parts, lo, size = [], 0, SCAN_CHUNK
+        while lo < len(check):
+            parts.append(law(check[lo : lo + size]))
+            assert lengths[lo : lo + size].tobytes() == parts[-1].tobytes()
+            lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
+        assert law(check).tobytes() == np.concatenate(parts).tobytes()
+
+    def test_a_closed_form_run_evaluates_its_law_once_at_its_check_times(self, monkeypatch):
+        from curveflow.flows import ClosedLength, closed_length
+
+        law = closed_length(GALLERY_ELLIPSE, PanYang())
+        evaluate, arrays = ClosedLength.__call__, []
+
+        def counted(closed, t):
+            if np.ndim(t):
+                arrays.append(len(t))
+            return evaluate(closed, t)
+
+        monkeypatch.setattr(ClosedLength, "__call__", counted)
+        traj = integrate(GALLERY_ELLIPSE, PanYang(), IntegratorControls(t_max=10.0))
+        # Blocks of 32, 64 and 105 check times and the kept states all read one pass.
+        assert arrays == [201] and len(traj.t) == 201
+        assert np.array_equal(traj.L, evaluate(law, traj.t))
 
     def test_peak_allocation_does_not_grow_with_check_times(self):
         import tracemalloc
@@ -1270,8 +1330,9 @@ class TestPrescan:
         peaks = []
         for count in (2_000, 20_000):
             times = np.linspace(0.0, 1.0, count)
+            lengths = law(times)
             tracemalloc.start()
-            assert _locate(problem.modes, problem.margins, law, 0.0, times, problem.flags) is None
+            assert _locate(problem.modes, problem.margins, law, 0.0, times, lengths, problem.flags) is None
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]

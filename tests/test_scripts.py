@@ -76,7 +76,9 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
-        wrapped = digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation
+        wrapped = (
+            digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
+        )
         assert digest.main() == 0
         out = capsys.readouterr().out.splitlines()
         assert any(line.startswith("runs 2 sha256") for line in out)
@@ -86,7 +88,13 @@ class TestTrajectoryDigest:
         # no grid product; H = L pinches inside its first block of 32, whose
         # curvature bound does not clear singularity_eps.
         assert "prescan blocks 4 columns 233 grid products 1" in out
-        assert (digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation) == wrapped
+        # Each run evaluates its law once at all 201 check times; the 10
+        # scalar tests and the pinch run's last state evaluate it at one time.
+        assert "closed-law evaluations arrays 2 times 402 scalars 11" in out
+        restored = (
+            digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
+        )
+        assert restored == wrapped
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
         records = [json.loads(line) for line in (tmp_path / names[1]).read_text().splitlines()]
