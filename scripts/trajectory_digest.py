@@ -4,11 +4,12 @@ changed nothing.
 
 Runs every initial spectrum under every flow and every control set
 below. The matrix reaches all five threshold outcomes (horizon, length
-blow-up, area vanish, length vanish, singularity) and runs where two
-thresholds are crossed inside one step. For each run it prints the
-sha256 of the run's event (kind, t, theta) and of every recorded state's
-(t, L, A), read from the trajectory's columns and written with repr so
-any bit change shows; then the counts by event kind, how many runs took
+blow-up, area vanish, length vanish, singularity), runs where two
+thresholds are crossed inside one step, and runs whose length reaches
+the float range (``support.MAX_LENGTH``), an H domain exit. For each
+run it prints the sha256 of the run's event (kind, t, theta) and of
+every recorded state's (t, L, A), read from the trajectory's columns and
+written with repr so any bit change shows; then the counts by event kind, how many runs took
 the closed-form length and how many the ODE solve, how many scalar tests
 the event locator ran (calls of ``integrate._Problem.margins``), what its
 pre-scan did (blocks: calls of ``integrate._Problem.flags``; columns: the
@@ -82,6 +83,8 @@ CONTROLS = {
     ),
     # Area and length vanish cross inside the same step for a shrinking circle.
     "tie": IntegratorControls(t_max=10.0, length_vanish=3.5e-6),
+    # A length growing like e^t reaches the float range long before length_blowup.
+    "float": IntegratorControls(t_max=400.0, length_blowup=1e300, sample_interval=0.5),
 }
 
 

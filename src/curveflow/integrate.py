@@ -17,7 +17,8 @@ initial spectrum, which the column functions below take from the same
 ``Trajectory.states`` is indexed.
 
 Termination events are threshold crossings (min radius of curvature,
-length blow-up / vanish, area vanish); the analytic maximal existence
+length blow-up / vanish, area vanish, and the float range: L reaching
+``support.MAX_LENGTH`` is an H domain exit); the analytic maximal existence
 time is replaced by the first crossing of the configured thresholds,
 with the thresholds recorded in the controls. One recorder takes L(t)
 as steps: the closed form is the one step (0, t_max), the ODE solve the
@@ -36,7 +37,7 @@ at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
 earliest crossing of any threshold, in at most one probe more than
 bisection, with ties broken singularity > area vanish > length vanish >
-length blow-up.
+length blow-up > float range.
 A trajectory derives its outcome from its event: convergence to a
 circle (with its limit center), a curvature singularity, or one of the
 degenerate length/area scenarios.
@@ -64,6 +65,7 @@ from .flows import (
 from .heat import _Modes
 from .support import (
     CONVEXITY_EPS,
+    MAX_LENGTH,
     TWO_PI,
     GeometricSummary,
     SupportSpectrum,
@@ -192,8 +194,9 @@ class Trajectory:
     is derived from them: the closed-form area, computed SCAN_BLOCK_CAP
     states at a time, each value that of ``flow_state`` at the same (t, L)
     bit for bit. All three are read-only float arrays and pass the checks every
-    FlowState makes. ``states`` is a read-only sequence that builds the
-    FlowState of a state with ``flow_state`` each time it is indexed.
+    FlowState makes, with L at most ``support.MAX_LENGTH``. ``states`` is a
+    read-only sequence that builds the FlowState of a state with
+    ``flow_state`` each time it is indexed.
     """
 
     spec0: SupportSpectrum
@@ -215,18 +218,16 @@ class Trajectory:
             raise ValueError("trajectory states must be strictly increasing in time")
         if self.event.t < t[-1] - 1e-12:
             raise ValueError("event time precedes the last recorded state")
-        if not np.all(np.isfinite(t)):
+        if not (np.all(np.isfinite(t)) and np.all(length <= MAX_LENGTH)):  # NaN fails too
             raise ValueError("flow state fields must be finite")
         if t[0] < 0.0:
             raise ValueError("propagation time must be non-negative")
         if np.any(length <= 0.0):
             raise ValueError("flow state requires positive length")
         modes = _Modes(self.spec0)
-        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf
-            area = _by_chunk(modes.area, t, length)
-        overflow = np.flatnonzero(~(np.isfinite(length) & np.isfinite(area)))
-        if overflow.size:
-            raise _NonFiniteState(int(overflow[0]))
+        area = _by_chunk(modes.area, t, length)
+        if not np.all(np.isfinite(area)):  # a spectrum whose power overflows
+            raise ValueError("flow state fields must be finite")
         for name, column in (("t", t), ("L", length), ("A", area)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -236,15 +237,6 @@ class Trajectory:
     @property
     def states(self) -> "_States":
         return _States(self)
-
-
-class _NonFiniteState(ValueError):
-    """A recorded state whose length or area is not finite; ``index`` is
-    the first such state."""
-
-    def __init__(self, index: int):
-        super().__init__("flow state fields must be finite")
-        self.index = index
 
 
 class _States(Sequence):
@@ -347,15 +339,20 @@ def _dopri_step(f, t, y, h, k1):
 
 
 # Kinds crossed at the same instant resolve to the first listed.
-_EVENT_PRIORITY = (EVENT_SINGULARITY, EVENT_AREA_VANISH, EVENT_LENGTH_VANISH, EVENT_LENGTH_BLOWUP)
+_EVENT_PRIORITY = (
+    EVENT_SINGULARITY, EVENT_AREA_VANISH, EVENT_LENGTH_VANISH, EVENT_LENGTH_BLOWUP, EVENT_H_DOMAIN_EXIT
+)
 
 
 def _margins(limits: tuple, rho_min, area, length) -> tuple:
     """Signed distance to each threshold, in _EVENT_PRIORITY order; <= 0
     means crossed. ``limits`` is (singularity_eps, area_vanish,
-    length_vanish, length_blowup); scalars and arrays alike."""
+    length_vanish, length_blowup); the last margin is the float range,
+    L up to ``support.MAX_LENGTH``. Scalars and arrays alike."""
     eps, area_vanish, length_vanish, length_blowup = limits
-    return (rho_min - eps, area - area_vanish, length - length_vanish, length_blowup - length)
+    return (
+        rho_min - eps, area - area_vanish, length - length_vanish, length_blowup - length, MAX_LENGTH - length
+    )
 
 
 def _crossed(margins: tuple) -> list[str]:
@@ -425,7 +422,7 @@ class _Problem:
         if not (rho_min - self.limits[0] > 2.0 * PRESCAN_SLACK * rho_size).all():
             rho_min = _min_radius(mean, *modes.coeffs(factors))
         e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
-        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf, as in area_along_flow
+        with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf: the float range is crossed
             circle = np.pi * mean * mean
         return rho_min, rho_size, circle + e_val, circle - e_val
 
@@ -434,9 +431,9 @@ class _Problem:
         a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of
         one."""
         rho_min, rho_size, area, area_size = self.scan(times, lengths)
-        sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
+        sizes = (rho_size, area_size, *[np.abs(lengths)] * 3)
         flagged = np.zeros(len(times), dtype=bool)
-        for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes):
+        for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes, strict=True):
             flagged |= margin <= PRESCAN_SLACK * size
         return flagged
 
@@ -444,7 +441,8 @@ class _Problem:
 def _locate(
     modes: _Modes, margins: Callable, path: Callable, t_prev: float, check_times, lengths, flags: Callable
 ):
-    """Earliest crossing along L = path(t): (t_before, event) or None.
+    """Earliest crossing along L = path(t): (t_before, L at t_before,
+    event) or None.
 
     ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
     follow ``t_prev``; ``lengths`` holds L at each of them, an array or
@@ -458,10 +456,15 @@ def _locate(
     """
     known: dict[float, tuple] = {}
 
-    def probe(t: float) -> tuple:
+    def measure(t: float) -> tuple:
+        # (L, margins) at t, each computed once.
         if t not in known:
-            known[t] = margins(t, path(t))
+            length = path(t)
+            known[t] = length, margins(t, length)
         return known[t]
+
+    def probe(t: float) -> tuple:
+        return measure(t)[1]
 
     lo, size = 0, SCAN_CHUNK
     while lo < len(check_times):
@@ -471,7 +474,7 @@ def _locate(
                 t0, t1 = _narrow(probe, t_prev if i == 0 else float(check_times[i - 1]), hi)
                 fired = _crossed(probe(t1))
                 theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
-                return t0, TerminationEvent(kind=fired[0], t=t1, theta=theta)
+                return t0, measure(t0)[0], TerminationEvent(kind=fired[0], t=t1, theta=theta)
         lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
     return None
 
@@ -586,10 +589,8 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
     ``_sample_times``) not yet passed below t1 - 1e-12, then t1, which is
     recorded when within 1e-12 of the next sample time. The locator's
     blocks and the kept states read L there from one ``_Lengths``. At a
-    crossing the run keeps the states up to its lower end, then that end. Past
-    L ~ 1e155 the area overflows, where the ODE path's H overflows too:
-    the run then ends as an H domain exit at the last state whose area
-    is finite."""
+    crossing the run keeps the states up to its lower end, then that end
+    with the length the locator probed there."""
     controls = problem.controls
     grid = np.concatenate(([0.0], _sample_times(controls)))
     times, lengths, k = [], [], 0
@@ -610,18 +611,12 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
         times += kept.tolist()
         lengths += at_check[: kept.size].tolist()
         if found is not None:
+            _, length_stop, event = found
             if t_stop > times[-1] + 1e-12:
                 times.append(t_stop)
-                lengths.append(path(t_stop))
-            event = found[1]
+                lengths.append(length_stop)
             break
-    try:
-        return Trajectory(problem.spec0, times, lengths, event)
-    except _NonFiniteState as exc:
-        if exc.index == 0:
-            raise
-        times, lengths = times[: exc.index], lengths[: exc.index]
-    return Trajectory(problem.spec0, times, lengths, TerminationEvent(kind=EVENT_H_DOMAIN_EXIT, t=times[-1]))
+    return Trajectory(problem.spec0, times, lengths, event)
 
 
 def _dopri_steps(problem: _Problem) -> Iterator:

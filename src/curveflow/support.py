@@ -21,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Largest length of a curve: at or below it L^2, the area, the integral of
+# 1/k ds and the isoperimetric ratio stay below a quarter of the largest float.
+MAX_LENGTH = float(0.5 * np.sqrt(np.finfo(float).max))
 
 # Strict positivity threshold for min(u'' + u) on the validation grid.
 CONVEXITY_EPS = 1e-9
@@ -72,8 +75,8 @@ class SupportSpectrum:
             raise ValueError("truncation must be at least 2")
         if len(cos_arr) > MAX_TRUNCATION:
             raise ValueError(f"truncation must be at most {MAX_TRUNCATION}")
-        if not np.isfinite(self.mean):
-            raise ValueError("mean must be finite")
+        if not abs(TWO_PI * self.mean) <= MAX_LENGTH:  # NaN fails too
+            raise ValueError(f"mean must be finite, with length 2 pi |mean| at most {MAX_LENGTH:.4g}")
         cos_arr.flags.writeable = False
         sin_arr.flags.writeable = False
         object.__setattr__(self, "mean", float(self.mean))

@@ -153,8 +153,8 @@ def grid_flags(problem, times, lengths):
 
     _, rho_size, area, area_size = problem.scan(times, lengths)
     rho_min = problem.modes.radius_range(times, lengths)[0]
-    sizes = (rho_size, area_size, np.abs(lengths), np.abs(lengths))
+    sizes = (rho_size, area_size, *[np.abs(lengths)] * 3)
     flagged = np.zeros(len(times), dtype=bool)
-    for margin, size in zip(_margins(problem.limits, rho_min, area, lengths), sizes):
+    for margin, size in zip(_margins(problem.limits, rho_min, area, lengths), sizes, strict=True):
         flagged |= margin <= PRESCAN_SLACK * size
     return flagged

@@ -203,6 +203,23 @@ class TestRun:
         assert "CurvatureSingularity" in verdict
         assert "t*=0.2237" in verdict
 
+    def test_length_growing_past_the_float_range_ends_as_a_domain_exit(self, tmp_path, capsys):
+        # const:-1: L grows like e^t and reaches MAX_LENGTH ~ 6.7e153 at t = 351.667,
+        # long before length_blowup; every reported value stays finite.
+        text = (
+            "flow = const:-1\nmean = 1\ncos = 0.0, 0.1\n"
+            "t_max = 400\nlength_blowup = 1e300\nsample_interval = 0.5\n"
+        )
+        cfg_path = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == "verdict: Undetermined (H left its domain near t=351.667)\n"
+        rows = list(csv.reader(io.StringIO((tmp_path / "out" / "timeseries.csv").read_text())))
+        assert len(rows) > 700 and np.all(np.isfinite(np.array(rows[1:], dtype=float)))
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "scale:1", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+        header, row = csv.reader(io.StringIO((tmp_path / "sweep" / "sweep.csv").read_text()))
+        assert row[header.index("event")] == "h-domain-exit" and row[header.index("error")] == ""
+
     def test_nonconvex_polygon_rejected(self, tmp_path, capsys):
         (tmp_path / "square.csv").write_text("-1,-1\n1,-1\n1,1\n-1,1\n")
         cfg = parse_config("flow = pan-yang\npolygon_file = square.csv\ntruncation = 16\n")
@@ -338,6 +355,11 @@ EXIT_TWO_CASES = {
         "error: curve fails convexity validation: min radius of curvature -5.000e-01",
     ),
     "out-blocked-by-file": (MINIMAL.encode() + b"t_max = 0.5\n", True, "File exists"),
+    "length-above-max-length": (
+        b"flow = pan-yang\nmean = 3e153\ncos = 0.0, 1e152\nt_max = 1\n",
+        False,
+        "error: mean must be finite, with length 2 pi |mean| at most 6.704e+153",
+    ),
     "polygon-truncation-over-511": (
         b"flow = pan-yang\npolygon_file = poly.csv\ntruncation = 512\n",
         False,

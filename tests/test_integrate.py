@@ -30,8 +30,8 @@ from curveflow import (
     length_rate,
     state_record,
 )
-from curveflow.integrate import PRESCAN_SLACK, SCAN_CHUNK
-from curveflow.support import CONVEXITY_EPS, isoperimetric_ratio
+from curveflow.integrate import EVENT_TIME_TOL, PRESCAN_SLACK, SCAN_CHUNK
+from curveflow.support import CONVEXITY_EPS, MAX_LENGTH, isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
 
@@ -324,6 +324,8 @@ class TestTrajectoryValidation:
             ([0.0, 0.5], [TWO_PI, np.inf], "finite"),
             ([-0.5, 0.5], [TWO_PI, TWO_PI], "non-negative"),
             ([0.0, 0.5], [TWO_PI], "equal length"),
+            ([0.0, 0.5], [TWO_PI, np.nextafter(MAX_LENGTH, np.inf)], "finite"),
+            ([0.0, 0.5], [TWO_PI, np.nan], "finite"),
         ],
     )
     def test_rejects_bad_columns(self, t, L, why):
@@ -334,6 +336,12 @@ class TestTrajectoryValidation:
                 L=L,
                 event=TerminationEvent(kind="reached-horizon", t=2.0),
             )
+
+    def test_rejects_an_area_that_overflows_below_max_length(self):
+        # A finite coefficient whose square overflows makes E(t) = -inf at any length.
+        huge = SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 1e200], sin_coeffs=[0.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            Trajectory(spec0=huge, t=[0.0], L=[TWO_PI], event=TerminationEvent(kind="reached-horizon", t=0.0))
 
     def test_columns_are_read_only_and_states_a_sequence(self):
         traj = integrate(ELLIPSEISH, LinTsai(), IntegratorControls(t_max=0.5, sample_interval=0.1))
@@ -501,13 +509,14 @@ def _with_bisection(run):
 
 
 def _check_event(found, want, margins, path):
-    """A (t0, event) of ``_locate`` against ``want``, the same call's with
-    the bisection: the same kind, event times within EVENT_TIME_TOL, nothing
-    crossed at t0 and something crossed at the event time by the scalar
-    test ``margins(t, path(t))``, and Python floats."""
+    """A (t0, L0, event) of ``_locate`` against ``want``, the same call's with
+    the bisection: the same kind, event times within EVENT_TIME_TOL, L0 the
+    length ``path(t0)``, nothing crossed at t0 and something crossed at the
+    event time by the scalar test ``margins(t, path(t))``, and Python floats."""
     from curveflow.integrate import EVENT_TIME_TOL, _crossed
 
-    (t0, event), (_, reference) = found, want
+    (t0, length0, event), (_, _, reference) = found, want
+    assert length0 == path(t0)
     assert event.kind == reference.kind
     assert abs(event.t - reference.t) <= EVENT_TIME_TOL
     assert not _crossed(margins(t0, path(t0))) and _crossed(margins(event.t, path(event.t)))
@@ -667,8 +676,8 @@ class TestEventLocation:
         found = _locate(
             _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI), _every_check_time
         )
-        t_before, event = found
-        assert event.kind == "area-vanish" and event.theta is None
+        t_before, length_before, event = found
+        assert event.kind == "area-vanish" and event.theta is None and length_before == TWO_PI
         assert t_before < 0.3 <= event.t <= t_before + EVENT_TIME_TOL
 
     @pytest.mark.parametrize("roots", [(0.4, 0.3), (0.45, 0.26), (0.31, 0.3)])
@@ -694,7 +703,7 @@ class TestEventLocation:
         # The bisection takes 32 probes after the first crossed check time.
         probes = len(calls) - 2
         _check_event(found, want, margins, lambda t: TWO_PI)
-        assert want[1].kind == "area-vanish" and probes <= 16
+        assert want[2].kind == "area-vanish" and probes <= 16
 
     def test_nothing_crossed(self):
         from curveflow.heat import _Modes
@@ -719,7 +728,7 @@ class TestEventLocation:
             return (1e6 + 0.3 - t, 1.0, 1.0, 1.0)
 
         times = [1e6 + 0.25, 1e6 + 0.5]
-        t_before, event = _locate(
+        t_before, _, event = _locate(
             _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 1e6, times, np.full(2, TWO_PI), _every_check_time
         )
         assert t_before < 1e6 + 0.3 <= event.t == t_before + np.spacing(t_before)
@@ -1040,8 +1049,8 @@ class TestClosedLength:
         assert law(np.log(2.0) + 0.1) < 0.0  # a length through zero stays visible
 
     def test_area_overflow_is_a_domain_exit_on_both_paths(self):
-        # kappa = 16 pi: L reaches 1e155, where A = L^2/(4 pi) overflows, long
-        # before the blow-up threshold 1e300; the ODE's H = 2A/L - 4L overflows there.
+        # kappa = 16 pi: L reaches the float range, MAX_LENGTH, long before the
+        # blow-up threshold 1e300; past it A = L^2/(4 pi) and the ODE's H = 2A/L - 4L overflow.
         from curveflow.flows import closed_length
         from curveflow.integrate import _dopri_steps, _Problem, _record
 
@@ -1056,6 +1065,37 @@ class TestClosedLength:
         # H = -1 reads no area; its run ends the same way rather than failing.
         long_run = IntegratorControls(t_max=400.0, length_blowup=1e300, sample_interval=0.5)
         assert isinstance(integrate(ELLIPSEISH, Constant(c=-1.0), long_run).outcome, Undetermined)
+
+    def test_float_range_events_agree_on_both_paths(self):
+        # The case above: both paths end where L reaches MAX_LENGTH, so their
+        # events differ by the ODE's error, not by a sample interval.
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _dopri_steps, _Problem, _record
+
+        term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
+        controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
+        problem = _Problem(ELLIPSEISH, term, controls)
+        closed = _record(problem, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
+        ode = _record(problem, _dopri_steps(problem))
+        assert closed.event.kind == ode.event.kind == "h-domain-exit"
+        assert abs(closed.event.t - ode.event.t) <= 1e-4
+        for traj in (closed, ode):
+            assert 0.999 * MAX_LENGTH < traj.L[-1] < MAX_LENGTH
+
+    def test_length_growth_ends_at_the_float_range(self):
+        # const:-1 from the unit circle: L = 4 pi e^t - 2 pi reaches MAX_LENGTH at
+        # t* = ln((MAX_LENGTH + 2 pi) / (4 pi)), long before length_blowup = 1e300.
+        from curveflow.integrate import ipd_column, ipr_column, record_rows
+
+        controls = IntegratorControls(t_max=400.0, length_blowup=1e300, sample_interval=0.5)
+        traj = integrate(CIRCLE, Constant(c=-1.0), controls)
+        assert traj.event.kind == "h-domain-exit"
+        assert abs(traj.event.t - np.log((MAX_LENGTH + TWO_PI) / (4.0 * np.pi))) <= EVENT_TIME_TOL
+        assert traj.L[-1] < MAX_LENGTH and traj.t[-1] < traj.event.t
+        for column in (traj.t, traj.L, traj.A, ipd_column(traj), ipr_column(traj)):
+            assert np.all(np.isfinite(column))
+        assert all(None not in row.values() for row in record_rows(traj))
+        assert describe_outcome(traj.outcome) == "Undetermined (H left its domain near t=351.667)"
 
     def test_squared_forms_go_negative(self):
         # (ii) with beta < 0 and kappa < 0 drives L^2 through zero.
@@ -1225,6 +1265,22 @@ class TestPrescan:
     check time (``oracles.grid_flags``)."""
 
     LIMITS = (1e-9, 1e-12, 1e-12, 1e12)
+
+    def test_one_margin_per_event_kind(self):
+        from curveflow.integrate import _EVENT_PRIORITY, _margins
+
+        assert len(_margins(self.LIMITS, 1.0, 1.0, 1.0)) == len(_EVENT_PRIORITY)
+
+    def test_float_range_alone_flags_a_check_time(self):
+        # L = 1e154 crosses only the float range: the area, the radius and the
+        # length thresholds are all clear there.
+        from curveflow.integrate import _crossed, _Problem
+
+        problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(length_blowup=1e300))
+        times, lengths = np.array([0.0, 0.5]), np.array([TWO_PI, 1e154])
+        assert _crossed(problem.margins(0.5, 1e154)) == ["h-domain-exit"]
+        assert problem.flags(times, lengths).tolist() == [False, True]
+        assert oracles.grid_flags(problem, times, lengths).tolist() == [False, True]
 
     def test_margins_agree_between_scalar_and_array_forms(self):
         from curveflow.integrate import _margins

@@ -89,8 +89,9 @@ class TestTrajectoryDigest:
         # curvature bound does not clear singularity_eps.
         assert "prescan blocks 4 columns 233 grid products 1" in out
         # Each run evaluates its law once at all 201 check times; the 10
-        # scalar tests and the pinch run's last state evaluate it at one time.
-        assert "closed-law evaluations arrays 2 times 402 scalars 11" in out
+        # scalar tests evaluate it at one time, and the pinch run's last
+        # state keeps the length its scalar test read.
+        assert "closed-law evaluations arrays 2 times 402 scalars 10" in out
         restored = (
             digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
         )

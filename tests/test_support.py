@@ -70,6 +70,18 @@ class TestSupportSpectrum:
         with pytest.raises(ValueError):
             SupportSpectrum(mean=1.0, cos_coeffs=[0, np.inf], sin_coeffs=[0, 0])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_length_at_most_max_length(self, sign):
+        # At the bound L^2 is a quarter of the largest float, so every report is finite.
+        from curveflow.support import MAX_LENGTH
+
+        largest = sign * MAX_LENGTH / TWO_PI
+        assert spec(largest).mean == largest
+        assert total_inverse_curvature(spec(largest)) == pytest.approx(MAX_LENGTH**2 / TWO_PI)
+        for mean in (np.nextafter(largest, sign * np.inf), sign * np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"mean must be finite, with length 2 pi \|mean\| at most 6.704e\+153"):
+                spec(mean)
+
     def test_immutable_arrays(self):
         s = spec(1.0, cos=[0.0, 0.2])
         with pytest.raises(ValueError):
