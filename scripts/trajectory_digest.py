@@ -6,7 +6,8 @@ Runs every initial spectrum under every flow and every control set
 below. The matrix reaches all five threshold outcomes (horizon, length
 blow-up, area vanish, length vanish, singularity), runs where two
 thresholds are crossed inside one step, and runs whose length reaches
-the float range (``support.MAX_LENGTH``), an H domain exit. For each
+the float range (``support.MAX_LENGTH``), an H domain exit, and runs to
+a horizon where an ulp of t exceeds 1e-12. For each
 run it prints the sha256 of the run's event (kind, t, theta) and of
 every recorded state's (t, L, A), read from the trajectory's columns and
 written with repr so any bit change shows; then the counts by event kind, how many runs took
@@ -85,6 +86,8 @@ CONTROLS = {
     "tie": IntegratorControls(t_max=10.0, length_vanish=3.5e-6),
     # A length growing like e^t reaches the float range long before length_blowup.
     "float": IntegratorControls(t_max=400.0, length_blowup=1e300, sample_interval=0.5),
+    # Past t = 16384 an ulp of t is wider than 1e-12, and t_max is a multiple of the interval.
+    "long": IntegratorControls(t_max=20000.0, sample_interval=2500.0),
 }
 
 

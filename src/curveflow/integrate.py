@@ -95,6 +95,9 @@ EVENT_TIME_TOL = 1e-10
 # least this finely even when the controller wants huge steps.
 MAX_STEP = 0.25
 MIN_STEP = 1e-14
+# Two times a <= b are the same instant when b - a <= TIME_RTOL * b: a share
+# of t, so that it stays wider than an ulp of t however long the run.
+TIME_RTOL = 1e-12
 # Cap on recorded states, t_max / sample_interval, so every run is bounded.
 MAX_SAMPLES = 10**6
 # Check times in the event pre-scan's first block; each later block is
@@ -216,7 +219,7 @@ class Trajectory:
             raise ValueError("trajectory needs at least one state")
         if np.any(t[1:] <= t[:-1]):
             raise ValueError("trajectory states must be strictly increasing in time")
-        if self.event.t < t[-1] - 1e-12:
+        if t[-1] - self.event.t > TIME_RTOL * abs(t[-1]):
             raise ValueError("event time precedes the last recorded state")
         if not (np.all(np.isfinite(t)) and np.all(length <= MAX_LENGTH)):  # NaN fails too
             raise ValueError("flow state fields must be finite")
@@ -574,10 +577,10 @@ def integrate(
 
 def _sample_times(controls: IntegratorControls) -> np.ndarray:
     """Times of the recorded states after t = 0: every k * sample_interval
-    (k >= 1) below t_max - 1e-12, then t_max."""
+    (k >= 1) not the same instant as t_max (see TIME_RTOL), then t_max."""
     k = np.arange(1, int(controls.t_max / controls.sample_interval) + 2)
     grid = k * controls.sample_interval
-    return np.append(grid[grid <= controls.t_max - 1e-12], controls.t_max)
+    return np.append(grid[grid < controls.t_max * (1.0 - TIME_RTOL)], controls.t_max)
 
 
 def _record(problem: _Problem, steps: Iterator) -> Trajectory:
@@ -586,11 +589,11 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
     is drawn. ``steps`` may return an event that ends the run.
 
     A step's check times are the sample times (t = 0, then
-    ``_sample_times``) not yet passed below t1 - 1e-12, then t1, which is
-    recorded when within 1e-12 of the next sample time. The locator's
-    blocks and the kept states read L there from one ``_Lengths``. At a
-    crossing the run keeps the states up to its lower end, then that end
-    with the length the locator probed there."""
+    ``_sample_times``) not yet passed and before t1's instant (TIME_RTOL),
+    then t1, recorded when it is the next sample time's instant. The
+    locator's blocks and the kept states read L there from one
+    ``_Lengths``. At a crossing the run keeps the states up to its lower
+    end, then that end, if a later instant, with the L probed there."""
     controls = problem.controls
     grid = np.concatenate(([0.0], _sample_times(controls)))
     times, lengths, k = [], [], 0
@@ -600,9 +603,9 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
         except StopIteration as stop:
             event = stop.value or TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max)
             break
-        j = k + int(np.searchsorted(grid[k:], t1 - 1e-12, side="right"))
+        j = k + int(np.searchsorted(grid[k:], t1 * (1.0 - TIME_RTOL), side="left"))
         check = np.append(grid[k:j], t1)
-        on_grid = j < len(grid) and abs(grid[j] - t1) <= 1e-12
+        on_grid = j < len(grid) and abs(grid[j] - t1) <= TIME_RTOL * t1
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
         at_check = _Lengths(path, check)
         found = _locate(problem.modes, problem.margins, path, t0, check, at_check, problem.flags)
@@ -612,7 +615,7 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
         lengths += at_check[: kept.size].tolist()
         if found is not None:
             _, length_stop, event = found
-            if t_stop > times[-1] + 1e-12:
+            if t_stop - times[-1] > TIME_RTOL * t_stop:
                 times.append(t_stop)
                 lengths.append(length_stop)
             break
@@ -630,7 +633,7 @@ def _dopri_steps(problem: _Problem) -> Iterator:
     yield t, t, lambda tau: length + 0.0 * tau  # L(0) at a time or an array of times
     k1 = problem.rhs(t, length)
     h = min(1e-3, controls.t_max)
-    while t < controls.t_max - 1e-13:
+    while controls.t_max - t > TIME_RTOL * controls.t_max:
         h = min(h, MAX_STEP, controls.t_max - t)
         try:
             y5, err, k7, dense = _dopri_step(problem.rhs, t, length, h, k1)
@@ -649,7 +652,7 @@ def _dopri_steps(problem: _Problem) -> Iterator:
                 return TerminationEvent(kind=EVENT_STEP_COLLAPSE, t=t)
             continue
 
-        t1 = controls.t_max if controls.t_max - (t + h) < 1e-13 else t + h
+        t1 = controls.t_max if controls.t_max - (t + h) <= TIME_RTOL * controls.t_max else t + h
 
         def path(tau):
             if isinstance(tau, np.ndarray):

@@ -310,8 +310,12 @@ def _deficit(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
 
 
 def isoperimetric_ratio(length: float, area: float) -> float:
-    """L^2 / (4*pi*A), at least 1 with equality at circles; inf at non-positive area."""
-    return length**2 / (4.0 * np.pi * area) if area > 0.0 else float("inf")
+    """L^2 / (4*pi*A) as a float, at least 1 with equality at circles;
+    inf at non-positive area and where L^2 overflows."""
+    try:
+        return float(length) ** 2 / (4.0 * np.pi * float(area)) if area > 0.0 else float("inf")
+    except OverflowError:  # a float's ** raises where NumPy's gives inf
+        return float("inf")
 
 
 def total_inverse_curvature(spec: SupportSpectrum) -> float:

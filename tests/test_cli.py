@@ -220,6 +220,19 @@ class TestRun:
         header, row = csv.reader(io.StringIO((tmp_path / "sweep" / "sweep.csv").read_text()))
         assert row[header.index("event")] == "h-domain-exit" and row[header.index("error")] == ""
 
+    def test_a_horizon_where_an_ulp_exceeds_1e_12_runs_to_t_max(self, tmp_path):
+        # Past t = 16384, t_max - 1e-12 == t_max: t_max, a multiple of the
+        # interval, must still be recorded once.
+        text = "flow = pan-yang\nmean = 1\ncos = 0, 0.1\nt_max = 30000\nsample_interval = 10\n"
+        cfg_path = write_config(tmp_path, text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        rows = list(csv.reader(io.StringIO((tmp_path / "out" / "timeseries.csv").read_text())))
+        assert len(rows) == 1 + 3001 and rows[-1][0] == "30000.0"
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "scale:1", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+        header, row = csv.reader(io.StringIO((tmp_path / "sweep" / "sweep.csv").read_text()))
+        assert row[header.index("error")] == "" and row[header.index("final_t")] == "30000.0"
+
     def test_nonconvex_polygon_rejected(self, tmp_path, capsys):
         (tmp_path / "square.csv").write_text("-1,-1\n1,-1\n1,1\n-1,1\n")
         cfg = parse_config("flow = pan-yang\npolygon_file = square.csv\ntruncation = 16\n")

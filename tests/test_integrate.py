@@ -1082,6 +1082,24 @@ class TestClosedLength:
         for traj in (closed, ode):
             assert 0.999 * MAX_LENGTH < traj.L[-1] < MAX_LENGTH
 
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="H = 1 on the unit circle: L' = L - 2 pi has an unstable fixed point at L = 2 pi. "
+        "ClosedLength evaluates e^{kappa t}(1 + sum w_j psi_j), and 1 + sum w_j/(kappa - r_j) = 0 "
+        "there, so e^{kappa t} multiplies rounding: L is 1e-3 off at t = 30, the run ends in a "
+        "singularity at t = 37.43, and past t ~ 709 L is inf * 0 = NaN",
+    )
+    def test_a_circle_at_an_unstable_fixed_point_stays_there(self):
+        from curveflow.integrate import _dopri_steps, _Problem, _record
+
+        problem = _Problem(CIRCLE, Constant(c=1.0), IntegratorControls())
+        ode = _record(problem, _dopri_steps(problem))
+        assert ode.event.kind == "reached-horizon" and np.all(ode.L == TWO_PI)
+        closed = integrate(CIRCLE, Constant(c=1.0))
+        assert closed.event.kind == "reached-horizon"
+        assert np.max(np.abs(closed.L - TWO_PI)) <= 1e-9
+
     def test_length_growth_ends_at_the_float_range(self):
         # const:-1 from the unit circle: L = 4 pi e^t - 2 pi reaches MAX_LENGTH at
         # t* = ln((MAX_LENGTH + 2 pi) / (4 pi)), long before length_blowup = 1e300.
@@ -1647,3 +1665,50 @@ class TestFuzz:
         if law is not None and event.kind in _EVENT_PRIORITY:
             margins = _Problem(spec0, term, controls).margins(event.t, law(event.t))
             assert _crossed(margins)[0] == event.kind
+
+
+class TestSameInstant:
+    """integrate.TIME_RTOL: two times a <= b are one instant when b - a is at
+    most that share of b, so sample times, step ends and t_max merge the
+    same way however long or short the horizon."""
+
+    @given(
+        exponent=st.floats(min_value=-14.0, max_value=12.0),
+        count=st.integers(min_value=1, max_value=1998),
+        exact=st.booleans(),
+        fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_closed_path_records_zero_to_t_max_at_any_horizon(self, exponent, count, exact, fraction):
+        t_max = 10.0**exponent
+        if exact:
+            sample_interval = t_max / count
+            t_max = count * sample_interval  # a multiple of the interval, in floats
+        else:
+            sample_interval = t_max / (count + fraction)
+        traj = integrate(CIRCLE, PanYang(), IntegratorControls(t_max=t_max, sample_interval=sample_interval))
+        assert traj.t[0] == 0.0 and traj.t[-1] == t_max == traj.event.t
+        assert np.all(np.diff(traj.t) > 0.0) and len(traj.t) <= 2000
+        assert np.all(traj.L == TWO_PI)
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_a_step_end_within_ulps_of_a_sample_time_is_that_sample(self, ulps):
+        # Near t = 2e4 an ulp of t is 3.6e-12; the last step ends on t_max,
+        # itself a sample time.
+        from curveflow.integrate import _Problem, _record
+
+        controls = IntegratorControls(t_max=20000.0, sample_interval=2500.0)
+        problem = _Problem(CIRCLE, PanYang(), controls)
+        near = 17500.0 + ulps * float(np.spacing(17500.0))
+        steps = [(0.0, 0.0), (0.0, near), (near, controls.t_max)]
+        traj = _record(problem, iter([(t0, t1, lambda t: TWO_PI + 0.0 * t) for t0, t1 in steps]))
+        assert traj.t.tolist() == [2500.0 * k for k in range(7)] + [near, 20000.0]
+        assert traj.event == TerminationEvent(kind="reached-horizon", t=20000.0)
+
+    def test_both_paths_record_zero_and_a_tiny_t_max(self):
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _dopri_steps, _Problem, _record
+
+        problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(t_max=1e-14))
+        for steps in (_dopri_steps(problem), iter([(0.0, 1e-14, closed_length(ELLIPSEISH, PanYang()))])):
+            assert _record(problem, steps).t.tolist() == [0.0, 1e-14]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from curveflow import (
     total_inverse_curvature,
     validate_convexity,
 )
+from curveflow.support import isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
 
@@ -268,6 +271,25 @@ class TestIsoperimetric:
         assert np.allclose(
             radius_of_curvature(moved, th), radius_of_curvature(s, th), atol=1e-12
         )
+
+    @pytest.mark.parametrize("length", [1e155, -1e155, np.float64(1e155)], ids=["float", "negative", "numpy"])
+    def test_ratio_overflows_to_inf_without_a_warning(self, length):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = isoperimetric_ratio(length, 1.0)
+        assert type(ratio) is float and ratio == np.inf
+
+    def test_ratio_keeps_the_bits_of_the_scalar_pow(self):
+        # NumPy's array x**2 is x*x, which differs from a float's ** in the last bit on some inputs.
+        rng = np.random.default_rng(23)
+        n = 100_000
+        lengths = (rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-150.0, 150.0, n)).tolist()
+        areas = (10.0 ** rng.uniform(-150.0, 150.0, n)).tolist()
+        old = np.array([L**2 / (4.0 * np.pi * A) for L, A in zip(lengths, areas)])
+        assert np.isfinite(old).mean() > 0.5
+        for cast in (float, np.float64):
+            new = np.array([isoperimetric_ratio(cast(L), cast(A)) for L, A in zip(lengths, areas)])
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 class TestCurvePosition:
