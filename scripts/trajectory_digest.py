@@ -12,17 +12,20 @@ run it prints the sha256 of the run's event (kind, t, theta) and of
 every recorded state's (t, L, A), read from the trajectory's columns and
 written with repr so any bit change shows; then the counts by event kind, how many runs took
 the closed-form length and how many the ODE solve, how many scalar tests
-the event locator ran (calls of ``integrate._Problem.margins``), what its
-pre-scan did (blocks: calls of ``integrate._Problem.flags``; columns: the
+the event locator ran (calls of ``integrate._Heat.margins``), what its
+pre-scan did (blocks: calls of ``integrate._Heat.flags``; columns: the
 check times those calls received; grid products: calls of
 ``support._grid_deviation`` with 2-D coefficients), how often the
 closed-form length law was evaluated (calls of
 ``flows.ClosedLength.__call__`` on an array, the times those arrays held,
 and calls on a scalar time), and one sha256 over all runs. The counts
-come from wrapping those names here. Run it on two checkouts on the same
-machine and compare the output: the probe, pre-scan and evaluation
-counts show whether the locator's work changed, which the hashes see
-only through the event times.
+come from wrapping those names here. Then it runs the matrix a second
+time the way ``curveflow sweep`` runs a flows axis, the flows of each
+spectrum and control set on one shared heat half (``integrate._Heat``),
+and prints the sha256 over those runs, which must equal the first. Run
+it on two checkouts on the same machine and compare the output: the
+probe, pre-scan and evaluation counts show whether the locator's work
+changed, which the hashes see only through the event times.
 
 With ``--out DIR`` it also writes each run to DIR/<spectrum>__<flow>__<controls>.jsonl:
 one {"t", "L", "A"} line per recorded state, then an {"event": {"kind",
@@ -35,6 +38,7 @@ Usage:
 """
 
 import argparse
+import functools
 import hashlib
 import importlib
 import json
@@ -49,7 +53,7 @@ from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow
 from curveflow.flows import ClosedLength, closed_length  # noqa: E402
 
 # The module, not the function of the same name that the package exports.
-PROBLEM = importlib.import_module("curveflow.integrate")._Problem
+HEAT = importlib.import_module("curveflow.integrate")._Heat
 SUPPORT = importlib.import_module("curveflow.support")
 
 SPECTRA = {
@@ -91,11 +95,11 @@ CONTROLS = {
 }
 
 
-def digest(spec: SupportSpectrum, flow: str, controls: IntegratorControls) -> tuple[str, str, list]:
+def digest(run) -> tuple[str, str, list]:
     """(event kind or error type, sha256 of the event and the states,
-    the run's JSONL records)."""
+    the run's JSONL records) of the trajectory ``run()`` returns."""
     try:
-        traj = integrate(spec, parse_flow_term(flow), controls)
+        traj = run()
     except ValueError as exc:
         kind = f"error:{type(exc).__name__}"
         return kind, hashlib.sha256(f"{kind} {exc}".encode()).hexdigest(), [{"error": f"{kind} {exc}"}]
@@ -120,17 +124,17 @@ def main() -> int:
     paths: Counter[str] = Counter()
     total = hashlib.sha256()
     tally: Counter[str] = Counter()
-    margins, flags, grid_deviation = PROBLEM.margins, PROBLEM.flags, SUPPORT._grid_deviation
+    margins, flags, grid_deviation = HEAT.margins, HEAT.flags, SUPPORT._grid_deviation
     law = ClosedLength.__call__
 
-    def counted_margins(problem, t, length):
+    def counted_margins(heat, t, length):
         tally["probes"] += 1
-        return margins(problem, t, length)
+        return margins(heat, t, length)
 
-    def counted_flags(problem, times, lengths):
+    def counted_flags(heat, times, lengths, width):
         tally["blocks"] += 1
         tally["columns"] += len(times)
-        return flags(problem, times, lengths)
+        return flags(heat, times, lengths, width)
 
     def counted_grid_deviation(cos_coeffs, sin_coeffs):
         tally["grid products"] += cos_coeffs.ndim == 2
@@ -144,14 +148,14 @@ def main() -> int:
             tally["law scalars"] += 1
         return law(closed, t)
 
-    PROBLEM.margins, PROBLEM.flags = counted_margins, counted_flags
+    HEAT.margins, HEAT.flags = counted_margins, counted_flags
     SUPPORT._grid_deviation = counted_grid_deviation
     ClosedLength.__call__ = counted_law
     try:
         for spec_name, spec in SPECTRA.items():
             for flow in FLOWS:
                 for controls_name, controls in CONTROLS.items():
-                    kind, sha, records = digest(spec, flow, controls)
+                    kind, sha, records = digest(lambda: integrate(spec, parse_flow_term(flow), controls))
                     if args.out is not None:
                         name = re.sub(r"[^A-Za-z0-9.+-]", "_", f"{spec_name}__{flow}__{controls_name}")
                         lines = "".join(json.dumps(rec) + "\n" for rec in records)
@@ -162,7 +166,7 @@ def main() -> int:
                     if not args.quiet:
                         print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
     finally:
-        PROBLEM.margins, PROBLEM.flags = margins, flags
+        HEAT.margins, HEAT.flags = margins, flags
         SUPPORT._grid_deviation = grid_deviation
         ClosedLength.__call__ = law
     for kind, count in sorted(counts.items()):
@@ -175,7 +179,26 @@ def main() -> int:
         f" scalars {tally['law scalars']}"
     )
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
+    print(f"shared sha256 {shared_digest()}")
     return 0
+
+
+def shared_digest() -> str:
+    """The total sha256 of the matrix with the flows of each spectrum and
+    control set run on one heat half, hashed in the order of ``main``."""
+    shas = {}
+    for spec_name, spec in SPECTRA.items():
+        for controls_name, controls in CONTROLS.items():
+            # Built by the first flow; a spectrum it rejects fails every flow alike.
+            heat = functools.cache(lambda: HEAT(spec, controls))
+            for flow in FLOWS:
+                shas[spec_name, flow, controls_name] = digest(lambda: heat().run(parse_flow_term(flow)))[1]
+    total = hashlib.sha256()
+    for spec_name in SPECTRA:
+        for flow in FLOWS:
+            for controls_name in CONTROLS:
+                total.update(shas[spec_name, flow, controls_name].encode())
+    return total.hexdigest()
 
 
 if __name__ == "__main__":

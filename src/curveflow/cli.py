@@ -20,7 +20,8 @@ Subcommands:
   run    integrate until an event, write timeseries CSV / frames JSONL /
          optional SVG frames / inequality reports CSV, print the verdict
          (the outcome the event implies)
-  sweep  one run per axis value, run serially, summary CSV
+  sweep  one run per axis value, run serially, summary CSV; the flows of
+         a flows axis share the flow-independent half of the run
   check  inequality suite on the initial curve only
 
 ``main`` parses its arguments with one parser per process, built on its
@@ -36,6 +37,7 @@ import functools
 import io
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -48,6 +50,7 @@ from .integrate import (
     MAX_SAMPLES,
     IntegratorControls,
     Trajectory,
+    _Heat,
     describe_outcome,
     h_column,
     integrate,
@@ -58,6 +61,7 @@ from .integrate import (
 from .integrate import state_record  # noqa: F401  (perfbench/spans.py traces this name here)
 from .support import (
     MAX_TRUNCATION,
+    TWO_PI,
     SupportSpectrum,
     curve_length,
     curve_position,
@@ -324,15 +328,23 @@ def _frame_indices(count: int, frame_count: int) -> list[int]:
 
 def _write_frames(path: Path, traj: Trajectory, records: list, frame_count: int) -> list:
     indices = _frame_indices(len(records), frame_count)
-    frames = [curve_position(traj.states[i].spectrum) for i in indices]
+    # Each frame's spectrum straight from the run's mode arrays: the state's
+    # spectrum bit for bit, without building the FlowState or its area.
+    modes = traj._modes
+    frames = [
+        curve_position(modes.spectrum(t, length / TWO_PI))
+        for t, length in zip(traj.t[indices].tolist(), traj.L[indices].tolist())
+    ]
     # Every frame is sampled at the same angles, so they are encoded once. Each
     # line is the text of json.dumps(dict(record, theta=..., x=..., y=...)):
     # the record's keys first, then the three lists, with the same separators.
+    # repr of a list of finite floats is the text json.dumps writes for it,
+    # and CurveSamples holds finite points only.
     theta = json.dumps(frames[0].thetas.tolist())
     lines = []
     for i, samples in zip(indices, frames):
-        x = json.dumps(samples.points[:, 0].tolist())
-        y = json.dumps(samples.points[:, 1].tolist())
+        x = repr(samples.points[:, 0].tolist())
+        y = repr(samples.points[:, 1].tolist())
         lines.append(f'{json.dumps(records[i])[:-1]}, "theta": {theta}, "x": {x}, "y": {y}}}')
     lines.append(json.dumps(summary_record(traj)))
     path.write_text("\n".join(lines) + "\n")
@@ -447,10 +459,12 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: NonlocalTerm) -> dict:
+def _sweep_one(label: str, heat: Callable[[], _Heat], term: NonlocalTerm) -> dict:
+    """The row of ``term`` run on ``heat()``, the axis value's heat half;
+    any error, the heat half's convexity gate included, is the row's."""
     row = {"axis": label}
     try:
-        traj = integrate(spec0, term, config.controls)
+        traj = heat().run(term)
         final_t, final_L, final_A = (float(column[-1]) for column in (traj.t, traj.L, traj.A))
         row.update(
             outcome=outcome_record(traj.outcome)["kind"],
@@ -471,22 +485,26 @@ def _sweep_one(spec0: SupportSpectrum, config: RunConfig, label: str, term: Nonl
 
 @_exit_status
 def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = None) -> int:
-    """One integration per axis value; failures are recorded per row."""
+    """One integration per axis value; failures are recorded per row. The
+    flows of a flows axis run on one heat half (``integrate._Heat``), built
+    by the first row that needs it; a spectrum its gate rejects fails every
+    row with the same message. Each value of a scale axis has its own."""
     kind, values = _parse_axis(axis)
     spec0 = load_initial(config.initial, base_dir)
-    jobs = []
-    for value in values:
-        if kind == "flows":
-            jobs.append((format_flow_term(value), spec0, value))
-        else:
+    if kind == "flows":
+        shared = functools.cache(lambda: _Heat(spec0, config.controls))
+        jobs = [(format_flow_term(term), shared, term) for term in values]
+    else:
+        jobs = []
+        for value in values:
             with np.errstate(over="ignore"):  # a coefficient overflowing to inf is rejected
                 scaled = SupportSpectrum(
                     mean=spec0.mean,
                     cos_coeffs=spec0.cos_coeffs * value,
                     sin_coeffs=spec0.sin_coeffs * value,
                 )
-            jobs.append((repr(value), scaled, config.flow))
-    rows = [_sweep_one(spec, config, label, term) for label, spec, term in jobs]
+            jobs.append((repr(value), functools.partial(_Heat, scaled, config.controls), config.flow))
+    rows = [_sweep_one(label, heat, term) for label, heat, term in jobs]
     # Labels such as powersum:1,1,0 hold commas, so fields are quoted where needed.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

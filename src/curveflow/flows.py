@@ -257,38 +257,46 @@ class ClosedLength:
     _own_rate: float = field(init=False, repr=False)
     _lead_rates: np.ndarray = field(init=False, repr=False)
     _neg_gap: np.ndarray = field(init=False, repr=False)
+    _divisor: np.ndarray = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
         top = max(self.kappa, 0.0)
         gap = np.abs(self.rates - self.kappa)
+        distinct = gap > 0.0
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_own_rate", self.kappa - top)
         object.__setattr__(self, "_lead_rates", np.maximum(self.rates, self.kappa) - top)
         object.__setattr__(self, "_neg_gap", -gap)
-        object.__setattr__(self, "_distinct", gap > 0.0)
+        # -g, and -1 where g = 0, whose psi is t: no 0/0 to silence.
+        object.__setattr__(self, "_divisor", np.where(distinct, -gap, -1.0))
+        object.__setattr__(self, "_distinct", distinct)
 
     def __call__(self, t):
         """L at a time or an array of times; a float for a scalar time."""
         tt = np.asarray(t, dtype=float)
         col = tt[..., None]
-        neg_gap = self._neg_gap
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
-            psi = np.where(self._distinct, np.expm1(neg_gap * col) / neg_gap, col)
-            forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
-            growth = np.exp(self._top * tt)
-            ratio = growth * (np.exp(self._own_rate * tt) + forced)
-            if self.power == 1.0:
-                length = self.l0 * ratio
-            elif self.power == 2.0:
-                # np.power, not **: a float64 scalar's ** calls pow, not sqrt, at power 2.
-                length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 0.5))
-            else:
+        # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
+        psi = np.where(self._distinct, np.expm1(self._neg_gap * col) / self._divisor, col)
+        forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
+        ratio = np.exp(self._own_rate * tt) + forced
+        if self._top:
+            # e^{kappa t} overflows to inf for a long enough run, and inf * 0 is nan.
+            with np.errstate(over="ignore", invalid="ignore"):
+                growth = np.exp(self._top * tt)
+                ratio = growth * ratio
+                forced = growth * forced
+        if self.power == 1.0:
+            length = self.l0 * ratio
+        elif self.power == 2.0:
+            # np.power, not **: a float64 scalar's ** calls pow, not sqrt, at power 2.
+            length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 0.5))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # z/z0 - 1 summed without the 1, so that a power near 0 does not
                 # magnify its rounding; log1p only near z/z0 = 1, where log loses it.
-                excess = np.expm1(self.kappa * tt) + growth * forced
+                excess = np.expm1(self.kappa * tt) + forced
                 log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
                 length = self.l0 * np.exp(log_ratio / self.power)
                 if not np.all(ratio > 0.0):

@@ -17,7 +17,7 @@ from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t). Each quantity
 is one ``_Modes`` method that takes a time or an array of times; the grid
 extrema of the radius of curvature come from ``support._radius_range``, and
 the minimum alone, which the event locator reads, from ``support._min_radius``.
-The locator's pre-scan and its bound on that minimum are ``integrate._Problem``'s.
+The locator's pre-scan and its bound on that minimum are ``integrate._Heat``'s.
 """
 
 from __future__ import annotations

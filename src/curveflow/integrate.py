@@ -26,12 +26,18 @@ point t = 0 and then its accepted steps. A step's check times are the
 sample times inside it and its end, where L is evaluated once,
 SCAN_BLOCK_CAP check times at a time as the locator reaches them, for
 its blocks and the recorded states alike. One locator serves every step,
-in one loop over blocks of check times: SCAN_CHUNK = 32, then twice as
-many each block up to SCAN_BLOCK_CAP = 256. Per block ``_Problem.scan`` first
-bounds the curvature minimum from below by
-L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time,
-and only where that bound does not clear the singularity threshold at
-every time runs one (grid x N)(N x block) product for the grid minimum.
+in one loop over blocks of check times, the first SCAN_CHUNK = 32 long.
+Per block ``_Heat.scan`` first bounds the curvature minimum from below by
+L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time.
+A block where that bound clears the singularity threshold at every time
+runs no grid product, and the next block runs to the end of the
+SCAN_BLOCK_CAP = 256 check times whose L is evaluated together. From the
+first time where it does not clear, one (grid x N)(N x times) product
+gives the grid minimum over at most as many times as the doubling 32, 64,
+128, 256, 256, ... gives the block's start, and the block ends with it;
+the next block is as long as the doubling gives its own start. An earlier
+flagged time ends the block before the product. Everything in a block but
+L is the same for every flow: the flows run on one ``_Heat`` share it.
 The scalar test then runs on the block's flagged check times in order;
 at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
@@ -45,6 +51,7 @@ degenerate length/area scenarios.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
@@ -69,7 +76,7 @@ from .support import (
     TWO_PI,
     GeometricSummary,
     SupportSpectrum,
-    _min_radius,
+    _deviation_min,
     curve_length,
     isoperimetric_deficit,
     isoperimetric_ratio,
@@ -100,9 +107,10 @@ MIN_STEP = 1e-14
 TIME_RTOL = 1e-12
 # Cap on recorded states, t_max / sample_interval, so every run is bounded.
 MAX_SAMPLES = 10**6
-# Check times in the event pre-scan's first block; each later block is
-# twice the one before, up to SCAN_BLOCK_CAP check times. The first block
-# stays small because a pinch often falls within its first few check times.
+# Check times in the event pre-scan's first block, the most its grid product
+# spans; a grid product starting later may span twice as many per block of
+# the doubling, up to SCAN_BLOCK_CAP (see _locate). The first block stays
+# small because a pinch often falls within its first few check times.
 SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
@@ -363,19 +371,28 @@ def _crossed(margins: tuple) -> list[str]:
     return [kind for kind, margin in zip(_EVENT_PRIORITY, margins) if margin <= 0.0]
 
 
-class _Problem:
-    """One run's flow, controls and mode arrays: the length ODE's right-hand
-    side and the event locator's tests. ``margins`` is the scalar test at
-    one (t, L); ``flags`` marks the check times of a block where it may read
-    a crossing, from the block's ``scan``. Since |a cos n theta + b sin n
-    theta| <= sqrt(a^2 + b^2), the radius of curvature over every theta is
-    at least L(t)/(2*pi) - sum |1 - n^2| sqrt(p_n) e^{(1-n^2)t}, an O(N)
-    bound per time whose sum decays at rate 3 or more.
+class _Heat:
+    """The flow-independent half of a run: what the initial spectrum and the
+    controls set, whatever H is. Building one runs the convexity gate; it
+    holds the mode arrays, the thresholds, the per-mode sizes of the
+    curvature bound and the grid of sample times. ``run`` integrates one
+    flow on it, so every flow run on one heat half shares its pre-scan
+    blocks over that grid: each block's bound and size sums and E(t), and,
+    where a block runs one, the grid minimum of the deviation, are computed
+    once. A heat half lives for one ``integrate`` call or one ``sweep``
+    command.
+
+    ``margins`` is the scalar test at one (t, L); ``flags`` marks the check
+    times of a block where it may read a crossing, from the block's
+    ``scan``. Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), the
+    radius of curvature over every theta is at least L(t)/(2*pi) - sum
+    |1 - n^2| sqrt(p_n) e^{(1-n^2)t}, an O(N) bound per time whose sum
+    decays at rate 3 or more.
     """
 
-    def __init__(self, spec0: SupportSpectrum, term: NonlocalTerm, controls: IntegratorControls):
+    def __init__(self, spec0: SupportSpectrum, controls: IntegratorControls):
+        require_convex(spec0)
         self.spec0 = spec0
-        self.term = term
         self.controls = controls
         self.modes = modes = _Modes(spec0)
         c = controls
@@ -384,15 +401,26 @@ class _Problem:
         # the largest |term| over every theta.
         self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
+        self.grid = np.concatenate(([0.0], _sample_times(controls)))
+        # Per block of grid[lo:hi], keyed by (lo, hi): the sums of ``_block``,
+        # and the grid minimum of the deviation where the flags ran a product.
+        self._block_sums: dict[tuple[int, int], tuple] = {}
+        self._deviation_mins: dict[tuple[int, int], np.ndarray] = {}
 
-    def rhs(self, t: float, length: float) -> float:
+    def run(self, term: NonlocalTerm) -> Trajectory:
+        """The flow of ``term`` until an event; see ``integrate``."""
+        law = closed_length(self.spec0, term)
+        return _record(self, _dopri_steps(self, term) if law is None else iter([(0.0, self.controls.t_max, law)]))
+
+    def rhs(self, term: NonlocalTerm, t: float, length: float) -> float:
+        """dL/dt of ``term`` at (t, L), for the ODE path."""
         # H lives on (0, inf) x (0, inf); trial stages poking L <= 0 are
         # domain exits, which the step controller treats as rejections.
         if length <= 0.0:
             raise HDomainError(f"nonpositive length {length:.3e}")
         modes = self.modes
         h_val = _h(
-            self.term,
+            term,
             length,
             lambda: modes.area(t, length),
             lambda: modes.inverse_curvature(t, length),
@@ -406,39 +434,82 @@ class _Problem:
         modes = self.modes
         return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
-    def scan(self, times: np.ndarray, lengths: np.ndarray):
-        """(min radius, area) at each time, each with the size its rounding
-        scales with: the mean plus the sum of |terms| of the grid sum, and
-        the circular part plus |E|.
-
-        The min radius is the grid minimum, ``support._min_radius``, unless the
-        bound exceeds singularity_eps by more than 2 * PRESCAN_SLACK times the
-        size at every time of the block: then it is that bound and the grid
-        product is skipped. The bound lies below the grid minimum up to
-        rounding far below 1e-12 of the size, so "min radius - eps <=
-        PRESCAN_SLACK * size" reads the same on both."""
+    def _block(self, times: np.ndarray) -> tuple:
+        # (key, factors or None, sums): per time the bound's sum, the size's
+        # sum and -E. Where the times are grid[lo:hi] bit for bit, as every
+        # block of the closed path is, the key is (lo, hi) and the sums are
+        # computed once per heat half; for other times, such as an ODE step's
+        # end, it is None. Sample time k is k * sample_interval, which gives
+        # lo. The factors come along where they were computed here.
+        lo = round(float(times[0]) / self.controls.sample_interval)
+        hi = lo + len(times)
+        on_grid = 0 <= lo and hi <= len(self.grid) and self.grid[lo:hi].tobytes() == times.tobytes()
+        key = (lo, hi) if on_grid else None
+        sums = self._block_sums.get(key)
+        if sums is not None:
+            return key, None, sums
         modes = self.modes
         factors = modes.factors(times)
-        mean = lengths / TWO_PI
-        rho_size = np.abs(mean) + self._rho_size @ factors
-        rho_min = mean - self._rho_amp @ factors
-        if not (rho_min - self.limits[0] > 2.0 * PRESCAN_SLACK * rho_size).all():
-            rho_min = _min_radius(mean, *modes.coeffs(factors))
         e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
+        sums = self._rho_amp @ factors, self._rho_size @ factors, e_val
+        if key is not None:
+            self._block_sums[key] = sums
+        return key, factors, sums
+
+    def scan(self, times: np.ndarray, lengths: np.ndarray):
+        """(bound on the min radius, its size, area, its size) at each time,
+        each with the size its rounding scales with: the mean plus the sum
+        of |terms| of the grid sum, and the circular part plus |E|. O(N) per
+        time."""
+        return self._scan(lengths, *self._block(times)[2])
+
+    @staticmethod
+    def _scan(lengths: np.ndarray, amp: np.ndarray, size: np.ndarray, e_val: np.ndarray) -> tuple:
+        mean = lengths / TWO_PI
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf: the float range is crossed
             circle = np.pi * mean * mean
-        return rho_min, rho_size, circle + e_val, circle - e_val
+        return mean - amp, np.abs(mean) + size, circle + e_val, circle - e_val
 
-    def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Check times where some threshold may be crossed: every one where
-        a scalar margin is <= 0, and possibly a few within PRESCAN_SLACK of
-        one."""
-        rho_min, rho_size, area, area_size = self.scan(times, lengths)
-        sizes = (rho_size, area_size, *[np.abs(lengths)] * 3)
+    def flags(self, times: np.ndarray, lengths: np.ndarray, width: int) -> tuple[np.ndarray, bool]:
+        """(flagged, gridded) at a prefix of the block's check times: flagged
+        marks every one where a scalar margin is <= 0, and possibly a few
+        within PRESCAN_SLACK of one.
+
+        The min radius is the bound while it exceeds singularity_eps by more
+        than 2 * PRESCAN_SLACK times its size. At the first time where it does
+        not, the prefix ends if some earlier time is flagged: the scalar test
+        reads those first. Otherwise one grid product gives the grid minimum,
+        as ``support._min_radius`` does, at ``width`` times that reach from
+        there as far as the block allows, and the prefix ends with the
+        product: gridded is True. The bound lies below the grid minimum up to
+        rounding far below 1e-12 of the size, so "min radius - eps <=
+        PRESCAN_SLACK * size" reads the same on both."""
+        key, factors, sums = self._block(times)
+        rho_min, rho_size, area, area_size = self._scan(lengths, *sums)
         flagged = np.zeros(len(times), dtype=bool)
-        for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes, strict=True):
+        margins = _margins(self.limits, rho_min, area, lengths)
+        for margin, size in zip(margins[1:], (area_size, *[np.abs(lengths)] * 3), strict=True):
             flagged |= margin <= PRESCAN_SLACK * size
-        return flagged
+        clear = margins[0] > 2.0 * PRESCAN_SLACK * rho_size  # and so not flagged
+        if clear.all():
+            return flagged, False
+        lo = int(np.argmin(clear))
+        if flagged[:lo].any():
+            return flagged[:lo], False
+        hi = min(lo + width, len(times))
+        lo = max(hi - width, 0)  # as wide as allowed, where the block ends first
+        part = None if key is None else (key[0] + lo, key[0] + hi)
+        deviation = self._deviation_mins.get(part)
+        if deviation is None:
+            modes = self.modes
+            deviation = _deviation_min(
+                *modes.coeffs(modes.factors(times[lo:hi]) if factors is None else factors[:, lo:hi])
+            )
+            if part is not None:
+                self._deviation_mins[part] = deviation
+        rho_min = lengths[lo:hi] / TWO_PI + deviation
+        flagged[lo:hi] |= rho_min - self.limits[0] <= PRESCAN_SLACK * rho_size[lo:hi]
+        return flagged[:hi], True
 
 
 def _locate(
@@ -449,13 +520,22 @@ def _locate(
 
     ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
     follow ``t_prev``; ``lengths`` holds L at each of them, an array or
-    ``_Lengths``. ``flags`` marks, per block of check times (SCAN_CHUNK,
-    then twice as many each block up to SCAN_BLOCK_CAP), every check time
-    where some kind may be crossed, from the block's slice of ``lengths``;
-    the scalar test runs on the flagged ones in order, calling ``path(t)``.
-    At the first where any kind is crossed, ``_narrow`` takes [previous
-    check time, it] down to EVENT_TIME_TOL. The event is the first kind
-    crossed at the upper end of that bracket.
+    ``_Lengths``. ``flags(times, lengths, width)``, given a block of check
+    times and its slice of ``lengths``, returns (flagged, gridded) for a
+    prefix of the block: flagged marks every check time where some kind may
+    be crossed, and gridded says a grid product ran, over at most ``width``
+    check times, which ends the prefix. The width is the block that the
+    doubling SCAN_CHUNK, 2 SCAN_CHUNK, ..., SCAN_BLOCK_CAP, SCAN_BLOCK_CAP,
+    ... gives the block's first check time, so no grid product spans more
+    check times than that doubling gives the check time it starts at. The
+    first block is SCAN_CHUNK check times. After a block that ran a grid
+    product, or ended before one, the next block is the width; after one
+    that cleared every check time it was given, the next runs to the end of
+    the SCAN_BLOCK_CAP check times ``_Lengths`` evaluates at once. The
+    scalar test runs on the flagged check times in order, calling
+    ``path(t)``. At the first where any kind is crossed, ``_narrow`` takes
+    [previous check time, it] down to EVENT_TIME_TOL. The event is the first
+    kind crossed at the upper end of that bracket.
     """
     known: dict[float, tuple] = {}
 
@@ -469,16 +549,21 @@ def _locate(
     def probe(t: float) -> tuple:
         return measure(t)[1]
 
-    lo, size = 0, SCAN_CHUNK
+    lo, size, edge, ask = 0, SCAN_CHUNK, SCAN_CHUNK, SCAN_CHUNK
     while lo < len(check_times):
-        for i in (lo + np.flatnonzero(flags(check_times[lo : lo + size], lengths[lo : lo + size]))).tolist():
+        flagged, gridded = flags(check_times[lo : lo + ask], lengths[lo : lo + ask], size)
+        for i in (lo + np.flatnonzero(flagged)).tolist():
             hi = float(check_times[i])
             if _crossed(probe(hi)):
                 t0, t1 = _narrow(probe, t_prev if i == 0 else float(check_times[i - 1]), hi)
                 fired = _crossed(probe(t1))
                 theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
                 return t0, measure(t0)[0], TerminationEvent(kind=fired[0], t=t1, theta=theta)
-        lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
+        lo += len(flagged)
+        while edge <= lo:  # the doubling's block that holds lo ends at edge and is size long
+            size = min(2 * size, SCAN_BLOCK_CAP)
+            edge += size
+        ask = size if gridded or len(flagged) < ask else SCAN_BLOCK_CAP - lo % SCAN_BLOCK_CAP
     return None
 
 
@@ -565,14 +650,12 @@ def integrate(
     L(t) comes from ``flows.closed_length`` where the length ODE is
     linear, as the one step (0, t_max), and from the DOPRI5 steps
     otherwise. The run records (t, L) pairs only and builds no
-    FlowState; see ``Trajectory``.
+    FlowState; see ``Trajectory``. It is the one-flow case of ``_Heat``,
+    whose heat half ``cli.sweep`` shares among the flows of an axis.
     """
     if controls is None:
         controls = IntegratorControls()
-    require_convex(spec0)
-    problem = _Problem(spec0, term, controls)
-    law = closed_length(spec0, term)
-    return _record(problem, _dopri_steps(problem) if law is None else iter([(0.0, controls.t_max, law)]))
+    return _Heat(spec0, controls).run(term)
 
 
 def _sample_times(controls: IntegratorControls) -> np.ndarray:
@@ -583,7 +666,7 @@ def _sample_times(controls: IntegratorControls) -> np.ndarray:
     return np.append(grid[grid < controls.t_max * (1.0 - TIME_RTOL)], controls.t_max)
 
 
-def _record(problem: _Problem, steps: Iterator) -> Trajectory:
+def _record(heat: _Heat, steps: Iterator) -> Trajectory:
     """States and event along L(t), given as steps (t0, t1, path): path(t)
     is L on [t0, t1] at a time or an array of times, until the next step
     is drawn. ``steps`` may return an event that ends the run.
@@ -594,8 +677,7 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
     locator's blocks and the kept states read L there from one
     ``_Lengths``. At a crossing the run keeps the states up to its lower
     end, then that end, if a later instant, with the L probed there."""
-    controls = problem.controls
-    grid = np.concatenate(([0.0], _sample_times(controls)))
+    controls, grid = heat.controls, heat.grid
     times, lengths, k = [], [], 0
     while True:
         try:
@@ -608,7 +690,7 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
         on_grid = j < len(grid) and abs(grid[j] - t1) <= TIME_RTOL * t1
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
         at_check = _Lengths(path, check)
-        found = _locate(problem.modes, problem.margins, path, t0, check, at_check, problem.flags)
+        found = _locate(heat.modes, heat.margins, path, t0, check, at_check, heat.flags)
         t_stop = t1 if found is None else found[0]
         kept = kept[kept <= t_stop]
         times += kept.tolist()
@@ -619,24 +701,24 @@ def _record(problem: _Problem, steps: Iterator) -> Trajectory:
                 times.append(t_stop)
                 lengths.append(length_stop)
             break
-    return Trajectory(problem.spec0, times, lengths, event)
+    return Trajectory(heat.spec0, times, lengths, event)
 
 
-def _dopri_steps(problem: _Problem) -> Iterator:
-    """The accepted DOPRI5 steps of the length ODE, as (t0, t1, path) for
-    ``_record``. The first is the point t = 0 itself, so that t = 0 is
-    checked before the first RHS call. Returns the domain-exit or
+def _dopri_steps(heat: _Heat, term: NonlocalTerm) -> Iterator:
+    """The accepted DOPRI5 steps of the length ODE of ``term``, as (t0, t1,
+    path) for ``_record``. The first is the point t = 0 itself, so that t = 0
+    is checked before the first RHS call. Returns the domain-exit or
     step-collapse event when the step size collapses before t_max."""
-    controls = problem.controls
+    controls, rhs = heat.controls, functools.partial(heat.rhs, term)
     t = 0.0
-    length = curve_length(problem.spec0)
+    length = curve_length(heat.spec0)
     yield t, t, lambda tau: length + 0.0 * tau  # L(0) at a time or an array of times
-    k1 = problem.rhs(t, length)
+    k1 = rhs(t, length)
     h = min(1e-3, controls.t_max)
     while controls.t_max - t > TIME_RTOL * controls.t_max:
         h = min(h, MAX_STEP, controls.t_max - t)
         try:
-            y5, err, k7, dense = _dopri_step(problem.rhs, t, length, h, k1)
+            y5, err, k7, dense = _dopri_step(rhs, t, length, h, k1)
         except HDomainError:
             y5 = None
         if y5 is None or not np.isfinite(y5):
@@ -668,7 +750,7 @@ def _dopri_steps(problem: _Problem) -> Iterator:
 
 
 def _json_num(x: float):
-    return float(x) if np.isfinite(x) else None
+    return float(x) if math.isfinite(x) else None
 
 
 def _curvatures(rho_min, rho_max) -> np.ndarray:
@@ -691,8 +773,13 @@ def ipd_column(traj: Trajectory) -> np.ndarray:
 
 
 def ipr_column(traj: Trajectory) -> np.ndarray:
-    """Isoperimetric ratio of every recorded state; inf at non-positive area."""
-    return np.array([isoperimetric_ratio(L, A) for L, A in zip(traj.L.tolist(), traj.A.tolist())])
+    """Isoperimetric ratio of every recorded state; inf at non-positive area.
+    Each value is ``support.isoperimetric_ratio``'s bit for bit: np.float_power
+    squares with libm pow, as a float's ** does, where np.square multiplies."""
+    length, area = traj.L, traj.A
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.float_power(length, 2.0) / (4.0 * np.pi * area)
+    return np.where(area > 0.0, ratio, np.inf)
 
 
 def _curvature_columns(traj: Trajectory) -> np.ndarray:

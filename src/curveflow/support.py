@@ -239,18 +239,19 @@ def validate_convexity(spec: SupportSpectrum) -> float:
     return radius_extrema(spec)[0]
 
 
-def _grid_min(mean, dev: np.ndarray):
-    # The radius of curvature's grid minimum from its _grid_deviation, the mean
-    # added after the minimum: the one place it is taken. The ufunc itself:
-    # ndarray.min adds a wrapper call per scalar probe.
-    return mean + np.minimum.reduce(dev, axis=0)
+def _deviation_min(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
+    """The grid minimum of ``_grid_deviation``: the radius of curvature's grid
+    minimum is the mean plus it, added after the minimum. Coefficient
+    vectors give one value; (modes x times) blocks give one per column."""
+    # The ufunc itself: ndarray.min adds a wrapper call per scalar probe.
+    return np.minimum.reduce(_grid_deviation(cos_coeffs, sin_coeffs), axis=0)
 
 
 def _min_radius(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
     """The min of ``_radius_range`` alone, for a reader that needs no max.
     Coefficient vectors give one value; (modes x times) blocks, with a mean
     per column, give one value per column."""
-    return _grid_min(mean, _grid_deviation(cos_coeffs, sin_coeffs))
+    return mean + _deviation_min(cos_coeffs, sin_coeffs)
 
 
 def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple:
@@ -259,12 +260,13 @@ def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple
     one pair; (modes x times) blocks, with a mean per column, give a pair of
     arrays, one value per column."""
     dev = _grid_deviation(cos_coeffs, sin_coeffs)
-    return _grid_min(mean, dev), mean + np.maximum.reduce(dev, axis=0)
+    return mean + np.minimum.reduce(dev, axis=0), mean + np.maximum.reduce(dev, axis=0)
 
 
 def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
     """(min, max) of the radius of curvature on the validation grid, as floats;
-    the singularity event reads the same ``_grid_min``, so the two agree bit for bit."""
+    the singularity event adds the mean after the same minimum of the deviation
+    (``_deviation_min``), so the two agree bit for bit."""
     rho_min, rho_max = _radius_range(spec.mean, spec.cos_coeffs, spec.sin_coeffs)
     return float(rho_min), float(rho_max)
 

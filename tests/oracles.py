@@ -146,15 +146,16 @@ def bisect_crossing(crossed, lo, hi, fired, tol):
     return lo, hi, fired
 
 
-def grid_flags(problem, times, lengths):
-    """``integrate._Problem.flags`` with the grid minimum of the radius of
-    curvature at every check time, never the curvature bound."""
+def grid_flags(heat, times, lengths, width=None):
+    """``integrate._Heat.flags`` with the grid minimum of the radius of
+    curvature at every check time of the block, never the curvature bound:
+    (flagged, True) for the whole block, whatever ``width``."""
     from curveflow.integrate import PRESCAN_SLACK, _margins
 
-    _, rho_size, area, area_size = problem.scan(times, lengths)
-    rho_min = problem.modes.radius_range(times, lengths)[0]
+    _, rho_size, area, area_size = heat.scan(times, lengths)
+    rho_min = heat.modes.radius_range(times, lengths)[0]
     sizes = (rho_size, area_size, *[np.abs(lengths)] * 3)
     flagged = np.zeros(len(times), dtype=bool)
-    for margin, size in zip(_margins(problem.limits, rho_min, area, lengths), sizes, strict=True):
+    for margin, size in zip(_margins(heat.limits, rho_min, area, lengths), sizes, strict=True):
         flagged |= margin <= PRESCAN_SLACK * size
-    return flagged
+    return flagged, True

@@ -315,6 +315,63 @@ class TestSweep:
         assert rows[1][10] == ""
         assert rows[2][10] == "H overflow at L=6.283e+00, A=2.953e+00"
 
+    # A pinching ellipse converges under most flows and pinches under H = L;
+    # powersum:0.3,0.5,0.25 has no closed law and runs its own DOPRI5 steps.
+    SHARED_FLOWS = "pan-yang;lin-tsai;ma-cheng;const:-1;powersum:1,1,0;powersum:2,-1,1;powersum:0.3,0.5,0.25"
+
+    @pytest.mark.parametrize(
+        "curve", ["mean = 1\ncos = 0.1, 0.2\nsin = 0, 0.05\n", "mean = 1\ncos = 0, 0.5\n"],
+        ids=["convex", "non-convex"],
+    )
+    def test_flows_axis_writes_the_rows_of_one_flow_sweeps(self, tmp_path, capsys, curve):
+        # The flows share one heat half; each row is the bytes of the same
+        # flow swept alone, which integrates it on a heat half of its own.
+        cfg = parse_config("flow = pan-yang\n" + curve + "t_max = 3\n")
+        assert sweep(cfg, "flows:" + self.SHARED_FLOWS, tmp_path, tmp_path / "all") == 0
+        want = []
+        for i, term in enumerate(self.SHARED_FLOWS.split(";")):
+            assert sweep(cfg, "flows:" + term, tmp_path, tmp_path / f"one{i}") == 0
+            header, row = (tmp_path / f"one{i}" / "sweep.csv").read_text().splitlines()
+            want += [header] * (i == 0) + [row]
+        text = (tmp_path / "all" / "sweep.csv").read_text()
+        assert text == "\n".join(want) + "\n"
+        errors = [row[10] for row in list(csv.reader(io.StringIO(text)))[1:]]
+        if curve.endswith("0.5\n"):
+            assert errors == ["curve fails convexity validation: min radius of curvature -5.000e-01"] * 7
+        else:
+            assert errors == [""] * 7 and ",singularity," in text  # H = L pinches
+
+    def test_heat_halves_per_axis_and_no_work_kept_between_commands(self, tmp_path, capsys, monkeypatch):
+        # One convexity gate per flows axis and one per scale value; the same
+        # command run twice does the same spectral work both times, so no heat
+        # half outlives its command.
+        import importlib
+
+        from curveflow.heat import _Modes
+
+        module = importlib.import_module("curveflow.integrate")
+        counts = {"gates": 0, "factors": 0}
+        gate, factors = module.require_convex, _Modes.factors
+
+        def counted_gate(spec):
+            counts["gates"] += 1
+            return gate(spec)
+
+        def counted_factors(modes, t):
+            counts["factors"] += 1
+            return factors(modes, t)
+
+        monkeypatch.setattr(module, "require_convex", counted_gate)
+        monkeypatch.setattr(_Modes, "factors", counted_factors)
+        cfg = parse_config("flow = powersum:1,1,0\nmean = 1\ncos = 0.1, 0.2\nsin = 0, 0.05\nt_max = 3\n")
+        work = []
+        for axis in ["flows:" + self.SHARED_FLOWS] * 2 + ["scale:0.5,1.0,1.5"]:
+            counts.update(gates=0, factors=0)
+            assert sweep(cfg, axis, tmp_path, tmp_path / "out") == 0
+            work.append(dict(counts))
+        assert work[0] == work[1] and work[0]["factors"] > 0
+        assert [w["gates"] for w in work] == [1, 1, 3]
+
     def test_empty_axis_rejected(self, tmp_path, capsys):
         cfg = parse_config(MINIMAL)
         assert sweep(cfg, "flows:", tmp_path) == 2

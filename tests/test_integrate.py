@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -214,10 +215,10 @@ class TestThresholdEvents:
         # dL/dt jumps from 0 to 1e12 at t = 0.5: every step across the jump
         # fails the error test, however short, so the step size collapses
         # at the last accepted time, just below 0.5.
-        from curveflow.integrate import MIN_STEP, _dopri_steps, _Problem
+        from curveflow.integrate import MIN_STEP, _dopri_steps, _Heat
 
-        monkeypatch.setattr(_Problem, "rhs", lambda self, t, length: 0.0 if t < 0.5 else 1e12)
-        steps = _dopri_steps(_Problem(GALLERY_ELLIPSE, GENERAL_POWERSUM, IntegratorControls(t_max=2.0)))
+        monkeypatch.setattr(_Heat, "rhs", lambda self, term, t, length: 0.0 if t < 0.5 else 1e12)
+        steps = _dopri_steps(_Heat(GALLERY_ELLIPSE, IntegratorControls(t_max=2.0)), GENERAL_POWERSUM)
         last = None
         with pytest.raises(StopIteration) as stop:
             while True:
@@ -457,18 +458,18 @@ class TestLeanPath:
         assert len(rows) == 6 and all(row.endswith(",") for row in rows)  # no row failed
 
     def test_scalar_rhs_is_length_rate_bit_for_bit(self):
-        from curveflow.integrate import _Problem
+        from curveflow.integrate import _Heat
 
         spec0 = SupportSpectrum(
             mean=1.3, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0]
         )
         terms = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), H_EQUALS_L,
                  PowerSum(terms=((0.3, 0.5, 0.25), (2.0, -1.0, 1.0)))]
+        heat = _Heat(spec0, IntegratorControls())
         for term in terms:
-            problem = _Problem(spec0, term, IntegratorControls())
             for t, length in [(0.0, TWO_PI * 1.3), (0.37, 7.1), (2.5, 123.456), (9.0, 1e5)]:
                 reference = length_rate(term, flow_state(spec0, t, length))
-                assert problem.rhs(t, length) == reference
+                assert heat.rhs(term, t, length) == reference
 
     @pytest.mark.parametrize("c", [-1.0, 0.5, 2.0])
     def test_powersum_constant_is_const_bit_for_bit(self, c):
@@ -487,10 +488,27 @@ class TestLeanPath:
             assert sa.L == pytest.approx(sb.L, rel=1e-10)
 
 
-def _every_check_time(times, lengths):
-    """A pre-scan that flags every check time: _locate then runs the
-    scalar test on each check time in turn."""
-    return np.ones(len(times), dtype=bool)
+def _every_check_time(times, lengths, width):
+    """A pre-scan that flags every check time of a block: _locate then runs
+    the scalar test on each check time in turn."""
+    return np.ones(len(times), dtype=bool), True
+
+
+def _gated(spec0: SupportSpectrum) -> SupportSpectrum:
+    """spec0 with a mean that passes the convexity gate of ``_Heat``, for
+    tests of what it reads at a given (t, L): the modes, not the mean."""
+    n = np.arange(1, spec0.truncation + 1)
+    return dataclasses.replace(spec0, mean=1.0 + np.sum(n * n * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))))
+
+
+def _flags_in_turn(heat, times, lengths):
+    """``heat.flags`` over every check time, one prefix after another as
+    ``_locate`` reads them, joined."""
+    parts, lo = [], 0
+    while lo < len(times):
+        parts.append(heat.flags(times[lo:], lengths[lo:], len(times))[0])
+        lo += len(parts[-1])
+    return np.concatenate(parts)
 
 
 def _bisection(probe, lo, hi):
@@ -565,17 +583,17 @@ class TestEventLocation:
     within the bisection's probe count plus one, priority on ties."""
 
     def record_probes(self, monkeypatch):
-        from curveflow.integrate import _crossed, _Problem
+        from curveflow.integrate import _crossed, _Heat
 
         probes = []
-        real = _Problem.margins
+        real = _Heat.margins
 
         def recording(self, t, length):
             margins = real(self, t, length)
             probes.append((t, _crossed(margins)))
             return margins
 
-        monkeypatch.setattr(_Problem, "margins", recording)
+        monkeypatch.setattr(_Heat, "margins", recording)
         return probes
 
     def test_two_thresholds_at_one_check_point_take_one_bisection(self, monkeypatch):
@@ -615,39 +633,40 @@ class TestEventLocation:
         assert len(traj.states) == 1
 
     def test_closed_path_checks_t_zero_in_the_first_block(self, monkeypatch):
-        from curveflow.integrate import _Problem, _sample_times
+        from curveflow.integrate import _Heat, _sample_times
 
         blocks = []
-        real = _Problem.flags
+        real = _Heat.flags
 
-        def counting(self, times, lengths):
+        def counting(self, times, lengths, width):
             blocks.append((float(times[0]), len(times)))
-            return real(self, times, lengths)
+            return real(self, times, lengths, width)
 
-        monkeypatch.setattr(_Problem, "flags", counting)
+        monkeypatch.setattr(_Heat, "flags", counting)
         controls = IntegratorControls(t_max=5.0)
         assert integrate(ELLIPSEISH, PanYang(), controls).event.kind == "reached-horizon"
-        # 101 check times in blocks of 32, 64 and 5; a separate check at
-        # t = 0 would make a block of 1 first.
+        # 101 check times in blocks of 32 and 69: the curvature bound clears
+        # the first, so the second runs to the end; a separate check at t = 0
+        # would make a block of 1 first.
         assert 1 + len(_sample_times(controls)) == 101
         assert blocks[0][0] == 0.0
-        assert [size for _, size in blocks] == [SCAN_CHUNK, 2 * SCAN_CHUNK, 5]
+        assert [size for _, size in blocks] == [32, 69]
 
     def test_a_margin_inside_the_slack_costs_one_scan(self, monkeypatch):
         # The circle's radius of curvature is 1, so singularity_eps = 1 - 5e-11
         # leaves a margin within PRESCAN_SLACK of its size at every check time:
         # all 201 are flagged and none is crossed. Each is tested once, in one
         # pass over blocks of 32, 64 and 105.
-        from curveflow.integrate import _Problem, _sample_times
+        from curveflow.integrate import _Heat, _sample_times
 
         blocks = []
-        real = _Problem.flags
+        real = _Heat.flags
 
-        def counting(self, times, lengths):
+        def counting(self, times, lengths, width):
             blocks.append(len(times))
-            return real(self, times, lengths)
+            return real(self, times, lengths, width)
 
-        monkeypatch.setattr(_Problem, "flags", counting)
+        monkeypatch.setattr(_Heat, "flags", counting)
         controls = IntegratorControls(t_max=10.0, singularity_eps=1.0 - 5e-11)
         traj = integrate(CIRCLE, PanYang(), controls)
         assert traj.event == TerminationEvent(kind="reached-horizon", t=10.0)
@@ -832,12 +851,12 @@ class TestEventLocation:
         assert radius_extrema(state.spectrum)[0] == _Modes(spec0).radius_range(t, length)[0]
         assert radius_extrema(state.spectrum) == _Modes(spec0).radius_range(t, length)
         # The locator's scalar test reads the same minimum and area, bit for bit.
-        from curveflow.integrate import _margins, _Problem
+        from curveflow.integrate import _Heat, _margins
 
         controls = IntegratorControls()
         limits = (controls.singularity_eps, controls.area_vanish, controls.length_vanish, controls.length_blowup)
         want = _margins(limits, radius_extrema(state.spectrum)[0], state.A, length)
-        assert _Problem(spec0, H_EQUALS_L, controls).margins(t, length) == want
+        assert _Heat(_gated(spec0), controls).margins(t, length) == want
 
 
 def _rotated_ellipse(phi: float) -> SupportSpectrum:
@@ -1011,16 +1030,16 @@ class TestClosedLength:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_ode_on_the_same_term(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
         rng = np.random.default_rng(seed)
         for term in _family(rng):
             spec0 = _random_convex(rng, int(rng.integers(2, 8)))
-            problem = _Problem(spec0, term, self.CONTROLS)
+            heat = _Heat(spec0, self.CONTROLS)
             law = closed_length(spec0, term)
             assert law is not None
-            ode = _record(problem, _dopri_steps(problem))
-            closed = _record(problem, iter([(0.0, self.CONTROLS.t_max, law)]))
+            ode = _record(heat, _dopri_steps(heat, term))
+            closed = _record(heat, iter([(0.0, self.CONTROLS.t_max, law)]))
             assert closed.event.kind == ode.event.kind
             assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
             at = {s.t: s.L for s in ode.states}
@@ -1032,16 +1051,16 @@ class TestClosedLength:
     def test_vanishing_length(self):
         # H = 2: L = 4 pi - 2 pi e^t reaches zero at t = ln 2.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
         controls = IntegratorControls(
             t_max=5.0, length_vanish=1e-3, area_vanish=1e-30, singularity_eps=1e-16,
             rel_tol=1e-11, abs_tol=1e-14,
         )
-        problem = _Problem(CIRCLE, Constant(c=2.0), controls)
+        heat = _Heat(CIRCLE, controls)
         law = closed_length(CIRCLE, Constant(c=2.0))
-        ode = _record(problem, _dopri_steps(problem))
-        closed = _record(problem, iter([(0.0, controls.t_max, law)]))
+        ode = _record(heat, _dopri_steps(heat, Constant(c=2.0)))
+        closed = _record(heat, iter([(0.0, controls.t_max, law)]))
         assert closed.event.kind == ode.event.kind == "length-vanish"
         want = np.log(2.0 - 1e-3 / TWO_PI)
         assert closed.event.t == pytest.approx(want, abs=1e-9)
@@ -1052,13 +1071,13 @@ class TestClosedLength:
         # kappa = 16 pi: L reaches the float range, MAX_LENGTH, long before the
         # blow-up threshold 1e300; past it A = L^2/(4 pi) and the ODE's H = 2A/L - 4L overflow.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
         term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
         controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
-        problem = _Problem(ELLIPSEISH, term, controls)
-        closed = _record(problem, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
-        ode = _record(problem, _dopri_steps(problem))
+        heat = _Heat(ELLIPSEISH, controls)
+        closed = _record(heat, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
+        ode = _record(heat, _dopri_steps(heat, term))
         assert closed.event.kind == ode.event.kind == "h-domain-exit"
         assert np.isfinite(closed.states[-1].A) and closed.states[-1].L > 1e150
         assert abs(closed.event.t - ode.event.t) <= controls.sample_interval
@@ -1070,13 +1089,13 @@ class TestClosedLength:
         # The case above: both paths end where L reaches MAX_LENGTH, so their
         # events differ by the ODE's error, not by a sample interval.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
         term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
         controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
-        problem = _Problem(ELLIPSEISH, term, controls)
-        closed = _record(problem, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
-        ode = _record(problem, _dopri_steps(problem))
+        heat = _Heat(ELLIPSEISH, controls)
+        closed = _record(heat, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
+        ode = _record(heat, _dopri_steps(heat, term))
         assert closed.event.kind == ode.event.kind == "h-domain-exit"
         assert abs(closed.event.t - ode.event.t) <= 1e-4
         for traj in (closed, ode):
@@ -1091,10 +1110,10 @@ class TestClosedLength:
         "singularity at t = 37.43, and past t ~ 709 L is inf * 0 = NaN",
     )
     def test_a_circle_at_an_unstable_fixed_point_stays_there(self):
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
-        problem = _Problem(CIRCLE, Constant(c=1.0), IntegratorControls())
-        ode = _record(problem, _dopri_steps(problem))
+        heat = _Heat(CIRCLE, IntegratorControls())
+        ode = _record(heat, _dopri_steps(heat, Constant(c=1.0)))
         assert ode.event.kind == "reached-horizon" and np.all(ode.L == TWO_PI)
         closed = integrate(CIRCLE, Constant(c=1.0))
         assert closed.event.kind == "reached-horizon"
@@ -1171,13 +1190,13 @@ class TestClosedLength:
         # z = L^r reaches zero and the closed form reads L = +inf.
         from curveflow import parse_flow_term
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
-        problem = _Problem(CIRCLE, parse_flow_term(term), controls)
-        law = closed_length(CIRCLE, problem.term)
+        heat = _Heat(CIRCLE, controls)
+        law = closed_length(CIRCLE, parse_flow_term(term))
         assert law is not None
-        closed = _record(problem, iter([(0.0, controls.t_max, law)]))
-        ode = _record(problem, _dopri_steps(problem))
+        closed = _record(heat, iter([(0.0, controls.t_max, law)]))
+        ode = _record(heat, _dopri_steps(heat, parse_flow_term(term)))
         assert closed.event.kind == ode.event.kind == kind
         assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
 
@@ -1188,7 +1207,7 @@ class TestClosedLength:
         # below a float's spacing there: every threshold crosses inside the
         # last bracket, and the priority rule picks the singularity.
         from curveflow.flows import closed_length
-        from curveflow.integrate import EVENT_TIME_TOL, _crossed, _Problem
+        from curveflow.integrate import EVENT_TIME_TOL, _crossed, _Heat
 
         term = PowerSum(terms=((1000.0, -3.0, 0.0),))
         assert closed_length(CIRCLE, term) is not None
@@ -1199,23 +1218,23 @@ class TestClosedLength:
         assert abs(traj.event.t - t_star) <= EVENT_TIME_TOL
         t_before = float(traj.t[-1])
         assert t_before < t_star <= traj.event.t <= t_before + EVENT_TIME_TOL
-        problem = _Problem(CIRCLE, term, IntegratorControls())
+        heat = _Heat(CIRCLE, IntegratorControls())
         law = closed_length(CIRCLE, term)
-        assert not _crossed(problem.margins(t_before, law(t_before)))
-        assert _crossed(problem.margins(traj.event.t, law(traj.event.t)))[0] == "singularity"
+        assert not _crossed(heat.margins(t_before, law(t_before)))
+        assert _crossed(heat.margins(traj.event.t, law(traj.event.t)))[0] == "singularity"
 
     @pytest.mark.parametrize("p", [0.9999999, 1.0000001])
     def test_power_near_zero_keeps_its_accuracy(self, p):
         # H = 0.1 L^p has r = 1 - p = +-1e-7: raising z/z0 to the power 1/r
         # would magnify its rounding by 1e7 (a gap of about 2e-9 here).
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
         controls = IntegratorControls(t_max=5.0, rel_tol=1e-12, abs_tol=1e-15)
         term = PowerSum(terms=((0.1, p, 0.0),))
-        problem = _Problem(GALLERY_ELLIPSE, term, controls)
-        closed = _record(problem, iter([(0.0, controls.t_max, closed_length(GALLERY_ELLIPSE, term))]))
-        ode = _record(problem, _dopri_steps(problem))
+        heat = _Heat(GALLERY_ELLIPSE, controls)
+        closed = _record(heat, iter([(0.0, controls.t_max, closed_length(GALLERY_ELLIPSE, term))]))
+        ode = _record(heat, _dopri_steps(heat, term))
         assert closed.event == ode.event and np.array_equal(closed.t, ode.t)
         assert np.max(np.abs(closed.L / ode.L - 1.0)) <= 2e-12
 
@@ -1292,13 +1311,13 @@ class TestPrescan:
     def test_float_range_alone_flags_a_check_time(self):
         # L = 1e154 crosses only the float range: the area, the radius and the
         # length thresholds are all clear there.
-        from curveflow.integrate import _crossed, _Problem
+        from curveflow.integrate import _crossed, _Heat
 
-        problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(length_blowup=1e300))
+        heat = _Heat(ELLIPSEISH, IntegratorControls(length_blowup=1e300))
         times, lengths = np.array([0.0, 0.5]), np.array([TWO_PI, 1e154])
-        assert _crossed(problem.margins(0.5, 1e154)) == ["h-domain-exit"]
-        assert problem.flags(times, lengths).tolist() == [False, True]
-        assert oracles.grid_flags(problem, times, lengths).tolist() == [False, True]
+        assert _crossed(heat.margins(0.5, 1e154)) == ["h-domain-exit"]
+        assert heat.flags(times, lengths, 2)[0].tolist() == [False, True]
+        assert oracles.grid_flags(heat, times, lengths)[0].tolist() == [False, True]
 
     def test_margins_agree_between_scalar_and_array_forms(self):
         from curveflow.integrate import _margins
@@ -1313,23 +1332,23 @@ class TestPrescan:
     @pytest.mark.parametrize("seed", range(8))
     def test_flags_cover_every_scalar_crossing(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _crossed, _Problem
+        from curveflow.integrate import _crossed, _Heat
 
         rng = np.random.default_rng(seed)
         spec0 = _random_convex(rng, int(rng.integers(2, 64)))
         controls = IntegratorControls(t_max=5.0, singularity_eps=rng.uniform(0.01, 0.5), area_vanish=0.5)
-        problem = _Problem(spec0, H_EQUALS_L, controls)
+        heat = _Heat(spec0, controls)
         law = closed_length(spec0, H_EQUALS_L)
         times = np.linspace(0.0, 1.5, 301)
-        flags = problem.flags(times, law(times))
-        scalar = np.array([bool(_crossed(problem.margins(t, law(t)))) for t in times.tolist()])
+        flags = _flags_in_turn(heat, times, law(times))
+        scalar = np.array([bool(_crossed(heat.margins(t, law(t)))) for t in times.tolist()])
         assert scalar.any() and not scalar.all()
         assert np.all(flags[scalar])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_events_as_a_scalar_scan(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _locate, _Problem
+        from curveflow.integrate import _Heat, _locate
 
         rng = np.random.default_rng(100 + seed)
         spec0 = _random_convex(rng, int(rng.integers(2, 64)))
@@ -1341,12 +1360,12 @@ class TestPrescan:
             length_vanish=rng.uniform(1e-12, 0.1),
             length_blowup=rng.uniform(20.0, 1e3),
         )
-        problem = _Problem(spec0, term, controls)
+        heat = _Heat(spec0, controls)
         law = closed_length(spec0, term)
         times = np.linspace(0.0, 10.0, 1001)
         lengths = law(times)
-        scalar = _locate(problem.modes, problem.margins, law, 0.0, times, lengths, _every_check_time)
-        assert _locate(problem.modes, problem.margins, law, 0.0, times, lengths, problem.flags) == scalar
+        scalar = _locate(heat.modes, heat.margins, law, 0.0, times, lengths, _every_check_time)
+        assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) == scalar
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1387,26 +1406,75 @@ class TestPrescan:
 
         monkeypatch.setattr(ClosedLength, "__call__", counted)
         traj = integrate(GALLERY_ELLIPSE, PanYang(), IntegratorControls(t_max=10.0))
-        # Blocks of 32, 64 and 105 check times and the kept states all read one pass.
+        # Blocks of 32 and 169 check times and the kept states all read one pass.
         assert arrays == [201] and len(traj.t) == 201
         assert np.array_equal(traj.L, evaluate(law, traj.t))
+
+    @pytest.mark.parametrize("t_star", [0.3, 0.8, 1.5, 2.4])
+    def test_a_late_pinch_runs_no_grid_product_wider_than_the_doubling(self, monkeypatch, t_star):
+        # Under H = L, u = m + a cos 2(theta - phi) + small modes up to n = 64
+        # has rho_min = m e^{(1 - 2 pi) t} - 3a e^{-3t} once they have decayed,
+        # which a puts at t_star: past the first block of 32 check times,
+        # which the curvature bound clears. Each grid product may span at most
+        # the block that the doubling 32, 64, 128, 256, 256, ... gives the
+        # check time it starts at, as at the parent, however the blocks fall.
+        from curveflow.integrate import SCAN_BLOCK_CAP, _Heat
+
+        def doubling(column: int) -> int:
+            lo, size = 0, SCAN_CHUNK
+            while lo + size <= column:
+                lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
+            return size
+
+        rng = np.random.default_rng(64)
+        n = np.arange(1, 65)
+        cos, sin = (rng.uniform(-1.0, 1.0, 64) * 1e-4 / n**4 for _ in range(2))
+        a, phi = np.exp(-(TWO_PI - 4.0) * t_star) / 3.0, 0.37 * TWO_PI / 512
+        cos[1], sin[1] = a * np.cos(2.0 * phi), a * np.sin(2.0 * phi)
+        spec0 = SupportSpectrum(mean=1.0, cos_coeffs=cos, sin_coeffs=sin)
+        controls = IntegratorControls(t_max=3.0, sample_interval=0.005)
+        support = importlib.import_module("curveflow.support")
+        widths, products = [], []
+        grid_deviation, flags = support._grid_deviation, _Heat.flags
+
+        def counted_grid_deviation(cos_coeffs, sin_coeffs):
+            if cos_coeffs.ndim == 2:
+                widths.append(cos_coeffs.shape[1])
+            return grid_deviation(cos_coeffs, sin_coeffs)
+
+        def located(heat, times, lengths, width):
+            del widths[:]
+            flagged, gridded = flags(heat, times, lengths, width)
+            assert len(widths) == gridded
+            if gridded:  # the product ends the prefix the block decided
+                start = round(float(times[0]) / controls.sample_interval) + len(flagged) - widths[0]
+                products.append((start, widths[0]))
+            return flagged, gridded
+
+        monkeypatch.setattr(support, "_grid_deviation", counted_grid_deviation)
+        monkeypatch.setattr(_Heat, "flags", located)
+        traj = integrate(spec0, H_EQUALS_L, controls)
+        assert traj.event.kind == "singularity"
+        assert traj.event.t == pytest.approx(t_star, abs=0.01)
+        assert products and products[0][0] >= SCAN_CHUNK
+        assert all(width <= doubling(start) for start, width in products), products
 
     def test_peak_allocation_does_not_grow_with_check_times(self):
         import tracemalloc
 
         from curveflow.flows import closed_length
-        from curveflow.integrate import _locate, _Problem
+        from curveflow.integrate import _Heat, _locate
 
         rng = np.random.default_rng(7)
         spec0 = _random_convex(rng, 64)
-        problem = _Problem(spec0, PanYang(), IntegratorControls())
+        heat = _Heat(spec0, IntegratorControls())
         law = closed_length(spec0, PanYang())
         peaks = []
         for count in (2_000, 20_000):
             times = np.linspace(0.0, 1.0, count)
             lengths = law(times)
             tracemalloc.start()
-            assert _locate(problem.modes, problem.margins, law, 0.0, times, lengths, problem.flags) is None
+            assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) is None
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
@@ -1421,19 +1489,19 @@ class TestPrescan:
     ):
         # rho = 1 - 0.6 e^{-3t} cos 2 theta under pan-yang: the bound
         # 1 - 0.6 e^{-3t} is the minimum itself, 0.4 at t = 0 on a grid node.
-        from curveflow.integrate import _Problem
+        from curveflow.integrate import _Heat
 
+        heat = _Heat(ELLIPSEISH, IntegratorControls(singularity_eps=eps))
         support = importlib.import_module("curveflow.support")
         calls = []
         real = support._grid_deviation
         monkeypatch.setattr(support, "_grid_deviation", lambda a, b: calls.append(a.shape) or real(a, b))
         times = np.linspace(0.0, 1.0, 32)
         lengths = np.full(32, TWO_PI)
-        problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(singularity_eps=eps))
-        flags = problem.flags(times, lengths)
-        assert len(calls) == grid_products
+        flags, gridded = heat.flags(times, lengths, 32)
+        assert len(calls) == grid_products and gridded == bool(grid_products)
         assert np.count_nonzero(flags) == flagged
-        assert np.array_equal(flags, oracles.grid_flags(problem, times, lengths))
+        assert np.array_equal(flags, oracles.grid_flags(heat, times, lengths)[0])
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1449,7 +1517,7 @@ class TestPrescan:
         # and that minimum for many curves: blocks run the grid product
         # without a flag.
         from curveflow import radius_extrema
-        from curveflow.integrate import _crossed, _Problem, record_rows
+        from curveflow.integrate import _crossed, _Heat, record_rows
 
         rng = np.random.default_rng(seed)
         if pinch:
@@ -1463,21 +1531,23 @@ class TestPrescan:
             "const": Constant(c=rng.uniform(-2.0, 1.0)), "H = L": H_EQUALS_L, "general": GENERAL_POWERSUM,
         }[term]
         controls = IntegratorControls(t_max=5.0, singularity_eps=eps)
-        real = _Problem.flags
+        real = _Heat.flags
 
-        def checked(problem, times, lengths):
-            flags = real(problem, times, lengths)
-            assert np.array_equal(flags, oracles.grid_flags(problem, times, lengths))
+        def checked(heat, times, lengths, width):
+            flags, gridded = real(heat, times, lengths, width)
+            count = len(flags)  # the prefix the block decided
+            assert np.array_equal(flags, oracles.grid_flags(heat, times, lengths)[0][:count])
             # The locator tests only flagged check times: every crossed one must be.
-            crossed = [bool(_crossed(problem.margins(t, L))) for t, L in zip(times.tolist(), lengths.tolist())]
+            pairs = zip(times[:count].tolist(), lengths[:count].tolist())
+            crossed = [bool(_crossed(heat.margins(t, L))) for t, L in pairs]
             assert np.all(flags[crossed])
-            return flags
+            return flags, gridded
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Problem, "flags", checked)
+            patch.setattr(_Heat, "flags", checked)
             traj = integrate(spec0, term, controls)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_Problem, "flags", oracles.grid_flags)
+            patch.setattr(_Heat, "flags", oracles.grid_flags)
             reference = integrate(spec0, term, controls)
         assert traj.event == reference.event
         for name in ("t", "L", "A"):
@@ -1486,14 +1556,11 @@ class TestPrescan:
 
     @staticmethod
     def curvature_bound(spec0: SupportSpectrum, t: float) -> tuple[float, float]:
-        """(the bound ``_Problem.scan`` reads at t, its size): with
-        singularity_eps = -inf every block clears, so the scan returns the
-        bound itself."""
-        from curveflow.integrate import _Problem
+        """(the bound ``_Heat.scan`` reads at t, its size)."""
+        from curveflow.integrate import _Heat
 
-        problem = _Problem(spec0, PanYang(), IntegratorControls())
-        problem.limits = (-np.inf, *problem.limits[1:])
-        lower, size = problem.scan(np.array([t]), np.array([TWO_PI * spec0.mean]))[:2]
+        heat = _Heat(_gated(spec0), IntegratorControls())
+        lower, size = heat.scan(np.array([t]), np.array([TWO_PI * spec0.mean]))[:2]
         return float(lower[0]), float(size[0])
 
     @given(
@@ -1556,19 +1623,21 @@ class TestPrescan:
     @settings(max_examples=60, deadline=None)
     def test_grid_scan_lies_within_a_hair_of_the_scalar_test(self, seed, n, count):
         # The premise of PRESCAN_SLACK: the block sums and the scalar test's
-        # sums differ by rounding far below 1e-12 of the sizes. A threshold
-        # no bound clears forces the grid product.
-        from curveflow.integrate import _Problem
+        # sums differ by rounding far below 1e-12 of the sizes. The block's
+        # grid minimum, as the flags read it where the bound does not clear,
+        # is the mean plus the minimum of one block product.
+        from curveflow.integrate import _Heat
 
         rng = np.random.default_rng(seed)
         spec0 = _random_convex(rng, n)
-        problem = _Problem(spec0, PanYang(), IntegratorControls(singularity_eps=1e300))
+        heat = _Heat(spec0, IntegratorControls())
         times = np.sort(rng.uniform(0.0, 5.0, count))
         lengths = TWO_PI * spec0.mean * rng.uniform(0.5, 2.0, count)
-        rho_min, rho_size, area, area_size = problem.scan(times, lengths)
+        _, rho_size, area, area_size = heat.scan(times, lengths)
+        rho_min = heat.modes.radius_range(times, lengths)[0]
         for i, (t, length) in enumerate(zip(times.tolist(), lengths.tolist())):
-            assert abs(rho_min[i] - problem.modes.min_radius(t, length)) <= 1e-12 * rho_size[i]
-            assert abs(area[i] - problem.modes.area(t, length)) <= 1e-12 * area_size[i]
+            assert abs(rho_min[i] - heat.modes.min_radius(t, length)) <= 1e-12 * rho_size[i]
+            assert abs(area[i] - heat.modes.area(t, length)) <= 1e-12 * area_size[i]
 
 
 COLUMN_TERMS = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), Constant(c=0.5), H_EQUALS_L, GENERAL_POWERSUM]
@@ -1576,6 +1645,25 @@ COLUMN_TERMS = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), Constant(c=0.
 
 class TestColumns:
     """Each column against the per-state route it replaces."""
+
+    def test_ipr_column_is_the_scalar_ratio_bit_for_bit(self):
+        # Lengths up to MAX_LENGTH; areas near L^2/(4 pi), zero, negative and
+        # so small that the ratio overflows to inf.
+        from types import SimpleNamespace
+
+        from curveflow.integrate import ipr_column
+
+        rng = np.random.default_rng(24)
+        count = 200_000
+        length = 10.0 ** rng.uniform(-12.0, np.log10(MAX_LENGTH), count)
+        area = length**2 / (4.0 * np.pi) * rng.uniform(-0.2, 1.0, count)
+        area[::2] = 10.0 ** rng.uniform(-320.0, 300.0, count // 2)
+        area[::7] *= -1.0
+        area[::11] = 0.0
+        got = ipr_column(SimpleNamespace(L=length, A=area))
+        want = np.array([isoperimetric_ratio(L, A) for L, A in zip(length.tolist(), area.tolist())])
+        assert np.count_nonzero(area <= 0.0) > count // 10 and np.isinf(want).sum() > count // 5
+        assert got.tobytes() == want.tobytes()
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1585,14 +1673,14 @@ class TestColumns:
     @settings(max_examples=40, deadline=None)
     def test_columns_match_the_states(self, seed, n, term):
         from curveflow import evaluate_h, ipd_decay_ratio, isoperimetric_deficit
-        from curveflow.integrate import SCAN_BLOCK_CAP, _Problem, h_column, ipd_column, ipr_column, record_rows
+        from curveflow.integrate import SCAN_BLOCK_CAP, _Heat, h_column, ipd_column, ipr_column, record_rows
 
         spec0 = _random_convex(np.random.default_rng(seed), n)
         traj = integrate(spec0, term, IntegratorControls(t_max=2.0, sample_interval=0.007))
         assert len(traj.t) > SCAN_BLOCK_CAP or traj.event.kind != "reached-horizon"  # spans several blocks
         rows, h_values = record_rows(traj), h_column(traj, term)
         ipd, ipr = ipd_column(traj), ipr_column(traj)
-        sizes = _Problem(spec0, term, IntegratorControls(singularity_eps=CONVEXITY_EPS)).scan(traj.t, traj.L)[1]
+        sizes = _Heat(spec0, IntegratorControls()).scan(traj.t, traj.L)[1]
         for i, state in enumerate(traj.states):
             assert state == flow_state(spec0, float(traj.t[i]), float(traj.L[i]))
             assert state.A == traj.A[i]
@@ -1645,7 +1733,7 @@ class TestFuzz:
     ):
         from curveflow import parse_flow_term
         from curveflow.flows import closed_length
-        from curveflow.integrate import _EVENT_PRIORITY, _crossed, _Problem
+        from curveflow.integrate import _EVENT_PRIORITY, _crossed, _Heat
 
         spec0 = _random_convex(np.random.default_rng(seed), n)
         term = parse_flow_term(flow) if isinstance(flow, str) else flow
@@ -1663,7 +1751,7 @@ class TestFuzz:
         assert np.all(np.isfinite(traj.L)) and np.all(np.isfinite(traj.A))
         law = closed_length(spec0, term)
         if law is not None and event.kind in _EVENT_PRIORITY:
-            margins = _Problem(spec0, term, controls).margins(event.t, law(event.t))
+            margins = _Heat(spec0, controls).margins(event.t, law(event.t))
             assert _crossed(margins)[0] == event.kind
 
 
@@ -1695,20 +1783,20 @@ class TestSameInstant:
     def test_a_step_end_within_ulps_of_a_sample_time_is_that_sample(self, ulps):
         # Near t = 2e4 an ulp of t is 3.6e-12; the last step ends on t_max,
         # itself a sample time.
-        from curveflow.integrate import _Problem, _record
+        from curveflow.integrate import _Heat, _record
 
         controls = IntegratorControls(t_max=20000.0, sample_interval=2500.0)
-        problem = _Problem(CIRCLE, PanYang(), controls)
+        heat = _Heat(CIRCLE, controls)
         near = 17500.0 + ulps * float(np.spacing(17500.0))
         steps = [(0.0, 0.0), (0.0, near), (near, controls.t_max)]
-        traj = _record(problem, iter([(t0, t1, lambda t: TWO_PI + 0.0 * t) for t0, t1 in steps]))
+        traj = _record(heat, iter([(t0, t1, lambda t: TWO_PI + 0.0 * t) for t0, t1 in steps]))
         assert traj.t.tolist() == [2500.0 * k for k in range(7)] + [near, 20000.0]
         assert traj.event == TerminationEvent(kind="reached-horizon", t=20000.0)
 
     def test_both_paths_record_zero_and_a_tiny_t_max(self):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Problem, _record
+        from curveflow.integrate import _dopri_steps, _Heat, _record
 
-        problem = _Problem(ELLIPSEISH, PanYang(), IntegratorControls(t_max=1e-14))
-        for steps in (_dopri_steps(problem), iter([(0.0, 1e-14, closed_length(ELLIPSEISH, PanYang()))])):
-            assert _record(problem, steps).t.tolist() == [0.0, 1e-14]
+        heat = _Heat(ELLIPSEISH, IntegratorControls(t_max=1e-14))
+        for steps in (_dopri_steps(heat, PanYang()), iter([(0.0, 1e-14, closed_length(ELLIPSEISH, PanYang()))])):
+            assert _record(heat, steps).t.tolist() == [0.0, 1e-14]

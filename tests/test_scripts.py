@@ -77,23 +77,25 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
         wrapped = (
-            digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
+            digest.HEAT.margins, digest.HEAT.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
         )
         assert digest.main() == 0
         out = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("runs 2 sha256") for line in out)
+        total = next(line for line in out if line.startswith("runs 2 sha256")).split()[-1]
+        # The same runs on one shared heat half hash the same.
+        assert out[-1] == f"shared sha256 {total}"
         # The ellipse pinches under H = L after 10 scalar tests; pan-yang flags none.
         assert "probes 10" in out
-        # Pan-yang scans its 201 check times in blocks of 32, 64 and 105, with
+        # Pan-yang scans its 201 check times in blocks of 32 and 169, with
         # no grid product; H = L pinches inside its first block of 32, whose
         # curvature bound does not clear singularity_eps.
-        assert "prescan blocks 4 columns 233 grid products 1" in out
+        assert "prescan blocks 3 columns 233 grid products 1" in out
         # Each run evaluates its law once at all 201 check times; the 10
         # scalar tests evaluate it at one time, and the pinch run's last
         # state keeps the length its scalar test read.
         assert "closed-law evaluations arrays 2 times 402 scalars 10" in out
         restored = (
-            digest.PROBLEM.margins, digest.PROBLEM.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
+            digest.HEAT.margins, digest.HEAT.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
         )
         assert restored == wrapped
         names = sorted(p.name for p in tmp_path.iterdir())
