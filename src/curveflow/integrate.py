@@ -36,8 +36,9 @@ first time where it does not clear, one (grid x N)(N x times) product
 gives the grid minimum over at most as many times as the doubling 32, 64,
 128, 256, 256, ... gives the block's start, and the block ends with it;
 the next block is as long as the doubling gives its own start. An earlier
-flagged time ends the block before the product. Everything in a block but
-L is the same for every flow: the flows run on one ``_Heat`` share it.
+flagged time ends the block before the product. The bound's sums and E(t)
+are the same for every flow: the flows run on one ``_Heat`` sum them once
+per sample time, whatever their blocks.
 The scalar test then runs on the block's flagged check times in order;
 at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
@@ -114,6 +115,7 @@ MAX_SAMPLES = 10**6
 SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
+# Beside them a heat half keeps three pre-scan sums per sample time.
 SCAN_BLOCK_CAP = 256
 # The pre-scan sums in another order than the scalar test, so it flags a
 # check time once a margin is within this share of the margin's size;
@@ -376,11 +378,12 @@ class _Heat:
     controls set, whatever H is. Building one runs the convexity gate; it
     holds the mode arrays, the thresholds, the per-mode sizes of the
     curvature bound and the grid of sample times. ``run`` integrates one
-    flow on it, so every flow run on one heat half shares its pre-scan
-    blocks over that grid: each block's bound and size sums and E(t), and,
-    where a block runs one, the grid minimum of the deviation, are computed
-    once. A heat half lives for one ``integrate`` call or one ``sweep``
-    command.
+    flow on it, so every flow run on one heat half shares the pre-scan's
+    sums over that grid: the bound and size sums and E(t) at a sample time
+    are computed once, by the first block to reach it, and kept, 24 bytes
+    per sample time, while the heat half lives. A grid product depends on
+    L and runs for each flow that needs one. A heat half lives for one
+    ``integrate`` call or one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L); ``flags`` marks the check
     times of a block where it may read a crossing, from the block's
@@ -402,10 +405,10 @@ class _Heat:
         self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
         self.grid = np.concatenate(([0.0], _sample_times(controls)))
-        # Per block of grid[lo:hi], keyed by (lo, hi): the sums of ``_block``,
-        # and the grid minimum of the deviation where the flags ran a product.
-        self._block_sums: dict[tuple[int, int], tuple] = {}
-        self._deviation_mins: dict[tuple[int, int], np.ndarray] = {}
+        # Per sample time grid[k], the sums of ``_block`` as rows, known for
+        # k < self._known: 24 bytes per sample time while the heat half lives.
+        self._sums = np.empty((3, len(self.grid)))
+        self._known = 0
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
@@ -435,33 +438,36 @@ class _Heat:
         return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
     def _block(self, times: np.ndarray) -> tuple:
-        # (key, factors or None, sums): per time the bound's sum, the size's
-        # sum and -E. Where the times are grid[lo:hi] bit for bit, as every
-        # block of the closed path is, the key is (lo, hi) and the sums are
-        # computed once per heat half; for other times, such as an ODE step's
-        # end, it is None. Sample time k is k * sample_interval, which gives
-        # lo. The factors come along where they were computed here.
+        # (factors or None, sums): per time the bound's sum, the size's sum
+        # and -E. Sample time k is k * sample_interval, which gives
+        # lo. A run's check times hold every sample time between their first
+        # and last, so a block whose first and last are grid[lo] and
+        # grid[hi - 1] is grid[lo:hi], as every block of the closed path is.
+        # Its sums are read from those of the heat half, or summed here and
+        # kept for every flow run on it; any other times, such as an ODE
+        # step's end, are summed here each time. The factors come along
+        # where they were computed here.
         lo = round(float(times[0]) / self.controls.sample_interval)
-        hi = lo + len(times)
-        on_grid = 0 <= lo and hi <= len(self.grid) and self.grid[lo:hi].tobytes() == times.tobytes()
-        key = (lo, hi) if on_grid else None
-        sums = self._block_sums.get(key)
-        if sums is not None:
-            return key, None, sums
+        hi, grid, known = lo + len(times), self.grid, self._known
+        on_grid = 0 <= lo <= known and hi <= len(grid) and grid[lo] == times[0] and grid[hi - 1] == times[-1]
+        if on_grid and hi <= known:
+            return None, self._sums[:, lo:hi]
         modes = self.modes
         factors = modes.factors(times)
         e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
         sums = self._rho_amp @ factors, self._rho_size @ factors, e_val
-        if key is not None:
-            self._block_sums[key] = sums
-        return key, factors, sums
+        if on_grid:
+            for kept, new in zip(self._sums, sums):
+                kept[known:hi] = new[known - lo :]
+            self._known = hi
+        return factors, sums
 
     def scan(self, times: np.ndarray, lengths: np.ndarray):
         """(bound on the min radius, its size, area, its size) at each time,
         each with the size its rounding scales with: the mean plus the sum
         of |terms| of the grid sum, and the circular part plus |E|. O(N) per
         time."""
-        return self._scan(lengths, *self._block(times)[2])
+        return self._scan(lengths, *self._block(times)[1])
 
     @staticmethod
     def _scan(lengths: np.ndarray, amp: np.ndarray, size: np.ndarray, e_val: np.ndarray) -> tuple:
@@ -484,7 +490,7 @@ class _Heat:
         product: gridded is True. The bound lies below the grid minimum up to
         rounding far below 1e-12 of the size, so "min radius - eps <=
         PRESCAN_SLACK * size" reads the same on both."""
-        key, factors, sums = self._block(times)
+        factors, sums = self._block(times)
         rho_min, rho_size, area, area_size = self._scan(lengths, *sums)
         flagged = np.zeros(len(times), dtype=bool)
         margins = _margins(self.limits, rho_min, area, lengths)
@@ -498,16 +504,9 @@ class _Heat:
             return flagged[:lo], False
         hi = min(lo + width, len(times))
         lo = max(hi - width, 0)  # as wide as allowed, where the block ends first
-        part = None if key is None else (key[0] + lo, key[0] + hi)
-        deviation = self._deviation_mins.get(part)
-        if deviation is None:
-            modes = self.modes
-            deviation = _deviation_min(
-                *modes.coeffs(modes.factors(times[lo:hi]) if factors is None else factors[:, lo:hi])
-            )
-            if part is not None:
-                self._deviation_mins[part] = deviation
-        rho_min = lengths[lo:hi] / TWO_PI + deviation
+        modes = self.modes
+        block = modes.factors(times[lo:hi]) if factors is None else factors[:, lo:hi]
+        rho_min = lengths[lo:hi] / TWO_PI + _deviation_min(*modes.coeffs(block))
         flagged[lo:hi] |= rho_min - self.limits[0] <= PRESCAN_SLACK * rho_size[lo:hi]
         return flagged[:hi], True
 

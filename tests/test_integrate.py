@@ -1467,17 +1467,53 @@ class TestPrescan:
 
         rng = np.random.default_rng(7)
         spec0 = _random_convex(rng, 64)
-        heat = _Heat(spec0, IntegratorControls())
         law = closed_length(spec0, PanYang())
         peaks = []
         for count in (2_000, 20_000):
-            times = np.linspace(0.0, 1.0, count)
+            # The check times are the sample grid, as on the closed path, so
+            # the blocks keep their sums in the heat half and then read them.
+            # It allocates them when built, 24 bytes per sample time.
+            heat = _Heat(spec0, IntegratorControls(t_max=1.0, sample_interval=1.0 / count))
+            times = heat.grid
+            assert heat._sums.nbytes == 24 * len(times)
             lengths = law(times)
             tracemalloc.start()
-            assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) is None
+            for _ in range(2):  # a first flow sums every block, a second reads them
+                assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) is None
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
+            assert heat._known == len(times)
         assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_blocks_cut_anywhere_read_the_sums_of_the_sample_times(self, monkeypatch):
+        # The heat half keeps its pre-scan sums per sample time: blocks over
+        # sample times already summed sum nothing, however they are cut,
+        # and read what a fresh heat half sums. Other times are summed each
+        # time they come, like an ODE step's end.
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _Heat
+
+        controls = IntegratorControls(t_max=5.0)
+        heat = _Heat(ELLIPSEISH, controls)
+        grid = heat.grid
+        lengths = np.full(len(grid), TWO_PI)  # the bound clears at every time
+        summed = []
+        real = _Modes.factors
+        monkeypatch.setattr(_Modes, "factors", lambda modes, t: summed.append(len(t)) or real(modes, t))
+        for lo, hi in ((0, 32), (32, 101), (0, 7), (7, 60), (60, 101)):
+            flags, gridded = heat.flags(grid[lo:hi], lengths[lo:hi], 64)
+            assert len(flags) == hi - lo and not flags.any() and not gridded
+        assert summed == [32, 69]
+        fresh = _Heat(ELLIPSEISH, controls)
+        for lo, hi in ((7, 60), (60, 101)):  # past what the fresh one has summed: not kept
+            kept, new = heat.scan(grid[lo:hi], lengths[lo:hi]), fresh.scan(grid[lo:hi], lengths[lo:hi])
+            for a, b in zip(kept, new, strict=True):
+                np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+        assert summed == [32, 69, 53, 41] and fresh._known == 0
+        step = np.append(grid[40:44], 2.17)  # an ODE step's check times
+        for _ in range(2):
+            heat.flags(step, lengths[:5], 64)
+        assert summed == [32, 69, 53, 41, 5, 5]
 
     @pytest.mark.parametrize(
         "eps, grid_products, flagged",
