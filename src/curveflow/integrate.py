@@ -36,9 +36,8 @@ first time where it does not clear, one (grid x N)(N x times) product
 gives the grid minimum over at most as many times as the doubling 32, 64,
 128, 256, 256, ... gives the block's start, and the block ends with it;
 the next block is as long as the doubling gives its own start. An earlier
-flagged time ends the block before the product. The bound's sums and E(t)
-are the same for every flow: the flows run on one ``_Heat`` sum them once
-per sample time, whatever their blocks.
+flagged time ends the block before the product. Each block sums the bound
+and E(t) at its own times, so a ``_Heat`` keeps O(N) arrays and its grid.
 The scalar test then runs on the block's flagged check times in order;
 at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
@@ -115,7 +114,6 @@ MAX_SAMPLES = 10**6
 SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
-# Beside them a heat half keeps three pre-scan sums per sample time.
 SCAN_BLOCK_CAP = 256
 # The pre-scan sums in another order than the scalar test, so it flags a
 # check time once a margin is within this share of the margin's size;
@@ -376,14 +374,11 @@ def _crossed(margins: tuple) -> list[str]:
 class _Heat:
     """The flow-independent half of a run: what the initial spectrum and the
     controls set, whatever H is. Building one runs the convexity gate; it
-    holds the mode arrays, the thresholds, the per-mode sizes of the
-    curvature bound and the grid of sample times. ``run`` integrates one
-    flow on it, so every flow run on one heat half shares the pre-scan's
-    sums over that grid: the bound and size sums and E(t) at a sample time
-    are computed once, by the first block to reach it, and kept, 24 bytes
-    per sample time, while the heat half lives. A grid product depends on
-    L and runs for each flow that needs one. A heat half lives for one
-    ``integrate`` call or one ``sweep`` command.
+    holds the mode arrays, the thresholds and the per-mode sizes of the
+    curvature bound, all O(N), and the grid of sample times, and nothing
+    else per sample time. ``run`` integrates one flow on it, whose pre-scan
+    blocks sum the bound, its size and E(t) at their own times. A heat
+    half lives for one ``integrate`` call or one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L); ``flags`` marks the check
     times of a block where it may read a crossing, from the block's
@@ -405,10 +400,6 @@ class _Heat:
         self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
         self.grid = np.concatenate(([0.0], _sample_times(controls)))
-        # Per sample time grid[k], the sums of ``_block`` as rows, known for
-        # k < self._known: 24 bytes per sample time while the heat half lives.
-        self._sums = np.empty((3, len(self.grid)))
-        self._known = 0
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
@@ -438,29 +429,12 @@ class _Heat:
         return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
     def _block(self, times: np.ndarray) -> tuple:
-        # (factors or None, sums): per time the bound's sum, the size's sum
-        # and -E. Sample time k is k * sample_interval, which gives
-        # lo. A run's check times hold every sample time between their first
-        # and last, so a block whose first and last are grid[lo] and
-        # grid[hi - 1] is grid[lo:hi], as every block of the closed path is.
-        # Its sums are read from those of the heat half, or summed here and
-        # kept for every flow run on it; any other times, such as an ODE
-        # step's end, are summed here each time. The factors come along
-        # where they were computed here.
-        lo = round(float(times[0]) / self.controls.sample_interval)
-        hi, grid, known = lo + len(times), self.grid, self._known
-        on_grid = 0 <= lo <= known and hi <= len(grid) and grid[lo] == times[0] and grid[hi - 1] == times[-1]
-        if on_grid and hi <= known:
-            return None, self._sums[:, lo:hi]
+        # (factors, sums): the mode factors at each time and, per time, the
+        # bound's sum, the size's sum and -E.
         modes = self.modes
         factors = modes.factors(times)
         e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
-        sums = self._rho_amp @ factors, self._rho_size @ factors, e_val
-        if on_grid:
-            for kept, new in zip(self._sums, sums):
-                kept[known:hi] = new[known - lo :]
-            self._known = hi
-        return factors, sums
+        return factors, (self._rho_amp @ factors, self._rho_size @ factors, e_val)
 
     def scan(self, times: np.ndarray, lengths: np.ndarray):
         """(bound on the min radius, its size, area, its size) at each time,
@@ -504,9 +478,7 @@ class _Heat:
             return flagged[:lo], False
         hi = min(lo + width, len(times))
         lo = max(hi - width, 0)  # as wide as allowed, where the block ends first
-        modes = self.modes
-        block = modes.factors(times[lo:hi]) if factors is None else factors[:, lo:hi]
-        rho_min = lengths[lo:hi] / TWO_PI + _deviation_min(*modes.coeffs(block))
+        rho_min = lengths[lo:hi] / TWO_PI + _deviation_min(*self.modes.coeffs(factors[:, lo:hi]))
         flagged[lo:hi] |= rho_min - self.limits[0] <= PRESCAN_SLACK * rho_size[lo:hi]
         return flagged[:hi], True
 

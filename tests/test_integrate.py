@@ -1470,50 +1470,16 @@ class TestPrescan:
         law = closed_length(spec0, PanYang())
         peaks = []
         for count in (2_000, 20_000):
-            # The check times are the sample grid, as on the closed path, so
-            # the blocks keep their sums in the heat half and then read them.
-            # It allocates them when built, 24 bytes per sample time.
+            # The check times are the sample grid, as on the closed path.
             heat = _Heat(spec0, IntegratorControls(t_max=1.0, sample_interval=1.0 / count))
             times = heat.grid
-            assert heat._sums.nbytes == 24 * len(times)
             lengths = law(times)
             tracemalloc.start()
-            for _ in range(2):  # a first flow sums every block, a second reads them
+            for _ in range(2):  # two flows on one heat half
                 assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) is None
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-            assert heat._known == len(times)
         assert peaks[1] <= 1.05 * peaks[0]
-
-    def test_blocks_cut_anywhere_read_the_sums_of_the_sample_times(self, monkeypatch):
-        # The heat half keeps its pre-scan sums per sample time: blocks over
-        # sample times already summed sum nothing, however they are cut,
-        # and read what a fresh heat half sums. Other times are summed each
-        # time they come, like an ODE step's end.
-        from curveflow.heat import _Modes
-        from curveflow.integrate import _Heat
-
-        controls = IntegratorControls(t_max=5.0)
-        heat = _Heat(ELLIPSEISH, controls)
-        grid = heat.grid
-        lengths = np.full(len(grid), TWO_PI)  # the bound clears at every time
-        summed = []
-        real = _Modes.factors
-        monkeypatch.setattr(_Modes, "factors", lambda modes, t: summed.append(len(t)) or real(modes, t))
-        for lo, hi in ((0, 32), (32, 101), (0, 7), (7, 60), (60, 101)):
-            flags, gridded = heat.flags(grid[lo:hi], lengths[lo:hi], 64)
-            assert len(flags) == hi - lo and not flags.any() and not gridded
-        assert summed == [32, 69]
-        fresh = _Heat(ELLIPSEISH, controls)
-        for lo, hi in ((7, 60), (60, 101)):  # past what the fresh one has summed: not kept
-            kept, new = heat.scan(grid[lo:hi], lengths[lo:hi]), fresh.scan(grid[lo:hi], lengths[lo:hi])
-            for a, b in zip(kept, new, strict=True):
-                np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
-        assert summed == [32, 69, 53, 41] and fresh._known == 0
-        step = np.append(grid[40:44], 2.17)  # an ODE step's check times
-        for _ in range(2):
-            heat.flags(step, lengths[:5], 64)
-        assert summed == [32, 69, 53, 41, 5, 5]
 
     @pytest.mark.parametrize(
         "eps, grid_products, flagged",
@@ -1677,6 +1643,47 @@ class TestPrescan:
 
 
 COLUMN_TERMS = [PanYang(), LinTsai(), MaCheng(), Constant(c=-1.0), Constant(c=0.5), H_EQUALS_L, GENERAL_POWERSUM]
+
+
+class TestHeatHalf:
+    """``integrate._Heat``, the half of a run that no flow changes: what it
+    keeps, and flows run on one heat half against each run alone."""
+
+    def test_keeps_its_grid_and_nothing_else_per_sample_time(self):
+        import tracemalloc
+
+        from curveflow.integrate import _Heat
+
+        _Heat(ELLIPSEISH, IntegratorControls())  # module-level caches fill once
+        for count in (2_000, 200_000):
+            tracemalloc.start()
+            heat = _Heat(ELLIPSEISH, IntegratorControls(t_max=1.0, sample_interval=1.0 / count))
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert len(heat.grid) == count + 1
+            # The grid's 8 bytes per sample time, then the O(N) arrays and the
+            # objects that hold them.
+            assert kept <= 8 * len(heat.grid) + 16_384, (count, kept)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=16),
+        terms=st.permutations(
+            [PanYang(), LinTsai(), MaCheng(), Constant(c=-0.5), H_EQUALS_L, GENERAL_POWERSUM]
+        ),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_flows_on_one_heat_half_run_as_alone(self, seed, n, terms):
+        from curveflow.integrate import _Heat
+
+        spec0 = _random_convex(np.random.default_rng(seed), n)
+        controls = IntegratorControls(t_max=5.0)
+        heat = _Heat(spec0, controls)
+        for term in terms:
+            shared, alone = heat.run(term), integrate(spec0, term, controls)
+            for name in ("t", "L", "A"):
+                assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), (term, name)
+            assert shared.event == alone.event, term
 
 
 class TestColumns:
