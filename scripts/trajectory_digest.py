@@ -6,8 +6,9 @@ Runs every initial spectrum under every flow and every control set
 below. The matrix reaches all five threshold outcomes (horizon, length
 blow-up, area vanish, length vanish, singularity), runs where two
 thresholds are crossed inside one step, and runs whose length reaches
-the float range (``support.MAX_LENGTH``), an H domain exit, and runs to
-a horizon where an ulp of t exceeds 1e-12. For each
+the float range (``support.MAX_LENGTH``), an H domain exit, runs to
+a horizon where an ulp of t exceeds 1e-12, and runs of a smooth N = 64
+spectrum whose mode factors pass the float underflow band. For each
 run it prints the sha256 of the run's event (kind, t, theta) and of
 every recorded state's (t, L, A), read from the trajectory's columns and
 written with repr so any bit change shows; then the counts by event kind, how many runs took
@@ -47,6 +48,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow_term  # noqa: E402
@@ -55,6 +58,16 @@ from curveflow.flows import ClosedLength, closed_length  # noqa: E402
 # The module, not the function of the same name that the package exports.
 HEAT = importlib.import_module("curveflow.integrate")._Heat
 SUPPORT = importlib.import_module("curveflow.support")
+
+
+def smooth(modes: int, seed: int) -> SupportSpectrum:
+    """Mean 1, a_n then b_n drawn U(-1, 1) / n^3.5, then a_2 = 0.2."""
+    rng, n = np.random.default_rng(seed), np.arange(1, modes + 1)
+    cos_coeffs = rng.uniform(-1.0, 1.0, modes) / n**3.5
+    sin_coeffs = rng.uniform(-1.0, 1.0, modes) / n**3.5
+    cos_coeffs[1] = 0.2
+    return SupportSpectrum(mean=1.0, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
+
 
 SPECTRA = {
     "circle": SupportSpectrum(mean=1.0, cos_coeffs=[0.0, 0.0], sin_coeffs=[0.0, 0.0]),
@@ -66,6 +79,9 @@ SPECTRA = {
     ),
     "triangle": SupportSpectrum(mean=2.0, cos_coeffs=[0.0, 0.0, 0.2], sin_coeffs=[0.0, 0.0, 0.0]),
     "small": SupportSpectrum(mean=0.05, cos_coeffs=[0.0, 0.01], sin_coeffs=[0.0, 0.005]),
+    # Every mode's factor passes the float underflow band and the cut below it
+    # (support.EXP_CUT): mode 64's near t = 0.15, mode 2's near t = 200.
+    "smooth64": smooth(64, 3),
 }
 FLOWS = (
     "pan-yang",

@@ -18,6 +18,14 @@ is one ``_Modes`` method that takes a time or an array of times; the grid
 extrema of the radius of curvature come from ``support._radius_range``, and
 the minimum alone, which the event locator reads, from ``support._min_radius``.
 The locator's pre-scan and its bound on that minimum are ``integrate._Heat``'s.
+
+Every factor here, and every term e^{2(1-n^2)t} of E, comes from
+``support._decay_exp``: below e^EXP_CUT = e^-600 it is exactly 0.0, so
+no subnormal factor reaches a product. A dropped term is under 1e-255 of
+the mean or of L^2/(4*pi) that it would be added to, so every radius,
+area and deficit keeps its bits; only E itself reads 0 where every term
+is below the cut, and a coefficient of ``spectrum`` reads 0.0 where its
+factor is.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .support import (
     TWO_PI,
     SupportSpectrum,
     _decay,
+    _decay_exp,
     _deficit,
     _deficit_rates,
     _grid_deviation,
@@ -64,13 +73,16 @@ class _Modes:
 
     def __init__(self, spec0: SupportSpectrum):
         self.decay = _decay(spec0.truncation)
+        # The least rate 1 - N^2, a Python float for the cut's guard.
+        self._least = self.decay.item(-1)
         self._a0 = spec0.cos_coeffs
         self._b0 = spec0.sin_coeffs
         self.power = self._a0**2 + self._b0**2
 
     def factors(self, t) -> np.ndarray:
-        """exp((1 - n^2) t) for n = 1..N; (modes x times) for an array of times."""
-        return np.exp(np.multiply.outer(self.decay, t))
+        """exp((1 - n^2) t) for n = 1..N, 0.0 below the cut; (modes x times)
+        for an array of ascending times."""
+        return _decay_exp(np.multiply.outer(self.decay, t), self._least, t)
 
     def coeffs(self, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (a_n f_n, b_n f_n): vectors for one time, (modes x times) columns for many.
@@ -80,23 +92,26 @@ class _Modes:
     def _scaled(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         # coeffs(factors(t)) at one time, bit for bit: decay * t is the outer
         # product with a scalar, and there is nothing to reshape.
-        factors = np.exp(self.decay * t)
+        factors = _decay_exp(self.decay * t, self._least, t)
         return self._a0 * factors, self._b0 * factors
 
     def spectrum(self, t: float, mean: float) -> SupportSpectrum:
-        """The spectrum with mode n scaled by exp((1 - n^2) t) and the given mean."""
+        """The spectrum with mode n scaled by exp((1 - n^2) t) and the given
+        mean; a mode whose factor is below the cut (``support.EXP_CUT``) reads 0.0."""
         if t < 0.0:
             raise ValueError("propagation time must be non-negative")
         cos_coeffs, sin_coeffs = self._scaled(t)
         return SupportSpectrum(mean=mean, cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs)
 
     def e_value(self, t):
-        """E(t); for an array of times, one E per time."""
+        """E(t); for an array of ascending times, one E per time. Terms below
+        the cut are 0.0, so E reads 0 where every term is."""
         # A (times x modes) array summed along each row, pairwise as for a single
         # time, so each value is the same; add.reduce skips np.sum's wrapper call.
         tt = np.asarray(t, dtype=float)
         weight, rate = _deficit_rates(len(self._a0))
-        e_val = -(np.pi / 2.0) * np.add.reduce(weight * np.exp(rate * tt[..., None]) * self.power, axis=-1)
+        squares = _decay_exp(rate * tt[..., None], 2.0 * self._least, t)
+        e_val = -(np.pi / 2.0) * np.add.reduce(weight * squares * self.power, axis=-1)
         return float(e_val) if e_val.ndim == 0 else e_val
 
     def area(self, t, length):
@@ -128,7 +143,7 @@ class _Modes:
     def deficit(self, times: np.ndarray) -> np.ndarray:
         """isoperimetric_deficit of the state at each time, bit for bit: row
         i of the (times x modes) factors is factors(times[i])."""
-        factors = np.exp(np.multiply.outer(times, self.decay))
+        factors = _decay_exp(np.multiply.outer(times, self.decay), self._least, times)
         return _deficit(self._a0 * factors, self._b0 * factors)
 
 

@@ -6,6 +6,9 @@ geometric quantities come from dense trapezoid quadrature of their
 defining integrals, propagation from the literal Gaussian convolution
 integrated by composite Simpson, event times from plain bisection, and
 the event pre-scan's flags from the grid minimum at every check time.
+The decay factors e^{(1 - n^2) t} are plain np.exp, with no cut below
+``support.EXP_CUT``, and summed as the package sums them, so that a cut
+that changes no result shows as equal bits.
 """
 
 import numpy as np
@@ -119,11 +122,12 @@ def random_spectrum_coeffs(rng, max_modes=8, scale=0.1, mean_range=(0.8, 1.5)):
     return mean, cos, sin
 
 
-def random_convex_coeffs(rng, max_modes=8, mean_range=(0.8, 1.5)):
+def random_convex_coeffs(rng, max_modes=8, mean_range=(0.8, 1.5), modes=None):
     """Random coefficients guaranteed strictly convex: mode n amplitudes
     are damped by n^4, so sum (n^2-1)(|a_n|+|b_n|) <= 0.21 * mean and the
-    radius of curvature stays above 0.79 * mean."""
-    n = int(rng.integers(2, max_modes + 1))
+    radius of curvature stays above 0.79 * mean. ``modes`` fixes the
+    truncation, else it is drawn from 2..max_modes."""
+    n = int(rng.integers(2, max_modes + 1)) if modes is None else modes
     mean = rng.uniform(*mean_range)
     damp = 0.2 * mean / np.arange(1, n + 1) ** 4
     cos = rng.uniform(-1, 1, n) * damp
@@ -159,3 +163,39 @@ def grid_flags(heat, times, lengths, width=None):
     for margin, size in zip(_margins(heat.limits, rho_min, area, lengths), sizes, strict=True):
         flagged |= margin <= PRESCAN_SLACK * size
     return flagged, True
+
+
+def mode_factors(truncation, times):
+    """e^{(1 - n^2) t} for n = 1..N by plain np.exp: (modes x times) for
+    an array of times."""
+    n = np.arange(1, truncation + 1, dtype=float)
+    return np.exp(np.multiply.outer(1.0 - n**2, times))
+
+
+def e_value(cos, sin, times):
+    """E(t) = -(pi/2) sum (n^2 - 1) e^{2(1-n^2)t} (a_n^2 + b_n^2) by plain
+    np.exp, one value per time, each summed pairwise over the modes."""
+    n = np.arange(1, len(cos) + 1, dtype=float)
+    decay = 1.0 - n**2
+    terms = -decay * np.exp(2.0 * decay * np.asarray(times, dtype=float)[..., None]) * (cos**2 + sin**2)
+    return -(np.pi / 2.0) * np.add.reduce(terms, axis=-1)
+
+
+def deficit(cos, sin, times):
+    """L^2 - 4 pi A = 2 pi^2 sum (n^2 - 1)((a_n f_n)^2 + (b_n f_n)^2) of the
+    propagated spectrum at each time, the factors f_n by plain np.exp."""
+    n = np.arange(1, len(cos) + 1, dtype=float)
+    factors = np.exp(np.multiply.outer(times, 1.0 - n**2))  # (times x modes), summed along rows
+    power = (cos * factors) ** 2 + (sin * factors) ** 2
+    return 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power, axis=-1)
+
+
+def plain_law(law, t):
+    """L(t) of a ``flows.ClosedLength`` with its forcing factors by plain
+    np.exp: the law's own code with the cut taken out."""
+    from unittest import mock
+
+    from curveflow import flows
+
+    with mock.patch.object(flows, "_decay_exp", lambda x, least_rate, t: np.exp(x)):
+        return law(t)

@@ -372,6 +372,26 @@ class TestSweep:
         assert work[0] == work[1] and work[0]["factors"] > 0
         assert [w["gates"] for w in work] == [1, 1, 3]
 
+    def test_scale_rows_take_no_subnormal_coefficient_to_the_grid(self, tmp_path, capsys, monkeypatch):
+        # A smooth N = 32 curve: mode 32's factor e^{-1023 t} is subnormal for
+        # t in [0.69, 0.73], inside the first pre-scan block's grid product.
+        from curveflow import support
+
+        rng, n = np.random.default_rng(3), np.arange(1, 33)
+        cos, sin = (", ".join(repr(x) for x in (rng.uniform(-1.0, 1.0, 32) / n**3.5).tolist()) for _ in range(2))
+        cfg = parse_config(f"flow = pan-yang\nmean = 1\ncos = {cos}\nsin = {sin}\nt_max = 5\n")
+        grid_deviation, blocks, tiny = support._grid_deviation, [], []
+
+        def checked(cos_coeffs, sin_coeffs):
+            blocks.append(cos_coeffs.ndim == 2)
+            for coeffs in (cos_coeffs, sin_coeffs):
+                tiny.extend(coeffs[(coeffs != 0.0) & (np.abs(coeffs) < np.finfo(float).tiny)].tolist())
+            return grid_deviation(cos_coeffs, sin_coeffs)
+
+        monkeypatch.setattr(support, "_grid_deviation", checked)
+        assert sweep(cfg, "scale:0.5,1.0,1.5", tmp_path, tmp_path / "out") == 0
+        assert any(blocks) and tiny == []
+
     def test_empty_axis_rejected(self, tmp_path, capsys):
         cfg = parse_config(MINIMAL)
         assert sweep(cfg, "flows:", tmp_path) == 2
