@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import heat
-from .support import TWO_PI, SupportSpectrum, _decay_exp, _deficit_rates, total_inverse_curvature
+from .support import TWO_PI, SupportSpectrum, _deficit_rates, total_inverse_curvature
 
 
 class HDomainError(ValueError):
@@ -244,10 +244,7 @@ class ClosedLength:
     z/z0 - 1 as r nears 0, and as log(z/z0) elsewhere, which keeps the digits
     of a z/z0 far below 1. No law
     is built (the ODE runs) where z0 is not a normal float or kappa plus the
-    weights is not finite, as for H = L^400 from L0 = 2 pi. A forcing factor
-    e^{max(kappa, rate_j) t} below ``support.EXP_CUT`` reads 0.0 where some
-    forcing term has rate 0 and a nonzero weight, which it is then
-    negligible beside; elsewhere every factor is plain np.exp.
+    weights is not finite, as for H = L^400 from L0 = 2 pi.
     """
 
     l0: float
@@ -259,7 +256,6 @@ class ClosedLength:
     _top: float = field(init=False, repr=False)
     _own_rate: float = field(init=False, repr=False)
     _lead_rates: np.ndarray = field(init=False, repr=False)
-    _least_rate: float = field(init=False, repr=False)
     _neg_gap: np.ndarray = field(init=False, repr=False)
     _divisor: np.ndarray = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
@@ -271,16 +267,7 @@ class ClosedLength:
         distinct = gap > 0.0
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_own_rate", self.kappa - top)
-        lead = np.maximum(self.rates, self.kappa) - top
-        object.__setattr__(self, "_lead_rates", lead)
-        # The least rate for the cut's guard, or 0.0, which keeps every factor.
-        # Every lead rate is 0 where kappa >= 0. Where every term decays (kappa
-        # < 0, no rate-0 forcing), e^{kappa t} is no larger than any forcing
-        # term, so a cut one could be all of z/z0.
-        least = min(lead.tolist()) if self.kappa < 0.0 else 0.0
-        if least < 0.0 and not np.any(self.weights[lead == 0.0]):
-            least = 0.0
-        object.__setattr__(self, "_least_rate", least)
+        object.__setattr__(self, "_lead_rates", np.maximum(self.rates, self.kappa) - top)
         object.__setattr__(self, "_neg_gap", -gap)
         # -g, and -1 where g = 0, whose psi is t: no 0/0 to silence.
         object.__setattr__(self, "_divisor", np.where(distinct, -gap, -1.0))
@@ -292,7 +279,7 @@ class ClosedLength:
         col = tt[..., None]
         # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
         psi = np.where(self._distinct, np.expm1(self._neg_gap * col) / self._divisor, col)
-        forced = (_decay_exp(self._lead_rates * col, self._least_rate, t) * psi) @ self.weights
+        forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
         ratio = np.exp(self._own_rate * tt) + forced
         if self._top:
             # e^{kappa t} overflows to inf for a long enough run, and inf * 0 is nan.

@@ -19,20 +19,21 @@ extrema of the radius of curvature come from ``support._radius_range``, and
 the minimum alone, which the event locator reads, from ``support._min_radius``.
 The locator's pre-scan and its bound on that minimum are ``integrate._Heat``'s.
 
-Every factor here, and every term e^{2(1-n^2)t} of E, comes from
-``support._decay_exp``: below e^EXP_CUT = e^-600 it is exactly 0.0, so
-no subnormal factor reaches a product. A dropped term is under 1e-255 of
-the mean or of L^2/(4*pi) that it would be added to, so every radius,
-area and deficit keeps its bits; only E itself reads 0 where every term
-is below the cut, and a coefficient of ``spectrum`` reads 0.0 where its
-factor is.
+A factor below e^EXP_CUT = e^-600 (``support.EXP_CUT``) reads exactly
+0.0 (``support._decay_exp``, past ``_Modes._cut_from``), so no subnormal
+coefficient reaches a product. Every radius, area and deficit keeps its
+bits; only E reads 0 where every term is below the cut, and a
+coefficient of ``spectrum`` reads 0.0 where its factor is.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .support import (
+    EXP_CUT,
     TWO_PI,
     SupportSpectrum,
     _decay,
@@ -73,16 +74,25 @@ class _Modes:
 
     def __init__(self, spec0: SupportSpectrum):
         self.decay = _decay(spec0.truncation)
-        # The least rate 1 - N^2, a Python float for the cut's guard.
-        self._least = self.decay.item(-1)
         self._a0 = spec0.cos_coeffs
         self._b0 = spec0.sin_coeffs
         self.power = self._a0**2 + self._b0**2
+        self._e_weight, self._e_rate = _deficit_rates(spec0.truncation)
+        # A hair under the time at which the least rate of a mode with nonzero
+        # power reaches the cut: up to it every such factor's exponent is at or
+        # above the cut, and np.exp alone serves. A mode past it has power 0,
+        # so |a_n|, |b_n| < 1e-161 and its coefficient times any factor below
+        # the cut is 0.0 as well.
+        power = self.power
+        live = power.size if power.item(-1) else 1 + max(power.nonzero()[0].tolist(), default=0)
+        least = self.decay.item(live - 1)
+        self._cut_from = EXP_CUT / least * (1.0 - 1e-15) if least else math.inf
 
     def factors(self, t) -> np.ndarray:
-        """exp((1 - n^2) t) for n = 1..N, 0.0 below the cut; (modes x times)
-        for an array of ascending times."""
-        return _decay_exp(np.multiply.outer(self.decay, t), self._least, t)
+        """exp((1 - n^2) t) for n = 1..N; (modes x times) for an array of
+        ascending times. Past ``_cut_from`` a factor below the cut is 0.0."""
+        x = np.multiply.outer(self.decay, t)
+        return np.exp(x) if np.asarray(t).item(-1) <= self._cut_from else _decay_exp(x)
 
     def coeffs(self, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (a_n f_n, b_n f_n): vectors for one time, (modes x times) columns for many.
@@ -92,7 +102,8 @@ class _Modes:
     def _scaled(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         # coeffs(factors(t)) at one time, bit for bit: decay * t is the outer
         # product with a scalar, and there is nothing to reshape.
-        factors = _decay_exp(self.decay * t, self._least, t)
+        x = self.decay * t
+        factors = np.exp(x) if t <= self._cut_from else _decay_exp(x)
         return self._a0 * factors, self._b0 * factors
 
     def spectrum(self, t: float, mean: float) -> SupportSpectrum:
@@ -108,10 +119,12 @@ class _Modes:
         the cut are 0.0, so E reads 0 where every term is."""
         # A (times x modes) array summed along each row, pairwise as for a single
         # time, so each value is the same; add.reduce skips np.sum's wrapper call.
+        # E's rates are twice the factors', so its exponents stay at or above
+        # the cut up to half the factors' time.
         tt = np.asarray(t, dtype=float)
-        weight, rate = _deficit_rates(len(self._a0))
-        squares = _decay_exp(rate * tt[..., None], 2.0 * self._least, t)
-        e_val = -(np.pi / 2.0) * np.add.reduce(weight * squares * self.power, axis=-1)
+        x = self._e_rate * tt[..., None]
+        squares = np.exp(x) if 2.0 * tt.item(-1) <= self._cut_from else _decay_exp(x)
+        e_val = -(np.pi / 2.0) * np.add.reduce(self._e_weight * squares * self.power, axis=-1)
         return float(e_val) if e_val.ndim == 0 else e_val
 
     def area(self, t, length):
@@ -143,7 +156,8 @@ class _Modes:
     def deficit(self, times: np.ndarray) -> np.ndarray:
         """isoperimetric_deficit of the state at each time, bit for bit: row
         i of the (times x modes) factors is factors(times[i])."""
-        factors = _decay_exp(np.multiply.outer(times, self.decay), self._least, times)
+        x = np.multiply.outer(times, self.decay)
+        factors = np.exp(x) if times.item(-1) <= self._cut_from else _decay_exp(x)
         return _deficit(self._a0 * factors, self._b0 * factors)
 
 

@@ -36,12 +36,10 @@ FRAME_GRID = 256
 SQ_CURVATURE_GRID = 2048
 # Points at which spectrum_from_polygon samples a polygon's support function.
 POLYGON_GRID = 1024
-# The least exponent of the flow's decay factors: below it e^x (under 1e-260)
-# reads exactly 0.0 (``_decay_exp``). Mode n passes the float underflow band
-# once (n^2 - 1) t nears 708, where np.exp and every product with its result
-# take the slow subnormal paths; beside the mean, L^2/(4 pi) or the O(1)
-# ratio of a length law that such a factor's terms are added to, it weighs
-# nothing, so every radius, area and length keeps its bits.
+# Below this exponent a decay factor (under 1e-260) reads exactly 0.0
+# (``_decay_exp``), ahead of the float underflow band near -708 where np.exp
+# and every product with its result take slow subnormal paths. Beside the
+# mean or L^2/(4 pi) that its terms are added to it weighs nothing.
 EXP_CUT = -600.0
 
 
@@ -170,13 +168,9 @@ def _deficit_rates(truncation: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _decay_exp(x: np.ndarray, least_rate: float, t) -> np.ndarray:
-    """e^x for x = rates times t, rates <= 0 and t >= 0: exactly 0.0 where
-    x < EXP_CUT. ``least_rate`` is the least rate, a Python float, and ``t``
-    the time or ascending times: where least_rate times the last time is at
-    or above the cut this is np.exp alone, with no pass over x to decide it."""
-    if least_rate * (t.item(-1) if getattr(t, "ndim", 0) else t) >= EXP_CUT:
-        return np.exp(x)
+def _decay_exp(x: np.ndarray) -> np.ndarray:
+    """e^x for the flow's exponents x <= 0, exactly 0.0 where x < EXP_CUT.
+    Callers that know no exponent can be below the cut call np.exp instead."""
     return np.exp(x, out=np.zeros(x.shape), where=x >= EXP_CUT)
 
 

@@ -188,14 +188,3 @@ def deficit(cos, sin, times):
     factors = np.exp(np.multiply.outer(times, 1.0 - n**2))  # (times x modes), summed along rows
     power = (cos * factors) ** 2 + (sin * factors) ** 2
     return 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power, axis=-1)
-
-
-def plain_law(law, t):
-    """L(t) of a ``flows.ClosedLength`` with its forcing factors by plain
-    np.exp: the law's own code with the cut taken out."""
-    from unittest import mock
-
-    from curveflow import flows
-
-    with mock.patch.object(flows, "_decay_exp", lambda x, least_rate, t: np.exp(x)):
-        return law(t)
