@@ -15,8 +15,7 @@ written with repr so any bit change shows; then the counts by event kind, how ma
 the closed-form length and how many the ODE solve, how many scalar tests
 the event locator ran (calls of ``integrate._Heat.margins``), what its
 pre-scan did (blocks: calls of ``integrate._Heat.flags``; columns: the
-check times those calls received; grid products: calls of
-``support._grid_deviation`` with 2-D coefficients), how often the
+check times those calls received), how often the
 closed-form length law was evaluated (calls of
 ``flows.ClosedLength.__call__`` on an array, the times those arrays held,
 and calls on a scalar time), and one sha256 over all runs. The counts
@@ -57,7 +56,6 @@ from curveflow.flows import ClosedLength, closed_length  # noqa: E402
 
 # The module, not the function of the same name that the package exports.
 HEAT = importlib.import_module("curveflow.integrate")._Heat
-SUPPORT = importlib.import_module("curveflow.support")
 
 
 def smooth(modes: int, seed: int) -> SupportSpectrum:
@@ -140,21 +138,17 @@ def main() -> int:
     paths: Counter[str] = Counter()
     total = hashlib.sha256()
     tally: Counter[str] = Counter()
-    margins, flags, grid_deviation = HEAT.margins, HEAT.flags, SUPPORT._grid_deviation
+    margins, flags = HEAT.margins, HEAT.flags
     law = ClosedLength.__call__
 
     def counted_margins(heat, t, length):
         tally["probes"] += 1
         return margins(heat, t, length)
 
-    def counted_flags(heat, times, lengths, width):
+    def counted_flags(heat, times, lengths):
         tally["blocks"] += 1
         tally["columns"] += len(times)
-        return flags(heat, times, lengths, width)
-
-    def counted_grid_deviation(cos_coeffs, sin_coeffs):
-        tally["grid products"] += cos_coeffs.ndim == 2
-        return grid_deviation(cos_coeffs, sin_coeffs)
+        return flags(heat, times, lengths)
 
     def counted_law(closed, t):
         if getattr(t, "ndim", 0):
@@ -165,7 +159,6 @@ def main() -> int:
         return law(closed, t)
 
     HEAT.margins, HEAT.flags = counted_margins, counted_flags
-    SUPPORT._grid_deviation = counted_grid_deviation
     ClosedLength.__call__ = counted_law
     try:
         for spec_name, spec in SPECTRA.items():
@@ -183,13 +176,12 @@ def main() -> int:
                         print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
     finally:
         HEAT.margins, HEAT.flags = margins, flags
-        SUPPORT._grid_deviation = grid_deviation
         ClosedLength.__call__ = law
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
     print(f"probes {tally['probes']}")
-    print(f"prescan blocks {tally['blocks']} columns {tally['columns']} grid products {tally['grid products']}")
+    print(f"prescan blocks {tally['blocks']} columns {tally['columns']}")
     print(
         f"closed-law evaluations arrays {tally['law arrays']} times {tally['law times']}"
         f" scalars {tally['law scalars']}"

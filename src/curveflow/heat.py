@@ -94,14 +94,10 @@ class _Modes:
         x = np.multiply.outer(self.decay, t)
         return np.exp(x) if np.asarray(t).item(-1) <= self._cut_from else _decay_exp(x)
 
-    def coeffs(self, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (a_n f_n, b_n f_n): vectors for one time, (modes x times) columns for many.
-        shape = (-1,) + (1,) * (factors.ndim - 1)
-        return self._a0.reshape(shape) * factors, self._b0.reshape(shape) * factors
-
     def _scaled(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        # coeffs(factors(t)) at one time, bit for bit: decay * t is the outer
-        # product with a scalar, and there is nothing to reshape.
+        # (a_n f_n, b_n f_n) at one time, as ``radius_range`` scales them, bit
+        # for bit: decay * t is the outer product with a scalar, and there is
+        # nothing to reshape.
         x = self.decay * t
         factors = np.exp(x) if t <= self._cut_from else _decay_exp(x)
         return self._a0 * factors, self._b0 * factors
@@ -142,7 +138,9 @@ class _Modes:
         of times and lengths one pair of arrays. A block product sums in
         another order than one time's; the two differ by rounding, far below
         1e-12 of the radius scale."""
-        return _radius_range(length / TWO_PI, *self.coeffs(self.factors(t)))
+        factors = self.factors(t)
+        shape = (-1,) + (1,) * (factors.ndim - 1)  # (modes x times) columns for many times
+        return _radius_range(length / TWO_PI, self._a0.reshape(shape) * factors, self._b0.reshape(shape) * factors)
 
     def min_radius(self, t: float, length: float) -> float:
         """``radius_range(t, length)[0]`` at one time, bit for bit: the scalar

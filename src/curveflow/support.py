@@ -250,19 +250,12 @@ def validate_convexity(spec: SupportSpectrum) -> float:
     return radius_extrema(spec)[0]
 
 
-def _deviation_min(cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
-    """The grid minimum of ``_grid_deviation``: the radius of curvature's grid
-    minimum is the mean plus it, added after the minimum. Coefficient
-    vectors give one value; (modes x times) blocks give one per column."""
-    # The ufunc itself: ndarray.min adds a wrapper call per scalar probe.
-    return np.minimum.reduce(_grid_deviation(cos_coeffs, sin_coeffs), axis=0)
-
-
 def _min_radius(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
-    """The min of ``_radius_range`` alone, for a reader that needs no max.
-    Coefficient vectors give one value; (modes x times) blocks, with a mean
-    per column, give one value per column."""
-    return mean + _deviation_min(cos_coeffs, sin_coeffs)
+    """The min of ``_radius_range`` alone, for a reader that needs no max:
+    the mean added after the grid minimum of ``_grid_deviation``, as there,
+    so the two agree bit for bit. Coefficient vectors give one value."""
+    # The ufunc itself: ndarray.min adds a wrapper call per scalar probe.
+    return mean + np.minimum.reduce(_grid_deviation(cos_coeffs, sin_coeffs), axis=0)
 
 
 def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple:
@@ -277,7 +270,7 @@ def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple
 def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
     """(min, max) of the radius of curvature on the validation grid, as floats;
     the singularity event adds the mean after the same minimum of the deviation
-    (``_deviation_min``), so the two agree bit for bit."""
+    (``_min_radius``), so the two agree bit for bit."""
     rho_min, rho_max = _radius_range(spec.mean, spec.cos_coeffs, spec.sin_coeffs)
     return float(rho_min), float(rho_max)
 

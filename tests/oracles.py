@@ -150,10 +150,9 @@ def bisect_crossing(crossed, lo, hi, fired, tol):
     return lo, hi, fired
 
 
-def grid_flags(heat, times, lengths, width=None):
+def grid_flags(heat, times, lengths):
     """``integrate._Heat.flags`` with the grid minimum of the radius of
-    curvature at every check time of the block, never the curvature bound:
-    (flagged, True) for the whole block, whatever ``width``."""
+    curvature at every check time of the block, never the curvature bound."""
     from curveflow.integrate import PRESCAN_SLACK, _margins
 
     _, rho_size, area, area_size = heat.scan(times, lengths)
@@ -162,7 +161,7 @@ def grid_flags(heat, times, lengths, width=None):
     flagged = np.zeros(len(times), dtype=bool)
     for margin, size in zip(_margins(heat.limits, rho_min, area, lengths), sizes, strict=True):
         flagged |= margin <= PRESCAN_SLACK * size
-    return flagged, True
+    return flagged
 
 
 def mode_factors(truncation, times):

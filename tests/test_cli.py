@@ -374,7 +374,9 @@ class TestSweep:
 
     def test_scale_rows_take_no_subnormal_coefficient_to_the_grid(self, tmp_path, capsys, monkeypatch):
         # A smooth N = 32 curve: mode 32's factor e^{-1023 t} is subnormal for
-        # t in [0.69, 0.73], inside the first pre-scan block's grid product.
+        # t in [0.69, 0.73]. The sweep's rows take the grid one time at a
+        # time; the same curve through run takes it in the block products of
+        # its k columns, which span those times.
         from curveflow import support
 
         rng, n = np.random.default_rng(3), np.arange(1, 33)
@@ -390,6 +392,9 @@ class TestSweep:
 
         monkeypatch.setattr(support, "_grid_deviation", checked)
         assert sweep(cfg, "scale:0.5,1.0,1.5", tmp_path, tmp_path / "out") == 0
+        assert blocks and tiny == []
+        del blocks[:]
+        assert run(cfg, tmp_path, tmp_path / "run") == 0
         assert any(blocks) and tiny == []
 
     def test_empty_axis_rejected(self, tmp_path, capsys):

@@ -488,10 +488,10 @@ class TestLeanPath:
             assert sa.L == pytest.approx(sb.L, rel=1e-10)
 
 
-def _every_check_time(times, lengths, width):
+def _every_check_time(times, lengths):
     """A pre-scan that flags every check time of a block: _locate then runs
     the scalar test on each check time in turn."""
-    return np.ones(len(times), dtype=bool), True
+    return np.ones(len(times), dtype=bool)
 
 
 def _gated(spec0: SupportSpectrum) -> SupportSpectrum:
@@ -501,14 +501,19 @@ def _gated(spec0: SupportSpectrum) -> SupportSpectrum:
     return dataclasses.replace(spec0, mean=1.0 + np.sum(n * n * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))))
 
 
+def _locator_blocks(count: int) -> list[slice]:
+    """The blocks ``_locate`` cuts ``count`` check times into: the first
+    SCAN_CHUNK, then the rest of each SCAN_BLOCK_CAP."""
+    from curveflow.integrate import SCAN_BLOCK_CAP
+
+    stops = [SCAN_CHUNK, *range(SCAN_BLOCK_CAP, count, SCAN_BLOCK_CAP), count]
+    return [slice(lo, hi) for lo, hi in zip([0, *stops], stops) if lo < count]
+
+
 def _flags_in_turn(heat, times, lengths):
-    """``heat.flags`` over every check time, one prefix after another as
-    ``_locate`` reads them, joined."""
-    parts, lo = [], 0
-    while lo < len(times):
-        parts.append(heat.flags(times[lo:], lengths[lo:], len(times))[0])
-        lo += len(parts[-1])
-    return np.concatenate(parts)
+    """``heat.flags`` over every check time, block by block as ``_locate``
+    reads them, joined."""
+    return np.concatenate([heat.flags(times[block], lengths[block]) for block in _locator_blocks(len(times))])
 
 
 def _bisection(probe, lo, hi):
@@ -638,16 +643,16 @@ class TestEventLocation:
         blocks = []
         real = _Heat.flags
 
-        def counting(self, times, lengths, width):
+        def counting(self, times, lengths):
             blocks.append((float(times[0]), len(times)))
-            return real(self, times, lengths, width)
+            return real(self, times, lengths)
 
         monkeypatch.setattr(_Heat, "flags", counting)
         controls = IntegratorControls(t_max=5.0)
         assert integrate(ELLIPSEISH, PanYang(), controls).event.kind == "reached-horizon"
-        # 101 check times in blocks of 32 and 69: the curvature bound clears
-        # the first, so the second runs to the end; a separate check at t = 0
-        # would make a block of 1 first.
+        # 101 check times in blocks of 32 and 69: the second runs to the end
+        # of the first 256; a separate check at t = 0 would make a block of 1
+        # first.
         assert 1 + len(_sample_times(controls)) == 101
         assert blocks[0][0] == 0.0
         assert [size for _, size in blocks] == [32, 69]
@@ -656,15 +661,15 @@ class TestEventLocation:
         # The circle's radius of curvature is 1, so singularity_eps = 1 - 5e-11
         # leaves a margin within PRESCAN_SLACK of its size at every check time:
         # all 201 are flagged and none is crossed. Each is tested once, in one
-        # pass over blocks of 32, 64 and 105.
+        # pass over blocks of 32 and 169.
         from curveflow.integrate import _Heat, _sample_times
 
         blocks = []
         real = _Heat.flags
 
-        def counting(self, times, lengths, width):
+        def counting(self, times, lengths):
             blocks.append(len(times))
-            return real(self, times, lengths, width)
+            return real(self, times, lengths)
 
         monkeypatch.setattr(_Heat, "flags", counting)
         controls = IntegratorControls(t_max=10.0, singularity_eps=1.0 - 5e-11)
@@ -672,7 +677,7 @@ class TestEventLocation:
         assert traj.event == TerminationEvent(kind="reached-horizon", t=10.0)
         assert np.array_equal(traj.t, np.concatenate(([0.0], _sample_times(controls))))
         assert np.all(traj.L == TWO_PI)
-        assert blocks == [32, 64, 105]
+        assert blocks == [32, 169]
 
     def test_ode_path_checks_t_zero_before_the_first_rhs_call(self):
         # H = L^400 overflows at the initial length, so the run ends at the
@@ -1316,8 +1321,8 @@ class TestPrescan:
         heat = _Heat(ELLIPSEISH, IntegratorControls(length_blowup=1e300))
         times, lengths = np.array([0.0, 0.5]), np.array([TWO_PI, 1e154])
         assert _crossed(heat.margins(0.5, 1e154)) == ["h-domain-exit"]
-        assert heat.flags(times, lengths, 2)[0].tolist() == [False, True]
-        assert oracles.grid_flags(heat, times, lengths)[0].tolist() == [False, True]
+        assert heat.flags(times, lengths).tolist() == [False, True]
+        assert oracles.grid_flags(heat, times, lengths).tolist() == [False, True]
 
     def test_margins_agree_between_scalar_and_array_forms(self):
         from curveflow.integrate import _margins
@@ -1381,16 +1386,15 @@ class TestPrescan:
         # the array it is evaluated in.
         from curveflow import parse_flow_term
         from curveflow.flows import closed_length
-        from curveflow.integrate import SCAN_BLOCK_CAP, SCAN_CHUNK, _Lengths, _sample_times
+        from curveflow.integrate import _Lengths, _sample_times
 
         law = closed_length(_random_convex(np.random.default_rng(seed), n), parse_flow_term(flow))
         check = np.concatenate(([0.0], _sample_times(IntegratorControls(t_max=t_max, sample_interval=sample_interval))))
         lengths = _Lengths(law, check)
-        parts, lo, size = [], 0, SCAN_CHUNK
-        while lo < len(check):
-            parts.append(law(check[lo : lo + size]))
-            assert lengths[lo : lo + size].tobytes() == parts[-1].tobytes()
-            lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
+        parts = []
+        for block in _locator_blocks(len(check)):
+            parts.append(law(check[block]))
+            assert lengths[block].tobytes() == parts[-1].tobytes()
         assert law(check).tobytes() == np.concatenate(parts).tobytes()
 
     def test_a_closed_form_run_evaluates_its_law_once_at_its_check_times(self, monkeypatch):
@@ -1414,18 +1418,9 @@ class TestPrescan:
     def test_a_late_pinch_runs_no_grid_product_wider_than_the_doubling(self, monkeypatch, t_star):
         # Under H = L, u = m + a cos 2(theta - phi) + small modes up to n = 64
         # has rho_min = m e^{(1 - 2 pi) t} - 3a e^{-3t} once they have decayed,
-        # which a puts at t_star: past the first block of 32 check times,
-        # which the curvature bound clears. Each grid product may span at most
-        # the block that the doubling 32, 64, 128, 256, 256, ... gives the
-        # check time it starts at, as at the parent, however the blocks fall.
-        from curveflow.integrate import SCAN_BLOCK_CAP, _Heat
-
-        def doubling(column: int) -> int:
-            lo, size = 0, SCAN_CHUNK
-            while lo + size <= column:
-                lo, size = lo + size, min(2 * size, SCAN_BLOCK_CAP)
-            return size
-
+        # which a puts at t_star: past the first block of 32 check times. The
+        # pre-scan reads the curvature bound alone, so the run takes no grid
+        # product of any width; the scalar test sums one time at a time.
         rng = np.random.default_rng(64)
         n = np.arange(1, 65)
         cos, sin = (rng.uniform(-1.0, 1.0, 64) * 1e-4 / n**4 for _ in range(2))
@@ -1434,30 +1429,17 @@ class TestPrescan:
         spec0 = SupportSpectrum(mean=1.0, cos_coeffs=cos, sin_coeffs=sin)
         controls = IntegratorControls(t_max=3.0, sample_interval=0.005)
         support = importlib.import_module("curveflow.support")
-        widths, products = [], []
-        grid_deviation, flags = support._grid_deviation, _Heat.flags
+        grid_deviation, shapes = support._grid_deviation, []
 
         def counted_grid_deviation(cos_coeffs, sin_coeffs):
-            if cos_coeffs.ndim == 2:
-                widths.append(cos_coeffs.shape[1])
+            shapes.append(cos_coeffs.shape)
             return grid_deviation(cos_coeffs, sin_coeffs)
 
-        def located(heat, times, lengths, width):
-            del widths[:]
-            flagged, gridded = flags(heat, times, lengths, width)
-            assert len(widths) == gridded
-            if gridded:  # the product ends the prefix the block decided
-                start = round(float(times[0]) / controls.sample_interval) + len(flagged) - widths[0]
-                products.append((start, widths[0]))
-            return flagged, gridded
-
         monkeypatch.setattr(support, "_grid_deviation", counted_grid_deviation)
-        monkeypatch.setattr(_Heat, "flags", located)
         traj = integrate(spec0, H_EQUALS_L, controls)
         assert traj.event.kind == "singularity"
         assert traj.event.t == pytest.approx(t_star, abs=0.01)
-        assert products and products[0][0] >= SCAN_CHUNK
-        assert all(width <= doubling(start) for start, width in products), products
+        assert shapes and all(len(shape) == 1 for shape in shapes), shapes
 
     def test_peak_allocation_does_not_grow_with_check_times(self):
         import tracemalloc
@@ -1482,15 +1464,14 @@ class TestPrescan:
         assert peaks[1] <= 1.05 * peaks[0]
 
     @pytest.mark.parametrize(
-        "eps, grid_products, flagged",
-        [(0.3, 0, 0), (0.5, 1, 2), (0.4 - 0.5 * PRESCAN_SLACK, 1, 1)],
+        "eps, flagged",
+        [(0.3, 0), (0.5, 2), (0.4 - 0.5 * PRESCAN_SLACK, 1)],
         ids=["clear", "crossed", "within-the-slack"],
     )
-    def test_grid_product_runs_only_where_the_bound_does_not_clear(
-        self, monkeypatch, eps, grid_products, flagged
-    ):
+    def test_grid_product_runs_only_where_the_bound_does_not_clear(self, monkeypatch, eps, flagged):
         # rho = 1 - 0.6 e^{-3t} cos 2 theta under pan-yang: the bound
-        # 1 - 0.6 e^{-3t} is the minimum itself, 0.4 at t = 0 on a grid node.
+        # 1 - 0.6 e^{-3t} is the minimum itself, 0.4 at t = 0 on a grid node,
+        # so the bound alone flags what the grid minimum does, with no product.
         from curveflow.integrate import _Heat
 
         heat = _Heat(ELLIPSEISH, IntegratorControls(singularity_eps=eps))
@@ -1500,10 +1481,10 @@ class TestPrescan:
         monkeypatch.setattr(support, "_grid_deviation", lambda a, b: calls.append(a.shape) or real(a, b))
         times = np.linspace(0.0, 1.0, 32)
         lengths = np.full(32, TWO_PI)
-        flags, gridded = heat.flags(times, lengths, 32)
-        assert len(calls) == grid_products and gridded == bool(grid_products)
+        flags = heat.flags(times, lengths)
+        assert calls == []
         assert np.count_nonzero(flags) == flagged
-        assert np.array_equal(flags, oracles.grid_flags(heat, times, lengths)[0])
+        assert np.array_equal(flags, oracles.grid_flags(heat, times, lengths))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1516,8 +1497,8 @@ class TestPrescan:
     @settings(max_examples=60, deadline=None)
     def test_same_flags_and_runs_as_the_grid_only_route(self, seed, n, term, pinch, eps, share):
         # A share of the initial grid minimum puts eps between the bound
-        # and that minimum for many curves: blocks run the grid product
-        # without a flag.
+        # and that minimum for many curves: the bound flags check times that
+        # the grid minimum does not, and the scalar test clears them.
         from curveflow import radius_extrema
         from curveflow.integrate import _crossed, _Heat, record_rows
 
@@ -1535,15 +1516,14 @@ class TestPrescan:
         controls = IntegratorControls(t_max=5.0, singularity_eps=eps)
         real = _Heat.flags
 
-        def checked(heat, times, lengths, width):
-            flags, gridded = real(heat, times, lengths, width)
-            count = len(flags)  # the prefix the block decided
-            assert np.array_equal(flags, oracles.grid_flags(heat, times, lengths)[0][:count])
+        def checked(heat, times, lengths):
+            flags = real(heat, times, lengths)
+            assert len(flags) == len(times)
+            assert np.all(flags[oracles.grid_flags(heat, times, lengths)])
             # The locator tests only flagged check times: every crossed one must be.
-            pairs = zip(times[:count].tolist(), lengths[:count].tolist())
-            crossed = [bool(_crossed(heat.margins(t, L))) for t, L in pairs]
+            crossed = [bool(_crossed(heat.margins(t, L))) for t, L in zip(times.tolist(), lengths.tolist())]
             assert np.all(flags[crossed])
-            return flags, gridded
+            return flags
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_Heat, "flags", checked)
@@ -1551,6 +1531,29 @@ class TestPrescan:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_Heat, "flags", oracles.grid_flags)
             reference = integrate(spec0, term, controls)
+        assert traj.event == reference.event
+        for name in ("t", "L", "A"):
+            assert np.array_equal(getattr(traj, name), getattr(reference, name)), name
+        assert record_rows(traj) == record_rows(reference)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("term", [PanYang(), H_EQUALS_L], ids=["pan-yang", "H = L"])
+    def test_large_truncations_run_as_the_grid_only_route(self, monkeypatch, n, term):
+        # a_n, b_n drawn U(-1, 1) / n^3.5, with the mean that puts the grid
+        # minimum of rho at 0.02 of it: the bound's sum of |terms| exceeds the
+        # mean, so the pre-scan flags the early check times the grid clears.
+        from curveflow import radius_extrema
+        from curveflow.integrate import _Heat, record_rows
+
+        rng, k = np.random.default_rng(n), np.arange(1, n + 1)
+        cos, sin = (rng.uniform(-1.0, 1.0, n) / k**3.5 for _ in range(2))
+        deviation = radius_extrema(SupportSpectrum(mean=0.0, cos_coeffs=cos, sin_coeffs=sin))[0]
+        spec0 = SupportSpectrum(mean=-deviation / 0.98, cos_coeffs=cos, sin_coeffs=sin)
+        controls = IntegratorControls(t_max=5.0)
+        assert TestPrescan.curvature_bound(spec0, 0.0)[0] < 0.0 < radius_extrema(spec0)[0]
+        traj = integrate(spec0, term, controls)
+        monkeypatch.setattr(_Heat, "flags", oracles.grid_flags)
+        reference = integrate(spec0, term, controls)
         assert traj.event == reference.event
         for name in ("t", "L", "A"):
             assert np.array_equal(getattr(traj, name), getattr(reference, name)), name
@@ -1586,7 +1589,7 @@ class TestPrescan:
         spec = _Modes(spec0).spectrum(t, spec0.mean)
         fine = oracles.rho_series(spec.mean, spec.cos_coeffs, spec.sin_coeffs, oracles.grid(1 << 14))
         # Rounding of either sum stays below 1e-14 of the size here; the
-        # pre-scan's skip rule leaves 2e-10 of it.
+        # pre-scan's flag rule leaves 1e-10 of it.
         assert lower <= float(np.min(fine)) + 1e-14 * size
         assert lower <= radius_extrema(spec)[0] + 1e-14 * size
 
@@ -1626,7 +1629,7 @@ class TestPrescan:
     def test_grid_scan_lies_within_a_hair_of_the_scalar_test(self, seed, n, count):
         # The premise of PRESCAN_SLACK: the block sums and the scalar test's
         # sums differ by rounding far below 1e-12 of the sizes. The block's
-        # grid minimum, as the flags read it where the bound does not clear,
+        # grid minimum, as the k columns and ``oracles.grid_flags`` read it,
         # is the mean plus the minimum of one block product.
         from curveflow.integrate import _Heat
 

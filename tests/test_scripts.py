@@ -76,9 +76,7 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
-        wrapped = (
-            digest.HEAT.margins, digest.HEAT.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
-        )
+        wrapped = (digest.HEAT.margins, digest.HEAT.flags, digest.ClosedLength.__call__)
         assert digest.main() == 0
         out = capsys.readouterr().out.splitlines()
         total = next(line for line in out if line.startswith("runs 2 sha256")).split()[-1]
@@ -86,17 +84,14 @@ class TestTrajectoryDigest:
         assert out[-1] == f"shared sha256 {total}"
         # The ellipse pinches under H = L after 10 scalar tests; pan-yang flags none.
         assert "probes 10" in out
-        # Pan-yang scans its 201 check times in blocks of 32 and 169, with
-        # no grid product; H = L pinches inside its first block of 32, whose
-        # curvature bound does not clear singularity_eps.
-        assert "prescan blocks 3 columns 233 grid products 1" in out
+        # Pan-yang scans its 201 check times in blocks of 32 and 169; H = L
+        # pinches inside its first block of 32.
+        assert "prescan blocks 3 columns 233" in out
         # Each run evaluates its law once at all 201 check times; the 10
         # scalar tests evaluate it at one time, and the pinch run's last
         # state keeps the length its scalar test read.
         assert "closed-law evaluations arrays 2 times 402 scalars 10" in out
-        restored = (
-            digest.HEAT.margins, digest.HEAT.flags, digest.SUPPORT._grid_deviation, digest.ClosedLength.__call__
-        )
+        restored = (digest.HEAT.margins, digest.HEAT.flags, digest.ClosedLength.__call__)
         assert restored == wrapped
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
