@@ -3,9 +3,13 @@
 locate the curvature pinch time for each amplitude.
 
 For u0 = 1 + a2*cos(2 theta) the length solves L(t) = 2*pi*e^{(1-2pi)t}
-while the min radius deviation decays like -3*a2*e^{-3t}, so the pinch
-happens at the analytic time t* = ln(3*a2) / (4 - 2*pi). The detected
-event times are compared against that prediction.
+while the min radius deviation decays like -3*a2*e^{-3t}, so the radius
+of curvature at theta = 0, a node of the curvature grid, reaches 0 at
+t0 = ln(3*a2) / (4 - 2*pi). The event fires where it reaches the
+threshold eps = singularity_eps instead, at the root of
+e^{(1-2pi)t} - 3*a2*e^{-3t} = eps, which a few Newton steps from t0 give.
+The detected event times are compared against that root, so the gap
+measures the event locator, not eps.
 
 Usage:
     python scripts/singularity_scan.py [--amplitudes 0.05,0.1,...,0.3]
@@ -27,6 +31,17 @@ from curveflow import (  # noqa: E402
 )
 
 H_EQUALS_L = PowerSum(terms=((1.0, 1.0, 0.0),))
+CONTROLS = IntegratorControls(t_max=10.0)
+
+
+def pinch_time(a2: float, eps: float) -> float:
+    """The root of e^{(1-2pi)t} - 3*a2*e^{-3t} = eps, by Newton steps from
+    the eps = 0 root, which lies within 1e-7 of it."""
+    t = np.log(3.0 * a2) / (4.0 - 2.0 * np.pi)
+    for _ in range(4):
+        mean, dip = np.exp((1.0 - 2.0 * np.pi) * t), 3.0 * a2 * np.exp(-3.0 * t)
+        t -= (mean - dip - eps) / ((1.0 - 2.0 * np.pi) * mean + 3.0 * dip)
+    return float(t)
 
 
 def main() -> int:
@@ -38,8 +53,8 @@ def main() -> int:
     print(f"{'a2':>6} {'event':>12} {'t_detected':>12} {'t_analytic':>12} {'gap':>10}")
     for a2 in amplitudes:
         spec = SupportSpectrum(mean=1.0, cos_coeffs=[0.0, a2], sin_coeffs=[0.0, 0.0])
-        traj = integrate(spec, H_EQUALS_L, IntegratorControls(t_max=10.0))
-        analytic = np.log(3.0 * a2) / (4.0 - 2.0 * np.pi)
+        traj = integrate(spec, H_EQUALS_L, CONTROLS)
+        analytic = pinch_time(a2, CONTROLS.singularity_eps)
         detected = traj.event.t
         print(
             f"{a2:>6.3f} {traj.event.kind:>12} {detected:>12.6f} "

@@ -13,7 +13,11 @@ run it prints the sha256 of the run's event (kind, t, theta) and of
 every recorded state's (t, L, A), read from the trajectory's columns and
 written with repr so any bit change shows; then the counts by event kind, how many runs took
 the closed-form length and how many the ODE solve, how many scalar tests
-the event locator ran (calls of ``integrate._Heat.margins``), what its
+the event locator ran (calls of ``integrate._Heat.margins``), how its
+singularity brackets closed (calls of ``integrate._narrow`` whose upper
+end crosses the singularity first: closed by the model where the final
+bracket holds the model's root, plain ITP where there was no root or a
+scalar test contradicted it), what its
 pre-scan did (blocks: calls of ``integrate._Heat.flags``; columns: the
 check times those calls received), how often the
 closed-form length law was evaluated (calls of
@@ -55,7 +59,8 @@ from curveflow import IntegratorControls, SupportSpectrum, integrate, parse_flow
 from curveflow.flows import ClosedLength, closed_length  # noqa: E402
 
 # The module, not the function of the same name that the package exports.
-HEAT = importlib.import_module("curveflow.integrate")._Heat
+INTEGRATE = importlib.import_module("curveflow.integrate")
+HEAT = INTEGRATE._Heat
 
 
 def smooth(modes: int, seed: int) -> SupportSpectrum:
@@ -139,11 +144,19 @@ def main() -> int:
     total = hashlib.sha256()
     tally: Counter[str] = Counter()
     margins, flags = HEAT.margins, HEAT.flags
+    narrow = INTEGRATE._narrow
     law = ClosedLength.__call__
 
     def counted_margins(heat, t, length):
         tally["probes"] += 1
         return margins(heat, t, length)
+
+    def counted_narrow(probe, lo, hi, root=None):
+        # probe(hi) is the scalar test already run at the crossed check time.
+        a, b = narrow(probe, lo, hi, root)
+        if INTEGRATE._crossed(probe(hi))[0] == INTEGRATE.EVENT_SINGULARITY:
+            tally["model" if root is not None and a < root < b else "plain"] += 1
+        return a, b
 
     def counted_flags(heat, times, lengths):
         tally["blocks"] += 1
@@ -159,6 +172,7 @@ def main() -> int:
         return law(closed, t)
 
     HEAT.margins, HEAT.flags = counted_margins, counted_flags
+    INTEGRATE._narrow = counted_narrow
     ClosedLength.__call__ = counted_law
     try:
         for spec_name, spec in SPECTRA.items():
@@ -176,11 +190,13 @@ def main() -> int:
                         print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
     finally:
         HEAT.margins, HEAT.flags = margins, flags
+        INTEGRATE._narrow = narrow
         ClosedLength.__call__ = law
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
     print(f"probes {tally['probes']}")
+    print(f"singularity brackets model {tally['model']} plain {tally['plain']}")
     print(f"prescan blocks {tally['blocks']} columns {tally['columns']}")
     print(
         f"closed-law evaluations arrays {tally['law arrays']} times {tally['law times']}"

@@ -16,8 +16,10 @@ minus the isoperimetric deficit over 4*pi of the propagated curve, known
 from the initial data alone: A(t) = L(t)^2 / (4*pi) + E(t). Each quantity
 is one ``_Modes`` method that takes a time or an array of times; the grid
 extrema of the radius of curvature come from ``support._radius_range``, and
-the minimum alone, which the event locator reads, from ``support._min_radius``.
-The locator's pre-scan and its bound on that minimum are ``integrate._Heat``'s.
+the minimum alone with its grid node, which the event locator reads, from
+``_Modes.min_node``. At a fixed node the radius is an exponential sum in t
+(``_Modes.node_weights``), which the locator models a pinch with. Its
+pre-scan and its bound on the minimum are ``integrate._Heat``'s.
 
 A factor below e^EXP_CUT = e^-600 (``support.EXP_CUT``) reads exactly
 0.0 (``support._decay_exp``, past ``_Modes._cut_from``), so no subnormal
@@ -42,7 +44,6 @@ from .support import (
     _deficit_rates,
     _grid_deviation,
     _inverse_curvature,
-    _min_radius,
     _radius_range,
     _radius_table,
 )
@@ -68,8 +69,9 @@ class _Modes:
 
     has its extrema from ``support._radius_range``, so ``radius_range`` at
     one time is ``radius_extrema`` of the recorded state, bit for bit, and
-    ``min_radius`` is its minimum. The methods for one time scale the
-    coefficients with ``_scaled``, which skips the (modes x times) shapes.
+    ``min_node`` its minimum with the node where it lies. The methods for
+    one time scale the coefficients with ``_scaled``, which skips the
+    (modes x times) shapes.
     """
 
     def __init__(self, spec0: SupportSpectrum):
@@ -142,14 +144,36 @@ class _Modes:
         shape = (-1,) + (1,) * (factors.ndim - 1)  # (modes x times) columns for many times
         return _radius_range(length / TWO_PI, self._a0.reshape(shape) * factors, self._b0.reshape(shape) * factors)
 
-    def min_radius(self, t: float, length: float) -> float:
-        """``radius_range(t, length)[0]`` at one time, bit for bit: the scalar
-        test of the event locator, which reads no maximum."""
-        return float(_min_radius(length / TWO_PI, *self._scaled(t)))
+    def min_node(self, t: float, length: float) -> tuple[float, int]:
+        """(min radius, j) at one time from one grid product: the scalar test
+        of the event locator, which reads no maximum, and the grid node j
+        where the deviation is least. The radius is the mean added after the
+        least deviation, ``radius_range(t, length)[0]`` bit for bit. Of nodes
+        that tie, j is the one nearest theta = 0 either way round, the lower
+        at equal distance, so that reflecting the curve (node j to M - j)
+        reflects j, and with it everything read at j, bit for bit."""
+        dev = _grid_deviation(*self._scaled(t))
+        node = int(dev.argmin())
+        least = dev.item(node)
+        if dev[::-1].argmin() != len(dev) - 1 - node:  # another node ties (or a NaN)
+            ties = (dev == least).nonzero()[0]
+            node = int(ties[np.minimum(ties, len(dev) - ties).argmin()]) if ties.size else node
+        return length / TWO_PI + least, node
+
+    def node_theta(self, node: int) -> float:
+        """The angle of grid node ``node``."""
+        return float(_radius_table(len(self._a0))[0][node])
 
     def argmin_theta(self, t: float) -> float:
-        dev = _grid_deviation(*self._scaled(t))
-        return float(_radius_table(len(self._a0))[0][int(np.argmin(dev))])
+        """The angle of ``min_node``'s node at t."""
+        return self.node_theta(self.min_node(t, 0.0)[1])
+
+    def node_weights(self, node: int) -> np.ndarray:
+        """g_n = (1 - n^2)(a_n cos n theta_j + b_n sin n theta_j) at grid node
+        j = ``node``: the radius of curvature there is L(t)/(2*pi) + sum g_n
+        e^{(1-n^2)t}, an exponential sum in t."""
+        _, cos_table, sin_table = _radius_table(len(self._a0))
+        return cos_table[node] * self._a0 + sin_table[node] * self._b0
 
     def deficit(self, times: np.ndarray) -> np.ndarray:
         """isoperimetric_deficit of the state at each time, bit for bit: row

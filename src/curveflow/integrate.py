@@ -41,7 +41,12 @@ at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
 earliest crossing of any threshold, in at most one probe more than
 bisection, with ties broken singularity > area vanish > length vanish >
-length blow-up > float range.
+length blow-up > float range. Where the singularity is crossed first
+there, the radius of curvature at the grid node of that test's minimum
+is an exponential sum in t, L(t)/(2*pi) + sum g_n e^{(1-n^2)t}. Its root,
+from secant steps of O(N) and no grid product each, is ITP's
+interpolation point, and the two scalar tests either side of it close
+the bracket unless one contradicts the model, which is then dropped.
 A trajectory derives its outcome from its event: convergence to a
 circle (with its limit center), a curvature singularity, or one of the
 degenerate length/area scenarios.
@@ -377,8 +382,11 @@ class _Heat:
     blocks sum the bound, its size and E(t) at their own times. A heat
     half lives for one ``integrate`` call or one ``sweep`` command.
 
-    ``margins`` is the scalar test at one (t, L); ``flags`` marks the check
-    times of a block where it may read a crossing, from ``scan`` alone.
+    ``margins`` is the scalar test at one (t, L), which keeps ``node``, the
+    (t, j) of its grid minimum; ``flags`` marks the check times of a block
+    where it may read a crossing, from ``scan`` alone; ``pinch_root`` models
+    the singularity margin at one grid node. A heat half runs one flow at a
+    time.
     Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), the radius of
     curvature over every theta is at least L(t)/(2*pi) - sum |1 - n^2|
     sqrt(p_n) e^{(1-n^2)t}, an O(N) bound per time whose sum decays at rate
@@ -397,6 +405,7 @@ class _Heat:
         self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
         self.grid = np.concatenate(([0.0], _sample_times(controls)))
+        self.node = (math.nan, -1)
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
@@ -419,11 +428,43 @@ class _Heat:
         return length - TWO_PI * h_val
 
     def margins(self, t: float, length: float) -> tuple:
-        """``_margins`` at (t, L), the scalar test of the event locator."""
+        """``_margins`` at (t, L), the scalar test of the event locator; it
+        keeps (t, j) of its grid minimum as ``node``."""
         # No FlowState here: the locator may probe lengths at or below the
         # vanish threshold where states are unconstructible.
         modes = self.modes
-        return _margins(self.limits, modes.min_radius(t, length), modes.area(t, length), length)
+        rho_min, node = modes.min_node(t, length)
+        self.node = t, node
+        return _margins(self.limits, rho_min, modes.area(t, length), length)
+
+    def pinch_root(self, path: Callable, node: int, lo: float, hi: float) -> float | None:
+        """The root in (lo, hi) of the singularity margin at grid node
+        ``node`` along L = path(t), phi(t) = L(t)/(2*pi) + sum g_n
+        e^{(1-n^2)t} - eps (``_Modes.node_weights``), or None. Secant steps
+        from lo and hi, O(N) and one ``path`` call each, with no grid
+        product; the root is taken once a step moves it by at most
+        0.05 EVENT_TIME_TOL, the room ``_narrow`` leaves around it. None
+        where phi is not positive at lo and <= 0 at hi, or a step leaves
+        (lo, hi) or does not settle within bisection's count of steps."""
+        modes, eps = self.modes, self.limits[0]
+        weights = modes.node_weights(node)
+
+        def phi(t: float) -> float:
+            return float(path(t) / TWO_PI + weights @ modes.factors(t) - eps)
+
+        x0, f0, x1, f1 = lo, phi(lo), hi, phi(hi)
+        if not f0 > 0.0 >= f1:
+            return None
+        for _ in range(math.ceil(math.log2(max(hi - lo, EVENT_TIME_TOL) / EVENT_TIME_TOL))):
+            if f1 == f0:
+                return None
+            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+            if not lo < x2 < hi:
+                return None
+            if abs(x2 - x1) <= 0.05 * EVENT_TIME_TOL:
+                return x2
+            x0, f0, x1, f1 = x1, f1, x2, phi(x2)
+        return None
 
     def scan(self, times: np.ndarray, lengths: np.ndarray) -> tuple:
         """(bound on the min radius, its size, area, its size) at each time,
@@ -453,7 +494,14 @@ class _Heat:
 
 
 def _locate(
-    modes: _Modes, margins: Callable, path: Callable, t_prev: float, check_times, lengths, flags: Callable
+    modes: _Modes,
+    margins: Callable,
+    path: Callable,
+    t_prev: float,
+    check_times,
+    lengths,
+    flags: Callable,
+    heat: _Heat | None = None,
 ):
     """Earliest crossing along L = path(t): (t_before, L at t_before,
     event) or None.
@@ -469,14 +517,24 @@ def _locate(
     is crossed, ``_narrow`` takes [previous check time, it] down to
     EVENT_TIME_TOL. The event is the first kind crossed at the upper end of
     that bracket.
+
+    ``heat``, when given, is the ``_Heat`` whose scalar test ``margins``
+    is: each test leaves the grid node of its minimum in ``heat.node``.
+    Where the singularity is the first kind crossed at the first crossed
+    check time, ``_narrow`` then takes the root of ``heat.pinch_root`` at
+    that check time's node as its interpolation point, and theta* is the
+    angle of the node of the scalar test at the event time. Without
+    ``heat``, theta* is ``modes.argmin_theta`` at the event time.
     """
     known: dict[float, tuple] = {}
 
     def measure(t: float) -> tuple:
-        # (L, margins) at t, each computed once.
+        # (L, margins, grid node of the minimum or None) at t, each computed once.
         if t not in known:
             length = path(t)
-            known[t] = length, margins(t, length)
+            values = margins(t, length)
+            node = heat.node[1] if heat is not None and heat.node[0] == t else None
+            known[t] = length, values, node
         return known[t]
 
     def probe(t: float) -> tuple:
@@ -488,16 +546,25 @@ def _locate(
         flagged = flags(check_times[lo:stop], lengths[lo:stop])
         for i in (lo + np.flatnonzero(flagged)).tolist():
             hi = float(check_times[i])
-            if _crossed(probe(hi)):
-                t0, t1 = _narrow(probe, t_prev if i == 0 else float(check_times[i - 1]), hi)
+            fired = _crossed(probe(hi))
+            if fired:
+                below = t_prev if i == 0 else float(check_times[i - 1])
+                node = measure(hi)[2]
+                root = None
+                if fired[0] == EVENT_SINGULARITY and node is not None:
+                    root = heat.pinch_root(path, node, below, hi)
+                t0, t1 = _narrow(probe, below, hi, root)
                 fired = _crossed(probe(t1))
-                theta = modes.argmin_theta(t1) if fired[0] == EVENT_SINGULARITY else None
+                theta = None
+                if fired[0] == EVENT_SINGULARITY:
+                    node = measure(t1)[2]
+                    theta = modes.argmin_theta(t1) if node is None else modes.node_theta(node)
                 return t0, measure(t0)[0], TerminationEvent(kind=fired[0], t=t1, theta=theta)
         lo = stop
     return None
 
 
-def _narrow(probe: Callable, lo: float, hi: float) -> tuple[float, float]:
+def _narrow(probe: Callable, lo: float, hi: float, root: float | None = None) -> tuple[float, float]:
     """[lo, hi], nothing crossed at lo and something at hi, narrowed to
     EVENT_TIME_TOL on "nothing crossed yet"; ``probe(t)`` gives the margins
     at t. Each probe is an ITP step (Oliveira and Takahashi, ACM TOMS 47(1),
@@ -506,24 +573,45 @@ def _narrow(probe: Callable, lo: float, hi: float) -> tuple[float, float]:
     within the radius of it that bisection plus one probe allows. So a
     smooth margin converges superlinearly, and a kinked or discontinuous
     one takes at most one probe more than bisection.
+
+    ``root``, a model's root of that margin, replaces regula falsi and its
+    move toward the midpoint while no probe contradicts it: the probes are
+    root - 0.45 EVENT_TIME_TOL, where the model has nothing crossed, and
+    root + 0.45 EVENT_TIME_TOL, where it has the margin <= 0, the one that
+    leaves the shorter bracket first. The radius still holds, so the bound
+    of one probe more than bisection stands. A probe that crosses
+    something below root, or leaves the margin positive above it, drops
+    the model, and plain ITP goes on from the bracket it left. The margin
+    at lo is read only when regula falsi needs it.
     """
     a, b = lo, hi
     kind = _EVENT_PRIORITY.index(_crossed(probe(b))[0])
-    fa, fb = probe(a)[kind], probe(b)[kind]
+    fa, fb = None, probe(b)[kind]
     width = max(b - a, EVENT_TIME_TOL)
     for left in range(math.ceil(math.log2(width / EVENT_TIME_TOL)), -1, -1):
         if b - a <= EVENT_TIME_TOL:
             break
         mid = 0.5 * (a + b)
-        falsi = (b * fa - a * fb) / (fa - fb)  # fb <= 0 < fa
+        if root is None:
+            if fa is None:
+                fa = probe(a)[kind]
+            point = (b * fa - a * fb) / (fa - fb)  # regula falsi; fb <= 0 < fa
+            nudge = 0.2 * (b - a) ** 2 / width
+        else:
+            below, above = root - 0.45 * EVENT_TIME_TOL, root + 0.45 * EVENT_TIME_TOL
+            # Of the model's two probes still inside, the one that leaves the shorter bracket.
+            point = below if a < below and (above >= b or b - below <= above - a) else above
+            nudge = 0.0
         # A probe within this radius of mid leaves a bracket at most EVENT_TIME_TOL 2^left wide.
         radius = EVENT_TIME_TOL * 2.0**left - 0.5 * (b - a)
-        shift = min(max(abs(mid - falsi) - 0.2 * (b - a) ** 2 / width, 0.0), radius)
-        t = float(mid - math.copysign(shift, mid - falsi))
+        shift = min(max(abs(mid - point) - nudge, 0.0), radius)
+        t = float(mid - math.copysign(shift, mid - point))
         if not a < t < b:  # rounding, or a margin that is not finite
             t = mid
         margins = probe(t)
         fired = _crossed(margins)
+        if root is not None and (bool(fired) if t < root else margins[kind] > 0.0):
+            root = None
         if not fired:
             a, fa = t, margins[kind]
         else:
@@ -620,7 +708,7 @@ def _record(heat: _Heat, steps: Iterator) -> Trajectory:
         on_grid = j < len(grid) and abs(grid[j] - t1) <= TIME_RTOL * t1
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
         at_check = _Lengths(path, check)
-        found = _locate(heat.modes, heat.margins, path, t0, check, at_check, heat.flags)
+        found = _locate(heat.modes, heat.margins, path, t0, check, at_check, heat.flags, heat)
         t_stop = t1 if found is None else found[0]
         kept = kept[kept <= t_stop]
         times += kept.tolist()

@@ -250,14 +250,6 @@ def validate_convexity(spec: SupportSpectrum) -> float:
     return radius_extrema(spec)[0]
 
 
-def _min_radius(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
-    """The min of ``_radius_range`` alone, for a reader that needs no max:
-    the mean added after the grid minimum of ``_grid_deviation``, as there,
-    so the two agree bit for bit. Coefficient vectors give one value."""
-    # The ufunc itself: ndarray.min adds a wrapper call per scalar probe.
-    return mean + np.minimum.reduce(_grid_deviation(cos_coeffs, sin_coeffs), axis=0)
-
-
 def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple:
     """(min, max) of the radius of curvature on the validation grid, each the
     mean added after the extremum of the deviation. Coefficient vectors give
@@ -270,7 +262,7 @@ def _radius_range(mean, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> tuple
 def radius_extrema(spec: SupportSpectrum) -> tuple[float, float]:
     """(min, max) of the radius of curvature on the validation grid, as floats;
     the singularity event adds the mean after the same minimum of the deviation
-    (``_min_radius``), so the two agree bit for bit."""
+    (``heat._Modes.min_node``), so the two agree bit for bit."""
     rho_min, rho_max = _radius_range(spec.mean, spec.cos_coeffs, spec.sin_coeffs)
     return float(rho_min), float(rho_max)
 

@@ -285,7 +285,7 @@ class TestDecayCut:
             f = factors[:, i]
             state = SupportSpectrum(mean=length / TWO_PI, cos_coeffs=cos * f, sin_coeffs=sin * f)
             assert m.radius_range(t, length) == radius_extrema(state)
-            assert m.min_radius(t, length) == radius_extrema(state)[0]
+            assert m.min_node(t, length)[0] == radius_extrema(state)[0]
             assert m.area(t, length) == _area(length, float(e_val[i])) == circle[i] + e_val[i]
 
     def test_public_values_below_the_cut_read_zero(self):

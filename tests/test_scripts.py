@@ -76,22 +76,26 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
-        wrapped = (digest.HEAT.margins, digest.HEAT.flags, digest.ClosedLength.__call__)
+        wrapped = (digest.HEAT.margins, digest.HEAT.flags, digest.INTEGRATE._narrow, digest.ClosedLength.__call__)
         assert digest.main() == 0
         out = capsys.readouterr().out.splitlines()
         total = next(line for line in out if line.startswith("runs 2 sha256")).split()[-1]
         # The same runs on one shared heat half hash the same.
         assert out[-1] == f"shared sha256 {total}"
-        # The ellipse pinches under H = L after 10 scalar tests; pan-yang flags none.
-        assert "probes 10" in out
+        # The ellipse pinches under H = L after 3 scalar tests: the crossed
+        # check time and the model's two probes, which close its singularity
+        # bracket. Pan-yang flags none.
+        assert "probes 3" in out
+        assert "singularity brackets model 1 plain 0" in out
         # Pan-yang scans its 201 check times in blocks of 32 and 169; H = L
         # pinches inside its first block of 32.
         assert "prescan blocks 3 columns 233" in out
-        # Each run evaluates its law once at all 201 check times; the 10
-        # scalar tests evaluate it at one time, and the pinch run's last
-        # state keeps the length its scalar test read.
+        # Each run evaluates its law once at all 201 check times; the 3
+        # scalar tests and the model's 7 secant evaluations evaluate it at
+        # one time, and the pinch run's last state keeps the length its
+        # scalar test read.
         assert "closed-law evaluations arrays 2 times 402 scalars 10" in out
-        restored = (digest.HEAT.margins, digest.HEAT.flags, digest.ClosedLength.__call__)
+        restored = (digest.HEAT.margins, digest.HEAT.flags, digest.INTEGRATE._narrow, digest.ClosedLength.__call__)
         assert restored == wrapped
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
@@ -114,8 +118,9 @@ class TestSingularityScan:
         assert len(rows) == 6
         for row in rows:
             _, kind, _, _, gap = row.split()
-            # The gap comes from singularity_eps: the event fires at rho_min = 1e-9, not 0.
-            assert kind == "singularity" and float(gap) <= 1e-7
+            # The gap is to the root at rho_min = singularity_eps, and these
+            # pinches lie on a grid node: it measures the locator alone.
+            assert kind == "singularity" and float(gap) <= 1e-9
 
 
 class TestFlowGallery:
