@@ -17,7 +17,8 @@ the event locator ran (calls of ``integrate._Heat.margins``), how its
 singularity brackets closed (calls of ``integrate._narrow`` whose upper
 end crosses the singularity first: closed by the model where the final
 bracket holds the model's root, plain ITP where there was no root or a
-scalar test contradicted it), what its
+scalar test contradicted it), how many model steps it took (evaluations
+of the pinching node's margin in ``integrate._model_root``), what its
 pre-scan did (blocks: calls of ``integrate._Heat.flags``; columns: the
 check times those calls received), how often the
 closed-form length law was evaluated (calls of
@@ -144,7 +145,7 @@ def main() -> int:
     total = hashlib.sha256()
     tally: Counter[str] = Counter()
     margins, flags = HEAT.margins, HEAT.flags
-    narrow = INTEGRATE._narrow
+    narrow, model_root = INTEGRATE._narrow, INTEGRATE._model_root
     law = ClosedLength.__call__
 
     def counted_margins(heat, t, length):
@@ -157,6 +158,13 @@ def main() -> int:
         if INTEGRATE._crossed(probe(hi))[0] == INTEGRATE.EVENT_SINGULARITY:
             tally["model" if root is not None and a < root < b else "plain"] += 1
         return a, b
+
+    def counted_model_root(phi, lo, hi):
+        def counted_phi(t):
+            tally["model steps"] += 1
+            return phi(t)
+
+        return model_root(counted_phi, lo, hi)
 
     def counted_flags(heat, times, lengths):
         tally["blocks"] += 1
@@ -172,7 +180,7 @@ def main() -> int:
         return law(closed, t)
 
     HEAT.margins, HEAT.flags = counted_margins, counted_flags
-    INTEGRATE._narrow = counted_narrow
+    INTEGRATE._narrow, INTEGRATE._model_root = counted_narrow, counted_model_root
     ClosedLength.__call__ = counted_law
     try:
         for spec_name, spec in SPECTRA.items():
@@ -190,13 +198,14 @@ def main() -> int:
                         print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
     finally:
         HEAT.margins, HEAT.flags = margins, flags
-        INTEGRATE._narrow = narrow
+        INTEGRATE._narrow, INTEGRATE._model_root = narrow, model_root
         ClosedLength.__call__ = law
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
     print(f"probes {tally['probes']}")
     print(f"singularity brackets model {tally['model']} plain {tally['plain']}")
+    print(f"model steps {tally['model steps']}")
     print(f"prescan blocks {tally['blocks']} columns {tally['columns']}")
     print(
         f"closed-law evaluations arrays {tally['law arrays']} times {tally['law times']}"

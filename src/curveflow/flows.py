@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import heat
-from .support import TWO_PI, SupportSpectrum, _deficit_rates, total_inverse_curvature
+from .support import TWO_PI, SupportSpectrum, total_inverse_curvature
 
 
 class HDomainError(ValueError):
@@ -245,6 +245,16 @@ class ClosedLength:
     of a z/z0 far below 1. No law
     is built (the ODE runs) where z0 is not a normal float or kappa plus the
     weights is not finite, as for H = L^400 from L0 = 2 pi.
+
+    The same law regrouped as one exponential sum is kept for the event
+    locator's model of a pinch (``integrate._Heat.pinch_root``):
+
+        z/z0 = sum_i sum_coeffs[i] e^{sum_rates[i] t} + sum_t_weight t e^{kappa t},
+
+    with sum_rates = (kappa, rate_j...), c_j = w_j / (rate_j - kappa) and
+    c_0 = 1 - sum_j c_j. A rate equal to kappa adds its weight to
+    sum_t_weight, and a term of weight 0 is left out. ``__call__`` does
+    not read it.
     """
 
     l0: float
@@ -259,19 +269,28 @@ class ClosedLength:
     _neg_gap: np.ndarray = field(init=False, repr=False)
     _divisor: np.ndarray = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
+    sum_rates: np.ndarray = field(init=False, repr=False)
+    sum_coeffs: np.ndarray = field(init=False, repr=False)
+    sum_t_weight: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
         top = max(self.kappa, 0.0)
-        gap = np.abs(self.rates - self.kappa)
-        distinct = gap > 0.0
+        lag = self.rates - self.kappa
+        neg_gap = -np.abs(lag)
+        distinct = neg_gap < 0.0
         object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_own_rate", self.kappa - top)
         object.__setattr__(self, "_lead_rates", np.maximum(self.rates, self.kappa) - top)
-        object.__setattr__(self, "_neg_gap", -gap)
+        object.__setattr__(self, "_neg_gap", neg_gap)
         # -g, and -1 where g = 0, whose psi is t: no 0/0 to silence.
-        object.__setattr__(self, "_divisor", np.where(distinct, -gap, -1.0))
+        object.__setattr__(self, "_divisor", np.where(distinct, neg_gap, -1.0))
         object.__setattr__(self, "_distinct", distinct)
+        forced = distinct & (self.weights != 0.0)
+        coeffs = self.weights[forced] / lag[forced]
+        object.__setattr__(self, "sum_rates", np.concatenate(((self.kappa,), self.rates[forced])))
+        object.__setattr__(self, "sum_coeffs", np.concatenate(((1.0 - coeffs.sum(),), coeffs)))
+        object.__setattr__(self, "sum_t_weight", float(self.weights[~distinct].sum()))
 
     def __call__(self, t):
         """L at a time or an array of times; a float for a scalar time."""
@@ -318,12 +337,14 @@ def _as_power_terms(term: NonlocalTerm) -> tuple[tuple[float, float, float], ...
     raise TypeError(f"no power-sum form for {term!r}")
 
 
-def closed_length(spec0: SupportSpectrum, term: NonlocalTerm) -> ClosedLength | None:
+def closed_length(
+    spec0: SupportSpectrum, term: NonlocalTerm, modes: heat._Modes | None = None
+) -> ClosedLength | None:
     """The closed-form L(t) of ``term`` from ``spec0``, or None where no
-    power of L makes the length ODE linear (see the module docstring)."""
+    power of L makes the length ODE linear (see the module docstring).
+    ``modes``, the ``heat._Modes`` of ``spec0`` where the caller holds
+    them, saves building them again."""
     l0 = TWO_PI * spec0.mean
-    weight, rates = _deficit_rates(spec0.truncation)
-    q_n = 2.0 * np.pi**2 * weight * heat._Modes(spec0).power
     spectral, coef = isinstance(term, MaCheng), {}
     for c, p, q in ((1.0 / TWO_PI, 1.0, 0.0),) if spectral else _as_power_terms(term):
         coef[p, q] = coef.get((p, q), 0.0) + c
@@ -337,6 +358,8 @@ def closed_length(spec0: SupportSpectrum, term: NonlocalTerm) -> ClosedLength | 
         # z = L^2; -4 pi gamma at rate 0 only where gamma/L is, so the rest keep their bits.
         r, beta = 2.0, coef.get((-1.0, 1.0), 0.0)
         kappa = 2.0 - 2.0 * TWO_PI * alpha - beta
+        modes = heat._Modes(spec0) if modes is None else modes
+        rates, q_n = modes._e_rate, 2.0 * np.pi**2 * modes._e_weight * modes.power
         forcing = rates * q_n if spectral else beta * q_n
         if (-1.0, 0.0) in coef:
             rates, forcing = np.append(rates, 0.0), np.append(forcing, -2.0 * TWO_PI * coef[-1.0, 0.0])

@@ -9,12 +9,13 @@ For every other powersum the ODE is solved with an embedded
 Dormand-Prince 5(4) pair; each accepted step carries the standard
 quartic dense-output interpolant, and ``rel_tol``/``abs_tol`` govern
 that path only. The right-hand side reads H from (t, L) through the
-per-run mode arrays of ``heat._Modes``. A finished run keeps its recorded
-states as columns: the times, the lengths and, derived from both, the
-areas. Every other per-state quantity is a (times x modes) product of the
-initial spectrum, which the column functions below take from the same
-``_Modes`` for all states at once; a ``FlowState`` is built only when
-``Trajectory.states`` is indexed.
+per-run mode arrays of ``heat._Modes``, which a run builds once: its
+length law and its ``Trajectory`` read the same ones. A finished run
+keeps its recorded states as columns: the times, the lengths and,
+derived from both, the areas. Every other per-state quantity is a
+(times x modes) product of the initial spectrum, which the column
+functions below take from the same ``_Modes`` for all states at once; a
+``FlowState`` is built only when ``Trajectory.states`` is indexed.
 
 Termination events are threshold crossings (min radius of curvature,
 length blow-up / vanish, area vanish, and the float range: L reaching
@@ -43,10 +44,12 @@ earliest crossing of any threshold, in at most one probe more than
 bisection, with ties broken singularity > area vanish > length vanish >
 length blow-up > float range. Where the singularity is crossed first
 there, the radius of curvature at the grid node of that test's minimum
-is an exponential sum in t, L(t)/(2*pi) + sum g_n e^{(1-n^2)t}. Its root,
-from secant steps of O(N) and no grid product each, is ITP's
-interpolation point, and the two scalar tests either side of it close
-the bracket unless one contradicts the model, which is then dropped.
+is L(t)/(2*pi) + sum g_n e^{(1-n^2)t}, and on the closed path L(t) is
+itself an exponential sum (``flows.ClosedLength.sum_rates``), so each
+secant step on the model is one exponential over both sets of rates and
+one product, with no length-law call and no grid product. Its root is
+ITP's interpolation point, and the two scalar tests either side of it
+close the bracket unless one contradicts the model, which is then dropped.
 A trajectory derives its outcome from its event: convergence to a
 circle (with its limit center), a curvature singularity, or one of the
 degenerate length/area scenarios.
@@ -57,12 +60,13 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
 
 from .flows import (
+    ClosedLength,
     FlowState,
     HDomainError,
     NonlocalTerm,
@@ -79,6 +83,7 @@ from .support import (
     TWO_PI,
     GeometricSummary,
     SupportSpectrum,
+    _decay_exp,
     curve_length,
     isoperimetric_deficit,
     isoperimetric_ratio,
@@ -209,17 +214,19 @@ class Trajectory:
     bit for bit. All three are read-only float arrays and pass the checks every
     FlowState makes, with L at most ``support.MAX_LENGTH``. ``states`` is a
     read-only sequence that builds the FlowState of a state with
-    ``flow_state`` each time it is indexed.
+    ``flow_state`` each time it is indexed. ``modes``, the ``heat._Modes``
+    of ``spec0`` where the caller holds them, saves building them again.
     """
 
     spec0: SupportSpectrum
     t: np.ndarray
     L: np.ndarray
     event: TerminationEvent
+    modes: InitVar[_Modes | None] = None
     outcome: Outcome = field(init=False)
     A: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, modes: _Modes | None):
         if self.event.kind not in _BY_EVENT:
             raise ValueError(f"unknown event kind {self.event.kind!r}")
         t, length = np.array(self.t, dtype=float), np.array(self.L, dtype=float)
@@ -237,7 +244,7 @@ class Trajectory:
             raise ValueError("propagation time must be non-negative")
         if np.any(length <= 0.0):
             raise ValueError("flow state requires positive length")
-        modes = _Modes(self.spec0)
+        modes = _Modes(self.spec0) if modes is None else modes
         area = _by_chunk(modes.area, t, length)
         if not np.all(np.isfinite(area)):  # a spectrum whose power overflows
             raise ValueError("flow state fields must be finite")
@@ -386,7 +393,9 @@ class _Heat:
     (t, j) of its grid minimum; ``flags`` marks the check times of a block
     where it may read a crossing, from ``scan`` alone; ``pinch_root`` models
     the singularity margin at one grid node. A heat half runs one flow at a
-    time.
+    time; its mode arrays are the run's only ones, which ``closed_length``
+    and the recorded ``Trajectory`` read too, and its grid of sample times
+    is shared by every heat half on equal controls (``_check_grid``).
     Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), the radius of
     curvature over every theta is at least L(t)/(2*pi) - sum |1 - n^2|
     sqrt(p_n) e^{(1-n^2)t}, an O(N) bound per time whose sum decays at rate
@@ -404,12 +413,12 @@ class _Heat:
         # the largest |term| over every theta.
         self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
-        self.grid = np.concatenate(([0.0], _sample_times(controls)))
+        self.grid = _check_grid(controls)
         self.node = (math.nan, -1)
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
-        law = closed_length(self.spec0, term)
+        law = closed_length(self.spec0, term, self.modes)
         return _record(self, _dopri_steps(self, term) if law is None else iter([(0.0, self.controls.t_max, law)]))
 
     def rhs(self, term: NonlocalTerm, t: float, length: float) -> float:
@@ -440,31 +449,43 @@ class _Heat:
     def pinch_root(self, path: Callable, node: int, lo: float, hi: float) -> float | None:
         """The root in (lo, hi) of the singularity margin at grid node
         ``node`` along L = path(t), phi(t) = L(t)/(2*pi) + sum g_n
-        e^{(1-n^2)t} - eps (``_Modes.node_weights``), or None. Secant steps
-        from lo and hi, O(N) and one ``path`` call each, with no grid
-        product; the root is taken once a step moves it by at most
-        0.05 EVENT_TIME_TOL, the room ``_narrow`` leaves around it. None
-        where phi is not positive at lo and <= 0 at hi, or a step leaves
-        (lo, hi) or does not settle within bisection's count of steps."""
+        e^{(1-n^2)t} - eps (``_Modes.node_weights``), or None (see
+        ``_model_root``). Where ``path`` is a ``ClosedLength``, L is its
+        exponential sum (``ClosedLength.sum_rates``), so phi is
+
+            (L0/(2*pi)) (sum c_i e^{rho_i t})^(1/r) + sum g_n e^{(1-n^2)t} - eps,
+
+        one ``np.exp`` over the law's rates and the modes' and one product
+        with their two rows of coefficients per step, and no step calls
+        ``path``. On the ODE path each step calls ``path`` once. No step
+        runs a grid product."""
         modes, eps = self.modes, self.limits[0]
         weights = modes.node_weights(node)
+        if isinstance(path, ClosedLength):
+            count = path.sum_rates.size
+            rates = np.concatenate((path.sum_rates, modes.decay))
+            rows = np.zeros((2, rates.size))
+            rows[0, :count], rows[1, count:] = path.sum_coeffs, weights
+            scale, root, resonant = path.l0 / TWO_PI, 1.0 / path.power, path.sum_t_weight
+            cut_from = modes._cut_from
 
-        def phi(t: float) -> float:
-            return float(path(t) / TWO_PI + weights @ modes.factors(t) - eps)
+            def phi(t: float) -> float:
+                x = rates * t
+                terms = np.exp(x) if t <= cut_from else _decay_exp(x)
+                ratio, deviation = rows @ terms
+                if resonant:
+                    ratio += resonant * t * terms[0]
+                return float(scale * ratio**root + deviation - eps)
 
-        x0, f0, x1, f1 = lo, phi(lo), hi, phi(hi)
-        if not f0 > 0.0 >= f1:
-            return None
-        for _ in range(math.ceil(math.log2(max(hi - lo, EVENT_TIME_TOL) / EVENT_TIME_TOL))):
-            if f1 == f0:
-                return None
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not lo < x2 < hi:
-                return None
-            if abs(x2 - x1) <= 0.05 * EVENT_TIME_TOL:
-                return x2
-            x0, f0, x1, f1 = x1, f1, x2, phi(x2)
-        return None
+        else:
+
+            def phi(t: float) -> float:
+                return float(path(t) / TWO_PI + weights @ modes.factors(t) - eps)
+
+        # A length law that overflows, or a ratio at or below 0, may give a
+        # phi that is not finite, which ends the secant steps.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _model_root(phi, lo, hi)
 
     def scan(self, times: np.ndarray, lengths: np.ndarray) -> tuple:
         """(bound on the min radius, its size, area, its size) at each time,
@@ -491,6 +512,27 @@ class _Heat:
         for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes, strict=True):
             flagged |= margin <= PRESCAN_SLACK * size
         return flagged
+
+
+def _model_root(phi: Callable, lo: float, hi: float) -> float | None:
+    """The root of phi in (lo, hi) by secant steps from lo and hi, or None.
+    The root is taken once a step moves it by at most 0.05 EVENT_TIME_TOL,
+    the room ``_narrow`` leaves around it. None where phi is not positive at
+    lo and <= 0 at hi, or a step leaves (lo, hi) or does not settle within
+    bisection's count of steps."""
+    x0, f0, x1, f1 = lo, phi(lo), hi, phi(hi)
+    if not f0 > 0.0 >= f1:
+        return None
+    for _ in range(math.ceil(math.log2(max(hi - lo, EVENT_TIME_TOL) / EVENT_TIME_TOL))):
+        if f1 == f0:
+            return None
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not lo < x2 < hi:
+            return None
+        if abs(x2 - x1) <= 0.05 * EVENT_TIME_TOL:
+            return x2
+        x0, f0, x1, f1 = x1, f1, x2, phi(x2)
+    return None
 
 
 def _locate(
@@ -684,6 +726,15 @@ def _sample_times(controls: IntegratorControls) -> np.ndarray:
     return np.append(grid[grid < controls.t_max * (1.0 - TIME_RTOL)], controls.t_max)
 
 
+@functools.lru_cache(maxsize=4)
+def _check_grid(controls: IntegratorControls) -> np.ndarray:
+    """t = 0, then ``_sample_times``: one read-only array per controls,
+    which every run on them shares."""
+    grid = np.concatenate(([0.0], _sample_times(controls)))
+    grid.flags.writeable = False
+    return grid
+
+
 def _record(heat: _Heat, steps: Iterator) -> Trajectory:
     """States and event along L(t), given as steps (t0, t1, path): path(t)
     is L on [t0, t1] at a time or an array of times, until the next step
@@ -719,7 +770,7 @@ def _record(heat: _Heat, steps: Iterator) -> Trajectory:
                 times.append(t_stop)
                 lengths.append(length_stop)
             break
-    return Trajectory(heat.spec0, times, lengths, event)
+    return Trajectory(heat.spec0, times, lengths, event, heat.modes)
 
 
 def _dopri_steps(heat: _Heat, term: NonlocalTerm) -> Iterator:

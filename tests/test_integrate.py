@@ -789,21 +789,79 @@ class TestEventLocation:
         assert traj.event.kind == "area-vanish"
 
     def test_pinch_family_probes(self, monkeypatch):
+        from curveflow.flows import ClosedLength
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _Heat
+
         probes = self.record_probes(monkeypatch)
+        # Calls of the length law and of the mode factors made inside the
+        # model, and the mode arrays built per run.
+        inside, in_model, builds = [False], [], []
+
+        def wrap(cls, name, record):
+            real = getattr(cls, name)
+
+            def wrapped(*args, **kwargs):
+                record()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapped)
+            return real
+
+        wrap(ClosedLength, "__call__", lambda: inside[0] and in_model.append("law"))
+        wrap(_Modes, "factors", lambda: inside[0] and in_model.append("factors"))
+        wrap(_Modes, "__init__", lambda: builds.append(1))
+        real_root = _Heat.pinch_root
+
+        def root(self, *args):
+            inside[0] = True
+            try:
+                return real_root(self, *args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(_Heat, "pinch_root", root)
         rng = np.random.default_rng(1)
         counts = []
         for i in range(60):
             offset = 0.5 if i % 2 == 0 else rng.uniform(0.01, 0.99)
             spec0 = _pinch_curve(rng, (2, 16, 64)[i % 3], rng.uniform(0.05, 0.3), offset)
-            del probes[:]
+            del probes[:], builds[:]
             assert integrate(spec0, H_EQUALS_L, IntegratorControls(t_max=10.0)).event.kind == "singularity"
             counts.append(len(probes))
+            # The heat half's mode arrays serve the law and the trajectory too.
+            assert len(builds) == 1
+        # On the closed path the model is the law's exponential sum.
+        assert in_model == []
         # The bisection alone takes 29 probes to narrow a 0.05 bracket to 1e-10,
         # and ITP on the margins a median of 10 (at most 16 here). The model of
         # the pinching node's radius takes 3 in each of these 60 runs: the
         # scalar test at the crossed check time and the two either side of the
         # model's root.
         assert max(counts) <= 3
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            PowerSum(terms=((1.0, 1.0, 0.0), (0.5, -1.0, 1.0))),  # z = L^2
+            PowerSum(terms=((1.0, 1.0, 0.0), (0.1, 2.0, 0.0))),  # z = 1/L, kappa > 0
+            PowerSum(terms=((1.0 / TWO_PI, 1.0, 0.0), (0.3, 0.0, 0.0))),  # z = L, t e^{kappa t}
+        ],
+        ids=["square", "inverse", "resonant"],
+    )
+    def test_the_model_closes_pinches_under_every_law_power(self, monkeypatch, term):
+        # The model raises the law's exponential sum to 1/r, and adds the
+        # t e^{kappa t} term of a resonant rate.
+        from curveflow.flows import closed_length
+
+        probes = self.record_probes(monkeypatch)
+        law = closed_length(ELLIPSEISH, term)
+        assert law is not None and (law.power != 1.0 or law.sum_t_weight != 0.0)
+        traj = _same_as_bisection(lambda: integrate(ELLIPSEISH, term, IntegratorControls(t_max=10.0)))
+        assert traj.event.kind == "singularity"
+        del probes[:]
+        integrate(ELLIPSEISH, term, IntegratorControls(t_max=10.0))
+        assert len(probes) <= 3
 
     @pytest.mark.parametrize("miss", [1e-6, -1e-6])
     def test_a_contradicted_model_falls_back_to_itp(self, monkeypatch, miss):
@@ -839,6 +897,17 @@ class TestEventLocation:
             # The event lies on the side of the shifted root that the contradiction showed.
             assert (traj.event.t < roots[0] + miss) == (miss > 0.0)
             _same_as_bisection(lambda: integrate(spec0, H_EQUALS_L, IntegratorControls(t_max=10.0)))
+
+    def test_a_model_that_is_not_finite_has_no_root(self):
+        # An overflowing law or a ratio below 0 makes phi inf or nan at an
+        # end or at a secant step; the model then gives no root, and _narrow
+        # runs plain ITP.
+        from curveflow.integrate import _model_root
+
+        assert _model_root(lambda t: 1.0 - t, 0.0, 2.0) == 1.0
+        assert _model_root(lambda t: np.nan if t > 1.5 else 1.0 - t, 0.0, 2.0) is None
+        assert _model_root(lambda t: np.nan if 0.0 < t < 2.0 else 1.0 - t, 0.0, 2.0) is None
+        assert _model_root(lambda t: -np.inf if t > 0.0 else 1.0, 0.0, 2.0) is None
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1197,6 +1266,35 @@ class TestClosedLength:
             assert np.all(np.isfinite(column))
         assert all(None not in row.values() for row in record_rows(traj))
         assert describe_outcome(traj.outcome) == "Undetermined (H left its domain near t=351.667)"
+
+    @pytest.mark.parametrize(
+        "term, power, kappa",
+        [
+            (H_EQUALS_L, 1.0, "<"),
+            (PanYang(), 1.0, "0"),  # a rate equal to kappa with weight 0
+            (Constant(c=-1.0), 1.0, ">"),
+            (PowerSum(terms=((1.0 / TWO_PI, 1.0, 0.0), (0.3, 0.0, 0.0))), 1.0, "0"),  # weight 0.3 at kappa
+            (LinTsai(), 2.0, "0"),
+            (MaCheng(), 2.0, "0"),
+            (PowerSum(terms=((0.2, 1.5, 0.0),)), -0.5, "<"),
+        ],
+        ids=["h-equals-l", "pan-yang", "const", "resonant", "lin-tsai", "ma-cheng", "l-to-1.5"],
+    )
+    def test_exponential_sum_is_the_law(self, term, power, kappa):
+        # z/z0 = sum c e^{rate t} + t_weight t e^{kappa t}, and L = L0 (z/z0)^(1/r).
+        # Mean 4 keeps L > 0 up to t = 10 under H = L/2pi + 0.3.
+        from curveflow.flows import closed_length
+
+        spec0 = SupportSpectrum(mean=4.0, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0])
+        law = closed_length(spec0, term)
+        assert law.power == power
+        assert {"<": law.kappa < 0.0, "0": law.kappa == 0.0, ">": law.kappa > 0.0}[kappa]
+        assert law.sum_rates[0] == law.kappa and law.sum_rates.shape == law.sum_coeffs.shape
+        assert (law.sum_t_weight != 0.0) == (term.terms[-1] == (0.3, 0.0, 0.0) if isinstance(term, PowerSum) else False)
+        t = np.linspace(0.0, 10.0, 2001)
+        ratio = law.sum_coeffs @ np.exp(np.multiply.outer(law.sum_rates, t)) + law.sum_t_weight * t * np.exp(law.kappa * t)
+        assert np.all(ratio > 0.0)
+        assert law.l0 * ratio ** (1.0 / law.power) == pytest.approx(law(t), rel=1e-12, abs=0.0)
 
     def test_squared_forms_go_negative(self):
         # (ii) with beta < 0 and kappa < 0 drives L^2 through zero.

@@ -76,7 +76,13 @@ class TestTrajectoryDigest:
         monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0"))
         monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
         monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet", "--out", str(tmp_path)])
-        wrapped = (digest.HEAT.margins, digest.HEAT.flags, digest.INTEGRATE._narrow, digest.ClosedLength.__call__)
+        wrapped = (
+            digest.HEAT.margins,
+            digest.HEAT.flags,
+            digest.INTEGRATE._narrow,
+            digest.INTEGRATE._model_root,
+            digest.ClosedLength.__call__,
+        )
         assert digest.main() == 0
         out = capsys.readouterr().out.splitlines()
         total = next(line for line in out if line.startswith("runs 2 sha256")).split()[-1]
@@ -90,12 +96,20 @@ class TestTrajectoryDigest:
         # Pan-yang scans its 201 check times in blocks of 32 and 169; H = L
         # pinches inside its first block of 32.
         assert "prescan blocks 3 columns 233" in out
-        # Each run evaluates its law once at all 201 check times; the 3
-        # scalar tests and the model's 7 secant evaluations evaluate it at
-        # one time, and the pinch run's last state keeps the length its
-        # scalar test read.
-        assert "closed-law evaluations arrays 2 times 402 scalars 10" in out
-        restored = (digest.HEAT.margins, digest.HEAT.flags, digest.INTEGRATE._narrow, digest.ClosedLength.__call__)
+        # The model's margin is evaluated at the bracket's two ends and at
+        # 5 secant steps, on the law's exponential sum.
+        assert "model steps 7" in out
+        # Each run evaluates its law once at all 201 check times; only the 3
+        # scalar tests evaluate it at one time, and the pinch run's last
+        # state keeps the length its scalar test read.
+        assert "closed-law evaluations arrays 2 times 402 scalars 3" in out
+        restored = (
+            digest.HEAT.margins,
+            digest.HEAT.flags,
+            digest.INTEGRATE._narrow,
+            digest.INTEGRATE._model_root,
+            digest.ClosedLength.__call__,
+        )
         assert restored == wrapped
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["ellipse__pan-yang__default.jsonl", "ellipse__powersum_1_1_0__default.jsonl"]
@@ -104,6 +118,25 @@ class TestTrajectoryDigest:
         assert set(states[0]) == {"t", "L", "A"} and states[0]["t"] == 0.0
         assert last["event"]["kind"] == "singularity"
         assert last["event"]["t"] >= states[-1]["t"]
+
+
+class TestAbTrees:
+    def test_a_tree_against_itself_prints_every_ratio(self):
+        # A smoke run: the same checkout as both trees, one short pass.
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "ab_trees.py"), str(ROOT), str(ROOT),
+             "--workload", "pinch-scan", "--passes", "1", "--jobs", "3"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header, *rows = done.stdout.splitlines()
+        assert header == "workload pinch-scan seed 1 jobs 3 passes 1"
+        assert [row.split()[0] for row in rows] == ["job_ms_p50", "job_ms_p90", "integrations_per_s"]
+        for row in rows:
+            _, _, a, _, b, _, ratio = row.split()
+            assert float(a) > 0.0 and float(b) > 0.0 and float(ratio) > 0.0
 
 
 class TestSingularityScan:
