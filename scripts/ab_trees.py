@@ -15,9 +15,20 @@ B is faster. Nothing is scaled by the host probe, and outputs are not
 checked; run ``perfbench/run.py`` for those. Running a tree against
 itself gives the A/A spread.
 
+With ``--probe`` the benchmark's host probe (``perfbench.probe.Prober``,
+one thread, in a process of its own) runs before every timed job, as
+``perfbench/run.py`` runs it, so that each job starts as cold as it does
+there; the probe's times scale nothing. Without it the jobs run back to
+back and a job's fixed per-run work weighs less. Calibration, on the
+change that stepped the pinch model on the length law's exponential sum
+(5ed0056 against its parent 9f79abc, pinch-scan, seed 1, 30 passes):
+``--probe`` read job_ms_p50 B/A 0.928 twice, next to 0.921, the median
+ratio of that change's ten alternating ``perfbench/run.py`` pairs;
+without it the A/B read 0.892 and 0.908, a larger gain.
+
 Usage:
     python scripts/ab_trees.py TREE_A TREE_B --workload pinch-scan [--seed 1]
-        [--passes 40] [--jobs K] [--order-seed 0]
+        [--passes 40] [--jobs K] [--order-seed 0] [--probe]
 """
 
 import argparse
@@ -38,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench import inputs  # noqa: E402
+from perfbench.probe import Prober  # noqa: E402
 from perfbench.worker import hd_quantile  # noqa: E402
 
 
@@ -105,11 +117,15 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=40, help="timed passes over the jobs (default 40)")
     parser.add_argument("--jobs", type=int, help="time only the first JOBS jobs of the pass")
     parser.add_argument("--order-seed", type=int, default=0, help="seed of the A/B order (default 0)")
+    parser.add_argument("--probe", action="store_true", help="run the host probe before every timed job")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
 
-    with tempfile.TemporaryDirectory() as work:
+    prober = Prober(1) if args.probe else contextlib.nullcontext()
+    with tempfile.TemporaryDirectory() as work, prober as probe:
         jobs = inputs.make_jobs(args.workload, args.seed, Path(work))[: args.jobs]
         trees = ((args.tree_a, "curveflow_a"), (args.tree_b, "curveflow_b"))
         sides = [Side(load_tree(tree.resolve(), name), jobs) for tree, name in trees]
@@ -121,6 +137,8 @@ def main(argv=None) -> int:
         for _ in range(args.passes):
             for i in range(len(jobs)):
                 for s in rng.permutation(len(sides)).tolist():
+                    if probe is not None:
+                        probe()
                     times[s][i].append(sides[s].run(i))
     ops = sum(operations(job) for job in jobs)
     a, b = (summary(t, ops) for t in times)

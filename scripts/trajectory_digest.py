@@ -12,7 +12,9 @@ spectrum whose mode factors pass the float underflow band. For each
 run it prints the sha256 of the run's event (kind, t, theta) and of
 every recorded state's (t, L, A), read from the trajectory's columns and
 written with repr so any bit change shows; then the counts by event kind, how many runs took
-the closed-form length and how many the ODE solve, how many scalar tests
+the closed-form length and how many the ODE solve, how many of those
+closed-form laws are unforced (z/z0 = e^{kappa t}, every weight 0, one
+exponential a call) and how many forced, how many scalar tests
 the event locator ran (calls of ``integrate._Heat.margins``), how its
 singularity brackets closed (calls of ``integrate._narrow`` whose upper
 end crosses the singularity first: closed by the model where the final
@@ -192,7 +194,10 @@ def main() -> int:
                         lines = "".join(json.dumps(rec) + "\n" for rec in records)
                         (args.out / f"{name}.jsonl").write_text(lines)
                     counts[kind] += 1
-                    paths["ode" if closed_length(spec, parse_flow_term(flow)) is None else "closed"] += 1
+                    closed = closed_length(spec, parse_flow_term(flow))
+                    paths["ode" if closed is None else "closed"] += 1
+                    if closed is not None:
+                        paths["forced" if closed.weights.any() else "unforced"] += 1
                     total.update(sha.encode())
                     if not args.quiet:
                         print(f"{spec_name:>10} {flow:>28} {controls_name:>7} {kind:>16} {sha}")
@@ -203,6 +208,7 @@ def main() -> int:
     for kind, count in sorted(counts.items()):
         print(f"count {kind} {count}")
     print(f"paths closed {paths['closed']} ode {paths['ode']}")
+    print(f"laws unforced {paths['unforced']} forced {paths['forced']}")
     print(f"probes {tally['probes']}")
     print(f"singularity brackets model {tally['model']} plain {tally['plain']}")
     print(f"model steps {tally['model steps']}")

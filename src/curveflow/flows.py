@@ -27,6 +27,7 @@ p_n = a_n^2 + b_n^2 (so that -4 pi E = sum q_n e^{lambda_n t}):
 
   H = alpha L + c L^p, at most one such (p, 0) term (pan-yang, const:c):
       r = 1 - p (1 with none), z' = r (1 - 2 pi alpha) z - 2 pi r c.
+      H = alpha L (pan-yang, H = L) has c = 0: z/z0 = e^{kappa t}.
   H = alpha L + beta A/L + gamma/L (lin-tsai): r = 2, z' = kappa z
       + beta sum q_n e^{lambda_n t} - 4 pi gamma, kappa = 2 - 4 pi alpha - beta.
       ma-cheng is alpha = 1/(2 pi), so kappa = 0, with lambda_n q_n for beta q_n.
@@ -37,12 +38,17 @@ b L^3 + c L A among them: its z = L^-2 has the time-varying coefficient E(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import heat
 from .support import TWO_PI, SupportSpectrum, total_inverse_curvature
+
+
+# Smallest normal float: no law is built from a z0 below it.
+_TINY = float(np.finfo(float).tiny)
 
 
 class HDomainError(ValueError):
@@ -255,6 +261,11 @@ class ClosedLength:
     c_0 = 1 - sum_j c_j. A rate equal to kappa adds its weight to
     sum_t_weight, and a term of weight 0 is left out. ``__call__`` does
     not read it.
+
+    A law whose weights are all 0 is unforced, z/z0 = e^{kappa t}, as for
+    every H = alpha L (pan-yang, H = L): it builds none of the forcing's
+    arrays, its sums are [kappa], [1.0] and 0.0, and ``__call__`` takes
+    one exponential, whose values are those of the full form bit for bit.
     """
 
     l0: float
@@ -263,6 +274,7 @@ class ClosedLength:
     rates: np.ndarray
     weights: np.ndarray
     # What __call__ reads that does not depend on t, built once here.
+    _forced: bool = field(init=False, repr=False)
     _top: float = field(init=False, repr=False)
     _own_rate: float = field(init=False, repr=False)
     _lead_rates: np.ndarray = field(init=False, repr=False)
@@ -276,10 +288,17 @@ class ClosedLength:
     def __post_init__(self):
         # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
         top = max(self.kappa, 0.0)
+        forced = bool(self.weights.any())
+        object.__setattr__(self, "_forced", forced)
+        object.__setattr__(self, "_top", top)
+        if not forced:
+            object.__setattr__(self, "sum_rates", np.array([self.kappa]))
+            object.__setattr__(self, "sum_coeffs", np.array([1.0]))
+            object.__setattr__(self, "sum_t_weight", 0.0)
+            return
         lag = self.rates - self.kappa
         neg_gap = -np.abs(lag)
         distinct = neg_gap < 0.0
-        object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_own_rate", self.kappa - top)
         object.__setattr__(self, "_lead_rates", np.maximum(self.rates, self.kappa) - top)
         object.__setattr__(self, "_neg_gap", neg_gap)
@@ -295,17 +314,26 @@ class ClosedLength:
     def __call__(self, t):
         """L at a time or an array of times; a float for a scalar time."""
         tt = np.asarray(t, dtype=float)
-        col = tt[..., None]
-        # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
-        psi = np.where(self._distinct, np.expm1(self._neg_gap * col) / self._divisor, col)
-        forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
-        ratio = np.exp(self._own_rate * tt) + forced
-        if self._top:
-            # e^{kappa t} overflows to inf for a long enough run, and inf * 0 is nan.
-            with np.errstate(over="ignore", invalid="ignore"):
-                growth = np.exp(self._top * tt)
-                ratio = growth * ratio
-                forced = growth * forced
+        if not self._forced:
+            # For kappa > 0 the full form gives growth * e^{0 t}, the same bits.
+            forced = 0.0
+            if self._top:
+                with np.errstate(over="ignore"):
+                    ratio = np.exp(self.kappa * tt)
+            else:
+                ratio = np.exp(self.kappa * tt)
+        else:
+            col = tt[..., None]
+            # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
+            psi = np.where(self._distinct, np.expm1(self._neg_gap * col) / self._divisor, col)
+            forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
+            ratio = np.exp(self._own_rate * tt) + forced
+            if self._top:
+                # e^{kappa t} overflows to inf for a long enough run, and inf * 0 is nan.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    growth = np.exp(self._top * tt)
+                    ratio = growth * ratio
+                    forced = growth * forced
         if self.power == 1.0:
             length = self.l0 * ratio
         elif self.power == 2.0:
@@ -318,7 +346,7 @@ class ClosedLength:
                 excess = np.expm1(self.kappa * tt) + forced
                 log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
                 length = self.l0 * np.exp(log_ratio / self.power)
-                if not np.all(ratio > 0.0):
+                if not (ratio > 0.0).all():
                     through_zero = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
                     length = np.where(ratio > 0.0, length, through_zero if self.power > 0.0 else np.inf)
         return float(length) if length.ndim == 0 else length
@@ -343,7 +371,10 @@ def closed_length(
     """The closed-form L(t) of ``term`` from ``spec0``, or None where no
     power of L makes the length ODE linear (see the module docstring).
     ``modes``, the ``heat._Modes`` of ``spec0`` where the caller holds
-    them, saves building them again."""
+    them, saves building them again. H = alpha L, and any law whose
+    forcing is 0, is unforced: one exponential a call (``ClosedLength``).
+    z0 = L0^r is taken in Python floats, and no law is built where it
+    overflows, is not a normal float or has no real value."""
     l0 = TWO_PI * spec0.mean
     spectral, coef = isinstance(term, MaCheng), {}
     for c, p, q in ((1.0 / TWO_PI, 1.0, 0.0),) if spectral else _as_power_terms(term):
@@ -365,9 +396,16 @@ def closed_length(
             rates, forcing = np.append(rates, 0.0), np.append(forcing, -2.0 * TWO_PI * coef[-1.0, 0.0])
     else:
         return None
-    with np.errstate(all="ignore"):
-        z0 = np.float64(l0) ** r  # the same pow as l0**r, but inf rather than OverflowError
+    try:
+        # libm's pow, as l0**r; it raises where l0**r overflows, divides by
+        # zero or would be complex (l0 < 0 and r not an integer).
+        z0 = math.pow(l0, r)
+    except (OverflowError, ValueError):
+        return None
+    if z0 < _TINY:
+        return None
+    with np.errstate(over="ignore"):
         weights = forcing / z0
-    if np.finfo(float).tiny <= z0 < np.inf and abs(kappa + weights.sum()) < np.inf:
+    if abs(kappa + weights.sum()) < np.inf:
         return ClosedLength(l0, r, kappa, rates, weights)
     return None

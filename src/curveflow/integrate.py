@@ -234,19 +234,19 @@ class Trajectory:
             raise ValueError("t and L must be one-dimensional and of equal length")
         if not t.size:
             raise ValueError("trajectory needs at least one state")
-        if np.any(t[1:] <= t[:-1]):
+        if (t[1:] <= t[:-1]).any():  # NaN passes, to fail as not finite below
             raise ValueError("trajectory states must be strictly increasing in time")
         if t[-1] - self.event.t > TIME_RTOL * abs(t[-1]):
             raise ValueError("event time precedes the last recorded state")
-        if not (np.all(np.isfinite(t)) and np.all(length <= MAX_LENGTH)):  # NaN fails too
+        if not (np.isfinite(t).all() and (length <= MAX_LENGTH).all()):  # NaN fails too
             raise ValueError("flow state fields must be finite")
         if t[0] < 0.0:
             raise ValueError("propagation time must be non-negative")
-        if np.any(length <= 0.0):
+        if (length <= 0.0).any():
             raise ValueError("flow state requires positive length")
         modes = _Modes(self.spec0) if modes is None else modes
         area = _by_chunk(modes.area, t, length)
-        if not np.all(np.isfinite(area)):  # a spectrum whose power overflows
+        if not np.isfinite(area).all():  # a spectrum whose power overflows
             raise ValueError("flow state fields must be finite")
         for name, column in (("t", t), ("L", length), ("A", area)):
             column.flags.writeable = False
@@ -300,6 +300,8 @@ def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:
     """fn applied to SCAN_BLOCK_CAP states at a time, the results joined
     along their last axis, so that no (times x modes) array grows with the run."""
     count = len(columns[0])
+    if count <= SCAN_BLOCK_CAP:
+        return fn(*columns)
     parts = [fn(*(c[lo : lo + SCAN_BLOCK_CAP] for c in columns)) for lo in range(0, count, SCAN_BLOCK_CAP)]
     return np.concatenate(parts, axis=-1)
 
@@ -586,7 +588,7 @@ def _locate(
     while lo < len(check_times):
         stop = (lo // SCAN_BLOCK_CAP + 1) * SCAN_BLOCK_CAP if lo else SCAN_CHUNK
         flagged = flags(check_times[lo:stop], lengths[lo:stop])
-        for i in (lo + np.flatnonzero(flagged)).tolist():
+        for i in (lo + flagged.nonzero()[0]).tolist():
             hi = float(check_times[i])
             fired = _crossed(probe(hi))
             if fired:
@@ -688,13 +690,14 @@ _BY_OUTCOME = {row[1]: row for row in _OUTCOMES}
 def _classify(spec0: SupportSpectrum, final_length: float, event: TerminationEvent) -> Outcome:
     _, cls, _, _, diagnostic = _BY_EVENT[event.kind]
     values = {
-        "center": limit_circle(spec0),
         "limit_length": final_length,
         "t_star": event.t,
         "theta_star": event.theta,
         "t_max": event.t,
         "diagnostic": f"{diagnostic} near t={event.t:.6g}",
     }
+    if cls is ConvergesToCircle:
+        values["center"] = limit_circle(spec0)
     return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
@@ -755,7 +758,7 @@ def _record(heat: _Heat, steps: Iterator) -> Trajectory:
             event = stop.value or TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max)
             break
         j = k + int(np.searchsorted(grid[k:], t1 * (1.0 - TIME_RTOL), side="left"))
-        check = np.append(grid[k:j], t1)
+        check = np.concatenate((grid[k:j], (t1,)))
         on_grid = j < len(grid) and abs(grid[j] - t1) <= TIME_RTOL * t1
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
         at_check = _Lengths(path, check)

@@ -51,7 +51,7 @@ def _coeff_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

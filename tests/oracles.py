@@ -187,3 +187,44 @@ def deficit(cos, sin, times):
     factors = np.exp(np.multiply.outer(times, 1.0 - n**2))  # (times x modes), summed along rows
     power = (cos * factors) ** 2 + (sin * factors) ** 2
     return 2.0 * np.pi**2 * np.sum((n**2 - 1.0) * power, axis=-1)
+
+
+def psi_form_length(law, t):
+    """L at a time or an array of times of a ``flows.ClosedLength``, from
+    its public fields by the full psi form, every forcing term evaluated
+    whatever its weight:
+
+        z/z0 = e^{kappa t} + sum_j w_j e^{max(kappa, rate_j) t} psi(|rate_j - kappa|, t),
+
+    with e^{max(kappa, 0) t} pulled out, then L through the law's power.
+    This is the evaluation of every law before unforced ones took a single
+    exponential; a float for a scalar time."""
+    kappa, rates, weights, power, l0 = law.kappa, law.rates, law.weights, law.power, law.l0
+    top = max(kappa, 0.0)
+    lag = rates - kappa
+    neg_gap = -np.abs(lag)
+    distinct = neg_gap < 0.0
+    divisor = np.where(distinct, neg_gap, -1.0)
+    tt = np.asarray(t, dtype=float)
+    col = tt[..., None]
+    psi = np.where(distinct, np.expm1(neg_gap * col) / divisor, col)
+    forced = (np.exp((np.maximum(rates, kappa) - top) * col) * psi) @ weights
+    ratio = np.exp((kappa - top) * tt) + forced
+    if top:
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = np.exp(top * tt)
+            ratio = growth * ratio
+            forced = growth * forced
+    if power == 1.0:
+        length = l0 * ratio
+    elif power == 2.0:
+        length = l0 * (np.sign(ratio) * np.power(np.abs(ratio), 0.5))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            excess = np.expm1(kappa * tt) + forced
+            log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
+            length = l0 * np.exp(log_ratio / power)
+            if not np.all(ratio > 0.0):
+                through_zero = l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / power))
+                length = np.where(ratio > 0.0, length, through_zero if power > 0.0 else np.inf)
+    return float(length) if length.ndim == 0 else length

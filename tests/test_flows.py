@@ -304,3 +304,57 @@ class TestAreaReads:
         state = flow_state(ELLIPSEISH, 0.3, 5.0)
         assert evaluate_h(term, state) == sum(c * 5.0**p * state.A**q for c, p, q in term.terms)
         assert value == sum(c * 5.0**p * 0.8**q for c, p, q in term.terms)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestUnforcedLaw:
+    """A law with no forcing, z/z0 = e^{kappa t}, takes one exponential and
+    gives the full psi form's values bit for bit."""
+
+    # (spectrum, term, sign of kappa, forced)
+    LAWS = [
+        (ELLIPSEISH, PowerSum(terms=((1.0, 1.0, 0.0),)), -1, False),  # H = L
+        (ELLIPSEISH, PanYang(), 0, False),
+        (ELLIPSEISH, parse_flow_term("powersum:0.1,1,0"), 1, False),
+        (ELLIPSEISH, PowerSum(terms=((0.2, 1.0, 0.0), (0.0, 1.5, 0.0))), 1, False),  # r = -0.5
+        (CIRCLE, LinTsai(), 0, False),  # r = 2: a circle has no deficit to force it
+        (ELLIPSEISH, Constant(c=-1.0), 1, True),
+    ]
+    # 2000 and 1e5 take e^{kappa t} past the float range for kappa > 0.
+    SCALARS = [0.0, 1e-3, 0.05, 0.5, 3.0, 17.25, 800.0, 2000.0, 1e5]
+
+    @pytest.mark.parametrize("spec0, term, sign, forced", LAWS)
+    def test_equals_the_psi_form_bit_for_bit(self, spec0, term, sign, forced):
+        from curveflow.flows import closed_length
+
+        law = closed_length(spec0, term)
+        assert np.sign(law.kappa) == sign
+        assert bool(law.weights.any()) == forced
+        # Only a forced law builds the psi form's arrays.
+        assert hasattr(law, "_divisor") == forced
+        times = np.linspace(0.0, 800.0, 257)
+        assert _bits(law(times)) == _bits(oracles.psi_form_length(law, times))
+        for t in self.SCALARS:
+            value = law(t)
+            assert type(value) is float
+            assert _bits(value) == _bits(oracles.psi_form_length(law, t)), t
+        if sign > 0:
+            assert law(1e5) in (0.0, np.inf)  # through the overflow of e^{kappa t}
+
+    @pytest.mark.parametrize("spec0, term, sign, forced", LAWS)
+    def test_sums_of_an_unforced_law_are_its_one_exponential(self, spec0, term, sign, forced):
+        from curveflow.flows import closed_length
+
+        law = closed_length(spec0, term)
+        if forced:
+            # const:-1: z/z0 = (1 - c) e^{kappa t} + c with c = w/(0 - kappa).
+            c = law.weights[0] / (0.0 - law.kappa)
+            assert law.sum_rates.tolist() == [law.kappa, 0.0]
+            assert law.sum_coeffs.tolist() == [1.0 - c, c]
+        else:
+            assert law.sum_rates.tolist() == [law.kappa]
+            assert law.sum_coeffs.tolist() == [1.0]
+        assert law.sum_t_weight == 0.0

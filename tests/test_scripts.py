@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 # Note on an import kept only so that the benchmark's tracer can wrap it.
@@ -92,6 +94,8 @@ class TestTrajectoryDigest:
         # check time and the model's two probes, which close its singularity
         # bracket. Pan-yang flags none.
         assert "probes 3" in out
+        # H = alpha L is unforced: pan-yang (alpha = 1/(2 pi)) and H = L alike.
+        assert "laws unforced 2 forced 0" in out
         assert "singularity brackets model 1 plain 0" in out
         # Pan-yang scans its 201 check times in blocks of 32 and 169; H = L
         # pinches inside its first block of 32.
@@ -137,6 +141,50 @@ class TestAbTrees:
         for row in rows:
             _, _, a, _, b, _, ratio = row.split()
             assert float(a) > 0.0 and float(b) > 0.0 and float(ratio) > 0.0
+
+    @staticmethod
+    def load(monkeypatch):
+        # The script puts the checkout on sys.path, which teardown undoes.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("ab_trees", SCRIPTS / "ab_trees.py")
+        ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab)
+        return ab
+
+    def test_probe_runs_before_every_timed_job_and_its_process_ends(self, monkeypatch, capsys):
+        ab = self.load(monkeypatch)
+        entered, probes = [], []
+
+        class Recorded(ab.Prober):
+            def __enter__(self):
+                entered.append(super().__enter__())
+                return self
+
+            def __call__(self):
+                probes.append(super().__call__())
+                return probes[-1]
+
+        monkeypatch.setattr(ab, "Prober", Recorded)
+        argv = [str(ROOT), str(ROOT), "--workload", "pinch-scan", "--passes", "2", "--jobs", "2", "--probe"]
+        try:
+            assert ab.main(argv) == 0
+        finally:  # the trees, loaded as packages curveflow_a and curveflow_b
+            for name in [name for name in sys.modules if name.split(".")[0] in ("curveflow_a", "curveflow_b")]:
+                del sys.modules[name]
+        assert capsys.readouterr().out.startswith("workload pinch-scan seed 1 jobs 2 passes 2\n")
+        # One host probe on one thread before each of 2 trees x 2 jobs x 2 passes.
+        assert len(entered) == 1 and entered[0].threads == 1
+        assert len(probes) == 8 and all(ms > 0.0 for ms in probes)
+        # The probe process has ended, and was waited for.
+        assert entered[0]._proc.returncode == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_a_usage_error(self, monkeypatch, capsys, jobs):
+        ab = self.load(monkeypatch)
+        with pytest.raises(SystemExit) as done:
+            ab.main([str(ROOT), str(ROOT), "--workload", "pinch-scan", "--jobs", jobs])
+        assert done.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 class TestSingularityScan:
