@@ -29,7 +29,11 @@ and calls on a scalar time), and one sha256 over all runs. The counts
 come from wrapping those names here. Then it runs the matrix a second
 time the way ``curveflow sweep`` runs a flows axis, the flows of each
 spectrum and control set on one shared heat half (``integrate._Heat``),
-and prints the sha256 over those runs, which must equal the first. Run
+and prints how many of those runs read the grid columns (E and the
+deficit on the check grid) that an earlier run on their heat half built,
+out of the runs that reached the horizon (a run shares them where it
+records exactly the heat half's grid, as a closed-path run to the horizon
+does), then the sha256 over those runs, which must equal the first. Run
 it on two checkouts on the same machine and compare the output: the
 probe, pre-scan and evaluation counts show whether the locator's work
 changed, which the hashes see only through the event times.
@@ -218,26 +222,38 @@ def main() -> int:
         f" scalars {tally['law scalars']}"
     )
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
-    print(f"shared sha256 {shared_digest()}")
+    sha, reads, horizons = shared_digest()
+    print(f"columns shared {reads} of {horizons}")
+    print(f"shared sha256 {sha}")
     return 0
 
 
-def shared_digest() -> str:
+def shared_digest() -> tuple[str, int, int]:
     """The total sha256 of the matrix with the flows of each spectrum and
-    control set run on one heat half, hashed in the order of ``main``."""
-    shas = {}
+    control set run on one heat half, hashed in the order of ``main``; the
+    runs that read grid columns an earlier run on their heat half built;
+    and the runs that reached the horizon."""
+    shas, reads, horizons = {}, 0, 0
     for spec_name, spec in SPECTRA.items():
         for controls_name, controls in CONTROLS.items():
             # Built by the first flow; a spectrum it rejects fails every flow alike.
             heat = functools.cache(lambda: HEAT(spec, controls))
+            trajs = []
             for flow in FLOWS:
-                shas[spec_name, flow, controls_name] = digest(lambda: heat().run(parse_flow_term(flow)))[1]
+
+                def run():
+                    trajs.append(heat().run(parse_flow_term(flow)))
+                    return trajs[-1]
+
+                shas[spec_name, flow, controls_name] = digest(run)[1]
+            horizons += sum(traj.event.kind == INTEGRATE.EVENT_HORIZON for traj in trajs)
+            reads += max(sum(traj.t is heat().grid for traj in trajs) - 1, 0)
     total = hashlib.sha256()
     for spec_name in SPECTRA:
         for flow in FLOWS:
             for controls_name in CONTROLS:
                 total.update(shas[spec_name, flow, controls_name].encode())
-    return total.hexdigest()
+    return total.hexdigest(), reads, horizons
 
 
 if __name__ == "__main__":

@@ -49,6 +49,12 @@ from .support import TWO_PI, SupportSpectrum, total_inverse_curvature
 
 # Smallest normal float: no law is built from a z0 below it.
 _TINY = float(np.finfo(float).tiny)
+# A forcing rate within this gap of kappa keeps its divided difference in a
+# ClosedLength: in the sum form its c_j = w_j / gap, and c_0, would carry a
+# rounding of eps |w_j| / gap, up to 2.3e-14 |w_j| at this gap.
+NEAR_GAP = 1e-2
+_EMPTY = np.empty(0)
+_EMPTY.flags.writeable = False
 
 
 class HDomainError(ValueError):
@@ -233,39 +239,42 @@ def length_rate(term: NonlocalTerm, state: FlowState) -> float:
 class ClosedLength:
     """L(t) where z = L^power solves z' = kappa z + sum_j s_j e^{rate_j t}.
 
-    Stored relative to z0 = L0^power: ``weights`` holds s_j / z0. Every
-    rate is <= 0. The solution is written as
+    Stored relative to z0 = L0^power: ``weights`` holds w_j = s_j / z0.
+    Every rate is <= 0. The law is one exponential sum,
 
-        z/z0 = e^{kappa t} + sum_j w_j e^{max(kappa, rate_j) t} psi(|rate_j - kappa|, t),
-        psi(g, t) = (1 - e^{-g t}) / g,   psi(0, t) = t,
+        z/z0 = sum_i sum_coeffs[i] e^{sum_rates[i] t} + near(t),
 
-    which is finite as rate_j -> kappa, cannot overflow for kappa < 0, and
-    has z/z0 == 1.0 exactly at t = 0, so L(0) is L0 bit for bit. The power
-    r is any real but 0. For r > 0, L = L0 sign(z) |z/z0|^(1/r): a length
+    c_j = w_j / (rate_j - kappa) at rate_j and c_0 = 1 - sum_j c_j at kappa.
+    A term whose coefficient is exactly 0 is left out, so inf * 0 never
+    forms where e^{kappa t} overflows (only the kappa term grows): where c_0
+    is 0, as for H = 1 on the unit circle, the unstable fixed point L = 2 pi
+    stays fixed. A rate within NEAR_GAP of kappa keeps its divided
+    difference instead, so that its c_j ~ w_j / gap and c_0 never cancel
+    (McCurdy, Ng and Parlett, Math. Comp. 43, 1984); c_0 then moves into
+
+        near(t) = e^{top t} (c_0 e^{(kappa - top) t}
+                  + sum_j w_j e^{(max(kappa, rate_j) - top) t} psi(|rate_j - kappa|, t)),
+        psi(g, t) = -expm1(-g t) / g,   psi(0, t) = t,   top = max(kappa, 0),
+
+    held as ``near_rates`` (c_0's first), ``near_coeffs`` and ``near_gaps``.
+
+    z/z0 is 1.0 exactly at t = 0, so L(0) is L0 bit for bit. The power r
+    is any real but 0. For r > 0, L = L0 sign(z) |z/z0|^(1/r): a length
     through zero shows as a negative L, which the vanish threshold sees.
     For r < 0, z reaching zero is a blow-up: L is +inf from then on. Where
     z > 0 and r is neither 1 nor 2, L = L0 exp(log(z/z0)/r), the log taken
-    as log1p of z/z0 - 1 summed as expm1(kappa t) plus the forcing where
+    as log1p of z/z0 - 1 = sum_i c_i expm1(rate_i t) + near(t) - c_0 where
     |z/z0 - 1| < 1/2, so the relative error of L stays near the rounding of
-    z/z0 - 1 as r nears 0, and as log(z/z0) elsewhere, which keeps the digits
-    of a z/z0 far below 1. No law
-    is built (the ODE runs) where z0 is not a normal float or kappa plus the
-    weights is not finite, as for H = L^400 from L0 = 2 pi.
-
-    The same law regrouped as one exponential sum is kept for the event
-    locator's model of a pinch (``integrate._Heat.pinch_root``):
-
-        z/z0 = sum_i sum_coeffs[i] e^{sum_rates[i] t} + sum_t_weight t e^{kappa t},
-
-    with sum_rates = (kappa, rate_j...), c_j = w_j / (rate_j - kappa) and
-    c_0 = 1 - sum_j c_j. A rate equal to kappa adds its weight to
-    sum_t_weight, and a term of weight 0 is left out. ``__call__`` does
-    not read it.
+    z/z0 - 1 as r nears 0, and as log(z/z0) elsewhere, which keeps the
+    digits of a z/z0 far below 1. No law is built (the ODE runs) where z0
+    is not a normal float or a coefficient may not be finite, as for
+    H = L^400 from L0 = 2 pi.
 
     A law whose weights are all 0 is unforced, z/z0 = e^{kappa t}, as for
-    every H = alpha L (pan-yang, H = L): it builds none of the forcing's
-    arrays, its sums are [kappa], [1.0] and 0.0, and ``__call__`` takes
-    one exponential, whose values are those of the full form bit for bit.
+    every H = alpha L (pan-yang, H = L). A law of one term has coefficient
+    1.0, and ``__call__`` takes its one exponential alone. The event
+    locator's model of a pinch (``integrate._Heat.pinch_root``) reads the
+    same sum.
     """
 
     l0: float
@@ -273,67 +282,69 @@ class ClosedLength:
     kappa: float
     rates: np.ndarray
     weights: np.ndarray
-    # What __call__ reads that does not depend on t, built once here.
-    _forced: bool = field(init=False, repr=False)
-    _top: float = field(init=False, repr=False)
-    _own_rate: float = field(init=False, repr=False)
-    _lead_rates: np.ndarray = field(init=False, repr=False)
-    _neg_gap: np.ndarray = field(init=False, repr=False)
-    _divisor: np.ndarray = field(init=False, repr=False)
-    _distinct: np.ndarray = field(init=False, repr=False)
     sum_rates: np.ndarray = field(init=False, repr=False)
     sum_coeffs: np.ndarray = field(init=False, repr=False)
-    sum_t_weight: float = field(init=False, repr=False)
+    near_rates: np.ndarray = field(init=False, repr=False)
+    near_coeffs: np.ndarray = field(init=False, repr=False)
+    near_gaps: np.ndarray = field(init=False, repr=False)
+    # The rate of a law of one term, whose coefficient is 1.0; else None.
+    _one: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Pull e^{kappa t} out when kappa > 0, so growth overflows to inf, never to nan.
-        top = max(self.kappa, 0.0)
-        forced = bool(self.weights.any())
-        object.__setattr__(self, "_forced", forced)
-        object.__setattr__(self, "_top", top)
-        if not forced:
-            object.__setattr__(self, "sum_rates", np.array([self.kappa]))
-            object.__setattr__(self, "sum_coeffs", np.array([1.0]))
-            object.__setattr__(self, "sum_t_weight", 0.0)
-            return
-        lag = self.rates - self.kappa
-        neg_gap = -np.abs(lag)
-        distinct = neg_gap < 0.0
-        object.__setattr__(self, "_own_rate", self.kappa - top)
-        object.__setattr__(self, "_lead_rates", np.maximum(self.rates, self.kappa) - top)
-        object.__setattr__(self, "_neg_gap", neg_gap)
-        # -g, and -1 where g = 0, whose psi is t: no 0/0 to silence.
-        object.__setattr__(self, "_divisor", np.where(distinct, neg_gap, -1.0))
-        object.__setattr__(self, "_distinct", distinct)
-        forced = distinct & (self.weights != 0.0)
-        coeffs = self.weights[forced] / lag[forced]
-        object.__setattr__(self, "sum_rates", np.concatenate(((self.kappa,), self.rates[forced])))
-        object.__setattr__(self, "sum_coeffs", np.concatenate(((1.0 - coeffs.sum(),), coeffs)))
-        object.__setattr__(self, "sum_t_weight", float(self.weights[~distinct].sum()))
+        rates, coeffs, near_rates, near_coeffs, near_gaps = np.array([self.kappa]), np.ones(1), *[_EMPTY] * 3
+        if self.weights.any():
+            gap = self.rates - self.kappa
+            live = self.weights != 0.0
+            near = live & (np.abs(gap) <= NEAR_GAP)
+            far = live & ~near
+            coeffs = self.weights[far] / gap[far]
+            c0 = 1.0 - coeffs.sum()
+            rates = self.rates[far]
+            if near.any():
+                top = max(self.kappa, 0.0)
+                near_rates = np.concatenate(((self.kappa,), np.maximum(self.rates[near], self.kappa))) - top
+                near_coeffs = np.concatenate(((c0,), self.weights[near]))
+                near_gaps = np.abs(gap[near])
+            else:
+                rates, coeffs = np.concatenate(((self.kappa,), rates)), np.concatenate(((c0,), coeffs))
+            kept = coeffs != 0.0
+            rates, coeffs = rates[kept], coeffs[kept]
+        one = rates.item() if rates.size == 1 and not near_coeffs.size else None
+        names = ("sum_rates", "sum_coeffs", "near_rates", "near_coeffs", "near_gaps", "_one")
+        for name, value in zip(names, (rates, coeffs, near_rates, near_coeffs, near_gaps, one)):
+            object.__setattr__(self, name, value)
+
+    def near(self, tt: np.ndarray, excess: bool = False):
+        """near(t) at a time or an array of times; with ``excess``, less its
+        value c_0 at t = 0: c_0 expm1(kappa t) plus the w_j terms."""
+        col = tt[..., None]
+        gaps = self.near_gaps
+        terms = np.exp(col * self.near_rates)
+        # psi(g, t), and t where g = 0: a divisor of 1 there leaves no 0/0 to silence.
+        terms[..., 1:] *= np.where(gaps > 0.0, -np.expm1(-gaps * col) / np.where(gaps > 0.0, gaps, 1.0), col)
+        growth = np.exp(self.kappa * tt) if self.kappa > 0.0 else 1.0
+        if excess:
+            return self.near_coeffs[0] * np.expm1(self.kappa * tt) + growth * (terms[..., 1:] @ self.near_coeffs[1:])
+        return growth * (terms @ self.near_coeffs)
+
+    def _sum(self, tt: np.ndarray, excess: bool = False):
+        # z/z0 of a law of more than one term; with excess, z/z0 - 1.
+        value = (np.expm1 if excess else np.exp)(tt[..., None] * self.sum_rates) @ self.sum_coeffs
+        if self.near_coeffs.size:
+            value = value + self.near(tt, excess)
+        # The coefficients sum to 1 only up to rounding; z/z0 is 1.0 at t = 0.
+        return value if excess else np.where(tt == 0.0, 1.0, value)
 
     def __call__(self, t):
         """L at a time or an array of times; a float for a scalar time."""
         tt = np.asarray(t, dtype=float)
-        if not self._forced:
-            # For kappa > 0 the full form gives growth * e^{0 t}, the same bits.
-            forced = 0.0
-            if self._top:
-                with np.errstate(over="ignore"):
-                    ratio = np.exp(self.kappa * tt)
-            else:
-                ratio = np.exp(self.kappa * tt)
+        one = self._one
+        if self.kappa > 0.0:
+            # e^{kappa t} overflows to inf for a long enough run.
+            with np.errstate(over="ignore"):
+                ratio = self._sum(tt) if one is None else np.exp(one * tt)
         else:
-            col = tt[..., None]
-            # psi(g, t) = expm1(-g t) / -g, which is -expm1(-g t) / g bit for bit.
-            psi = np.where(self._distinct, np.expm1(self._neg_gap * col) / self._divisor, col)
-            forced = (np.exp(self._lead_rates * col) * psi) @ self.weights
-            ratio = np.exp(self._own_rate * tt) + forced
-            if self._top:
-                # e^{kappa t} overflows to inf for a long enough run, and inf * 0 is nan.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    growth = np.exp(self._top * tt)
-                    ratio = growth * ratio
-                    forced = growth * forced
+            ratio = self._sum(tt) if one is None else np.exp(one * tt)
         if self.power == 1.0:
             length = self.l0 * ratio
         elif self.power == 2.0:
@@ -343,7 +354,7 @@ class ClosedLength:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # z/z0 - 1 summed without the 1, so that a power near 0 does not
                 # magnify its rounding; log1p only near z/z0 = 1, where log loses it.
-                excess = np.expm1(self.kappa * tt) + forced
+                excess = self._sum(tt, excess=True) if one is None else np.expm1(one * tt)
                 log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
                 length = self.l0 * np.exp(log_ratio / self.power)
                 if not (ratio > 0.0).all():
@@ -374,7 +385,9 @@ def closed_length(
     them, saves building them again. H = alpha L, and any law whose
     forcing is 0, is unforced: one exponential a call (``ClosedLength``).
     z0 = L0^r is taken in Python floats, and no law is built where it
-    overflows, is not a normal float or has no real value."""
+    overflows, is not a normal float or has no real value, nor where a
+    coefficient of the law's sum may leave the float range; a weight
+    s_j / z0 can only where z0 < 1."""
     l0 = TWO_PI * spec0.mean
     spectral, coef = isinstance(term, MaCheng), {}
     for c, p, q in ((1.0 / TWO_PI, 1.0, 0.0),) if spectral else _as_power_terms(term):
@@ -404,8 +417,13 @@ def closed_length(
         return None
     if z0 < _TINY:
         return None
-    with np.errstate(over="ignore"):
+    if z0 < 1.0:
+        # Only a z0 below 1 can take a weight past the float range; that law is the ODE's.
+        with np.errstate(over="ignore"):
+            weights = forcing / z0
+    else:
         weights = forcing / z0
-    if abs(kappa + weights.sum()) < np.inf:
+    # Every coefficient of the sum is at most |w_j| / NEAR_GAP, and so finite.
+    if abs(kappa) + float(np.abs(weights).sum()) / NEAR_GAP < math.inf:
         return ClosedLength(l0, r, kappa, rates, weights)
     return None

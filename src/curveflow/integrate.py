@@ -76,7 +76,7 @@ from .flows import (
     flow_state,
     length_rate,  # noqa: F401  (perfbench/spans.py traces this name here)
 )
-from .heat import _Modes
+from .heat import _area, _Modes
 from .support import (
     CONVEXITY_EPS,
     MAX_LENGTH,
@@ -209,13 +209,16 @@ class Trajectory:
     outcome that event and the last length imply.
 
     ``t`` and ``L`` hold the time and length of each recorded state. ``A``
-    is derived from them: the closed-form area, computed SCAN_BLOCK_CAP
-    states at a time, each value that of ``flow_state`` at the same (t, L)
-    bit for bit. All three are read-only float arrays and pass the checks every
-    FlowState makes, with L at most ``support.MAX_LENGTH``. ``states`` is a
+    is derived from them: the closed-form area L^2/(4 pi) + E(t), E computed
+    SCAN_BLOCK_CAP states at a time, each value that of ``flow_state`` at
+    the same (t, L) bit for bit. All three are read-only float arrays and
+    pass the checks every FlowState makes, with L at most
+    ``support.MAX_LENGTH``. ``states`` is a
     read-only sequence that builds the FlowState of a state with
     ``flow_state`` each time it is indexed. ``modes``, the ``heat._Modes``
     of ``spec0`` where the caller holds them, saves building them again.
+    ``_heat``, the ``_Heat`` of the run, lends its ``grid_e`` and
+    ``grid_deficit``, the same values, where ``t`` is its grid itself.
     """
 
     spec0: SupportSpectrum
@@ -223,13 +226,16 @@ class Trajectory:
     L: np.ndarray
     event: TerminationEvent
     modes: InitVar[_Modes | None] = None
+    _heat: InitVar["_Heat | None"] = None
     outcome: Outcome = field(init=False)
     A: np.ndarray = field(init=False)
 
-    def __post_init__(self, modes: _Modes | None):
+    def __post_init__(self, modes: _Modes | None, _heat: "_Heat | None"):
         if self.event.kind not in _BY_EVENT:
             raise ValueError(f"unknown event kind {self.event.kind!r}")
-        t, length = np.array(self.t, dtype=float), np.array(self.L, dtype=float)
+        shared = _heat if _heat is not None and self.t is _heat.grid else None
+        t = self.t if shared is not None else np.array(self.t, dtype=float)
+        length = np.array(self.L, dtype=float)
         if t.ndim != 1 or t.shape != length.shape:
             raise ValueError("t and L must be one-dimensional and of equal length")
         if not t.size:
@@ -245,18 +251,26 @@ class Trajectory:
         if (length <= 0.0).any():
             raise ValueError("flow state requires positive length")
         modes = _Modes(self.spec0) if modes is None else modes
-        area = _by_chunk(modes.area, t, length)
+        area = _area(length, _by_chunk(modes.e_value, t) if shared is None else shared.grid_e)
         if not np.isfinite(area).all():  # a spectrum whose power overflows
             raise ValueError("flow state fields must be finite")
         for name, column in (("t", t), ("L", length), ("A", area)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_modes", modes)  # for the column functions
+        object.__setattr__(self, "_shared", shared)
         object.__setattr__(self, "outcome", _classify(self.spec0, float(length[-1]), self.event))
 
     @property
     def states(self) -> "_States":
         return _States(self)
+
+    @functools.cached_property
+    def _ipd(self) -> np.ndarray:
+        # The deficit column, computed on the first ``ipd_column`` call.
+        if self._shared is not None:
+            return self._shared.grid_deficit
+        return _read_only(_by_chunk(self._modes.deficit, self.t))
 
 
 class _States(Sequence):
@@ -294,6 +308,11 @@ class _Lengths:
             lo, self._done = self._done, min(self._done + SCAN_BLOCK_CAP, len(self._times))
             self._values[lo : self._done] = self._path(self._times[lo : self._done])
         return self._values[index]
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def _by_chunk(fn: Callable, *columns: np.ndarray) -> np.ndarray:
@@ -386,10 +405,13 @@ class _Heat:
     """The flow-independent half of a run: what the initial spectrum and the
     controls set, whatever H is. Building one runs the convexity gate; it
     holds the mode arrays, the thresholds and the per-mode sizes of the
-    curvature bound, all O(N), and the grid of sample times, and nothing
-    else per sample time. ``run`` integrates one flow on it, whose pre-scan
-    blocks sum the bound, its size and E(t) at their own times. A heat
-    half lives for one ``integrate`` call or one ``sweep`` command.
+    curvature bound, all O(N), and the grid of sample times. ``run``
+    integrates one flow on it, whose pre-scan blocks sum the bound, its
+    size and E(t) at their own times. The runs that record the grid itself,
+    as every closed-path run to the horizon does, share ``grid_e`` and
+    ``grid_deficit``, built by the first that reads each: at most 24 bytes
+    per sample time in all. A heat half lives for one ``integrate`` call or
+    one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L), which keeps ``node``, the
     (t, j) of its grid minimum; ``flags`` marks the check times of a block
@@ -417,6 +439,18 @@ class _Heat:
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
         self.grid = _check_grid(controls)
         self.node = (math.nan, -1)
+
+    @functools.cached_property
+    def grid_e(self) -> np.ndarray:
+        """E(t) at every check time (``_Modes.e_value``): the area term of a
+        ``Trajectory`` that records the grid."""
+        return _read_only(_by_chunk(self.modes.e_value, self.grid))
+
+    @functools.cached_property
+    def grid_deficit(self) -> np.ndarray:
+        """The isoperimetric deficit at every check time (``_Modes.deficit``):
+        the ``ipd_column`` of a ``Trajectory`` that records the grid."""
+        return _read_only(_by_chunk(self.modes.deficit, self.grid))
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
@@ -455,12 +489,13 @@ class _Heat:
         ``_model_root``). Where ``path`` is a ``ClosedLength``, L is its
         exponential sum (``ClosedLength.sum_rates``), so phi is
 
-            (L0/(2*pi)) (sum c_i e^{rho_i t})^(1/r) + sum g_n e^{(1-n^2)t} - eps,
+            (L0/(2*pi)) (sum c_i e^{rho_i t} + near(t))^(1/r) + sum g_n e^{(1-n^2)t} - eps,
 
         one ``np.exp`` over the law's rates and the modes' and one product
-        with their two rows of coefficients per step, and no step calls
-        ``path``. On the ODE path each step calls ``path`` once. No step
-        runs a grid product."""
+        with their two rows of coefficients per step, plus the law's
+        near-resonant terms where it has any (``ClosedLength.near``), and no
+        step calls ``path``. On the ODE path each step calls ``path`` once.
+        No step runs a grid product."""
         modes, eps = self.modes, self.limits[0]
         weights = modes.node_weights(node)
         if isinstance(path, ClosedLength):
@@ -468,15 +503,15 @@ class _Heat:
             rates = np.concatenate((path.sum_rates, modes.decay))
             rows = np.zeros((2, rates.size))
             rows[0, :count], rows[1, count:] = path.sum_coeffs, weights
-            scale, root, resonant = path.l0 / TWO_PI, 1.0 / path.power, path.sum_t_weight
+            scale, root, near = path.l0 / TWO_PI, 1.0 / path.power, path.near_coeffs.size
             cut_from = modes._cut_from
 
             def phi(t: float) -> float:
                 x = rates * t
                 terms = np.exp(x) if t <= cut_from else _decay_exp(x)
                 ratio, deviation = rows @ terms
-                if resonant:
-                    ratio += resonant * t * terms[0]
+                if near:
+                    ratio += path.near(np.asarray(t))
                 return float(scale * ratio**root + deviation - eps)
 
         else:
@@ -748,18 +783,21 @@ def _record(heat: _Heat, steps: Iterator) -> Trajectory:
     then t1, recorded when it is the next sample time's instant. The
     locator's blocks and the kept states read L there from one
     ``_Lengths``. At a crossing the run keeps the states up to its lower
-    end, then that end, if a later instant, with the L probed there."""
+    end, then that end, if a later instant, with the L probed there. A run
+    to the horizon whose kept step ends are all grid times records the grid
+    itself, and its ``Trajectory`` shares the heat half's grid columns."""
     controls, grid = heat.controls, heat.grid
-    times, lengths, k = [], [], 0
+    times, lengths, k, exact = [], [], 0, True
     while True:
         try:
             t0, t1, path = next(steps)
         except StopIteration as stop:
             event = stop.value or TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max)
             break
-        j = k + int(np.searchsorted(grid[k:], t1 * (1.0 - TIME_RTOL), side="left"))
+        j = k + int(grid[k:].searchsorted(t1 * (1.0 - TIME_RTOL), side="left"))
         check = np.concatenate((grid[k:j], (t1,)))
         on_grid = j < len(grid) and abs(grid[j] - t1) <= TIME_RTOL * t1
+        exact = exact and (not on_grid or t1 == grid[j])
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
         at_check = _Lengths(path, check)
         found = _locate(heat.modes, heat.margins, path, t0, check, at_check, heat.flags, heat)
@@ -773,7 +811,8 @@ def _record(heat: _Heat, steps: Iterator) -> Trajectory:
                 times.append(t_stop)
                 lengths.append(length_stop)
             break
-    return Trajectory(heat.spec0, times, lengths, event, heat.modes)
+    exact = exact and event.kind == EVENT_HORIZON and len(times) == len(grid)
+    return Trajectory(heat.spec0, grid if exact else times, lengths, event, heat.modes, heat)
 
 
 def _dopri_steps(heat: _Heat, term: NonlocalTerm) -> Iterator:
@@ -840,8 +879,10 @@ def _shape(state: FlowState) -> tuple[float, float, float, float]:
 def ipd_column(traj: Trajectory) -> np.ndarray:
     """Isoperimetric deficit of every recorded state,
     2 pi^2 sum (n^2 - 1)((a_n f_n)^2 + (b_n f_n)^2) with f_n = e^{(1 - n^2) t},
-    each value that of ``support.isoperimetric_deficit`` bit for bit."""
-    return _by_chunk(traj._modes.deficit, traj.t)
+    each value that of ``support.isoperimetric_deficit`` bit for bit. A
+    read-only array, computed once per trajectory, or once per heat half
+    for the runs that record its grid (``_Heat.grid_deficit``)."""
+    return traj._ipd
 
 
 def ipr_column(traj: Trajectory) -> np.ndarray:

@@ -196,6 +196,13 @@ class TestRun:
         assert reports[0] == "name,lhs,rhs,slack,satisfied"
         assert all(line.endswith(",true") for line in reports[1:])
 
+    def test_a_circle_at_an_unstable_fixed_point_converges(self, tmp_path, capsys):
+        # H = 1 on the unit circle: L' = L - 2 pi holds L at 2 pi, where the
+        # law's sum is the one term 1.0 e^{0 t}.
+        cfg = parse_config("flow = const:1\nmean = 1\n")
+        assert run(cfg, tmp_path, tmp_path / "out") == 0
+        assert capsys.readouterr().out == "verdict: ConvergesToCircle center=(0, 0) limit_L=6.28319\n"
+
     def test_singularity_run_verdict(self, tmp_path, capsys):
         cfg = parse_config("flow = powersum:1,1,0\nmean = 1\ncos = 0, 0.2\nt_max = 5\n")
         assert run(cfg, tmp_path, tmp_path / "out") == 0
@@ -371,6 +378,29 @@ class TestSweep:
             work.append(dict(counts))
         assert work[0] == work[1] and work[0]["factors"] > 0
         assert [w["gates"] for w in work] == [1, 1, 3]
+
+    def test_horizon_rows_of_a_flows_axis_build_the_grid_columns_once(self, tmp_path, capsys, monkeypatch):
+        # Five closed laws that reach the horizon record the heat half's grid:
+        # E(t) (the area's term) and the deficit on it are computed once, by
+        # the first row, and read by the other four. The scalar tests of the
+        # event locator take E at one time each; they are not counted.
+        from curveflow.heat import _Modes
+
+        calls = {"e_value": 0, "deficit": 0}
+        for name in calls:
+            method = getattr(_Modes, name)
+
+            def counted(modes, t, *args, _name=name, _method=method):
+                calls[_name] += np.ndim(t) > 0
+                return _method(modes, t, *args)
+
+            monkeypatch.setattr(_Modes, name, counted)
+        cfg = parse_config("flow = pan-yang\nmean = 1\ncos = 0.1, 0.2\nsin = 0, 0.05\nt_max = 3\n")
+        axis = "flows:pan-yang;lin-tsai;ma-cheng;const:-1;powersum:0.1,1,0"
+        assert sweep(cfg, axis, tmp_path, tmp_path / "out") == 0
+        rows = list(csv.reader(io.StringIO((tmp_path / "out" / "sweep.csv").read_text())))[1:]
+        assert [row[2] for row in rows] == ["reached-horizon"] * 5
+        assert calls == {"e_value": 1, "deficit": 1}
 
     def test_scale_rows_take_no_subnormal_coefficient_to_the_grid(self, tmp_path, capsys, monkeypatch):
         # A smooth N = 32 curve: mode 32's factor e^{-1023 t} is subnormal for

@@ -312,7 +312,8 @@ def _bits(value) -> bytes:
 
 class TestUnforcedLaw:
     """A law with no forcing, z/z0 = e^{kappa t}, takes one exponential and
-    gives the full psi form's values bit for bit."""
+    gives the full psi form's values bit for bit; a forced law's sum gives
+    them up to rounding."""
 
     # (spectrum, term, sign of kappa, forced)
     LAWS = [
@@ -333,14 +334,21 @@ class TestUnforcedLaw:
         law = closed_length(spec0, term)
         assert np.sign(law.kappa) == sign
         assert bool(law.weights.any()) == forced
-        # Only a forced law builds the psi form's arrays.
-        assert hasattr(law, "_divisor") == forced
+        # Only a forced law sums more than one exponential.
+        assert (law.sum_rates.size > 1) == forced
         times = np.linspace(0.0, 800.0, 257)
-        assert _bits(law(times)) == _bits(oracles.psi_form_length(law, times))
+        if forced:
+            # The sum and the psi form round differently: c_0 = 1 - sum c_j is one number.
+            assert law(times) == pytest.approx(oracles.psi_form_length(law, times), rel=1e-13, abs=0.0)
+        else:
+            assert _bits(law(times)) == _bits(oracles.psi_form_length(law, times))
         for t in self.SCALARS:
             value = law(t)
             assert type(value) is float
-            assert _bits(value) == _bits(oracles.psi_form_length(law, t)), t
+            if forced:
+                assert value == pytest.approx(oracles.psi_form_length(law, t), rel=1e-13, abs=0.0), t
+            else:
+                assert _bits(value) == _bits(oracles.psi_form_length(law, t)), t
         if sign > 0:
             assert law(1e5) in (0.0, np.inf)  # through the overflow of e^{kappa t}
 
@@ -357,4 +365,81 @@ class TestUnforcedLaw:
         else:
             assert law.sum_rates.tolist() == [law.kappa]
             assert law.sum_coeffs.tolist() == [1.0]
-        assert law.sum_t_weight == 0.0
+        assert law.near_coeffs.size == 0
+
+
+class TestForcedLaw:
+    """A forced law's exponential sum against the full psi form
+    (``oracles.psi_form_length``), which rounds differently."""
+
+    # Powers of L in the r = 1 - p family: r = 1, 1/2, -1/2, -1, -2 and 2.
+    POWERS = [0.0, 0.5, 1.5, 2.0, 3.0, -1.0]
+
+    def test_random_laws_agree_with_the_psi_form(self):
+        from curveflow.flows import closed_length
+
+        rng = np.random.default_rng(31)
+        times = np.linspace(0.0, 10.0, 401)
+        checked = 0
+        for _ in range(300):
+            mean, cos, sin = oracles.random_convex_coeffs(rng)
+            spec0 = SupportSpectrum(mean=mean, cos_coeffs=cos, sin_coeffs=sin)
+            alpha, p = rng.uniform(-0.3, 0.3), float(rng.choice(self.POWERS))
+            term = [
+                PowerSum(terms=((alpha, 1.0, 0.0), (rng.uniform(-1.0, 1.0), p, 0.0))),
+                PowerSum(terms=((alpha, 1.0, 0.0), (rng.uniform(-3.0, 3.0), -1.0, 1.0), (rng.uniform(-1.0, 1.0), -1.0, 0.0))),
+                MaCheng(),
+                LinTsai(),
+            ][rng.integers(4)]
+            law = closed_length(spec0, term)
+            assert law is not None and law.weights.any(), term
+            want = oracles.psi_form_length(law, times)
+            # Where z nears 0, L vanishes or blows up, and neither form keeps
+            # its relative digits; elsewhere both are accurate to rounding.
+            if not np.all((want > law.l0 / 20.0) & (want < 20.0 * law.l0)):
+                continue
+            checked += 1
+            assert law(0.0) == law.l0
+            assert law(times) == pytest.approx(want, rel=1e-13, abs=0.0), term
+        assert checked >= 100
+
+    @pytest.mark.parametrize("gap", [10.0**-k for k in range(3, 13)])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_near_resonant_laws_agree_with_the_psi_form(self, gap, side):
+        # A forcing rate within gap of kappa, on either side: in the plain sum
+        # c_j = w_j / gap, and c_0 = 1 - c_j would cancel to rounding of eps / gap.
+        # Powers 1, 2, 1/2 and -1 take every branch of the call.
+        from curveflow.flows import ClosedLength
+
+        times = np.linspace(0.0, 10.0, 401)
+        for power, kappa, rates, weights in [
+            (1.0, side * gap, [0.0], [0.4]),
+            (2.0, -6.0 + side * gap, [-6.0, -16.0], [0.3, -0.1]),
+            (0.5, -6.0 + side * gap, [-6.0], [0.2]),
+            (-1.0, side * gap, [0.0], [-0.05]),
+        ]:
+            law = ClosedLength(TWO_PI, power, kappa, np.array(rates), np.array(weights))
+            assert law.near_gaps.tolist() == [abs(rates[0] - kappa)]
+            assert law(0.0) == TWO_PI
+            assert law(times) == pytest.approx(oracles.psi_form_length(law, times), rel=1e-12, abs=0.0)
+            # Far past the gap's time scale: inf or finite, never inf * 0 or inf - inf.
+            assert not np.isnan(law(np.array([1e3, 1e5, 1e7, 1e12]))).any()
+
+    def test_a_law_whose_weights_overflow_runs_the_ode(self):
+        # H = 1e300 on a circle of length L0 = 1e-8: the weight -2 pi c / L0
+        # overflows, so no law is built, silently (a RuntimeWarning fails the
+        # suite), and the ODE runs. Every stage of its first step takes L
+        # below 0, so its step collapses into a domain exit at t = 0.
+        import warnings
+
+        from curveflow import IntegratorControls, integrate
+        from curveflow.flows import closed_length
+
+        tiny = SupportSpectrum(mean=1e-8 / TWO_PI, cos_coeffs=[0.0, 0.0], sin_coeffs=[0.0, 0.0])
+        controls = IntegratorControls(t_max=1.0, area_vanish=1e-40, length_vanish=1e-20, singularity_eps=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert closed_length(tiny, Constant(c=1e300)) is None
+            assert closed_length(tiny, Constant(c=1e290)) is not None
+            traj = integrate(tiny, Constant(c=1e300), controls)
+        assert (traj.event.kind, traj.event.t) == ("h-domain-exit", 0.0)

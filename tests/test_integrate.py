@@ -851,12 +851,12 @@ class TestEventLocation:
     )
     def test_the_model_closes_pinches_under_every_law_power(self, monkeypatch, term):
         # The model raises the law's exponential sum to 1/r, and adds the
-        # t e^{kappa t} term of a resonant rate.
+        # t e^{kappa t} term of a resonant rate (``ClosedLength.near``).
         from curveflow.flows import closed_length
 
         probes = self.record_probes(monkeypatch)
         law = closed_length(ELLIPSEISH, term)
-        assert law is not None and (law.power != 1.0 or law.sum_t_weight != 0.0)
+        assert law is not None and (law.power != 1.0 or law.near_gaps.tolist() == [0.0])
         traj = _same_as_bisection(lambda: integrate(ELLIPSEISH, term, IntegratorControls(t_max=10.0)))
         assert traj.event.kind == "singularity"
         del probes[:]
@@ -1234,15 +1234,10 @@ class TestClosedLength:
         for traj in (closed, ode):
             assert 0.999 * MAX_LENGTH < traj.L[-1] < MAX_LENGTH
 
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        strict=True,
-        reason="H = 1 on the unit circle: L' = L - 2 pi has an unstable fixed point at L = 2 pi. "
-        "ClosedLength evaluates e^{kappa t}(1 + sum w_j psi_j), and 1 + sum w_j/(kappa - r_j) = 0 "
-        "there, so e^{kappa t} multiplies rounding: L is 1e-3 off at t = 30, the run ends in a "
-        "singularity at t = 37.43, and past t ~ 709 L is inf * 0 = NaN",
-    )
     def test_a_circle_at_an_unstable_fixed_point_stays_there(self):
+        # H = 1 on the unit circle: L' = L - 2 pi has an unstable fixed point at
+        # L = 2 pi. The law's c_0 = 1 - w/(0 - kappa) is exactly 0, so its sum
+        # is the one term 1.0 e^{0 t}, with no e^{kappa t} to magnify rounding.
         from curveflow.integrate import _dopri_steps, _Heat, _record
 
         heat = _Heat(CIRCLE, IntegratorControls())
@@ -1251,6 +1246,10 @@ class TestClosedLength:
         closed = integrate(CIRCLE, Constant(c=1.0))
         assert closed.event.kind == "reached-horizon"
         assert np.max(np.abs(closed.L - TWO_PI)) <= 1e-9
+        # Past t ~ 709, where e^{kappa t} overflows, the term it would scale by 0 is left out.
+        from curveflow.flows import closed_length
+
+        assert closed_length(CIRCLE, Constant(c=1.0))(np.array([800.0, 1e5])).tolist() == [TWO_PI] * 2
 
     def test_length_growth_ends_at_the_float_range(self):
         # const:-1 from the unit circle: L = 4 pi e^t - 2 pi reaches MAX_LENGTH at
@@ -1281,18 +1280,25 @@ class TestClosedLength:
         ids=["h-equals-l", "pan-yang", "const", "resonant", "lin-tsai", "ma-cheng", "l-to-1.5"],
     )
     def test_exponential_sum_is_the_law(self, term, power, kappa):
-        # z/z0 = sum c e^{rate t} + t_weight t e^{kappa t}, and L = L0 (z/z0)^(1/r).
+        # z/z0 = sum c e^{rate t}, and L = L0 (z/z0)^(1/r). A rate equal to
+        # kappa leaves the sum with c_0: z/z0 = sum c e^{rate t} + (c_0 + w t) e^{kappa t}.
         # Mean 4 keeps L > 0 up to t = 10 under H = L/2pi + 0.3.
         from curveflow.flows import closed_length
 
         spec0 = SupportSpectrum(mean=4.0, cos_coeffs=[0.2, 0.05, -0.01, 0.004], sin_coeffs=[-0.1, 0.03, 0.02, 0.0])
         law = closed_length(spec0, term)
+        resonant = isinstance(term, PowerSum) and term.terms[-1] == (0.3, 0.0, 0.0)
         assert law.power == power
         assert {"<": law.kappa < 0.0, "0": law.kappa == 0.0, ">": law.kappa > 0.0}[kappa]
-        assert law.sum_rates[0] == law.kappa and law.sum_rates.shape == law.sum_coeffs.shape
-        assert (law.sum_t_weight != 0.0) == (term.terms[-1] == (0.3, 0.0, 0.0) if isinstance(term, PowerSum) else False)
+        assert law.sum_rates.shape == law.sum_coeffs.shape
+        assert law.near_gaps.tolist() == ([0.0] if resonant else [])
         t = np.linspace(0.0, 10.0, 2001)
-        ratio = law.sum_coeffs @ np.exp(np.multiply.outer(law.sum_rates, t)) + law.sum_t_weight * t * np.exp(law.kappa * t)
+        ratio = law.sum_coeffs @ np.exp(np.multiply.outer(law.sum_rates, t))
+        if resonant:
+            c0, w = law.near_coeffs
+            ratio = ratio + (c0 + w * t) * np.exp(law.kappa * t)
+        else:
+            assert law.sum_rates[0] == law.kappa
         assert np.all(ratio > 0.0)
         assert law.l0 * ratio ** (1.0 / law.power) == pytest.approx(law(t), rel=1e-12, abs=0.0)
 
@@ -1825,6 +1831,29 @@ class TestHeatHalf:
             # objects that hold them.
             assert kept <= 8 * len(heat.grid) + 16_384, (count, kept)
 
+    def test_keeps_two_grid_columns_after_a_horizon_run(self):
+        # A run to the horizon leaves E and the deficit on the grid, 8 bytes
+        # per sample time each, beside the grid's own 8; its trajectory, gone
+        # once dropped, kept the grid itself as its times. The run's small
+        # temporaries rest on the interpreter's free lists, up to 2,000 blocks
+        # of a size; a full collection empties those.
+        import gc
+        import tracemalloc
+
+        from curveflow.integrate import _Heat, ipd_column
+
+        _Heat(ELLIPSEISH, IntegratorControls()).run(PanYang())  # module-level caches fill once
+        for count in (2_000, 200_000):
+            tracemalloc.start()
+            heat = _Heat(ELLIPSEISH, IntegratorControls(t_max=1.0, sample_interval=1.0 / count))
+            traj = heat.run(PanYang())
+            assert traj.t is heat.grid and ipd_column(traj) is heat.grid_deficit
+            del traj
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert kept <= 24 * len(heat.grid) + 16_384, (count, kept)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=2, max_value=16),
@@ -1834,7 +1863,8 @@ class TestHeatHalf:
     )
     @settings(max_examples=15, deadline=None)
     def test_flows_on_one_heat_half_run_as_alone(self, seed, n, terms):
-        from curveflow.integrate import _Heat
+        from curveflow import ipd_decay_ratio
+        from curveflow.integrate import _Heat, ipd_column
 
         spec0 = _random_convex(np.random.default_rng(seed), n)
         controls = IntegratorControls(t_max=5.0)
@@ -1843,6 +1873,8 @@ class TestHeatHalf:
             shared, alone = heat.run(term), integrate(spec0, term, controls)
             for name in ("t", "L", "A"):
                 assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), (term, name)
+            assert ipd_column(shared).tobytes() == ipd_column(alone).tobytes(), term
+            assert repr(ipd_decay_ratio(shared)) == repr(ipd_decay_ratio(alone)), term
             assert shared.event == alone.event, term
 
 

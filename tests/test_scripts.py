@@ -107,6 +107,9 @@ class TestTrajectoryDigest:
         # scalar tests evaluate it at one time, and the pinch run's last
         # state keeps the length its scalar test read.
         assert "closed-law evaluations arrays 2 times 402 scalars 3" in out
+        # Pan-yang reaches the horizon and builds the heat half's grid
+        # columns; no later run reads them.
+        assert out[-2] == "columns shared 0 of 1"
         restored = (
             digest.HEAT.margins,
             digest.HEAT.flags,
@@ -122,6 +125,23 @@ class TestTrajectoryDigest:
         assert set(states[0]) == {"t", "L", "A"} and states[0]["t"] == 0.0
         assert last["event"]["kind"] == "singularity"
         assert last["event"]["t"] >= states[-1]["t"]
+
+
+    def test_horizon_runs_after_the_first_read_the_shared_columns(self, monkeypatch, capsys):
+        # Three flows that reach the horizon on the closed path and one that
+        # pinches: the first horizon run builds the grid columns, the other
+        # two read them.
+        spec = importlib.util.spec_from_file_location("trajectory_digest", SCRIPTS / "trajectory_digest.py")
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        monkeypatch.setattr(digest, "SPECTRA", {"ellipse": digest.SPECTRA["ellipse"]})
+        monkeypatch.setattr(digest, "FLOWS", ("pan-yang", "powersum:1,1,0", "lin-tsai", "const:-1"))
+        monkeypatch.setattr(digest, "CONTROLS", {"default": digest.CONTROLS["default"]})
+        monkeypatch.setattr(sys, "argv", ["trajectory_digest.py", "--quiet"])
+        assert digest.main() == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "count reached-horizon 3" in out
+        assert out[-2] == "columns shared 2 of 3"
 
 
 class TestAbTrees:
