@@ -217,8 +217,8 @@ class Trajectory:
     read-only sequence that builds the FlowState of a state with
     ``flow_state`` each time it is indexed. ``modes``, the ``heat._Modes``
     of ``spec0`` where the caller holds them, saves building them again.
-    ``_heat``, the ``_Heat`` of the run, lends its ``grid_e`` and
-    ``grid_deficit``, the same values, where ``t`` is its grid itself.
+    ``_heat``, the ``_Heat`` of the run, lends its grid columns of E and
+    the deficit, the same values, where ``t`` is its grid itself.
     """
 
     spec0: SupportSpectrum
@@ -251,7 +251,7 @@ class Trajectory:
         if (length <= 0.0).any():
             raise ValueError("flow state requires positive length")
         modes = _Modes(self.spec0) if modes is None else modes
-        area = _area(length, _by_chunk(modes.e_value, t) if shared is None else shared.grid_e)
+        area = _area(length, _by_chunk(modes.e_value, t) if shared is None else shared.grid_column("e_value"))
         if not np.isfinite(area).all():  # a spectrum whose power overflows
             raise ValueError("flow state fields must be finite")
         for name, column in (("t", t), ("L", length), ("A", area)):
@@ -259,18 +259,12 @@ class Trajectory:
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_modes", modes)  # for the column functions
         object.__setattr__(self, "_shared", shared)
+        object.__setattr__(self, "_ipd", None)  # the deficit column, on the first ``ipd_column``
         object.__setattr__(self, "outcome", _classify(self.spec0, float(length[-1]), self.event))
 
     @property
     def states(self) -> "_States":
         return _States(self)
-
-    @functools.cached_property
-    def _ipd(self) -> np.ndarray:
-        # The deficit column, computed on the first ``ipd_column`` call.
-        if self._shared is not None:
-            return self._shared.grid_deficit
-        return _read_only(_by_chunk(self._modes.deficit, self.t))
 
 
 class _States(Sequence):
@@ -408,10 +402,10 @@ class _Heat:
     curvature bound, all O(N), and the grid of sample times. ``run``
     integrates one flow on it, whose pre-scan blocks sum the bound, its
     size and E(t) at their own times. The runs that record the grid itself,
-    as every closed-path run to the horizon does, share ``grid_e`` and
-    ``grid_deficit``, built by the first that reads each: at most 24 bytes
-    per sample time in all. A heat half lives for one ``integrate`` call or
-    one ``sweep`` command.
+    as every closed-path run to the horizon does, share its ``grid_column``
+    of E and of the deficit, each built by the first that reads it: at most
+    24 bytes per sample time in all. A heat half lives for one
+    ``integrate`` call or one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L), which keeps ``node``, the
     (t, j) of its grid minimum; ``flags`` marks the check times of a block
@@ -439,18 +433,16 @@ class _Heat:
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
         self.grid = _check_grid(controls)
         self.node = (math.nan, -1)
+        self._columns = {}
 
-    @functools.cached_property
-    def grid_e(self) -> np.ndarray:
-        """E(t) at every check time (``_Modes.e_value``): the area term of a
-        ``Trajectory`` that records the grid."""
-        return _read_only(_by_chunk(self.modes.e_value, self.grid))
-
-    @functools.cached_property
-    def grid_deficit(self) -> np.ndarray:
-        """The isoperimetric deficit at every check time (``_Modes.deficit``):
-        the ``ipd_column`` of a ``Trajectory`` that records the grid."""
-        return _read_only(_by_chunk(self.modes.deficit, self.grid))
+    def grid_column(self, name: str) -> np.ndarray:
+        """``_Modes.e_value`` or ``_Modes.deficit``, by ``name``, at every
+        check time, read-only: the area term and the ``ipd_column`` of a
+        ``Trajectory`` that records the grid. Built on the first call."""
+        column = self._columns.get(name)
+        if column is None:
+            column = self._columns[name] = _read_only(_by_chunk(getattr(self.modes, name), self.grid))
+        return column
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
@@ -881,7 +873,11 @@ def ipd_column(traj: Trajectory) -> np.ndarray:
     2 pi^2 sum (n^2 - 1)((a_n f_n)^2 + (b_n f_n)^2) with f_n = e^{(1 - n^2) t},
     each value that of ``support.isoperimetric_deficit`` bit for bit. A
     read-only array, computed once per trajectory, or once per heat half
-    for the runs that record its grid (``_Heat.grid_deficit``)."""
+    for the runs that record its grid (``_Heat.grid_column``)."""
+    if traj._ipd is None:
+        shared = traj._shared
+        ipd = _by_chunk(traj._modes.deficit, traj.t) if shared is None else shared.grid_column("deficit")
+        object.__setattr__(traj, "_ipd", _read_only(ipd))
     return traj._ipd
 
 

@@ -1847,7 +1847,7 @@ class TestHeatHalf:
             tracemalloc.start()
             heat = _Heat(ELLIPSEISH, IntegratorControls(t_max=1.0, sample_interval=1.0 / count))
             traj = heat.run(PanYang())
-            assert traj.t is heat.grid and ipd_column(traj) is heat.grid_deficit
+            assert traj.t is heat.grid and ipd_column(traj) is heat.grid_column("deficit")
             del traj
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0]
