@@ -291,7 +291,8 @@ class ClosedLength:
     _one: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        rates, coeffs, near_rates, near_coeffs, near_gaps = np.array([self.kappa]), np.ones(1), *[_EMPTY] * 3
+        rates, coeffs, one = np.array([self.kappa]), np.array([1.0]), self.kappa
+        near_rates = near_coeffs = near_gaps = _EMPTY
         if self.weights.any():
             gap = self.rates - self.kappa
             live = self.weights != 0.0
@@ -309,9 +310,11 @@ class ClosedLength:
                 rates, coeffs = np.concatenate(((self.kappa,), rates)), np.concatenate(((c0,), coeffs))
             kept = coeffs != 0.0
             rates, coeffs = rates[kept], coeffs[kept]
-        one = rates.item() if rates.size == 1 and not near_coeffs.size else None
-        names = ("sum_rates", "sum_coeffs", "near_rates", "near_coeffs", "near_gaps", "_one")
-        for name, value in zip(names, (rates, coeffs, near_rates, near_coeffs, near_gaps, one)):
+            one = rates.item() if rates.size == 1 and not near_coeffs.size else None
+        for name, value in (
+            ("sum_rates", rates), ("sum_coeffs", coeffs), ("near_rates", near_rates),
+            ("near_coeffs", near_coeffs), ("near_gaps", near_gaps), ("_one", one),
+        ):
             object.__setattr__(self, name, value)
 
     def near(self, tt: np.ndarray, excess: bool = False):
