@@ -327,12 +327,16 @@ class ClosedLength:
         terms[..., 1:] *= np.where(gaps > 0.0, -np.expm1(-gaps * col) / np.where(gaps > 0.0, gaps, 1.0), col)
         growth = np.exp(self.kappa * tt) if self.kappa > 0.0 else 1.0
         if excess:
-            return self.near_coeffs[0] * np.expm1(self.kappa * tt) + growth * (terms[..., 1:] @ self.near_coeffs[1:])
-        return growth * (terms @ self.near_coeffs)
+            forcing = np.add.reduce(terms[..., 1:] * self.near_coeffs[1:], axis=-1)
+            return self.near_coeffs[0] * np.expm1(self.kappa * tt) + growth * forcing
+        return growth * np.add.reduce(terms * self.near_coeffs, axis=-1)
 
     def _sum(self, tt: np.ndarray, excess: bool = False):
-        # z/z0 of a law of more than one term; with excess, z/z0 - 1.
-        value = (np.expm1 if excess else np.exp)(tt[..., None] * self.sum_rates) @ self.sum_coeffs
+        # z/z0 of a law of more than one term; with excess, z/z0 - 1. Each
+        # time's terms are summed pairwise along their row, not by a matrix
+        # product, so a time's value has the same bits in any array of times.
+        terms = (np.expm1 if excess else np.exp)(tt[..., None] * self.sum_rates)
+        value = np.add.reduce(terms * self.sum_coeffs, axis=-1)
         if self.near_coeffs.size:
             value = value + self.near(tt, excess)
         # The coefficients sum to 1 only up to rounding; z/z0 is 1.0 at t = 0.
