@@ -327,16 +327,16 @@ class ClosedLength:
         terms[..., 1:] *= np.where(gaps > 0.0, -np.expm1(-gaps * col) / np.where(gaps > 0.0, gaps, 1.0), col)
         growth = np.exp(self.kappa * tt) if self.kappa > 0.0 else 1.0
         if excess:
-            forcing = np.add.reduce(terms[..., 1:] * self.near_coeffs[1:], axis=-1)
+            forcing = np.einsum("...j,j->...", terms[..., 1:], self.near_coeffs[1:])
             return self.near_coeffs[0] * np.expm1(self.kappa * tt) + growth * forcing
-        return growth * np.add.reduce(terms * self.near_coeffs, axis=-1)
+        return growth * np.einsum("...j,j->...", terms, self.near_coeffs)
 
     def _sum(self, tt: np.ndarray, excess: bool = False):
-        # z/z0 of a law of more than one term; with excess, z/z0 - 1. Each
-        # time's terms are summed pairwise along their row, not by a matrix
-        # product, so a time's value has the same bits in any array of times.
+        # z/z0 of a law of more than one term; with excess, z/z0 - 1. einsum
+        # sums each time's terms along its own row, in one order whatever the
+        # array of times, where a matrix product's order depends on the array.
         terms = (np.expm1 if excess else np.exp)(tt[..., None] * self.sum_rates)
-        value = np.add.reduce(terms * self.sum_coeffs, axis=-1)
+        value = np.einsum("...j,j->...", terms, self.sum_coeffs)
         if self.near_coeffs.size:
             value = value + self.near(tt, excess)
         # The coefficients sum to 1 only up to rounding; z/z0 is 1.0 at t = 0.
