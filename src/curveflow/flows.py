@@ -342,31 +342,40 @@ class ClosedLength:
         # The coefficients sum to 1 only up to rounding; z/z0 is 1.0 at t = 0.
         return value if excess else np.where(tt == 0.0, 1.0, value)
 
-    def __call__(self, t):
-        """L at a time or an array of times; a float for a scalar time."""
-        tt = np.asarray(t, dtype=float)
+    def _ratio(self, tt: np.ndarray):
         one = self._one
         if self.kappa > 0.0:
             # e^{kappa t} overflows to inf for a long enough run.
             with np.errstate(over="ignore"):
-                ratio = self._sum(tt) if one is None else np.exp(one * tt)
-        else:
-            ratio = self._sum(tt) if one is None else np.exp(one * tt)
+                return self._sum(tt) if one is None else np.exp(one * tt)
+        return self._sum(tt) if one is None else np.exp(one * tt)
+
+    def __call__(self, t):
+        """L at a time or an array of times; a float for a scalar time."""
+        tt = np.asarray(t, dtype=float)
         if self.power == 1.0:
-            length = self.l0 * ratio
+            length = self.l0 * self._ratio(tt)
         elif self.power == 2.0:
+            ratio = self._ratio(tt)
             # np.power, not **: a float64 scalar's ** calls pow, not sqrt, at power 2.
             length = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 0.5))
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # z/z0 - 1 summed without the 1, so that a power near 0 does not
                 # magnify its rounding; log1p only near z/z0 = 1, where log loses it.
+                # There z/z0 > 0, so z/z0 itself is summed only where some time is not.
+                one = self._one
                 excess = self._sum(tt, excess=True) if one is None else np.expm1(one * tt)
-                log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(ratio))
-                length = self.l0 * np.exp(log_ratio / self.power)
-                if not (ratio > 0.0).all():
-                    through_zero = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
-                    length = np.where(ratio > 0.0, length, through_zero if self.power > 0.0 else np.inf)
+                near_one = np.abs(excess) < 0.5
+                if near_one.all():
+                    length = self.l0 * np.exp(np.log1p(excess) / self.power)
+                else:
+                    ratio = self._ratio(tt)
+                    log_ratio = np.where(near_one, np.log1p(excess), np.log(ratio))
+                    length = self.l0 * np.exp(log_ratio / self.power)
+                    if not (ratio > 0.0).all():
+                        through_zero = self.l0 * (np.sign(ratio) * np.power(np.abs(ratio), 1.0 / self.power))
+                        length = np.where(ratio > 0.0, length, through_zero if self.power > 0.0 else np.inf)
         return float(length) if length.ndim == 0 else length
 
 

@@ -197,8 +197,8 @@ def psi_form_length(law, t):
         z/z0 = e^{kappa t} + sum_j w_j e^{max(kappa, rate_j) t} psi(|rate_j - kappa|, t),
 
     with e^{max(kappa, 0) t} pulled out, then L through the law's power.
-    This is the evaluation of every law before unforced ones took a single
-    exponential; a float for a scalar time."""
+    This was the evaluation of every law before the exponential sum
+    replaced it; a float for a scalar time."""
     kappa, rates, weights, power, l0 = law.kappa, law.rates, law.weights, law.power, law.l0
     top = max(kappa, 0.0)
     lag = rates - kappa
