@@ -11,7 +11,9 @@ runs minutes apart does not give on a shared host. It prints, per tree,
 the Harrell-Davis p50 and p90 of the per-job mean times and the
 integrations per second, as ``perfbench.worker`` computes them, and the
 ratio B/A of each: below 1 for the times and above 1 for the rate means
-B is faster. Nothing is scaled by the host probe, and outputs are not
+B is faster. On the sweep workload it also prints the p50 of each job
+kind alone, ``job_ms_p50[flows]`` and ``job_ms_p50[scale]``: the flows
+jobs set the workload's p50 and the scale jobs its p90. Nothing is scaled by the host probe, and outputs are not
 checked; run ``perfbench/run.py`` for those. Running a tree against
 itself gives the A/A spread.
 
@@ -145,6 +147,10 @@ def main(argv=None) -> int:
     print(f"workload {args.workload} seed {args.seed} jobs {len(jobs)} passes {args.passes}")
     for name in a:
         print(f"{name:>18}  A {a[name]:10.4f}  B {b[name]:10.4f}  B/A {b[name] / a[name]:.4f}")
+    for kind in sorted({job.kind for job in jobs if isinstance(job, inputs.SweepJob)}):
+        picked = [i for i, job in enumerate(jobs) if job.kind == kind]
+        p50_a, p50_b = (hd_quantile([statistics.fmean(t[i]) for i in picked], 0.5) for t in times)
+        print(f"{f'job_ms_p50[{kind}]':>18}  A {p50_a:10.4f}  B {p50_b:10.4f}  B/A {p50_b / p50_a:.4f}")
     return 0
 
 

@@ -28,12 +28,15 @@ closed-form length law was evaluated (calls of
 and calls on a scalar time), and one sha256 over all runs. The counts
 come from wrapping those names here. Then it runs the matrix a second
 time the way ``curveflow sweep`` runs a flows axis, the flows of each
-spectrum and control set on one shared heat half (``integrate._Heat``),
-and prints how many of those runs read the grid columns (E and the
-deficit on the check grid) that an earlier run on their heat half built,
-out of the runs that reached the horizon (a run shares them where it
-records exactly the heat half's grid, as a closed-path run to the horizon
-does), then the sha256 over those runs, which must equal the first. Run
+spectrum and control set in one ``integrate._Heat.run_all`` call on one
+shared heat half, whose closed laws scan their pre-scan blocks together,
+and prints the pre-scan blocks that pass made (beside the first pass's
+``prescan blocks``), how many of its runs read the grid columns (E and
+the deficit on the check grid) that an earlier run on their heat half
+built, out of the runs that reached the horizon (a run shares them where
+it records exactly the heat half's grid, as a closed-path run to the
+horizon does), then the sha256 over those runs, which must equal the
+first. Run
 it on two checkouts on the same machine and compare the output: the
 probe, pre-scan and evaluation counts show whether the locator's work
 changed, which the hashes see only through the event times.
@@ -222,38 +225,59 @@ def main() -> int:
         f" scalars {tally['law scalars']}"
     )
     print(f"runs {sum(counts.values())} sha256 {total.hexdigest()}")
-    sha, reads, horizons = shared_digest()
+    sha, reads, horizons, blocks = shared_digest()
+    print(f"shared prescan blocks {blocks}")
     print(f"columns shared {reads} of {horizons}")
     print(f"shared sha256 {sha}")
     return 0
 
 
-def shared_digest() -> tuple[str, int, int]:
+def shared_digest() -> tuple[str, int, int, int]:
     """The total sha256 of the matrix with the flows of each spectrum and
-    control set run on one heat half, hashed in the order of ``main``; the
-    runs that read grid columns an earlier run on their heat half built;
-    and the runs that reached the horizon."""
-    shas, reads, horizons = {}, 0, 0
-    for spec_name, spec in SPECTRA.items():
-        for controls_name, controls in CONTROLS.items():
-            # Built by the first flow; a spectrum it rejects fails every flow alike.
-            heat = functools.cache(lambda: HEAT(spec, controls))
-            trajs = []
-            for flow in FLOWS:
+    control set run as ``curveflow sweep`` runs a flows axis, in one
+    ``integrate._Heat.run_all`` call on one heat half, hashed in the order
+    of ``main``; the runs that read grid columns an earlier run on their
+    heat half built; the runs that reached the horizon; and the pre-scan
+    blocks (calls of ``integrate._Heat.flags``) of those calls."""
+    shas, reads, horizons, blocks = {}, 0, 0, 0
+    flags = HEAT.flags
 
-                def run():
-                    trajs.append(heat().run(parse_flow_term(flow)))
-                    return trajs[-1]
+    def counted_flags(heat, times, lengths):
+        nonlocal blocks
+        blocks += 1
+        return flags(heat, times, lengths)
 
-                shas[spec_name, flow, controls_name] = digest(run)[1]
-            horizons += sum(traj.event.kind == INTEGRATE.EVENT_HORIZON for traj in trajs)
-            reads += max(sum(traj.t is heat().grid for traj in trajs) - 1, 0)
+    HEAT.flags = counted_flags
+    try:
+        for spec_name, spec in SPECTRA.items():
+            for controls_name, controls in CONTROLS.items():
+                terms = [parse_flow_term(flow) for flow in FLOWS]
+                try:
+                    heat = HEAT(spec, controls)
+                except ValueError as exc:  # a spectrum the gate rejects fails every flow alike
+                    heat, results = None, [exc] * len(terms)
+                else:
+                    results = heat.run_all(terms)
+                for flow, result in zip(FLOWS, results):
+                    shas[spec_name, flow, controls_name] = digest(functools.partial(unpack, result))[1]
+                trajs = [result for result in results if not isinstance(result, Exception)]
+                horizons += sum(traj.event.kind == INTEGRATE.EVENT_HORIZON for traj in trajs)
+                reads += max(sum(traj.t is heat.grid for traj in trajs) - 1, 0)
+    finally:
+        HEAT.flags = flags
     total = hashlib.sha256()
     for spec_name in SPECTRA:
         for flow in FLOWS:
             for controls_name in CONTROLS:
                 total.update(shas[spec_name, flow, controls_name].encode())
-    return total.hexdigest(), reads, horizons
+    return total.hexdigest(), reads, horizons, blocks
+
+
+def unpack(result):
+    """A ``run_all`` result: the trajectory, or its exception raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 if __name__ == "__main__":

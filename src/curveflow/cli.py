@@ -37,7 +37,6 @@ import functools
 import io
 import json
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -459,12 +458,14 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_one(label: str, heat: Callable[[], _Heat], term: NonlocalTerm) -> dict:
-    """The row of ``term`` run on ``heat()``, the axis value's heat half;
-    any error, the heat half's convexity gate included, is the row's."""
+def _sweep_row(label: str, result) -> dict:
+    """The row of one run: ``result`` is its ``Trajectory``, or the
+    exception that run raised, which is the row's."""
     row = {"axis": label}
     try:
-        traj = heat().run(term)
+        if isinstance(result, Exception):
+            raise result
+        traj = result
         final_t, final_L, final_A = (float(column[-1]) for column in (traj.t, traj.L, traj.A))
         row.update(
             outcome=outcome_record(traj.outcome)["kind"],
@@ -483,19 +484,30 @@ def _sweep_one(label: str, heat: Callable[[], _Heat], term: NonlocalTerm) -> dic
     return row
 
 
+def _run_all(spec0: SupportSpectrum, controls: IntegratorControls, terms: list) -> list:
+    """``_Heat.run_all`` of ``terms`` on the heat half of ``spec0``; where
+    its convexity gate rejects the spectrum, that error is every term's."""
+    try:
+        heat = _Heat(spec0, controls)
+    except Exception as exc:
+        return [exc] * len(terms)
+    return heat.run_all(terms)
+
+
 @_exit_status
 def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = None) -> int:
     """One integration per axis value; failures are recorded per row. The
-    flows of a flows axis run on one heat half (``integrate._Heat``), built
-    by the first row that needs it; a spectrum its gate rejects fails every
-    row with the same message. Each value of a scale axis has its own."""
+    flows of a flows axis run in one ``integrate._Heat.run_all`` call, on
+    one heat half whose pre-scan blocks the closed laws share; a spectrum
+    its gate rejects fails every row with the same message. Each value of a
+    scale axis has a heat half of its own."""
     kind, values = _parse_axis(axis)
     spec0 = load_initial(config.initial, base_dir)
     if kind == "flows":
-        shared = functools.cache(lambda: _Heat(spec0, config.controls))
-        jobs = [(format_flow_term(term), shared, term) for term in values]
+        results = _run_all(spec0, config.controls, values)
+        rows = [_sweep_row(format_flow_term(term), result) for term, result in zip(values, results)]
     else:
-        jobs = []
+        rows = []
         for value in values:
             with np.errstate(over="ignore"):  # a coefficient overflowing to inf is rejected
                 scaled = SupportSpectrum(
@@ -503,8 +515,7 @@ def sweep(config: RunConfig, axis: str, base_dir: Path, out_dir: Path | None = N
                     cos_coeffs=spec0.cos_coeffs * value,
                     sin_coeffs=spec0.sin_coeffs * value,
                 )
-            jobs.append((repr(value), functools.partial(_Heat, scaled, config.controls), config.flow))
-    rows = [_sweep_one(label, heat, term) for label, heat, term in jobs]
+            rows.append(_sweep_row(repr(value), *_run_all(scaled, config.controls, [config.flow])))
     # Labels such as powersum:1,1,0 hold commas, so fields are quoted where needed.
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

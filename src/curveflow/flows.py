@@ -49,6 +49,8 @@ from .support import TWO_PI, SupportSpectrum, total_inverse_curvature
 
 # Smallest normal float: no law is built from a z0 below it.
 _TINY = float(np.finfo(float).tiny)
+# Largest kappa t whose e^{kappa t} is finite: log of the largest float.
+_LOG_MAX = math.log(np.finfo(float).max)
 # A forcing rate within this gap of kappa keeps its divided difference in a
 # ClosedLength: in the sum form its c_j = w_j / gap, and c_0, would carry a
 # rounding of eps |w_j| / gap, up to 2.3e-14 |w_j| at this gap.
@@ -344,8 +346,11 @@ class ClosedLength:
 
     def _ratio(self, tt: np.ndarray):
         one = self._one
-        if self.kappa > 0.0:
-            # e^{kappa t} overflows to inf for a long enough run.
+        # e^{kappa t} overflows to inf past kappa t = log(float max); a near
+        # term may overflow as it scales a sum by a finite e^{kappa t}.
+        if self.kappa > 0.0 and (
+            self.near_coeffs.size or self.kappa * (tt.max(initial=0.0) if tt.ndim else float(tt)) > _LOG_MAX
+        ):
             with np.errstate(over="ignore"):
                 return self._sum(tt) if one is None else np.exp(one * tt)
         return self._sum(tt) if one is None else np.exp(one * tt)

@@ -29,14 +29,16 @@ SCAN_BLOCK_CAP check times at a time as the locator reaches them, for
 its blocks and the recorded states alike. One locator serves every step,
 in one loop over blocks of check times: the first SCAN_CHUNK = 32 long,
 then the rest of each SCAN_BLOCK_CAP = 256 check times whose L is
-evaluated together. Per block ``_Heat.flags`` bounds the curvature
-minimum from below by L/(2*pi) - sum |1 - n^2| sqrt(a_n^2 + b_n^2)
-e^{(1-n^2)t}, O(N) per time, and sums E(t) at the block's own times, so a
-``_Heat`` keeps O(N) arrays and its grid. The bound is exact on the pinch
-family and elsewhere meets the grid minimum at rate 3 or faster, so the
-flags need no grid product: over a seed-1 pass of the benchmark workloads,
-one run where the bound did not clear un-flagged 18 of the 3,514 check
-times the bound flagged.
+evaluated together. The closed laws of one ``_Heat.run_all`` call share
+that one step, and their locators move through its blocks together
+(``_locate_all``). Per block ``_Heat.flags``, one call for all of them,
+bounds the curvature minimum from below by L/(2*pi) - sum |1 - n^2|
+sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time, and sums E(t) at the
+block's own times, so a ``_Heat`` keeps O(N) arrays and its grid. The
+bound is exact on the pinch family and elsewhere meets the grid minimum
+at rate 3 or faster, so the flags need no grid product: over a seed-1
+pass of the benchmark workloads, one run where the bound did not clear
+un-flagged 18 of the 3,514 check times the bound flagged.
 The scalar test then runs on the block's flagged check times in order;
 at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
@@ -293,14 +295,14 @@ class _Lengths:
     early evaluates at most one such chunk past its event."""
 
     def __init__(self, path: Callable, times: np.ndarray):
-        self._path, self._times = path, times
+        self.path, self._times = path, times
         self._values, self._done = np.empty(len(times)), 0
 
     def __getitem__(self, index: slice) -> np.ndarray:
         stop = index.indices(len(self._times))[1]
         while self._done < stop:
             lo, self._done = self._done, min(self._done + SCAN_BLOCK_CAP, len(self._times))
-            self._values[lo : self._done] = self._path(self._times[lo : self._done])
+            self._values[lo : self._done] = self.path(self._times[lo : self._done])
         return self._values[index]
 
 
@@ -399,21 +401,25 @@ class _Heat:
     """The flow-independent half of a run: what the initial spectrum and the
     controls set, whatever H is. Building one runs the convexity gate; it
     holds the mode arrays, the thresholds and the per-mode sizes of the
-    curvature bound, all O(N), and the grid of sample times. ``run``
-    integrates one flow on it, whose pre-scan blocks sum the bound, its
-    size and E(t) at their own times. The runs that record the grid itself,
-    as every closed-path run to the horizon does, share its ``grid_column``
-    of E and of the deficit, each built by the first that reads it: at most
-    24 bytes per sample time in all. A heat half lives for one
-    ``integrate`` call or one ``sweep`` command.
+    curvature bound, all O(N), and the grid of sample times. ``run_all``
+    integrates a list of flows on it, and ``run`` one. The flows with a
+    closed law share their check times, the grid, and move through its
+    pre-scan blocks together: a block computes the mode factors, E(t) and
+    the two sums of the bound at its times once, for the stacked lengths of
+    the flows still running, and each flow leaves at its event. The runs
+    that record the grid itself, as every closed-path run to the horizon
+    does, share its ``grid_column`` of E and of the deficit, each built by
+    the first that reads it: at most 24 bytes per sample time in all. A
+    heat half lives for one ``integrate`` call or one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L), which keeps ``node``, the
-    (t, j) of its grid minimum; ``flags`` marks the check times of a block
-    where it may read a crossing, from ``scan`` alone; ``pinch_root`` models
-    the singularity margin at one grid node. A heat half runs one flow at a
-    time; its mode arrays are the run's only ones, which ``closed_length``
-    and the recorded ``Trajectory`` read too, and its grid of sample times
-    is shared by every heat half on equal controls (``_check_grid``).
+    (t, j) of its grid minimum, for the flow whose locator ran it;
+    ``flags`` marks the check times of a block where it may read a crossing,
+    from ``scan`` alone; ``pinch_root`` models the singularity margin at
+    one grid node. Its mode arrays are the runs' only ones, which
+    ``closed_length`` and the recorded ``Trajectory`` read too, and its
+    grid of sample times is shared by every heat half on equal controls
+    (``_check_grid``).
     Since |a cos n theta + b sin n theta| <= sqrt(a^2 + b^2), the radius of
     curvature over every theta is at least L(t)/(2*pi) - sum |1 - n^2|
     sqrt(p_n) e^{(1-n^2)t}, an O(N) bound per time whose sum decays at rate
@@ -431,6 +437,7 @@ class _Heat:
         # the largest |term| over every theta.
         self._rho_size = np.abs(modes.decay) * (np.abs(spec0.cos_coeffs) + np.abs(spec0.sin_coeffs))
         self._rho_amp = np.abs(modes.decay) * np.sqrt(modes.power)
+        self._e_amp = modes.decay * modes.power  # E(t) = (pi/2) sum of these times the squared factors
         self.grid = _check_grid(controls)
         self.node = (math.nan, -1)
         self._columns = {}
@@ -446,8 +453,32 @@ class _Heat:
 
     def run(self, term: NonlocalTerm) -> Trajectory:
         """The flow of ``term`` until an event; see ``integrate``."""
-        law = closed_length(self.spec0, term, self.modes)
-        return _record(self, _dopri_steps(self, term) if law is None else iter([(0.0, self.controls.t_max, law)]))
+        (result,) = self.run_all([term])
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def run_all(self, terms: Sequence[NonlocalTerm]) -> list:
+        """The flow of each term until an event: its ``Trajectory``, or the
+        exception its run raised, which is that term's alone. The terms with
+        a closed law are one step (0, t_max) on the grid, which their
+        locators scan together (``_locate_all``); each other term runs its
+        own DOPRI5 steps."""
+        results, rows, laws = [None] * len(terms), [], []
+        for i, term in enumerate(terms):
+            try:
+                law = closed_length(self.spec0, term, self.modes)
+                if law is None:
+                    (results[i],) = _record(self, _dopri_steps(self, term))
+                else:
+                    rows.append(i)
+                    laws.append(law)
+            except Exception as exc:  # this term's failure alone
+                results[i] = exc
+        if laws:
+            for i, result in zip(rows, _record(self, iter([(0.0, self.controls.t_max, laws)]), len(laws))):
+                results[i] = result
+        return results
 
     def rhs(self, term: NonlocalTerm, t: float, length: float) -> float:
         """dL/dt of ``term`` at (t, L), for the ODE path."""
@@ -523,7 +554,7 @@ class _Heat:
         time."""
         modes = self.modes
         factors = modes.factors(times)
-        e_val = (np.pi / 2.0) * ((modes.decay * modes.power) @ (factors * factors))
+        e_val = (np.pi / 2.0) * (self._e_amp @ (factors * factors))
         mean = lengths / TWO_PI
         with np.errstate(over="ignore"):  # past L ~ 1e155 the area is inf: the float range is crossed
             circle = np.pi * mean * mean
@@ -534,12 +565,16 @@ class _Heat:
         the curvature bound for the min radius, is within PRESCAN_SLACK of its
         size. The bound lies below the grid minimum, up to rounding far below
         1e-12 of the size, so every time where a scalar margin is <= 0 is
-        flagged; the scalar test decides."""
+        flagged; the scalar test decides. ``lengths`` may hold one row per
+        flow (``_locate_all``), and the flags take its shape, each row's the
+        same as for its lengths alone."""
         rho_min, rho_size, area, area_size = self.scan(times, lengths)
-        sizes = (rho_size, area_size, *[np.abs(lengths)] * 3)
-        flagged = np.zeros(len(times), dtype=bool)
-        for margin, size in zip(_margins(self.limits, rho_min, area, lengths), sizes, strict=True):
-            flagged |= margin <= PRESCAN_SLACK * size
+        slack = PRESCAN_SLACK * np.abs(lengths)
+        margins = _margins(self.limits, rho_min, area, lengths)
+        flagged = margins[0] <= PRESCAN_SLACK * rho_size
+        flagged |= margins[1] <= PRESCAN_SLACK * area_size
+        for margin in margins[2:]:
+            flagged |= margin <= slack
         return flagged
 
 
@@ -564,6 +599,37 @@ def _model_root(phi: Callable, lo: float, hi: float) -> float | None:
     return None
 
 
+def _locate_all(flags: Callable, locators: list) -> list:
+    """The result of each ``_locate`` generator: (t_before, L at t_before,
+    event), None, or the exception it raised, which ends it alone. The
+    locators share their check times and move through their blocks
+    together: ``flags(times, lengths)`` runs once per block, on the lengths
+    of the locators still running stacked row by row (one row alone is
+    passed as it is), and each of them, in order, is sent its own row of
+    flags and runs its scalar tests. Flags are elementwise, so each row's
+    are those of a call on its lengths alone."""
+    results, going, sent = [None] * len(locators), list(enumerate(locators)), [None] * len(locators)
+    while going:
+        blocks, still = [], []
+        for (k, locator), flagged in zip(going, sent):
+            try:
+                blocks.append(locator.send(flagged))
+            except StopIteration as done:
+                results[k] = done.value
+            except Exception as exc:  # this locator's failure alone
+                results[k] = exc
+            else:
+                still.append((k, locator))
+        going = still
+        if blocks:
+            times, lengths = blocks[0]
+            if len(blocks) > 1:
+                lengths = np.stack([block[1] for block in blocks])
+            flagged = flags(times, lengths)
+            sent = flagged if len(blocks) > 1 else (flagged,)
+    return results
+
+
 def _locate(
     modes: _Modes,
     margins: Callable,
@@ -571,16 +637,16 @@ def _locate(
     t_prev: float,
     check_times,
     lengths,
-    flags: Callable,
     heat: _Heat | None = None,
 ):
-    """Earliest crossing along L = path(t): (t_before, L at t_before,
-    event) or None.
+    """Earliest crossing along L = path(t), a generator for ``_locate_all``:
+    it yields each block of check times with its slice of ``lengths``, is
+    sent that block's flags, and returns (t_before, L at t_before, event) or
+    None.
 
     ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
     follow ``t_prev``; ``lengths`` holds L at each of them, an array or
-    ``_Lengths``. ``flags(times, lengths)``, given a block of check times
-    and its slice of ``lengths``, flags every check time of the block where
+    ``_Lengths``. A block's flags mark every check time of the block where
     some kind may be crossed. The first block is SCAN_CHUNK check times, and
     each later one runs to the end of the SCAN_BLOCK_CAP check times
     ``_Lengths`` evaluates at once. The scalar test runs on the flagged
@@ -614,7 +680,7 @@ def _locate(
     lo = 0
     while lo < len(check_times):
         stop = (lo // SCAN_BLOCK_CAP + 1) * SCAN_BLOCK_CAP if lo else SCAN_CHUNK
-        flagged = flags(check_times[lo:stop], lengths[lo:stop])
+        flagged = yield check_times[lo:stop], lengths[lo:stop]
         for i in (lo + flagged.nonzero()[0]).tolist():
             hi = float(check_times[i])
             fired = _crossed(probe(hi))
@@ -765,57 +831,79 @@ def _check_grid(controls: IntegratorControls) -> np.ndarray:
     return grid
 
 
-def _record(heat: _Heat, steps: Iterator) -> Trajectory:
-    """States and event along L(t), given as steps (t0, t1, path): path(t)
-    is L on [t0, t1] at a time or an array of times, until the next step
-    is drawn. ``steps`` may return an event that ends the run.
+def _record(heat: _Heat, steps: Iterator, count: int = 1) -> list:
+    """States and event of ``count`` runs along their L(t), given as steps
+    (t0, t1, paths), one path per run: path(t) is its L on [t0, t1] at a
+    time or an array of times, until the next step is drawn. ``steps`` may
+    return an event that ends every run still going. Each run's result is
+    its ``Trajectory``, or the exception that ended it alone; an exception
+    that ``steps`` raises is raised.
 
     A step's check times are the sample times (t = 0, then
     ``_sample_times``) not yet passed and before t1's instant (TIME_RTOL),
     then t1, recorded when it is the next sample time's instant. The
-    locator's blocks and the kept states read L there from one
+    locators of the runs still going scan them together (``_locate_all``),
+    and each run's blocks and kept states read its L there from one
     ``_Lengths``. At a crossing the run keeps the states up to its lower
     end, then that end, if a later instant, with the L probed there. A run
     to the horizon whose kept step ends are all grid times records the grid
     itself, and its ``Trajectory`` shares the heat half's grid columns."""
     controls, grid = heat.controls, heat.grid
-    times, lengths, k, exact = [], [], 0, True
-    while True:
+    times, lengths = [[] for _ in range(count)], [[] for _ in range(count)]
+    ends, going, k, exact = [None] * count, list(range(count)), 0, True  # each run's event, or its exception
+    while going:
         try:
-            t0, t1, path = next(steps)
+            t0, t1, paths = next(steps)
         except StopIteration as stop:
             event = stop.value or TerminationEvent(kind=EVENT_HORIZON, t=controls.t_max)
+            for r in going:
+                ends[r] = event
             break
         j = k + int(grid[k:].searchsorted(t1 * (1.0 - TIME_RTOL), side="left"))
-        check = np.concatenate((grid[k:j], (t1,)))
         on_grid = j < len(grid) and abs(grid[j] - t1) <= TIME_RTOL * t1
         exact = exact and (not on_grid or t1 == grid[j])
+        check = grid[k : j + 1] if on_grid and t1 == grid[j] else np.concatenate((grid[k:j], (t1,)))
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
-        at_check = _Lengths(path, check)
-        found = _locate(heat.modes, heat.margins, path, t0, check, at_check, heat.flags, heat)
-        t_stop = t1 if found is None else found[0]
-        kept = kept[kept <= t_stop]
-        times += kept.tolist()
-        lengths += at_check[: kept.size].tolist()
-        if found is not None:
-            _, length_stop, event = found
-            if t_stop - times[-1] > TIME_RTOL * t_stop:
-                times.append(t_stop)
-                lengths.append(length_stop)
-            break
-    exact = exact and event.kind == EVENT_HORIZON and len(times) == len(grid)
-    return Trajectory(heat.spec0, grid if exact else times, lengths, event, heat.modes, heat)
+        at_check = [_Lengths(paths[r], check) for r in going]
+        locators = [_locate(heat.modes, heat.margins, at.path, t0, check, at, heat) for at in at_check]
+        still = []
+        for r, at, found in zip(going, at_check, _locate_all(heat.flags, locators)):
+            if found is None:
+                times[r] += kept.tolist()
+                lengths[r] += at[: kept.size].tolist()
+                still.append(r)
+            elif isinstance(found, Exception):
+                ends[r] = found
+            else:
+                t_stop, length_stop, ends[r] = found
+                kept_r = kept[kept <= t_stop]
+                times[r] += kept_r.tolist()
+                lengths[r] += at[: kept_r.size].tolist()
+                if t_stop - times[r][-1] > TIME_RTOL * t_stop:
+                    times[r].append(t_stop)
+                    lengths[r].append(length_stop)
+        going = still
+    results = []
+    for run_times, run_lengths, end in zip(times, lengths, ends):
+        if not isinstance(end, Exception):
+            shared = exact and end.kind == EVENT_HORIZON and len(run_times) == len(grid)
+            try:
+                end = Trajectory(heat.spec0, grid if shared else run_times, run_lengths, end, heat.modes, heat)
+            except Exception as exc:  # this run's failure alone
+                end = exc
+        results.append(end)
+    return results
 
 
 def _dopri_steps(heat: _Heat, term: NonlocalTerm) -> Iterator:
     """The accepted DOPRI5 steps of the length ODE of ``term``, as (t0, t1,
-    path) for ``_record``. The first is the point t = 0 itself, so that t = 0
+    [path]) for ``_record``. The first is the point t = 0 itself, so that t = 0
     is checked before the first RHS call. Returns the domain-exit or
     step-collapse event when the step size collapses before t_max."""
     controls, rhs = heat.controls, functools.partial(heat.rhs, term)
     t = 0.0
     length = curve_length(heat.spec0)
-    yield t, t, lambda tau: length + 0.0 * tau  # L(0) at a time or an array of times
+    yield t, t, [lambda tau: length + 0.0 * tau]  # L(0) at a time or an array of times
     k1 = rhs(t, length)
     h = min(1e-3, controls.t_max)
     while controls.t_max - t > TIME_RTOL * controls.t_max:
@@ -844,7 +932,7 @@ def _dopri_steps(heat: _Heat, term: NonlocalTerm) -> Iterator:
                 return np.where(tau == t1, y5, dense(tau))
             return y5 if tau == t1 else dense(tau)
 
-        yield t, t1, path
+        yield t, t1, [path]
         t, length, k1 = t1, y5, k7
         if err_norm == 0.0:
             h *= 5.0

@@ -348,6 +348,25 @@ class TestSweep:
         else:
             assert errors == [""] * 7 and ",singularity," in text  # H = L pinches
 
+    def test_a_failing_row_among_closed_laws_keeps_its_error_to_itself(self, tmp_path, capsys):
+        # powersum:1e308,1,1 overflows H at t = 0. The closed laws either side
+        # of it scan their blocks together; each row is the bytes of its flow
+        # swept alone.
+        cfg = parse_config("flow = pan-yang\nmean = 1\ncos = 0.1, 0.2\nsin = 0, 0.05\nt_max = 20\n")
+        flows = ["pan-yang", "powersum:1,1,0", "powersum:1e308,1,1", "lin-tsai", "const:-1"]
+        assert sweep(cfg, "flows:" + ";".join(flows), tmp_path, tmp_path / "all") == 0
+        want = []
+        for i, term in enumerate(flows):
+            assert sweep(cfg, "flows:" + term, tmp_path, tmp_path / f"one{i}") == 0
+            header, row = (tmp_path / f"one{i}" / "sweep.csv").read_text().splitlines()
+            want += [header] * (i == 0) + [row]
+        text = (tmp_path / "all" / "sweep.csv").read_text()
+        assert text == "\n".join(want) + "\n"
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert [row[10].startswith("H overflow at L=") for row in rows] == [False, False, True, False, False]
+        assert [row[10] for row in rows if not row[10].startswith("H overflow")] == [""] * 4
+        assert [row[2] for row in rows] == ["reached-horizon", "singularity", "", "reached-horizon", "reached-horizon"]
+
     def test_heat_halves_per_axis_and_no_work_kept_between_commands(self, tmp_path, capsys, monkeypatch):
         # One convexity gate per flows axis and one per scale value; the same
         # command run twice does the same spectral work both times, so no heat

@@ -443,3 +443,41 @@ class TestForcedLaw:
             assert closed_length(tiny, Constant(c=1e290)) is not None
             traj = integrate(tiny, Constant(c=1e300), controls)
         assert (traj.event.kind, traj.event.t) == ("h-domain-exit", 0.0)
+
+
+class TestGrowingLaw:
+    """A law with kappa > 0: e^{kappa t} is finite up to kappa t = log(float
+    max), about 709.78, and inf past it."""
+
+    @pytest.mark.parametrize(
+        "term", [Constant(c=-1.0), PowerSum(terms=((0.1, 1.0, 0.0),))], ids=["const:-1", "H=0.1L"]
+    )
+    def test_overflow_is_silenced_only_where_e_kappa_t_can_overflow(self, term, monkeypatch):
+        import warnings
+
+        from curveflow import flows
+
+        law = flows.closed_length(ELLIPSEISH, term)
+        assert law.kappa > 0.0 and not law.near_coeffs.size
+        entered, errstate = [], np.errstate
+
+        def counted(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        # Up to e^{kappa t} = max / 20, so that L itself stays finite.
+        below = np.linspace(0.0, (flows._LOG_MAX - 3.0) / law.kappa, 97)
+        past = np.array([1.001, 2.0, 100.0]) * flows._LOG_MAX / law.kappa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = law(below)
+            scalars = [law(t) for t in below.tolist()]
+            assert entered == []
+            assert np.all(law(past) == np.inf) and law(float(past[0])) == np.inf
+        assert len(entered) == 2
+        # The same bits as the law's sum, time by time.
+        terms = np.exp(below[:, None] * law.sum_rates)
+        want = law.l0 * np.where(below == 0.0, 1.0, np.einsum("...j,j->...", terms, law.sum_coeffs))
+        assert values.tobytes() == want.tobytes() == np.array(scalars).tobytes()
+

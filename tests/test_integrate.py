@@ -31,7 +31,7 @@ from curveflow import (
     length_rate,
     state_record,
 )
-from curveflow.integrate import EVENT_TIME_TOL, PRESCAN_SLACK, SCAN_CHUNK
+from curveflow.integrate import EVENT_TIME_TOL, PRESCAN_SLACK, SCAN_CHUNK, _locate, _locate_all, _record
 from curveflow.support import CONVEXITY_EPS, MAX_LENGTH, isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -549,17 +549,27 @@ def _check_event(found, want, margins, path):
 
 def _same_as_bisection(run) -> Trajectory:
     """run(), after checking each event ``_locate`` finds in it against the
-    bisection's (see ``_check_event``), and its sample columns, all but the
-    final state, against those of the same run with the bisection."""
+    bisection's (see ``_check_event``) from the same locator sent the same
+    flags, and its sample columns, all but the final state, against those of
+    the same run with the bisection."""
     from curveflow.integrate import EVENT_TIME_TOL
 
     module = importlib.import_module("curveflow.integrate")
     real = module._locate
 
     def checked(modes, margins, path, *rest):
-        found = real(modes, margins, path, *rest)
+        sent, locator = [], real(modes, margins, path, *rest)
+        try:
+            block = next(locator)
+            while True:
+                sent.append((yield block))
+                block = locator.send(sent[-1])
+        except StopIteration as done:
+            found = done.value
         if found is not None:
-            _check_event(found, _with_bisection(lambda: real(modes, margins, path, *rest)), margins, path)
+            replay = iter(sent)
+            want = _with_bisection(lambda: _locate_one(lambda *_: next(replay), modes, margins, path, *rest))
+            _check_event(found, want, margins, path)
         return found
 
     with pytest.MonkeyPatch.context() as patch:
@@ -569,6 +579,25 @@ def _same_as_bisection(run) -> Trajectory:
     assert traj.event.kind == reference.event.kind
     assert abs(traj.event.t - reference.event.t) <= EVENT_TIME_TOL
     assert np.array_equal(traj.t[:-1], reference.t[:-1]) and np.array_equal(traj.L[:-1], reference.L[:-1])
+    return traj
+
+
+def _locate_one(flags, *args):
+    """The result of one ``_locate(*args)``, run by ``_locate_all`` with
+    ``flags``; an exception it raised is raised. ``_locate`` is the
+    module's own, even where a test replaces it there."""
+    (found,) = _locate_all(flags, [_locate(*args)])
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _record_one(heat, steps) -> Trajectory:
+    """The trajectory ``_record`` makes of one run; an exception that ended
+    the run is raised."""
+    (traj,) = _record(heat, steps)
+    if isinstance(traj, Exception):
+        raise traj
     return traj
 
 
@@ -692,14 +721,14 @@ class TestEventLocation:
 
     def test_tie_inside_a_bracket_goes_by_priority(self):
         from curveflow.heat import _Modes
-        from curveflow.integrate import EVENT_TIME_TOL, _locate
+        from curveflow.integrate import EVENT_TIME_TOL
 
         def margins(t, length):
             # Area vanish, length vanish and length blow-up all cross at t = 0.3.
             return (1.0, 1.0, 1.0, 1.0) if t < 0.3 else (1.0, -1.0, -1.0, -1.0)
 
-        found = _locate(
-            _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI), _every_check_time
+        found = _locate_one(
+            _every_check_time, _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI)
         )
         t_before, length_before, event = found
         assert event.kind == "area-vanish" and event.theta is None and length_before == TWO_PI
@@ -709,7 +738,6 @@ class TestEventLocation:
     def test_root_finding_follows_the_kind_crossed_first(self, roots):
         # Singularity and area vanish both cross in [0.25, 0.5], area vanish first.
         from curveflow.heat import _Modes
-        from curveflow.integrate import _locate
 
         calls = []
 
@@ -719,8 +747,8 @@ class TestEventLocation:
 
         def locate():
             del calls[:]
-            return _locate(
-                _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], np.full(2, TWO_PI), _every_check_time
+            return _locate_one(
+                _every_check_time, _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5], np.full(2, TWO_PI)
             )
 
         want = _with_bisection(locate)
@@ -732,18 +760,16 @@ class TestEventLocation:
 
     def test_nothing_crossed(self):
         from curveflow.heat import _Modes
-        from curveflow.integrate import _locate
 
         never = lambda t, length: (1.0, 1.0, 1.0, 1.0)  # noqa: E731
-        assert _locate(
-            _Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0], np.full(2, TWO_PI), _every_check_time
+        assert _locate_one(
+            _every_check_time, _Modes(ELLIPSEISH), never, lambda t: TWO_PI, 0.0, [0.5, 1.0], np.full(2, TWO_PI)
         ) is None
 
     def test_an_event_where_floats_lie_wider_apart_than_the_tolerance_ends(self):
         # Near t = 1e6 neighbouring floats are 1.16e-10 apart, so no bracket
         # there is EVENT_TIME_TOL wide; the locator still stops, at one ulp.
         from curveflow.heat import _Modes
-        from curveflow.integrate import _locate
 
         calls = []
 
@@ -753,8 +779,8 @@ class TestEventLocation:
             return (1e6 + 0.3 - t, 1.0, 1.0, 1.0)
 
         times = [1e6 + 0.25, 1e6 + 0.5]
-        t_before, _, event = _locate(
-            _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 1e6, times, np.full(2, TWO_PI), _every_check_time
+        t_before, _, event = _locate_one(
+            _every_check_time, _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 1e6, times, np.full(2, TWO_PI)
         )
         assert t_before < 1e6 + 0.3 <= event.t == t_before + np.spacing(t_before)
 
@@ -940,7 +966,7 @@ class TestEventLocation:
     )
     def test_kinked_or_discontinuous_margin_costs_little_more_than_bisection(self, margin):
         from curveflow.heat import _Modes
-        from curveflow.integrate import EVENT_TIME_TOL, _locate
+        from curveflow.integrate import EVENT_TIME_TOL
 
         calls = []
 
@@ -950,8 +976,8 @@ class TestEventLocation:
 
         def locate():
             del calls[:]
-            return _locate(
-                _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI), _every_check_time
+            return _locate_one(
+                _every_check_time, _Modes(ELLIPSEISH), margins, lambda t: TWO_PI, 0.0, [0.25, 0.5, 0.75], np.full(3, TWO_PI)
             )
 
         want = _with_bisection(locate)
@@ -1163,7 +1189,7 @@ class TestClosedLength:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_the_ode_on_the_same_term(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         rng = np.random.default_rng(seed)
         for term in _family(rng):
@@ -1171,8 +1197,8 @@ class TestClosedLength:
             heat = _Heat(spec0, self.CONTROLS)
             law = closed_length(spec0, term)
             assert law is not None
-            ode = _record(heat, _dopri_steps(heat, term))
-            closed = _record(heat, iter([(0.0, self.CONTROLS.t_max, law)]))
+            ode = _record_one(heat, _dopri_steps(heat, term))
+            closed = _record_one(heat, iter([(0.0, self.CONTROLS.t_max, [law])]))
             assert closed.event.kind == ode.event.kind
             assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
             at = {s.t: s.L for s in ode.states}
@@ -1184,7 +1210,7 @@ class TestClosedLength:
     def test_vanishing_length(self):
         # H = 2: L = 4 pi - 2 pi e^t reaches zero at t = ln 2.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         controls = IntegratorControls(
             t_max=5.0, length_vanish=1e-3, area_vanish=1e-30, singularity_eps=1e-16,
@@ -1192,8 +1218,8 @@ class TestClosedLength:
         )
         heat = _Heat(CIRCLE, controls)
         law = closed_length(CIRCLE, Constant(c=2.0))
-        ode = _record(heat, _dopri_steps(heat, Constant(c=2.0)))
-        closed = _record(heat, iter([(0.0, controls.t_max, law)]))
+        ode = _record_one(heat, _dopri_steps(heat, Constant(c=2.0)))
+        closed = _record_one(heat, iter([(0.0, controls.t_max, [law])]))
         assert closed.event.kind == ode.event.kind == "length-vanish"
         want = np.log(2.0 - 1e-3 / TWO_PI)
         assert closed.event.t == pytest.approx(want, abs=1e-9)
@@ -1204,13 +1230,13 @@ class TestClosedLength:
         # kappa = 16 pi: L reaches the float range, MAX_LENGTH, long before the
         # blow-up threshold 1e300; past it A = L^2/(4 pi) and the ODE's H = 2A/L - 4L overflow.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
         controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
         heat = _Heat(ELLIPSEISH, controls)
-        closed = _record(heat, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
-        ode = _record(heat, _dopri_steps(heat, term))
+        closed = _record_one(heat, iter([(0.0, controls.t_max, [closed_length(ELLIPSEISH, term)])]))
+        ode = _record_one(heat, _dopri_steps(heat, term))
         assert closed.event.kind == ode.event.kind == "h-domain-exit"
         assert np.isfinite(closed.states[-1].A) and closed.states[-1].L > 1e150
         assert abs(closed.event.t - ode.event.t) <= controls.sample_interval
@@ -1222,13 +1248,13 @@ class TestClosedLength:
         # The case above: both paths end where L reaches MAX_LENGTH, so their
         # events differ by the ODE's error, not by a sample interval.
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         term = PowerSum(terms=((2.0, -1.0, 1.0), (-4.0, 1.0, 0.0)))
         controls = IntegratorControls(t_max=30.0, length_blowup=1e300, sample_interval=0.5, rel_tol=1e-6)
         heat = _Heat(ELLIPSEISH, controls)
-        closed = _record(heat, iter([(0.0, controls.t_max, closed_length(ELLIPSEISH, term))]))
-        ode = _record(heat, _dopri_steps(heat, term))
+        closed = _record_one(heat, iter([(0.0, controls.t_max, [closed_length(ELLIPSEISH, term)])]))
+        ode = _record_one(heat, _dopri_steps(heat, term))
         assert closed.event.kind == ode.event.kind == "h-domain-exit"
         assert abs(closed.event.t - ode.event.t) <= 1e-4
         for traj in (closed, ode):
@@ -1238,10 +1264,10 @@ class TestClosedLength:
         # H = 1 on the unit circle: L' = L - 2 pi has an unstable fixed point at
         # L = 2 pi. The law's c_0 = 1 - w/(0 - kappa) is exactly 0, so its sum
         # is the one term 1.0 e^{0 t}, with no e^{kappa t} to magnify rounding.
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         heat = _Heat(CIRCLE, IntegratorControls())
-        ode = _record(heat, _dopri_steps(heat, Constant(c=1.0)))
+        ode = _record_one(heat, _dopri_steps(heat, Constant(c=1.0)))
         assert ode.event.kind == "reached-horizon" and np.all(ode.L == TWO_PI)
         closed = integrate(CIRCLE, Constant(c=1.0))
         assert closed.event.kind == "reached-horizon"
@@ -1358,13 +1384,13 @@ class TestClosedLength:
         # z = L^r reaches zero and the closed form reads L = +inf.
         from curveflow import parse_flow_term
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         heat = _Heat(CIRCLE, controls)
         law = closed_length(CIRCLE, parse_flow_term(term))
         assert law is not None
-        closed = _record(heat, iter([(0.0, controls.t_max, law)]))
-        ode = _record(heat, _dopri_steps(heat, parse_flow_term(term)))
+        closed = _record_one(heat, iter([(0.0, controls.t_max, [law])]))
+        ode = _record_one(heat, _dopri_steps(heat, parse_flow_term(term)))
         assert closed.event.kind == ode.event.kind == kind
         assert closed.event.t == pytest.approx(ode.event.t, abs=1e-8)
 
@@ -1396,13 +1422,13 @@ class TestClosedLength:
         # H = 0.1 L^p has r = 1 - p = +-1e-7: raising z/z0 to the power 1/r
         # would magnify its rounding by 1e7 (a gap of about 2e-9 here).
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         controls = IntegratorControls(t_max=5.0, rel_tol=1e-12, abs_tol=1e-15)
         term = PowerSum(terms=((0.1, p, 0.0),))
         heat = _Heat(GALLERY_ELLIPSE, controls)
-        closed = _record(heat, iter([(0.0, controls.t_max, closed_length(GALLERY_ELLIPSE, term))]))
-        ode = _record(heat, _dopri_steps(heat, term))
+        closed = _record_one(heat, iter([(0.0, controls.t_max, [closed_length(GALLERY_ELLIPSE, term)])]))
+        ode = _record_one(heat, _dopri_steps(heat, term))
         assert closed.event == ode.event and np.array_equal(closed.t, ode.t)
         assert np.max(np.abs(closed.L / ode.L - 1.0)) <= 2e-12
 
@@ -1517,7 +1543,7 @@ class TestPrescan:
     @pytest.mark.parametrize("seed", range(8))
     def test_same_events_as_a_scalar_scan(self, seed):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _Heat, _locate
+        from curveflow.integrate import _Heat
 
         rng = np.random.default_rng(100 + seed)
         spec0 = _random_convex(rng, int(rng.integers(2, 64)))
@@ -1533,8 +1559,8 @@ class TestPrescan:
         law = closed_length(spec0, term)
         times = np.linspace(0.0, 10.0, 1001)
         lengths = law(times)
-        scalar = _locate(heat.modes, heat.margins, law, 0.0, times, lengths, _every_check_time)
-        assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) == scalar
+        scalar = _locate_one(_every_check_time, heat.modes, heat.margins, law, 0.0, times, lengths)
+        assert _locate_one(heat.flags, heat.modes, heat.margins, law, 0.0, times, lengths) == scalar
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1609,7 +1635,7 @@ class TestPrescan:
         import tracemalloc
 
         from curveflow.flows import closed_length
-        from curveflow.integrate import _Heat, _locate
+        from curveflow.integrate import _Heat
 
         rng = np.random.default_rng(7)
         spec0 = _random_convex(rng, 64)
@@ -1622,7 +1648,7 @@ class TestPrescan:
             lengths = law(times)
             tracemalloc.start()
             for _ in range(2):  # two flows on one heat half
-                assert _locate(heat.modes, heat.margins, law, 0.0, times, lengths, heat.flags) is None
+                assert _locate_one(heat.flags, heat.modes, heat.margins, law, 0.0, times, lengths) is None
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
@@ -1879,6 +1905,121 @@ class TestHeatHalf:
             assert shared.event == alone.event, term
 
 
+    # Closed laws that reach the horizon, pinch (H = alpha L on a pinch
+    # curve), shrink to a vanishing length or area (H = c > L0 / 2 pi,
+    # H = alpha L with alpha > 1 / 2 pi), or blow up in finite time
+    # (H = -c L^2, r = -1).
+    CLOSED_LAWS = st.one_of(
+        st.sampled_from([PanYang(), LinTsai(), MaCheng(), H_EQUALS_L]),
+        st.floats(min_value=-2.0, max_value=3.0).map(lambda c: Constant(c=c)),
+        st.floats(min_value=0.05, max_value=1.5).map(lambda a: PowerSum(terms=((a, 1.0, 0.0),))),
+        st.floats(min_value=0.01, max_value=0.5).map(lambda c: PowerSum(terms=((-c, 2.0, 0.0),))),
+        st.tuples(st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=-1.0, max_value=3.0)).map(
+            lambda ab: PowerSum(terms=((ab[0], 1.0, 0.0), (ab[1], -1.0, 1.0)))
+        ),
+    )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=8),
+        pinch=st.booleans(),
+        terms=st.lists(CLOSED_LAWS, min_size=1, max_size=6),
+        t_max=st.sampled_from([1.0, 5.0, 20.0]),
+        area_vanish=st.sampled_from([1e-12, 0.5]),
+        length_vanish=st.sampled_from([1e-12, 2.0]),
+        length_blowup=st.sampled_from([1e12, 30.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_closed_laws_run_together_as_each_alone(
+        self, seed, n, pinch, terms, t_max, area_vanish, length_vanish, length_blowup
+    ):
+        # Each row of run_all is the bits of its term's lone integrate: the
+        # rows that end in a block leave the others' flags as they were.
+        from curveflow.flows import closed_length
+        from curveflow.integrate import _Heat
+
+        rng = np.random.default_rng(seed)
+        spec0 = _pinch_curve(rng, n, 0.2, 0.5) if pinch else _random_convex(rng, n)
+        controls = IntegratorControls(
+            t_max=t_max, area_vanish=area_vanish, length_vanish=length_vanish, length_blowup=length_blowup
+        )
+        assert all(closed_length(spec0, term) is not None for term in terms)
+        for term, row in zip(terms, _Heat(spec0, controls).run_all(terms), strict=True):
+            try:
+                alone = integrate(spec0, term, controls)
+            except Exception as exc:
+                assert type(row) is type(exc) and str(row) == str(exc), term
+                continue
+            assert isinstance(row, Trajectory), (term, row)
+            for name in ("t", "L", "A"):
+                assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), (term, name)
+            event, want = row.event, alone.event
+            assert (event.kind, repr(event.t), repr(event.theta)) == (want.kind, repr(want.t), repr(want.theta)), term
+
+    def test_a_row_ending_in_the_first_block_evaluates_its_law_on_no_later_block(self, monkeypatch):
+        # 401 check times, in blocks of 32, 224 and 145; each row's law is
+        # evaluated 256 check times at a time as its blocks reach them. H = L
+        # pinches in the first block and leaves; the other two rows run on,
+        # and each later block is one flags call on their two rows of lengths.
+        from curveflow.flows import ClosedLength
+        from curveflow.integrate import SCAN_BLOCK_CAP, _Heat
+
+        calls, blocks = [], []
+        law_call, flags = ClosedLength.__call__, _Heat.flags
+
+        def recording_law(law, t):
+            calls.append((law, float(np.max(t))))
+            return law_call(law, t)
+
+        def recording_flags(heat, times, lengths):
+            blocks.append(np.shape(lengths))
+            return flags(heat, times, lengths)
+
+        monkeypatch.setattr(ClosedLength, "__call__", recording_law)
+        monkeypatch.setattr(_Heat, "flags", recording_flags)
+        heat = _Heat(ELLIPSEISH, IntegratorControls(t_max=20.0))
+        assert len(heat.grid) == 401
+        trajs = heat.run_all([PanYang(), H_EQUALS_L, LinTsai()])
+        assert [traj.event.kind for traj in trajs] == ["reached-horizon", "singularity", "reached-horizon"]
+        assert trajs[1].event.t < heat.grid[SCAN_CHUNK - 1]
+        assert blocks == [(3, SCAN_CHUNK), (2, SCAN_BLOCK_CAP - SCAN_CHUNK), (2, 401 - SCAN_BLOCK_CAP)]
+        # Laws in axis order, by their first call.
+        laws = list(dict.fromkeys(law for law, _ in calls))
+        assert len(laws) == 3
+        reach = {law: max(t for called, t in calls if called is law) for law in laws}
+        assert reach[laws[1]] == heat.grid[SCAN_BLOCK_CAP - 1]
+        assert reach[laws[0]] == reach[laws[2]] == 20.0
+        # The pinching row's last evaluation comes before the others' later block.
+        last = max(i for i, (law, _) in enumerate(calls) if law is laws[1])
+        later = [i for i, (_, t) in enumerate(calls) if t > heat.grid[SCAN_BLOCK_CAP - 1]]
+        assert len(later) == 2 and last < min(later)
+
+    def test_a_law_that_raises_ends_its_row_alone(self, monkeypatch):
+        # const:-1's law fails on its second evaluation, inside the shared
+        # scan: its row gets the error, and every other row keeps the bits it
+        # has when run alone.
+        from curveflow.flows import ClosedLength
+        from curveflow.integrate import _Heat
+
+        law_call = ClosedLength.__call__
+
+        def failing(law, t):
+            if law.kappa == 1.0 and np.ndim(t) and float(np.min(t)) > 0.0:
+                raise RuntimeError("law failed")
+            return law_call(law, t)
+
+        controls = IntegratorControls(t_max=20.0)
+        terms = [PanYang(), Constant(c=-1.0), H_EQUALS_L, LinTsai(), GENERAL_POWERSUM]
+        want = [integrate(ELLIPSEISH, term, controls) for term in terms]
+        monkeypatch.setattr(ClosedLength, "__call__", failing)
+        rows = _Heat(ELLIPSEISH, controls).run_all(terms)
+        assert isinstance(rows[1], RuntimeError) and str(rows[1]) == "law failed"
+        for i in (0, 2, 3, 4):
+            assert rows[i].event == want[i].event, terms[i]
+            for name in ("t", "L", "A"):
+                assert getattr(rows[i], name).tobytes() == getattr(want[i], name).tobytes(), (terms[i], name)
+
+
 class TestColumns:
     """Each column against the per-state route it replaces."""
 
@@ -2019,20 +2160,20 @@ class TestSameInstant:
     def test_a_step_end_within_ulps_of_a_sample_time_is_that_sample(self, ulps):
         # Near t = 2e4 an ulp of t is 3.6e-12; the last step ends on t_max,
         # itself a sample time.
-        from curveflow.integrate import _Heat, _record
+        from curveflow.integrate import _Heat
 
         controls = IntegratorControls(t_max=20000.0, sample_interval=2500.0)
         heat = _Heat(CIRCLE, controls)
         near = 17500.0 + ulps * float(np.spacing(17500.0))
         steps = [(0.0, 0.0), (0.0, near), (near, controls.t_max)]
-        traj = _record(heat, iter([(t0, t1, lambda t: TWO_PI + 0.0 * t) for t0, t1 in steps]))
+        traj = _record_one(heat, iter([(t0, t1, [lambda t: TWO_PI + 0.0 * t]) for t0, t1 in steps]))
         assert traj.t.tolist() == [2500.0 * k for k in range(7)] + [near, 20000.0]
         assert traj.event == TerminationEvent(kind="reached-horizon", t=20000.0)
 
     def test_both_paths_record_zero_and_a_tiny_t_max(self):
         from curveflow.flows import closed_length
-        from curveflow.integrate import _dopri_steps, _Heat, _record
+        from curveflow.integrate import _dopri_steps, _Heat
 
         heat = _Heat(ELLIPSEISH, IntegratorControls(t_max=1e-14))
-        for steps in (_dopri_steps(heat, PanYang()), iter([(0.0, 1e-14, closed_length(ELLIPSEISH, PanYang()))])):
-            assert _record(heat, steps).t.tolist() == [0.0, 1e-14]
+        for steps in (_dopri_steps(heat, PanYang()), iter([(0.0, 1e-14, [closed_length(ELLIPSEISH, PanYang())])])):
+            assert _record_one(heat, steps).t.tolist() == [0.0, 1e-14]

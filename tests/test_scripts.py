@@ -107,6 +107,9 @@ class TestTrajectoryDigest:
         # scalar tests evaluate it at one time, and the pinch run's last
         # state keeps the length its scalar test read.
         assert "closed-law evaluations arrays 2 times 402 scalars 3" in out
+        # Run together, both flows scan the first block in one pre-scan
+        # call; pan-yang alone scans the second.
+        assert out[-3] == "shared prescan blocks 2"
         # Pan-yang reaches the horizon and builds the heat half's grid
         # columns; no later run reads them.
         assert out[-2] == "columns shared 0 of 1"
@@ -161,6 +164,25 @@ class TestAbTrees:
         for row in rows:
             _, _, a, _, b, _, ratio = row.split()
             assert float(a) > 0.0 and float(b) > 0.0 and float(ratio) > 0.0
+
+    def test_sweep_prints_the_p50_of_each_job_kind(self):
+        # Jobs 0-2 of the sweep workload are flows axes and job 3 a scale axis.
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / "ab_trees.py"), str(ROOT), str(ROOT),
+             "--workload", "sweep", "--passes", "1", "--jobs", "4"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header, *rows = done.stdout.splitlines()
+        assert header == "workload sweep seed 1 jobs 4 passes 1"
+        assert [row.split()[0] for row in rows] == [
+            "job_ms_p50", "job_ms_p90", "integrations_per_s", "job_ms_p50[flows]", "job_ms_p50[scale]"
+        ]
+        for row in rows:
+            _, _, a, _, b, _, ratio = row.split()
+            assert float(a) > 0.0 and float(b) > 0.0 and float(ratio) == pytest.approx(float(b) / float(a), rel=1e-3)
 
     @staticmethod
     def load(monkeypatch):
