@@ -22,7 +22,7 @@ the minimum alone with its grid node, which the event locator reads, from
 pre-scan and its bound on the minimum are ``integrate._Heat``'s.
 
 A factor below e^EXP_CUT = e^-600 (``support.EXP_CUT``) reads exactly
-0.0 (``support._decay_exp``, past ``_Modes._cut_from``), so no subnormal
+0.0 (``_Modes.exp``: ``support._decay_exp`` past ``_Modes._cut_from``), so no subnormal
 coefficient reaches a product. Every radius, area and deficit keeps its
 bits; only E reads 0 where every term is below the cut, and a
 coefficient of ``spectrum`` reads 0.0 where its factor is.
@@ -93,15 +93,20 @@ class _Modes:
     def factors(self, t) -> np.ndarray:
         """exp((1 - n^2) t) for n = 1..N; (modes x times) for an array of
         ascending times. Past ``_cut_from`` a factor below the cut is 0.0."""
-        x = np.multiply.outer(self.decay, t)
-        return np.exp(x) if np.asarray(t).item(-1) <= self._cut_from else _decay_exp(x)
+        return self.exp(np.multiply.outer(self.decay, t), np.asarray(t).item(-1))
+
+    def exp(self, x: np.ndarray, t: float) -> np.ndarray:
+        """e^x for exponents x = rate * time with times up to t, counted in
+        the factors' rates (E's rates are twice theirs, so E passes 2t):
+        ``np.exp`` up to ``_cut_from``, past it ``support._decay_exp``, which
+        reads an exponent below the cut as 0.0. The one home of that choice."""
+        return np.exp(x) if t <= self._cut_from else _decay_exp(x)
 
     def _scaled(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         # (a_n f_n, b_n f_n) at one time, as ``radius_range`` scales them, bit
         # for bit: decay * t is the outer product with a scalar, and there is
         # nothing to reshape.
-        x = self.decay * t
-        factors = np.exp(x) if t <= self._cut_from else _decay_exp(x)
+        factors = self.exp(self.decay * t, t)
         return self._a0 * factors, self._b0 * factors
 
     def spectrum(self, t: float, mean: float) -> SupportSpectrum:
@@ -120,8 +125,7 @@ class _Modes:
         # E's rates are twice the factors', so its exponents stay at or above
         # the cut up to half the factors' time.
         tt = np.asarray(t, dtype=float)
-        x = self._e_rate * tt[..., None]
-        squares = np.exp(x) if 2.0 * tt.item(-1) <= self._cut_from else _decay_exp(x)
+        squares = self.exp(self._e_rate * tt[..., None], 2.0 * tt.item(-1))
         e_val = -(np.pi / 2.0) * np.add.reduce(self._e_weight * squares * self.power, axis=-1)
         return float(e_val) if e_val.ndim == 0 else e_val
 
@@ -178,8 +182,7 @@ class _Modes:
     def deficit(self, times: np.ndarray) -> np.ndarray:
         """isoperimetric_deficit of the state at each time, bit for bit: row
         i of the (times x modes) factors is factors(times[i])."""
-        x = np.multiply.outer(times, self.decay)
-        factors = np.exp(x) if times.item(-1) <= self._cut_from else _decay_exp(x)
+        factors = self.exp(np.multiply.outer(times, self.decay), times.item(-1))
         return _deficit(self._a0 * factors, self._b0 * factors)
 
 

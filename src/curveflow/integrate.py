@@ -24,14 +24,14 @@ time is replaced by the first crossing of the configured thresholds,
 with the thresholds recorded in the controls. One recorder takes L(t)
 as steps: the closed form is the one step (0, t_max), the ODE solve the
 point t = 0 and then its accepted steps. A step's check times are the
-sample times inside it and its end, where L is evaluated once,
-SCAN_BLOCK_CAP check times at a time as the locator reaches them, for
-its blocks and the recorded states alike. One locator serves every step,
-in one loop over blocks of check times: the first SCAN_CHUNK = 32 long,
-then the rest of each SCAN_BLOCK_CAP = 256 check times whose L is
-evaluated together. The closed laws of one ``_Heat.run_all`` call share
-that one step, and their locators move through its blocks together
-(``_locate_all``). Per block ``_Heat.flags``, one call for all of them,
+sample times inside it and its end, where L is evaluated once into a
+column, SCAN_BLOCK_CAP check times at a time as the scan reaches them,
+for its blocks and the recorded states alike. One plain loop serves
+every step (``_locate_all``), over blocks of check times: the first
+SCAN_CHUNK = 32 long, then the rest of each SCAN_BLOCK_CAP = 256 check
+times whose L is evaluated together. The closed laws of one
+``_Heat.run_all`` call share that one step and move through its blocks
+together. Per block ``_Heat.flags``, one call for all of them,
 bounds the curvature minimum from below by L/(2*pi) - sum |1 - n^2|
 sqrt(a_n^2 + b_n^2) e^{(1-n^2)t}, O(N) per time, and sums E(t) at the
 block's own times, so a ``_Heat`` keeps O(N) arrays and its grid. The
@@ -39,7 +39,8 @@ bound is exact on the pinch family and elsewhere meets the grid minimum
 at rate 3 or faster, so the flags need no grid product: over a seed-1
 pass of the benchmark workloads, one run where the bound did not clear
 un-flagged 18 of the 3,514 check times the bound flagged.
-The scalar test then runs on the block's flagged check times in order;
+The scalar test then runs on each path's flagged check times in order
+(``_locate``);
 at the first crossed one, ITP root-finding on the threshold margins
 narrows the bracket from the check time before it to 1e-10 around the
 earliest crossing of any threshold, in at most one probe more than
@@ -85,7 +86,6 @@ from .support import (
     TWO_PI,
     GeometricSummary,
     SupportSpectrum,
-    _decay_exp,
     curve_length,
     isoperimetric_deficit,
     isoperimetric_ratio,
@@ -118,7 +118,7 @@ TIME_RTOL = 1e-12
 MAX_SAMPLES = 10**6
 # Check times in the event pre-scan's first block. It stays small because a
 # pinch often falls within its first few check times; later blocks run to the
-# end of each SCAN_BLOCK_CAP check times (see _locate).
+# end of each SCAN_BLOCK_CAP check times (see _locate_all).
 SCAN_CHUNK = 32
 # Largest block of the pre-scan and of the column functions: their arrays
 # are (grid x SCAN_BLOCK_CAP) at most, whatever the number of check times.
@@ -217,22 +217,21 @@ class Trajectory:
     pass the checks every FlowState makes, with L at most
     ``support.MAX_LENGTH``. ``states`` is a
     read-only sequence that builds the FlowState of a state with
-    ``flow_state`` each time it is indexed. ``modes``, the ``heat._Modes``
-    of ``spec0`` where the caller holds them, saves building them again.
-    ``_heat``, the ``_Heat`` of the run, lends its grid columns of E and
-    the deficit, the same values, where ``t`` is its grid itself.
+    ``flow_state`` each time it is indexed. ``_heat``, the ``_Heat`` of the
+    run where the caller holds it, lends its ``heat._Modes`` of ``spec0``,
+    which saves building them again, and its grid columns of E and the
+    deficit, the same values, where ``t`` is its grid itself.
     """
 
     spec0: SupportSpectrum
     t: np.ndarray
     L: np.ndarray
     event: TerminationEvent
-    modes: InitVar[_Modes | None] = None
     _heat: InitVar["_Heat | None"] = None
     outcome: Outcome = field(init=False)
     A: np.ndarray = field(init=False)
 
-    def __post_init__(self, modes: _Modes | None, _heat: "_Heat | None"):
+    def __post_init__(self, _heat: "_Heat | None"):
         if self.event.kind not in _BY_EVENT:
             raise ValueError(f"unknown event kind {self.event.kind!r}")
         shared = _heat if _heat is not None and self.t is _heat.grid else None
@@ -252,7 +251,7 @@ class Trajectory:
             raise ValueError("propagation time must be non-negative")
         if (length <= 0.0).any():
             raise ValueError("flow state requires positive length")
-        modes = _Modes(self.spec0) if modes is None else modes
+        modes = _Modes(self.spec0) if _heat is None else _heat.modes
         area = _area(length, _by_chunk(modes.e_value, t) if shared is None else shared.grid_column("e_value"))
         if not np.isfinite(area).all():  # a spectrum whose power overflows
             raise ValueError("flow state fields must be finite")
@@ -286,24 +285,6 @@ class _States(Sequence):
         i = range(len(self))[index]
         traj = self._traj
         return flow_state(traj.spec0, float(traj.t[i]), float(traj.L[i]))
-
-
-class _Lengths:
-    """L = path(t) at a step's check times, evaluated SCAN_BLOCK_CAP check
-    times at a time when a slice first reaches them: the locator's blocks
-    and the recorded states read the same values, and a run that ends
-    early evaluates at most one such chunk past its event."""
-
-    def __init__(self, path: Callable, times: np.ndarray):
-        self.path, self._times = path, times
-        self._values, self._done = np.empty(len(times)), 0
-
-    def __getitem__(self, index: slice) -> np.ndarray:
-        stop = index.indices(len(self._times))[1]
-        while self._done < stop:
-            lo, self._done = self._done, min(self._done + SCAN_BLOCK_CAP, len(self._times))
-            self._values[lo : self._done] = self.path(self._times[lo : self._done])
-        return self._values[index]
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -413,7 +394,7 @@ class _Heat:
     heat half lives for one ``integrate`` call or one ``sweep`` command.
 
     ``margins`` is the scalar test at one (t, L), which keeps ``node``, the
-    (t, j) of its grid minimum, for the flow whose locator ran it;
+    (t, j) of its grid minimum, for ``_locate`` to read at once;
     ``flags`` marks the check times of a block where it may read a crossing,
     from ``scan`` alone; ``pinch_root`` models the singularity margin at
     one grid node. Its mode arrays are the runs' only ones, which
@@ -461,8 +442,8 @@ class _Heat:
     def run_all(self, terms: Sequence[NonlocalTerm]) -> list:
         """The flow of each term until an event: its ``Trajectory``, or the
         exception its run raised, which is that term's alone. The terms with
-        a closed law are one step (0, t_max) on the grid, which their
-        locators scan together (``_locate_all``); each other term runs its
+        a closed law are one step (0, t_max) on the grid, which they scan
+        together (``_locate_all``); each other term runs its
         own DOPRI5 steps."""
         results, rows, laws = [None] * len(terms), [], []
         for i, term in enumerate(terms):
@@ -527,12 +508,9 @@ class _Heat:
             rows = np.zeros((2, rates.size))
             rows[0, :count], rows[1, count:] = path.sum_coeffs, weights
             scale, root, near = path.l0 / TWO_PI, 1.0 / path.power, path.near_coeffs.size
-            cut_from = modes._cut_from
 
             def phi(t: float) -> float:
-                x = rates * t
-                terms = np.exp(x) if t <= cut_from else _decay_exp(x)
-                ratio, deviation = rows @ terms
+                ratio, deviation = rows @ modes.exp(rates * t, t)
                 if near:
                     ratio += path.near(np.asarray(t))
                 return float(scale * ratio**root + deviation - eps)
@@ -599,105 +577,83 @@ def _model_root(phi: Callable, lo: float, hi: float) -> float | None:
     return None
 
 
-def _locate_all(flags: Callable, locators: list) -> list:
-    """The result of each ``_locate`` generator: (t_before, L at t_before,
-    event), None, or the exception it raised, which ends it alone. The
-    locators share their check times and move through their blocks
-    together: ``flags(times, lengths)`` runs once per block, on the lengths
-    of the locators still running stacked row by row (one row alone is
-    passed as it is), and each of them, in order, is sent its own row of
-    flags and runs its scalar tests. Flags are elementwise, so each row's
-    are those of a call on its lengths alone."""
-    results, going, sent = [None] * len(locators), list(enumerate(locators)), [None] * len(locators)
-    while going:
-        blocks, still = [], []
-        for (k, locator), flagged in zip(going, sent):
+def _locate_all(heat: _Heat, t_prev: float, check_times: np.ndarray, paths: Sequence, lengths: np.ndarray) -> list:
+    """Earliest crossing along each L = path(t) of ``paths`` at the check
+    times that follow ``t_prev``: (t_before, L at t_before, event), None, or
+    the exception its law or tests raised, which ends that path alone.
+
+    The paths move through the check times together, in blocks: the first
+    SCAN_CHUNK check times, then the rest of each SCAN_BLOCK_CAP. Where a
+    block starts such a chunk, row r of ``lengths``, one row per path and
+    one column per check time, takes paths[r] at the chunk's check times,
+    for the paths still running; so a path that ends early evaluates at
+    most one chunk past its event, and the caller reads the kept states
+    from the same row. ``heat.flags`` then runs once per block, on the rows
+    of the paths still running (one row alone as it is), and each of them,
+    in order, runs its scalar tests on its own flagged check times
+    (``_locate``). Flags are elementwise, so each row's are those of a call
+    on its lengths alone."""
+    results, live, lo = [None] * len(paths), list(range(len(paths))), 0
+    while live and lo < len(check_times):
+        stop = (lo // SCAN_BLOCK_CAP + 1) * SCAN_BLOCK_CAP if lo else SCAN_CHUNK
+        if lo % SCAN_BLOCK_CAP == 0:
+            chunk = slice(lo, lo + SCAN_BLOCK_CAP)
+            for r in live:
+                try:
+                    lengths[r, chunk] = paths[r](check_times[chunk])
+                except Exception as exc:  # this path's failure alone
+                    results[r] = exc
+            live = [r for r in live if results[r] is None]
+            if not live:
+                break
+        rows = lengths[live, lo:stop] if len(live) > 1 else lengths[live[0], lo:stop]
+        for r, flagged in zip(live, heat.flags(check_times[lo:stop], rows).reshape(len(live), -1)):
             try:
-                blocks.append(locator.send(flagged))
-            except StopIteration as done:
-                results[k] = done.value
-            except Exception as exc:  # this locator's failure alone
-                results[k] = exc
-            else:
-                still.append((k, locator))
-        going = still
-        if blocks:
-            times, lengths = blocks[0]
-            if len(blocks) > 1:
-                lengths = np.stack([block[1] for block in blocks])
-            flagged = flags(times, lengths)
-            sent = flagged if len(blocks) > 1 else (flagged,)
+                results[r] = _locate(heat, paths[r], t_prev, check_times, lo + flagged.nonzero()[0])
+            except Exception as exc:  # this path's failure alone
+                results[r] = exc
+        live = [r for r in live if results[r] is None]
+        lo = stop
     return results
 
 
-def _locate(
-    modes: _Modes,
-    margins: Callable,
-    path: Callable,
-    t_prev: float,
-    check_times,
-    lengths,
-    heat: _Heat | None = None,
-):
-    """Earliest crossing along L = path(t), a generator for ``_locate_all``:
-    it yields each block of check times with its slice of ``lengths``, is
-    sent that block's flags, and returns (t_before, L at t_before, event) or
-    None.
+def _locate(heat: _Heat, path: Callable, t_prev: float, check_times: np.ndarray, flagged: np.ndarray):
+    """Earliest crossing along L = path(t) at the check times of indices
+    ``flagged`` (ascending, one block's), where the pre-scan says some kind
+    may be crossed: (t_before, L at t_before, event), or None where none is.
 
-    ``margins(t, L)`` gives the ``_margins`` at (t, L). The check times
-    follow ``t_prev``; ``lengths`` holds L at each of them, an array or
-    ``_Lengths``. A block's flags mark every check time of the block where
-    some kind may be crossed. The first block is SCAN_CHUNK check times, and
-    each later one runs to the end of the SCAN_BLOCK_CAP check times
-    ``_Lengths`` evaluates at once. The scalar test runs on the flagged
-    check times in order, calling ``path(t)``. At the first where any kind
+    The check times follow ``t_prev``. The scalar test, ``heat.margins`` at
+    (t, path(t)), runs on the flagged check times in order and leaves the
+    grid node of its minimum in ``heat.node``. At the first where any kind
     is crossed, ``_narrow`` takes [previous check time, it] down to
-    EVENT_TIME_TOL. The event is the first kind crossed at the upper end of
-    that bracket.
-
-    ``heat``, when given, is the ``_Heat`` whose scalar test ``margins``
-    is: each test leaves the grid node of its minimum in ``heat.node``.
-    Where the singularity is the first kind crossed at the first crossed
-    check time, ``_narrow`` then takes the root of ``heat.pinch_root`` at
-    that check time's node as its interpolation point, and theta* is the
-    angle of the node of the scalar test at the event time. Without
-    ``heat``, theta* is ``modes.argmin_theta`` at the event time.
+    EVENT_TIME_TOL. Where the singularity is the first kind crossed there,
+    ``_narrow`` takes the root of ``heat.pinch_root`` at that check time's
+    node as its interpolation point. The event is the first kind crossed at
+    the upper end of the bracket, and theta* the angle of the node of the
+    scalar test at the event time.
     """
     known: dict[float, tuple] = {}
 
     def measure(t: float) -> tuple:
-        # (L, margins, grid node of the minimum or None) at t, each computed once.
+        # (L, margins, grid node of the minimum) at t, each computed once.
         if t not in known:
             length = path(t)
-            values = margins(t, length)
-            node = heat.node[1] if heat is not None and heat.node[0] == t else None
-            known[t] = length, values, node
+            known[t] = length, heat.margins(t, length), heat.node[1]
         return known[t]
 
     def probe(t: float) -> tuple:
         return measure(t)[1]
 
-    lo = 0
-    while lo < len(check_times):
-        stop = (lo // SCAN_BLOCK_CAP + 1) * SCAN_BLOCK_CAP if lo else SCAN_CHUNK
-        flagged = yield check_times[lo:stop], lengths[lo:stop]
-        for i in (lo + flagged.nonzero()[0]).tolist():
-            hi = float(check_times[i])
-            fired = _crossed(probe(hi))
-            if fired:
-                below = t_prev if i == 0 else float(check_times[i - 1])
-                node = measure(hi)[2]
-                root = None
-                if fired[0] == EVENT_SINGULARITY and node is not None:
-                    root = heat.pinch_root(path, node, below, hi)
-                t0, t1 = _narrow(probe, below, hi, root)
-                fired = _crossed(probe(t1))
-                theta = None
-                if fired[0] == EVENT_SINGULARITY:
-                    node = measure(t1)[2]
-                    theta = modes.argmin_theta(t1) if node is None else modes.node_theta(node)
-                return t0, measure(t0)[0], TerminationEvent(kind=fired[0], t=t1, theta=theta)
-        lo = stop
+    for i in flagged.tolist():
+        hi = float(check_times[i])
+        fired = _crossed(probe(hi))
+        if fired:
+            below = t_prev if i == 0 else float(check_times[i - 1])
+            root = heat.pinch_root(path, measure(hi)[2], below, hi) if fired[0] == EVENT_SINGULARITY else None
+            t0, t1 = _narrow(probe, below, hi, root)
+            fired = _crossed(probe(t1))
+            theta = heat.modes.node_theta(measure(t1)[2]) if fired[0] == EVENT_SINGULARITY else None
+            return t0, measure(t0)[0], TerminationEvent(kind=fired[0], t=t1, theta=theta)
     return None
 
 
@@ -841,11 +797,11 @@ def _record(heat: _Heat, steps: Iterator, count: int = 1) -> list:
 
     A step's check times are the sample times (t = 0, then
     ``_sample_times``) not yet passed and before t1's instant (TIME_RTOL),
-    then t1, recorded when it is the next sample time's instant. The
-    locators of the runs still going scan them together (``_locate_all``),
-    and each run's blocks and kept states read its L there from one
-    ``_Lengths``. At a crossing the run keeps the states up to its lower
-    end, then that end, if a later instant, with the L probed there. A run
+    then t1, recorded when it is the next sample time's instant. The runs
+    still going scan them together (``_locate_all``) into a length column
+    each, whose values their blocks and their kept states read alike. A
+    run keeps the states up to the lower end of its crossing, if any, then
+    that end, if a later instant, with the L probed there. A run
     to the horizon whose kept step ends are all grid times records the grid
     itself, and its ``Trajectory`` shares the heat half's grid columns."""
     controls, grid = heat.controls, heat.grid
@@ -864,31 +820,29 @@ def _record(heat: _Heat, steps: Iterator, count: int = 1) -> list:
         exact = exact and (not on_grid or t1 == grid[j])
         check = grid[k : j + 1] if on_grid and t1 == grid[j] else np.concatenate((grid[k:j], (t1,)))
         kept, k = (check, j + 1) if on_grid else (check[:-1], j)
-        at_check = [_Lengths(paths[r], check) for r in going]
-        locators = [_locate(heat.modes, heat.margins, at.path, t0, check, at, heat) for at in at_check]
+        columns = np.empty((len(going), check.size))
         still = []
-        for r, at, found in zip(going, at_check, _locate_all(heat.flags, locators)):
-            if found is None:
-                times[r] += kept.tolist()
-                lengths[r] += at[: kept.size].tolist()
-                still.append(r)
-            elif isinstance(found, Exception):
+        for r, column, found in zip(going, columns, _locate_all(heat, t0, check, [paths[r] for r in going], columns)):
+            if isinstance(found, Exception):
                 ends[r] = found
-            else:
-                t_stop, length_stop, ends[r] = found
-                kept_r = kept[kept <= t_stop]
-                times[r] += kept_r.tolist()
-                lengths[r] += at[: kept_r.size].tolist()
-                if t_stop - times[r][-1] > TIME_RTOL * t_stop:
-                    times[r].append(t_stop)
-                    lengths[r].append(length_stop)
+                continue
+            size = kept.size if found is None else int(kept.searchsorted(found[0], side="right"))
+            times[r] += kept[:size].tolist()
+            lengths[r] += column[:size].tolist()
+            if found is None:
+                still.append(r)
+                continue
+            t_stop, length_stop, ends[r] = found
+            if t_stop - times[r][-1] > TIME_RTOL * t_stop:
+                times[r].append(t_stop)
+                lengths[r].append(length_stop)
         going = still
     results = []
     for run_times, run_lengths, end in zip(times, lengths, ends):
         if not isinstance(end, Exception):
             shared = exact and end.kind == EVENT_HORIZON and len(run_times) == len(grid)
             try:
-                end = Trajectory(heat.spec0, grid if shared else run_times, run_lengths, end, heat.modes, heat)
+                end = Trajectory(heat.spec0, grid if shared else run_times, run_lengths, end, heat)
             except Exception as exc:  # this run's failure alone
                 end = exc
         results.append(end)

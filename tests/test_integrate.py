@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import math
+import types
 
 import numpy as np
 import oracles
@@ -31,7 +33,7 @@ from curveflow import (
     length_rate,
     state_record,
 )
-from curveflow.integrate import EVENT_TIME_TOL, PRESCAN_SLACK, SCAN_CHUNK, _locate, _locate_all, _record
+from curveflow.integrate import EVENT_TIME_TOL, PRESCAN_SLACK, SCAN_CHUNK, _locate_all, _record
 from curveflow.support import CONVEXITY_EPS, MAX_LENGTH, isoperimetric_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -489,7 +491,7 @@ class TestLeanPath:
 
 
 def _every_check_time(times, lengths):
-    """A pre-scan that flags every check time of a block: _locate then runs
+    """A pre-scan that flags every check time of a block: the scan then runs
     the scalar test on each check time in turn."""
     return np.ones(len(times), dtype=bool)
 
@@ -502,7 +504,7 @@ def _gated(spec0: SupportSpectrum) -> SupportSpectrum:
 
 
 def _locator_blocks(count: int) -> list[slice]:
-    """The blocks ``_locate`` cuts ``count`` check times into: the first
+    """The blocks ``_locate_all`` cuts ``count`` check times into: the first
     SCAN_CHUNK, then the rest of each SCAN_BLOCK_CAP."""
     from curveflow.integrate import SCAN_BLOCK_CAP
 
@@ -511,7 +513,7 @@ def _locator_blocks(count: int) -> list[slice]:
 
 
 def _flags_in_turn(heat, times, lengths):
-    """``heat.flags`` over every check time, block by block as ``_locate``
+    """``heat.flags`` over every check time, block by block as ``_locate_all``
     reads them, joined."""
     return np.concatenate([heat.flags(times[block], lengths[block]) for block in _locator_blocks(len(times))])
 
@@ -549,27 +551,19 @@ def _check_event(found, want, margins, path):
 
 def _same_as_bisection(run) -> Trajectory:
     """run(), after checking each event ``_locate`` finds in it against the
-    bisection's (see ``_check_event``) from the same locator sent the same
-    flags, and its sample columns, all but the final state, against those of
-    the same run with the bisection."""
+    bisection's (see ``_check_event``) from the same block of flagged check
+    times, and its sample columns, all but the final state, against those
+    of the same run with the bisection."""
     from curveflow.integrate import EVENT_TIME_TOL
 
     module = importlib.import_module("curveflow.integrate")
     real = module._locate
 
-    def checked(modes, margins, path, *rest):
-        sent, locator = [], real(modes, margins, path, *rest)
-        try:
-            block = next(locator)
-            while True:
-                sent.append((yield block))
-                block = locator.send(sent[-1])
-        except StopIteration as done:
-            found = done.value
+    def checked(heat, path, *rest):
+        found = real(heat, path, *rest)
         if found is not None:
-            replay = iter(sent)
-            want = _with_bisection(lambda: _locate_one(lambda *_: next(replay), modes, margins, path, *rest))
-            _check_event(found, want, margins, path)
+            want = _with_bisection(lambda: real(heat, path, *rest))
+            _check_event(found, want, heat.margins, path)
         return found
 
     with pytest.MonkeyPatch.context() as patch:
@@ -582,11 +576,23 @@ def _same_as_bisection(run) -> Trajectory:
     return traj
 
 
-def _locate_one(flags, *args):
-    """The result of one ``_locate(*args)``, run by ``_locate_all`` with
-    ``flags``; an exception it raised is raised. ``_locate`` is the
-    module's own, even where a test replaces it there."""
-    (found,) = _locate_all(flags, [_locate(*args)])
+def _locate_one(flags, modes, margins, path, t_prev, times, lengths):
+    """The result of ``_locate_all`` for the one ``path`` at check times
+    ``times`` after ``t_prev``, on a stand-in heat half whose pre-scan is
+    ``flags`` and whose scalar test is ``margins(t, L)``, with no pinch
+    model; its ``node`` at a test is that of ``modes.argmin_theta``, so
+    theta* is argmin_theta at the event time. The scan fills ``lengths``,
+    L at each check time, with path(times); an exception it raised is
+    raised."""
+
+    def measured(t, length):
+        heat.node = t, modes.min_node(t, 0.0)[1]
+        return margins(t, length)
+
+    heat = types.SimpleNamespace(
+        modes=modes, flags=flags, margins=measured, node=(math.nan, -1), pinch_root=lambda *_: None
+    )
+    (found,) = _locate_all(heat, t_prev, np.asarray(times, dtype=float), [path], np.asarray(lengths)[None])
     if isinstance(found, Exception):
         raise found
     return found
@@ -1572,36 +1578,58 @@ class TestPrescan:
     @settings(max_examples=60, deadline=None)
     def test_blocks_slice_the_lengths_bit_for_bit(self, seed, n, flow, t_max, sample_interval):
         # The pre-scan's blocks read slices of L evaluated SCAN_BLOCK_CAP check
-        # times at a time; the law must give each time the same bits whatever
-        # the array it is evaluated in.
+        # times at a time into the scan's column; the law must give each time
+        # the same bits whatever the array it is evaluated in.
         from curveflow import parse_flow_term
         from curveflow.flows import closed_length
-        from curveflow.integrate import _Lengths, _sample_times
+        from curveflow.heat import _Modes
+        from curveflow.integrate import _sample_times
 
-        law = closed_length(_random_convex(np.random.default_rng(seed), n), parse_flow_term(flow))
+        spec0 = _random_convex(np.random.default_rng(seed), n)
+        law = closed_length(spec0, parse_flow_term(flow))
         check = np.concatenate(([0.0], _sample_times(IntegratorControls(t_max=t_max, sample_interval=sample_interval))))
-        lengths = _Lengths(law, check)
-        parts = []
-        for block in _locator_blocks(len(check)):
-            parts.append(law(check[block]))
-            assert lengths[block].tobytes() == parts[-1].tobytes()
-        assert law(check).tobytes() == np.concatenate(parts).tobytes()
+        rows = []
 
-    def test_a_closed_form_run_evaluates_its_law_once_at_its_check_times(self, monkeypatch):
+        def recording_flags(times, lengths):
+            rows.append((times, lengths.copy()))
+            return np.zeros(len(times), dtype=bool)
+
+        column = np.full(len(check), np.nan)
+        never = lambda t, length: (1.0, 1.0, 1.0, 1.0)  # noqa: E731
+        assert _locate_one(recording_flags, _Modes(spec0), never, law, 0.0, check, column) is None
+        parts = []
+        for block, (times, lengths) in zip(_locator_blocks(len(check)), rows, strict=True):
+            parts.append(law(check[block]))
+            assert times.tobytes() == check[block].tobytes()
+            assert lengths.tobytes() == parts[-1].tobytes()
+        assert law(check).tobytes() == np.concatenate(parts).tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize(
+        "t_max, blocks, arrays", [(10.0, [32, 169], [201]), (20.0, [32, 224, 145], [256, 145])]
+    )
+    def test_a_closed_form_run_evaluates_its_law_once_at_its_check_times(self, monkeypatch, t_max, blocks, arrays):
+        # The blocks and the kept states all read one pass over the check
+        # times, SCAN_BLOCK_CAP at a time: 201 check times are one array,
+        # 401 are 256 (blocks of 32 and 224) and 145 (one block).
         from curveflow.flows import ClosedLength, closed_length
+        from curveflow.integrate import _Heat
 
         law = closed_length(GALLERY_ELLIPSE, PanYang())
-        evaluate, arrays = ClosedLength.__call__, []
+        evaluate, flags, evaluated, scanned = ClosedLength.__call__, _Heat.flags, [], []
 
         def counted(closed, t):
             if np.ndim(t):
-                arrays.append(len(t))
+                evaluated.append(len(t))
             return evaluate(closed, t)
 
+        def counted_flags(heat, times, lengths):
+            scanned.append(len(times))
+            return flags(heat, times, lengths)
+
         monkeypatch.setattr(ClosedLength, "__call__", counted)
-        traj = integrate(GALLERY_ELLIPSE, PanYang(), IntegratorControls(t_max=10.0))
-        # Blocks of 32 and 169 check times and the kept states all read one pass.
-        assert arrays == [201] and len(traj.t) == 201
+        monkeypatch.setattr(_Heat, "flags", counted_flags)
+        traj = integrate(GALLERY_ELLIPSE, PanYang(), IntegratorControls(t_max=t_max))
+        assert scanned == blocks and evaluated == arrays and len(traj.t) == sum(blocks)
         assert np.array_equal(traj.L, evaluate(law, traj.t))
 
     @pytest.mark.parametrize("t_star", [0.3, 0.8, 1.5, 2.4])
