@@ -1604,10 +1604,7 @@ class TestPrescan:
             assert lengths.tobytes() == parts[-1].tobytes()
         assert law(check).tobytes() == np.concatenate(parts).tobytes() == column.tobytes()
 
-    @pytest.mark.parametrize(
-        "t_max, blocks, arrays", [(10.0, [32, 169], [201]), (20.0, [32, 224, 145], [256, 145])]
-    )
-    def test_a_closed_form_run_evaluates_its_law_once_at_its_check_times(self, monkeypatch, t_max, blocks, arrays):
+    def test_a_closed_form_run_evaluates_its_law_once_at_its_check_times(self, monkeypatch):
         # The blocks and the kept states all read one pass over the check
         # times, SCAN_BLOCK_CAP at a time: 201 check times are one array,
         # 401 are 256 (blocks of 32 and 224) and 145 (one block).
@@ -1628,9 +1625,11 @@ class TestPrescan:
 
         monkeypatch.setattr(ClosedLength, "__call__", counted)
         monkeypatch.setattr(_Heat, "flags", counted_flags)
-        traj = integrate(GALLERY_ELLIPSE, PanYang(), IntegratorControls(t_max=t_max))
-        assert scanned == blocks and evaluated == arrays and len(traj.t) == sum(blocks)
-        assert np.array_equal(traj.L, evaluate(law, traj.t))
+        for t_max, blocks, arrays in ((10.0, [32, 169], [201]), (20.0, [32, 224, 145], [256, 145])):
+            del evaluated[:], scanned[:]
+            traj = integrate(GALLERY_ELLIPSE, PanYang(), IntegratorControls(t_max=t_max))
+            assert scanned == blocks and evaluated == arrays and len(traj.t) == sum(blocks)
+            assert np.array_equal(traj.L, evaluate(law, traj.t))
 
     @pytest.mark.parametrize("t_star", [0.3, 0.8, 1.5, 2.4])
     def test_a_late_pinch_runs_no_grid_product_wider_than_the_doubling(self, monkeypatch, t_star):
